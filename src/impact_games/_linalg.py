@@ -1,4 +1,4 @@
-"""Dense linear solves with an explicit ill-conditioning guard."""
+"""Dense linear solves with an explicit ill-conditioning guard, and input checks."""
 
 from __future__ import annotations
 
@@ -17,6 +17,12 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, condition: float = float("inf")):
         super().__init__(f"{message} (estimated condition number {condition:.3e})")
         self.condition = condition
+
+
+def _finite(name: str, values: np.ndarray) -> None:
+    """Reject arrays holding NaN or infinite entries."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
 
 
 def guarded_solve(matrix: np.ndarray, rhs: np.ndarray, max_condition: float = 1e12) -> np.ndarray:

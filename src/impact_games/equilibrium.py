@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._linalg import guarded_solve
+from ._linalg import _finite, guarded_solve
 from .cross_impact import SpectralReport, analyze_cross_impact
 from .kernels import DecayKernel, MatrixBundle, TimeGrid, build_matrices
 
@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 _COMMUTE_TOL = 1e-9
+# principal assets whose eigenvalues (and, when gamma > 0, variance rates)
+# agree within this fraction of the largest one share one solve; eigh spreads
+# a repeated eigenvalue over about 1e-14 relative
+_SHARE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,7 @@ class GameSpec:
         q = np.asarray(self.cross_impact, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("cross_impact must be a square matrix")
+        _finite("cross_impact", q)
         scale = max(np.abs(q).max(), 1.0)
         if np.abs(q - q.T).max() > 1e-10 * scale:
             raise ValueError("cross_impact must be symmetric")
@@ -77,6 +82,7 @@ class GameSpec:
                 raise ValueError("provide inventories or n_agents")
             inv = np.zeros((m, int(self.n_agents)))
         inv = np.atleast_2d(np.asarray(inv, dtype=float))
+        _finite("inventories", inv)
         if inv.shape[0] != m:
             raise ValueError(
                 f"inventories have {inv.shape[0]} asset rows, cross_impact is {m}x{m}"
@@ -95,6 +101,7 @@ class GameSpec:
             sigma = np.asarray(self.covariance, dtype=float)
             if sigma.shape != q.shape:
                 raise ValueError("covariance must match the cross-impact shape")
+            _finite("covariance", sigma)
             sscale = max(np.abs(sigma).max(), 1.0)
             if np.abs(sigma - sigma.T).max() > 1e-10 * sscale:
                 raise ValueError("covariance must be symmetric")
@@ -188,6 +195,22 @@ def _principal_var_rates(spec: GameSpec, spectrum: SpectralReport) -> np.ndarray
     return np.diag(rotated).copy()
 
 
+def _shared_solves(eigenvalues: np.ndarray, var_rates: np.ndarray, risk_averse: bool) -> np.ndarray:
+    """Index of the principal asset whose solve each principal asset reuses.
+
+    Asset i reuses the first asset whose eigenvalue agrees with its own within
+    ``_SHARE_TOL`` times the largest eigenvalue magnitude and, for risk-averse
+    games, whose variance rate agrees within the same fraction of the largest
+    variance rate. Without risk aversion the variance rate drops out of the
+    system, so it is not compared.
+    """
+    def close(values):
+        return np.abs(values[:, None] - values[None, :]) <= _SHARE_TOL * np.abs(values).max()
+
+    same = close(eigenvalues) & close(var_rates) if risk_averse else close(eigenvalues)
+    return same.argmax(axis=1)
+
+
 def principal_fundamentals(
     spec: GameSpec,
 ) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
@@ -195,7 +218,9 @@ def principal_fundamentals(
 
     Principal asset i uses the effective kernel scaled by the i-th eigenvalue
     of the cross-impact matrix and the i-th diagonal entry of the rotated
-    covariance as its variance rate.
+    covariance as its variance rate. Principal assets with the same eigenvalue
+    and variance rate (see :func:`_shared_solves`) share one solve and one
+    profile-pair object.
     """
     spectrum = analyze_cross_impact(spec.cross_impact, spec.covariance)
     if spectrum.eigenvalues[-1] <= 0.0:
@@ -209,17 +234,18 @@ def principal_fundamentals(
         )
     kernel = spec.effective_kernel
     var_rates = _principal_var_rates(spec, spectrum)
-    pairs = []
-    for lam, var_rate in zip(spectrum.eigenvalues, var_rates):
+    shared = _shared_solves(spectrum.eigenvalues, var_rates, spec.gamma > 0.0)
+    solved = {}
+    for i in np.unique(shared):
         bundle = build_matrices(
             spec.grid,
-            kernel.scaled(float(lam)),
+            kernel.scaled(float(spectrum.eigenvalues[i])),
             theta=spec.theta,
             gamma=spec.gamma,
-            var_rate=max(float(var_rate), 0.0),
+            var_rate=max(float(var_rates[i]), 0.0),
         )
-        pairs.append(fundamental_solutions(bundle, spec.n_agents))
-    return spectrum, tuple(pairs)
+        solved[i] = fundamental_solutions(bundle, spec.n_agents)
+    return spectrum, tuple(solved[i] for i in shared)
 
 
 def closed_form_equilibrium(spec: GameSpec) -> Equilibrium:

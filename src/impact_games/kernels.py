@@ -8,9 +8,12 @@ matrix, and the risk-adjusted self-cost matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from ._linalg import _finite
 
 __all__ = [
     "TimeGrid",
@@ -33,6 +36,7 @@ class TimeGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("a trading grid needs at least two time points")
+        _finite("points", pts)
         if pts[0] != 0.0:
             raise ValueError("trading grids must start at t = 0")
         if np.any(np.diff(pts) <= 0.0):
@@ -72,6 +76,13 @@ def make_equidistant_grid(n_steps: int, horizon: float = 1.0) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, float(horizon), int(n_steps) + 1))
 
 
+def _unit_kernel(family: str, rate: float, exponent: float, offset: float, lag: np.ndarray):
+    """Kernel values at unit scale, from the fields that fix the kernel's shape."""
+    if family == "exponential":
+        return np.exp(-rate * lag)
+    return (lag + offset) ** (-exponent)
+
+
 @dataclass(frozen=True)
 class DecayKernel:
     """Nonincreasing, strictly positive impact decay kernel.
@@ -107,9 +118,7 @@ class DecayKernel:
 
     def __call__(self, lag):
         lag = np.asarray(lag, dtype=float)
-        if self.family == "exponential":
-            return self.scale * np.exp(-self.rate * lag)
-        return self.scale * (lag + self.offset) ** (-self.exponent)
+        return self.scale * _unit_kernel(self.family, self.rate, self.exponent, self.offset, lag)
 
     @property
     def at_zero(self) -> float:
@@ -164,13 +173,31 @@ class MatrixBundle:
     var_rate: float
 
 
-def _validate_kernel_on_grid(kernel: DecayKernel, lags: np.ndarray) -> None:
-    values = np.atleast_1d(kernel(lags))
+def _validate_kernel_values(values: np.ndarray) -> None:
     if np.any(values <= 0.0):
         raise ValueError("decay kernel must be strictly positive on the sampled lags")
     # allow for float noise on near-flat kernels
     if np.any(np.diff(values) > 1e-12 * values[0]):
         raise ValueError("decay kernel must be nonincreasing on the sampled lags")
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_parts(points: bytes, family: str, rate: float, exponent: float, offset: float):
+    """Scale-, fee- and risk-free parts of a bundle, for one grid and kernel shape.
+
+    The kernel is checked on every distinct lag of the grid, then evaluated at
+    unit scale on the strict lower triangle; ``min(t_i, t_j)`` completes the
+    pair. Both arrays are read-only, since repeated calls return the same ones.
+    """
+    shape = functools.partial(_unit_kernel, family, rate, exponent, offset)
+    t = np.frombuffer(points)
+    lag = t[:, None] - t[None, :]
+    _validate_kernel_values(shape(np.unique(np.abs(lag))))
+    unit_lower = np.where(lag > 0.0, shape(np.where(lag > 0.0, lag, 0.0)), 0.0)
+    min_times = np.minimum.outer(t, t)
+    unit_lower.flags.writeable = False
+    min_times.flags.writeable = False
+    return unit_lower, min_times
 
 
 def build_matrices(
@@ -201,20 +228,21 @@ def build_matrices(
     if not 0.0 <= priority_prob <= 1.0:
         raise ValueError("priority_prob must lie in [0, 1]")
 
-    t = grid.points
-    lag = t[:, None] - t[None, :]
-    _validate_kernel_on_grid(kernel, np.unique(np.abs(lag)))
+    if not kernel.scale > 0.0:
+        raise ValueError("kernel scale must be positive")
+    unit_lower, min_times = _unit_parts(
+        grid.points.tobytes(), kernel.family, kernel.rate, kernel.exponent, kernel.offset
+    )
 
-    n = t.size
-    eye = np.eye(n)
+    eye = np.eye(grid.n_points)
     g0 = kernel.at_zero
-    strict_lower = np.where(lag > 0.0, kernel(np.where(lag > 0.0, lag, 0.0)), 0.0)
+    strict_lower = kernel.scale * unit_lower
     # symmetric matrix from the exact same kernel evaluations
     kernel_matrix = strict_lower + strict_lower.T + g0 * eye
     fair_priority = strict_lower + 0.5 * g0 * eye
     self_cost = kernel_matrix + 2.0 * theta * eye
     priority_cross = strict_lower + priority_prob * g0 * eye
-    price_variance = var_rate * np.minimum.outer(t, t)
+    price_variance = var_rate * min_times
     mv_self_cost = self_cost + gamma * price_variance
     return MatrixBundle(
         kernel_matrix=kernel_matrix,

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ._linalg import NumericError
 from .cross_impact import one_factor_matrix
 from .equilibrium import GameSpec, principal_fundamentals
 from .kernels import DecayKernel, make_equidistant_grid
@@ -205,7 +206,7 @@ def critical_theta(
     spec : game parameters; the stored fee and inventories are ignored.
     bracket : (lo, hi) with an unstable verdict at lo and a stable one at hi.
         Defaults to (0, 2x the many-agent prediction).
-    tol : final bracket width for the bisection.
+    tol : final bracket width for the bisection, finite and positive.
     rel_tol : relative flip-detection tolerance.
     scan_points : resolution of the fallback scan when bisection detects a
         non-monotone verdict.
@@ -222,7 +223,11 @@ def critical_theta(
                 "no default bracket available (prediction is zero); pass one explicitly"
             )
         bracket = (0.0, 2.0 * conjecture)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got {bracket!r}")
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got {bracket!r}")
 
@@ -338,7 +343,7 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
                     error=None,
                 )
             )
-        except Exception as exc:  # record and continue with the next row
+        except (ValueError, NumericError) as exc:  # record and continue with the next row
             predicted = float("nan")
             try:
                 predicted = predicted_theta_star(
@@ -348,7 +353,7 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
                     params["beta"],
                     "conjecture",
                 )
-            except Exception:
+            except (ValueError, NumericError):
                 pass
             rows.append(
                 SweepRow(

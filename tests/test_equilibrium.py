@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from impact_games import equilibrium as equilibrium_module
 from impact_games import (
     GameSpec,
     NumericError,
     aggregate_flow_is_zero,
     arbitrageur_is_idle,
+    block_matrix,
     build_matrices,
     closed_form_equilibrium,
     exponential_kernel,
@@ -17,6 +19,8 @@ from impact_games import (
     guarded_solve,
     make_equidistant_grid,
     one_factor_matrix,
+    principal_fundamentals,
+    rank_one_matrix,
     variance_and_mv,
 )
 
@@ -227,6 +231,12 @@ def test_gamespec_shape_validation():
         grid=make_equidistant_grid(2), kernel=KERNEL, cross_impact=np.eye(1), n_agents=3
     )
     assert spec.inventories.shape == (1, 3)
+    with pytest.raises(ValueError, match="cross_impact must be finite"):
+        two_agent_spec(np.ones((2, 2)), cross=np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="inventories must be finite"):
+        two_agent_spec([[1.0, np.nan]])
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        two_agent_spec([[1.0, 0.0]], covariance=np.array([[np.inf]]))
 
 
 def test_condition_guard_rejects_near_singular_systems():
@@ -235,3 +245,83 @@ def test_condition_guard_rejects_near_singular_systems():
         guarded_solve(nearly_singular, np.ones(2))
     with pytest.raises(NumericError):
         guarded_solve(np.ones((2, 2)), np.ones(2))
+
+
+def per_asset_fundamentals(spec):
+    """Reference: one build and one solve for every principal asset."""
+    lam, vec = np.linalg.eigh(spec.cross_impact)
+    lam, vec = lam[::-1], vec[:, ::-1]
+    if spec.covariance is None:
+        var_rates = np.zeros_like(lam)
+    else:
+        var_rates = np.diag(vec.T @ spec.covariance @ vec)
+    return [
+        fundamental_solutions(
+            build_matrices(
+                spec.grid,
+                spec.effective_kernel.scaled(float(value)),
+                theta=spec.theta,
+                gamma=spec.gamma,
+                var_rate=max(float(var_rate), 0.0),
+            ),
+            spec.n_agents,
+        )
+        for value, var_rate in zip(lam, var_rates)
+    ]
+
+
+def principal_game(kind):
+    """(spec, number of distinct principal solves) for three spectra."""
+    if kind == "one_factor":
+        cross, gamma, covariance = one_factor_matrix(50, 0.5), 0.0, None
+        distinct = 2
+    elif kind == "block":
+        cross = block_matrix([3, 4, 2], [0.6, 0.4, 0.5], 0.1)
+        gamma, covariance = 2.0, cross
+        # 1 - intra repeated inside each block, plus three block-level values
+        distinct = 6
+    elif kind == "rank_one":
+        cross = rank_one_matrix(np.linspace(0.1, 0.9, 6))
+        gamma, covariance = 0.0, None
+        distinct = 6
+    else:
+        # one eigenvalue, but risk aversion separates the variance rates
+        cross, gamma, covariance = np.eye(3), 1.0, np.diag([1.0, 2.0, 3.0])
+        distinct = 3
+    spec = GameSpec(
+        grid=make_equidistant_grid(30, 1.0),
+        kernel=KERNEL,
+        cross_impact=cross,
+        n_agents=4,
+        theta=0.05,
+        gamma=gamma,
+        beta=0.5,
+        covariance=covariance,
+    )
+    return spec, distinct
+
+
+@pytest.mark.parametrize("kind", ["one_factor", "block", "rank_one", "flat_impact"])
+def test_shared_principal_solves_match_per_asset_solves(kind):
+    spec, _ = principal_game(kind)
+    _, pairs = principal_fundamentals(spec)
+    reference = per_asset_fundamentals(spec)
+    assert len(pairs) == len(reference) == spec.n_assets
+    for pair, ref in zip(pairs, reference):
+        assert np.allclose(pair.mean_profile, ref.mean_profile, rtol=0, atol=1e-12)
+        assert np.allclose(pair.deviation_profile, ref.deviation_profile, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["one_factor", "block", "rank_one", "flat_impact"])
+def test_one_solve_per_distinct_principal_asset(kind, monkeypatch):
+    spec, distinct = principal_game(kind)
+    calls = []
+
+    def counted(bundle, n_agents):
+        calls.append(bundle.kernel_at_zero)
+        return fundamental_solutions(bundle, n_agents)
+
+    monkeypatch.setattr(equilibrium_module, "fundamental_solutions", counted)
+    _, pairs = principal_fundamentals(spec)
+    assert len(calls) == distinct
+    assert len({id(pair) for pair in pairs}) == distinct

@@ -39,6 +39,10 @@ def test_grid_must_start_at_zero_and_increase():
         TimeGrid(np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(np.array([0.0, 1.0, np.inf]))
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(np.array([0.0, np.nan, 1.0]))
 
 
 def test_kernel_parameter_validation():
@@ -158,3 +162,62 @@ def test_build_matrices_rejects_increasing_kernel():
 def test_scaled_requires_positive_factor():
     with pytest.raises(ValueError):
         exponential_kernel().scaled(0.0)
+
+
+BUNDLE_FIELDS = (
+    "kernel_matrix",
+    "strict_lower",
+    "fair_priority",
+    "self_cost",
+    "priority_cross",
+    "price_variance",
+    "mv_self_cost",
+)
+
+
+def direct_bundle(grid, kernel, theta, gamma, priority_prob, var_rate):
+    """Every bundle matrix evaluated from scratch, without the build cache."""
+    t = grid.points
+    lag = t[:, None] - t[None, :]
+    eye = np.eye(t.size)
+    g0 = kernel.at_zero
+    strict_lower = np.where(lag > 0.0, kernel(np.where(lag > 0.0, lag, 0.0)), 0.0)
+    kernel_matrix = strict_lower + strict_lower.T + g0 * eye
+    self_cost = kernel_matrix + 2.0 * theta * eye
+    price_variance = var_rate * np.minimum.outer(t, t)
+    return {
+        "kernel_matrix": kernel_matrix,
+        "strict_lower": strict_lower,
+        "fair_priority": strict_lower + 0.5 * g0 * eye,
+        "self_cost": self_cost,
+        "priority_cross": strict_lower + priority_prob * g0 * eye,
+        "price_variance": price_variance,
+        "mv_self_cost": self_cost + gamma * price_variance,
+    }
+
+
+@pytest.mark.parametrize(
+    "kernel", [exponential_kernel(rate=1.3, scale=0.7), power_law_kernel(0.7, 0.3, scale=2.5)]
+)
+def test_build_matrices_is_bit_identical_after_a_warm_cache(kernel, rng):
+    points = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, size=30))])
+    grid = TimeGrid(points)
+    # warm the cache on the same grid and kernel shape with other parameters
+    build_matrices(grid, kernel.scaled(3.0), theta=2.0, gamma=1.0, var_rate=0.4)
+    params = dict(theta=0.3, gamma=0.2, priority_prob=0.3, var_rate=1.7)
+    bundle = build_matrices(grid, kernel.scaled(0.5), **params)
+    expected = direct_bundle(grid, kernel.scaled(0.5), **params)
+    for name in BUNDLE_FIELDS:
+        assert np.array_equal(getattr(bundle, name), expected[name]), name
+
+
+def test_mutating_a_bundle_does_not_change_the_next_build():
+    grid = make_equidistant_grid(8, 1.0)
+    kernel = exponential_kernel(rate=0.8)
+    first = build_matrices(grid, kernel, theta=0.1, gamma=0.5, var_rate=1.0)
+    reference = {name: getattr(first, name).copy() for name in BUNDLE_FIELDS}
+    for name in BUNDLE_FIELDS:
+        getattr(first, name)[...] = -1.0
+    second = build_matrices(grid, kernel, theta=0.1, gamma=0.5, var_rate=1.0)
+    for name in BUNDLE_FIELDS:
+        assert np.array_equal(getattr(second, name), reference[name]), name

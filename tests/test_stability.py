@@ -14,6 +14,7 @@ from impact_games import (
     principal_fundamentals,
     stability_sweep,
 )
+from impact_games import stability as stability_module
 from impact_games.stability import SweepBase, _bisect_threshold
 
 KERNEL = exponential_kernel()
@@ -89,6 +90,23 @@ def test_bad_brackets_are_rejected():
         critical_theta(spec, bracket=(0.3, 0.2))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": 0.0},
+        {"tol": -1e-4},
+        {"bracket": (0.0, float("inf"))},
+        {"bracket": (float("-inf"), 1.0)},
+        {"bracket": (float("nan"), 1.0)},
+    ],
+)
+def test_non_finite_or_non_positive_bisection_settings_are_rejected(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        critical_theta(stability_game(n_assets=1, n_steps=20), **kwargs)
+
+
 def test_predictions():
     assert predicted_theta_star(
         one_factor_matrix(2000, 0.2), 1.0, n_agents=2, mode="theorem"
@@ -149,6 +167,15 @@ def test_sweep_records_row_failures_and_continues():
     )
     assert rows[0].error is None and rows[0].estimate is not None
     assert rows[1].error is not None and rows[1].estimate is None
+
+
+def test_sweep_propagates_unexpected_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("programming error, not a failed row")
+
+    monkeypatch.setattr(stability_module, "critical_theta", broken)
+    with pytest.raises(TypeError, match="programming error"):
+        stability_sweep([{"n_assets": 1, "n_agents": 2, "n_steps": 20}], SweepBase(kernel=KERNEL))
 
 
 def test_bisection_helper_monotone_case():
