@@ -25,6 +25,12 @@ def _finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def _symmetric(name: str, matrix: np.ndarray) -> None:
+    """Reject matrices asymmetric beyond 1e-10 of their largest entry (at least 1)."""
+    if np.abs(matrix - matrix.T).max() > 1e-10 * max(np.abs(matrix).max(), 1.0):
+        raise ValueError(f"{name} must be symmetric")
+
+
 def guarded_solve(matrix: np.ndarray, rhs: np.ndarray, max_condition: float = 1e12) -> np.ndarray:
     """Solve ``matrix @ x = rhs``, rejecting systems with condition above the cap.
 

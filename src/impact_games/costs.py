@@ -58,6 +58,26 @@ def _check_strategies(spec, strategies) -> np.ndarray:
     return strategies
 
 
+def priority_cross(bundle, probability: float) -> np.ndarray:
+    """Cross-cost matrix against an agent who executes first with ``probability``.
+
+    Decayed impact of the other agent's earlier trades plus, at shared times,
+    the lag-zero impact weighted by the probability of going second.
+    """
+    eye = np.eye(len(bundle.strict_lower))
+    return bundle.strict_lower + probability * bundle.kernel_at_zero * eye
+
+
+def own_cost_term(q, gram, theta: float, own: np.ndarray):
+    """Cost of an agent's own impact volume ``own`` (M, N+1), fee included."""
+    return 0.5 * np.sum(q * (own @ gram @ own.T)) + theta * np.sum(own**2)
+
+
+def cross_cost_term(q, cross, own: np.ndarray, theirs: np.ndarray):
+    """Cost that another agent's impact volume ``theirs`` adds to ``own``."""
+    return np.sum(q * (own @ cross @ theirs.T))
+
+
 def expected_cost(spec, strategies, agent: int) -> float:
     """Expected execution cost of one agent given everybody's strategies.
 
@@ -65,22 +85,20 @@ def expected_cost(spec, strategies, agent: int) -> float:
     impact volume, plus the quadratic fee, plus for every other agent the
     decayed cost of their earlier trades and the priority-weighted cost of
     their simultaneous trades. Per-agent impact scales multiply the share
-    volumes wherever they hit the price, fee included.
+    volumes wherever they hit the price, fee included. The terms are summed
+    in agent order, starting from the own term.
     """
     strategies = _check_strategies(spec, strategies)
     thetas, scales, priority, kernel, q = _agent_params(spec)
     bundle = build_matrices(spec.grid, kernel)
-    gram, lower, g0 = bundle.kernel_matrix, bundle.strict_lower, bundle.kernel_at_zero
-    n = spec.grid.n_points
 
     own = scales[agent] * strategies[:, agent, :]
-    cost = 0.5 * np.sum(q * (own @ gram @ own.T)) + thetas[agent] * np.sum(own**2)
+    cost = own_cost_term(q, bundle.kernel_matrix, thetas[agent], own)
     for other in range(spec.n_agents):
         if other == agent:
             continue
-        cross = lower + priority[agent, other] * g0 * np.eye(n)
         theirs = scales[other] * strategies[:, other, :]
-        cost += np.sum(q * (own @ cross @ theirs.T))
+        cost += cross_cost_term(q, priority_cross(bundle, priority[agent, other]), own, theirs)
     return float(cost)
 
 
@@ -135,15 +153,14 @@ def stationarity_residual(spec, strategies, agent: int) -> float:
     strategies = _check_strategies(spec, strategies)
     thetas, scales, priority, kernel, q = _agent_params(spec)
     bundle = build_matrices(spec.grid, kernel)
-    gram, lower, g0 = bundle.kernel_matrix, bundle.strict_lower, bundle.kernel_at_zero
-    n = spec.grid.n_points
 
     own = scales[agent] * strategies[:, agent, :]
+    gram = bundle.kernel_matrix
     grad = scales[agent] * (q @ own @ gram) + 2.0 * thetas[agent] * scales[agent] * own
     for other in range(spec.n_agents):
         if other == agent:
             continue
-        cross = lower + priority[agent, other] * g0 * np.eye(n)
+        cross = priority_cross(bundle, priority[agent, other])
         grad += scales[agent] * scales[other] * (q @ strategies[:, other, :] @ cross.T)
     gamma = getattr(spec, "gamma", 0.0)
     covariance = getattr(spec, "covariance", None)

@@ -13,6 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._linalg import _symmetric
+
 __all__ = [
     "one_factor_matrix",
     "rank_one_matrix",
@@ -22,8 +24,6 @@ __all__ = [
     "SpectralReport",
     "analyze_cross_impact",
 ]
-
-_SYM_TOL = 1e-10
 
 
 def one_factor_matrix(n_assets: int, coupling: float) -> np.ndarray:
@@ -83,9 +83,7 @@ def explicit_matrix(matrix) -> np.ndarray:
     q = np.asarray(matrix, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"cross-impact matrix must be square, got shape {q.shape}")
-    scale = max(np.abs(q).max(), 1.0)
-    if np.abs(q - q.T).max() > _SYM_TOL * scale:
-        raise ValueError("cross-impact matrix must be symmetric")
+    _symmetric("cross-impact matrix", q)
     return 0.5 * (q + q.T)
 
 

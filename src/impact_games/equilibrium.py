@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._linalg import _finite, guarded_solve
+from ._linalg import _finite, _symmetric, guarded_solve
 from .cross_impact import SpectralReport, analyze_cross_impact
 from .kernels import DecayKernel, MatrixBundle, TimeGrid, build_matrices
 
@@ -70,9 +70,7 @@ class GameSpec:
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("cross_impact must be a square matrix")
         _finite("cross_impact", q)
-        scale = max(np.abs(q).max(), 1.0)
-        if np.abs(q - q.T).max() > 1e-10 * scale:
-            raise ValueError("cross_impact must be symmetric")
+        _symmetric("cross_impact", q)
         object.__setattr__(self, "cross_impact", q)
 
         m = q.shape[0]
@@ -92,8 +90,10 @@ class GameSpec:
         object.__setattr__(self, "inventories", inv)
         object.__setattr__(self, "n_agents", inv.shape[1])
 
-        if self.theta < 0.0 or self.gamma < 0.0 or self.beta < 0.0:
-            raise ValueError("theta, gamma, and beta must be nonnegative")
+        for name in ("theta", "gamma", "beta"):
+            value = getattr(self, name)
+            if not (value >= 0.0) or not np.isfinite(value):
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
 
@@ -102,10 +102,8 @@ class GameSpec:
             if sigma.shape != q.shape:
                 raise ValueError("covariance must match the cross-impact shape")
             _finite("covariance", sigma)
-            sscale = max(np.abs(sigma).max(), 1.0)
-            if np.abs(sigma - sigma.T).max() > 1e-10 * sscale:
-                raise ValueError("covariance must be symmetric")
-            if np.min(np.linalg.eigvalsh(sigma)) < -1e-10 * sscale:
+            _symmetric("covariance", sigma)
+            if np.min(np.linalg.eigvalsh(sigma)) < -1e-10 * max(np.abs(sigma).max(), 1.0):
                 raise ValueError("covariance must be positive semidefinite")
             object.__setattr__(self, "covariance", sigma)
             if self.gamma > 0.0:

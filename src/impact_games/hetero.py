@@ -3,8 +3,11 @@
 Heterogeneity covers per-agent quadratic fees, per-agent impact scales,
 pairwise execution-priority probabilities, and per-agent tradable-asset
 masks. The game is linear-quadratic, so the stationarity conditions of all
-agents plus their inventory constraints form one dense linear system that is
-solved directly; no best-response iteration is involved.
+agents plus their inventory constraints form one linear system; no
+best-response iteration is involved. When every agent trades the same assets,
+each block of that system is a Kronecker product with the cross-impact matrix
+Q, so it splits exactly into one single-asset system per eigenvalue of Q.
+Other games solve the stacked system as one dense solve.
 """
 
 from __future__ import annotations
@@ -15,9 +18,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import NumericError, guarded_solve
+from ._linalg import NumericError, _finite, _symmetric, guarded_solve
+from .costs import (
+    cross_cost_term,
+    expected_cost,
+    own_cost_term,
+    priority_cross,
+    stationarity_residual,
+)
 from .cross_impact import analyze_cross_impact
-from .equilibrium import Equilibrium
+from .equilibrium import Equilibrium, _shared_solves
 from .kernels import DecayKernel, TimeGrid, build_matrices
 
 __all__ = [
@@ -65,28 +75,32 @@ class HeteroGameSpec:
         q = np.asarray(self.cross_impact, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("cross_impact must be a square matrix")
-        if np.abs(q - q.T).max() > 1e-10 * max(np.abs(q).max(), 1.0):
-            raise ValueError("cross_impact must be symmetric")
+        _finite("cross_impact", q)
+        _symmetric("cross_impact", q)
         object.__setattr__(self, "cross_impact", q)
 
         inv = np.atleast_2d(np.asarray(self.inventories, dtype=float))
+        _finite("inventories", inv)
         if inv.shape[0] != q.shape[0]:
             raise ValueError("inventories must have one row per asset")
         object.__setattr__(self, "inventories", inv)
         n_agents = inv.shape[1]
 
         thetas = np.broadcast_to(np.asarray(self.thetas, dtype=float), (n_agents,)).copy()
+        _finite("thetas", thetas)
         if np.any(thetas < 0.0):
             raise ValueError("per-agent fees must be nonnegative")
         object.__setattr__(self, "thetas", thetas)
 
         scales = self.scales if self.scales is not None else np.ones(n_agents)
         scales = np.broadcast_to(np.asarray(scales, dtype=float), (n_agents,)).copy()
+        _finite("scales", scales)
         if np.any(scales <= 0.0):
             raise ValueError("per-agent impact scales must be positive")
         object.__setattr__(self, "scales", scales)
 
         prio = np.asarray(self.priority, dtype=float)
+        _finite("priority", prio)
         if prio.ndim == 0:
             p = np.full((n_agents, n_agents), float(prio))
             np.fill_diagonal(p, 0.0)
@@ -133,13 +147,24 @@ class KktSystem:
     strategy_rows: Tuple[Tuple[Tuple[int, slice], ...], ...]
 
 
+def _constraint_rhs(size: int, strategy_rows, inventories: np.ndarray) -> np.ndarray:
+    """Right-hand side of a stacked system: each multiplier row holds its inventory.
+
+    An agent's multipliers follow its last strategy coordinates, one per
+    tradable asset. ``inventories`` of shape (M, J, K) give K columns.
+    """
+    rhs = np.zeros((size,) + inventories.shape[2:])
+    for j, rows in enumerate(strategy_rows):
+        for pos, (asset, _) in enumerate(rows):
+            rhs[rows[-1][1].stop + pos] = inventories[asset, j]
+    return rhs
+
+
 def assemble_equilibrium_system(spec: HeteroGameSpec) -> KktSystem:
     """Build the dense linear system whose solution is the Nash equilibrium."""
     q = spec.cross_impact
     bundle = build_matrices(spec.grid, spec.kernel)
-    gram, lower, g0 = bundle.kernel_matrix, bundle.strict_lower, bundle.kernel_at_zero
     n = spec.grid.n_points
-    eye = np.eye(n)
 
     active = [np.flatnonzero(spec.mask[:, j]) for j in range(spec.n_agents)]
     offsets, size = [], 0
@@ -148,14 +173,13 @@ def assemble_equilibrium_system(spec: HeteroGameSpec) -> KktSystem:
         size += assets.size * (n + 1)  # strategy coords plus one multiplier per asset
 
     matrix = np.zeros((size, size))
-    rhs = np.zeros(size)
     strategy_rows: List[Tuple[Tuple[int, slice], ...]] = []
     for j in range(spec.n_agents):
         assets_j = active[j]
         start = offsets[j]
         block = assets_j.size * n
         s_j = spec.scales[j]
-        self_block = s_j**2 * np.kron(q[np.ix_(assets_j, assets_j)], gram)
+        self_block = s_j**2 * np.kron(q[np.ix_(assets_j, assets_j)], bundle.kernel_matrix)
         self_block += 2.0 * spec.thetas[j] * s_j**2 * np.eye(block)
         matrix[start : start + block, start : start + block] = self_block
         rows = []
@@ -165,7 +189,6 @@ def assemble_equilibrium_system(spec: HeteroGameSpec) -> KktSystem:
             mult = start + block + pos
             matrix[coords, mult] = -1.0  # stationarity: gradient equals multiplier
             matrix[mult, coords] = 1.0  # constraint: orders sum to the inventory
-            rhs[mult] = spec.inventories[asset, j]
         strategy_rows.append(tuple(rows))
         for l in range(spec.n_agents):
             if l == j:
@@ -173,26 +196,99 @@ def assemble_equilibrium_system(spec: HeteroGameSpec) -> KktSystem:
             assets_l = active[l]
             if assets_l.size == 0:
                 continue
-            cross = lower + spec.priority[j, l] * g0 * eye
+            cross = priority_cross(bundle, spec.priority[j, l])
             coupling = s_j * spec.scales[l] * np.kron(q[np.ix_(assets_j, assets_l)], cross)
             matrix[start : start + block, offsets[l] : offsets[l] + assets_l.size * n] = coupling
+    rhs = _constraint_rhs(size, strategy_rows, spec.inventories)
     return KktSystem(matrix=matrix, rhs=rhs, strategy_rows=tuple(strategy_rows))
 
 
-def solve_hetero_nash(spec: HeteroGameSpec) -> Equilibrium:
-    """Solve the heterogeneous game; strategies are zero on masked assets."""
-    system = assemble_equilibrium_system(spec)
+def _solve_kkt(system: KktSystem, rhs: np.ndarray, name: str) -> np.ndarray:
     try:
-        solution = guarded_solve(system.matrix, system.rhs)
+        return guarded_solve(system.matrix, rhs)
     except NumericError as exc:
         raise NumericError(
-            f"no unique equilibrium: stacked system is singular or near-singular ({exc})",
+            f"no unique equilibrium: {name} is singular or near-singular ({exc})",
             exc.condition,
         ) from exc
+
+
+def _solve_stacked(spec: HeteroGameSpec) -> np.ndarray:
+    """Strategies from one dense solve of the full stacked system."""
+    system = assemble_equilibrium_system(spec)
+    solution = _solve_kkt(system, system.rhs, "stacked system")
     strategies = np.zeros((spec.n_assets, spec.n_agents, spec.grid.n_points))
     for j, rows in enumerate(system.strategy_rows):
         for asset, coords in rows:
             strategies[asset, j, :] = solution[coords]
+    return strategies
+
+
+def _solve_principal(spec: HeteroGameSpec, assets: np.ndarray) -> np.ndarray:
+    """Strategies of a game in which every agent trades exactly ``assets``.
+
+    Every block of the stacked system is ``kron(Q_SS, .)`` on the tradable
+    set S, so rotating each agent's strategy by the eigenvectors V of
+    ``Q_SS = V diag(lam) V^T`` turns it into ``kron(diag(lam), .)``: principal
+    asset k is the single-asset game with cross impact ``lam[k]`` and the
+    rotated inventories ``V^T inv_S``. Principal assets with equal eigenvalues
+    share one system, whose right-hand sides are the columns of one solve.
+    """
+    lam, vec = np.linalg.eigh(spec.cross_impact[np.ix_(assets, assets)])
+    principal_inv = vec.T @ spec.inventories[assets]
+    principal = np.empty((assets.size, spec.n_agents, spec.grid.n_points))
+    shared = _shared_solves(lam, np.zeros_like(lam), risk_averse=False)
+    for first in np.unique(shared):
+        members = np.flatnonzero(shared == first)
+        single = HeteroGameSpec(
+            grid=spec.grid,
+            kernel=spec.kernel,
+            cross_impact=np.array([[lam[first]]]),
+            inventories=principal_inv[first : first + 1],
+            thetas=spec.thetas,
+            scales=spec.scales,
+            priority=spec.priority,
+        )
+        system = assemble_equilibrium_system(single)
+        rhs = _constraint_rhs(len(system.rhs), system.strategy_rows, principal_inv[members].T[None])
+        name = f"principal-asset system (eigenvalue {lam[first]:.6e})"
+        solution = _solve_kkt(system, rhs, name)
+        for j, ((_, coords),) in enumerate(system.strategy_rows):
+            principal[members, j] = solution[coords].T
+    strategies = np.zeros((spec.n_assets, spec.n_agents, spec.grid.n_points))
+    strategies[assets] = np.einsum("ik,kjt->ijt", vec, principal)
+    return strategies
+
+
+def _is_equilibrium(spec: HeteroGameSpec, strategies: np.ndarray) -> bool:
+    """Whether strategies meet every inventory and first-order condition of ``spec``."""
+    scale = max(float(np.abs(spec.inventories).max()), 1.0)
+    conservation = np.abs(strategies.sum(axis=2) - spec.inventories).max()
+    return bool(conservation <= 1e-11 * scale) and all(
+        stationarity_residual(spec, strategies, j) <= 1e-9 * scale for j in range(spec.n_agents)
+    )
+
+
+def solve_hetero_nash(spec: HeteroGameSpec) -> Equilibrium:
+    """Solve the heterogeneous game; strategies are zero on masked assets.
+
+    When there are several assets and every agent trades the same nonempty
+    set of them, the game is solved one principal asset of that set's
+    cross-impact block at a time (see :func:`_solve_principal`), with one
+    ``J (N + 2)``-dimensional solve per distinct eigenvalue. The rotated-back
+    strategies must conserve the inventories within 1e-11 and leave every
+    agent's stationarity residual within 1e-9 (both relative to the largest
+    inventory, or 1); otherwise the stacked system is solved densely, as it
+    is for every other game.
+    """
+    strategies = None
+    traded = spec.mask.all(axis=1)
+    if spec.n_assets > 1 and traded.any() and np.array_equal(traded, spec.mask.any(axis=1)):
+        strategies = _solve_principal(spec, np.flatnonzero(traded))
+        if not _is_equilibrium(spec, strategies):
+            strategies = None
+    if strategies is None:
+        strategies = _solve_stacked(spec)
     spectrum = analyze_cross_impact(spec.cross_impact)
     principal = np.einsum("im,mjk->ijk", spectrum.eigenvectors.T, strategies)
     return Equilibrium(
@@ -233,9 +329,16 @@ def payoff_matrix(
     mask_options : for each agent, the list of candidate masks (length-M
         boolean vectors). Each distinct mask must admit the uniform game in
         which every agent is restricted to it.
-    """
-    from .costs import expected_cost  # local import, costs dispatches on spec type
 
+    An agent's expected cost is its own-cost term plus one cross-cost term
+    per other agent, and each term depends on the options of at most two
+    agents. Every (agent, option) own term and every (agent, option, other
+    agent, option) cross term is evaluated once, and each cell sums its terms
+    in the order of :func:`expected_cost`, so the table equals per-cell
+    ``expected_cost`` bit for bit. As a guard, the first and the last cell are
+    priced with ``expected_cost``; if either differs by more than 1e-12
+    relative, every cell is priced that way instead.
+    """
     n_agents = base.n_agents
     if len(mask_options) != n_agents:
         raise ValueError("need one mask-option list per agent")
@@ -243,6 +346,8 @@ def payoff_matrix(
         tuple(np.asarray(mask, dtype=bool) for mask in per_agent) for per_agent in mask_options
     )
     for per_agent in options:
+        if not per_agent:
+            raise ValueError("each agent needs at least one mask option")
         for mask in per_agent:
             if mask.shape != (base.n_assets,):
                 raise ValueError("each mask option must be a length-M vector")
@@ -273,13 +378,38 @@ def payoff_matrix(
         candidates.append(per_candidates)
 
     shape = tuple(len(per_agent) for per_agent in options)
+    q = base.cross_impact
+    bundle = build_matrices(base.grid, base.kernel)
+    volumes = [[base.scales[j] * candidate for candidate in candidates[j]] for j in range(n_agents)]
+    own = [
+        [own_cost_term(q, bundle.kernel_matrix, base.thetas[j], volume) for volume in volumes[j]]
+        for j in range(n_agents)
+    ]
+    cross = {}
+    for j, l in product(range(n_agents), repeat=2):
+        if j != l:
+            matrix = priority_cross(bundle, base.priority[j, l])
+            cross[j, l] = [
+                [cross_cost_term(q, matrix, a, b) for b in volumes[l]] for a in volumes[j]
+            ]
+
     costs = np.empty(shape + (n_agents,))
     for combo in product(*(range(k) for k in shape)):
-        strategies = np.stack(
-            [candidates[j][combo[j]] for j in range(n_agents)], axis=1
-        )
         for j in range(n_agents):
-            costs[combo + (j,)] = expected_cost(base, strategies, j)
+            cost = own[j][combo[j]]
+            for l in range(n_agents):
+                if l != j:
+                    cost += cross[j, l][combo[j]][combo[l]]
+            costs[combo + (j,)] = cost
+
+    def priced(combo):
+        strategies = np.stack([candidates[j][combo[j]] for j in range(n_agents)], axis=1)
+        return [expected_cost(base, strategies, j) for j in range(n_agents)]
+
+    corners = {tuple(0 for _ in shape), tuple(k - 1 for k in shape)}
+    if not all(np.allclose(costs[c], priced(c), rtol=1e-12, atol=0.0) for c in corners):
+        for combo in product(*(range(k) for k in shape)):
+            costs[combo] = priced(combo)
 
     nash = np.zeros(shape, dtype=bool)
     for combo in product(*(range(k) for k in shape)):

@@ -14,6 +14,7 @@ from impact_games import (
     block_matrix,
     build_matrices,
     closed_form_equilibrium,
+    explicit_matrix,
     exponential_kernel,
     fundamental_solutions,
     guarded_solve,
@@ -237,6 +238,25 @@ def test_gamespec_shape_validation():
         two_agent_spec([[1.0, np.nan]])
     with pytest.raises(ValueError, match="covariance must be finite"):
         two_agent_spec([[1.0, 0.0]], covariance=np.array([[np.inf]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("field", ["theta", "gamma", "beta"])
+def test_gamespec_rejects_bad_scalars(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+        two_agent_spec([[1.0, 0.0]], **{field: value})
+
+
+def test_asymmetric_matrices_are_rejected():
+    skewed = np.array([[1.0, 0.3], [0.2, 1.0]])
+    with pytest.raises(ValueError, match="cross_impact must be symmetric"):
+        two_agent_spec(np.ones((2, 2)), cross=skewed)
+    with pytest.raises(ValueError, match="covariance must be symmetric"):
+        two_agent_spec(np.ones((2, 2)), covariance=skewed)
+    with pytest.raises(ValueError, match="cross-impact matrix must be symmetric"):
+        explicit_matrix(skewed)
+    # asymmetry within 1e-10 of the largest entry is float noise
+    assert explicit_matrix([[1.0, 1e-11], [0.0, 1.0]]).shape == (2, 2)
 
 
 def test_condition_guard_rejects_near_singular_systems():

@@ -1,3 +1,9 @@
+import dataclasses
+import re
+import runpy
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,20 +13,34 @@ from impact_games import (
     HeteroGameSpec,
     NumericError,
     assemble_equilibrium_system,
+    block_matrix,
     build_matrices,
     closed_form_equilibrium,
     expected_cost,
     exponential_kernel,
+    guarded_solve,
+    hetero,
     impact_drift,
     make_equidistant_grid,
     one_factor_matrix,
     oscillation_flags,
     payoff_matrix,
+    rank_one_matrix,
     solve_hetero_nash,
     stationarity_residual,
 )
 
 KERNEL = exponential_kernel()
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# printed (fundamentalist, arbitrageur) costs of the two-asset venue-choice
+# game; cells are (seller option, idle agent option), 0 = asset 1 only
+VENUE_CHOICE_COSTS = {
+    (0, 0): (0.4882, -0.0370),
+    (0, 1): (0.4935, -0.0412),
+    (1, 0): (0.4836, -0.0334),
+    (1, 1): (0.4885, -0.0377),
+}
 
 
 def hetero_spec(inventories, thetas, n_steps=15, scales=None, priority=0.5, cross=None, mask=None):
@@ -210,15 +230,222 @@ def test_venue_choice_payoff_table():
     both = np.array([True, True])
     table = payoff_matrix(spec, [[first_only, both], [first_only, both]])
 
-    reported = {
-        (0, 0): (0.4882, -0.0370),
-        (0, 1): (0.4935, -0.0412),
-        (1, 0): (0.4836, -0.0334),
-        (1, 1): (0.4885, -0.0377),
-    }
-    for cell, (fundamentalist, arbitrageur) in reported.items():
+    for cell, (fundamentalist, arbitrageur) in VENUE_CHOICE_COSTS.items():
         assert_matches_printed(table.costs[cell + (0,)], fundamentalist)
         assert_matches_printed(table.costs[cell + (1,)], arbitrageur)
     # trading every asset dominates: the full/full cell is the only equilibrium
     assert table.equilibrium[1, 1]
     assert table.equilibrium.sum() == 1
+
+
+def dense_reference(spec):
+    """Strategies from one dense solve of the full stacked system."""
+    system = assemble_equilibrium_system(spec)
+    solution = guarded_solve(system.matrix, system.rhs)
+    strategies = np.zeros((spec.n_assets, spec.n_agents, spec.grid.n_points))
+    for j, rows in enumerate(system.strategy_rows):
+        for asset, coords in rows:
+            strategies[asset, j, :] = solution[coords]
+    return strategies
+
+
+def solve_recording_dims(spec, monkeypatch):
+    """Solve the game, recording the dimension of every linear solve it makes."""
+    dims = []
+
+    def recording(matrix, rhs, *args, **kwargs):
+        dims.append(len(matrix))
+        return guarded_solve(matrix, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(hetero, "guarded_solve", recording)
+    return solve_hetero_nash(spec).strategies, dims
+
+
+def principal_dim(spec):
+    # J agents, each with N+1 strategy coordinates and one multiplier
+    return spec.n_agents * (spec.grid.n_points + 1)
+
+
+def asymmetric_priority(n_agents, rng):
+    priority = np.zeros((n_agents, n_agents))
+    upper = np.triu_indices(n_agents, 1)
+    priority[upper] = rng.uniform(0.1, 0.9, upper[0].size)
+    priority[upper[::-1]] = 1.0 - priority[upper]
+    return priority
+
+
+def uniform_game(rng, cross, n_agents=3, traded=None):
+    n_assets = cross.shape[0]
+    traded = np.ones(n_assets, dtype=bool) if traded is None else traded
+    return hetero_spec(
+        rng.normal(size=(n_assets, n_agents)) * traded[:, None],
+        rng.uniform(0.2, 1.5, n_agents),
+        n_steps=12,
+        scales=rng.uniform(0.6, 1.6, n_agents),
+        priority=asymmetric_priority(n_agents, rng),
+        cross=cross,
+        mask=np.repeat(traded[:, None], n_agents, axis=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "case, solves",
+    [
+        # 1 + 3 * 0.5 once, 0.5 three times
+        ("one_factor", 2),
+        # tradable block is one-factor on two assets: 1.5 and 0.5
+        ("nested_mask", 2),
+        # 0.4 three times, 1.2 twice, 2.4 once
+        ("block", 3),
+        ("rank_one", 3),
+    ],
+)
+def test_principal_split_matches_the_dense_solve(case, solves, rng, monkeypatch):
+    if case == "one_factor":
+        spec = uniform_game(rng, one_factor_matrix(4, 0.5))
+    elif case == "nested_mask":
+        spec = uniform_game(rng, one_factor_matrix(4, 0.5), traded=np.array([1, 1, 0, 0], bool))
+    elif case == "block":
+        spec = uniform_game(rng, block_matrix([2, 2, 2], [0.6, 0.6, 0.6], 0.2))
+    else:
+        spec = uniform_game(rng, rank_one_matrix([0.2, 0.5, 0.7]))
+    reference = dense_reference(spec)
+    strategies, dims = solve_recording_dims(spec, monkeypatch)
+    # one single-asset solve per distinct eigenvalue, no dense fallback
+    assert dims == [principal_dim(spec)] * solves
+    assert np.abs(strategies - reference).max() <= 1e-12
+    assert np.all(strategies[~spec.mask] == 0.0)
+
+
+def test_non_uniform_masks_take_the_stacked_solve(rng, monkeypatch):
+    spec = uniform_game(rng, one_factor_matrix(3, 0.4))
+    mask = spec.mask.copy()
+    mask[2, 0] = False
+    spec = dataclasses.replace(spec, inventories=spec.inventories * mask, mask=mask)
+    strategies, dims = solve_recording_dims(spec, monkeypatch)
+    assert dims == [len(assemble_equilibrium_system(spec).matrix)]
+    assert np.array_equal(strategies, dense_reference(spec))
+
+
+def test_failed_equilibrium_check_falls_back_to_the_dense_solve(rng, monkeypatch):
+    spec = uniform_game(rng, one_factor_matrix(3, 0.4))
+    monkeypatch.setattr(hetero, "stationarity_residual", lambda *args: 1.0)
+    strategies, dims = solve_recording_dims(spec, monkeypatch)
+    assert dims == [principal_dim(spec)] * 2 + [len(assemble_equilibrium_system(spec).matrix)]
+    assert np.array_equal(strategies, dense_reference(spec))
+
+
+def per_cell_costs(base, mask_options):
+    """Payoff table priced one cell at a time with expected_cost."""
+    candidates = {}
+    for mask in {tuple(m) for per_agent in mask_options for m in per_agent}:
+        uniform = HeteroGameSpec(
+            grid=base.grid,
+            kernel=base.kernel,
+            cross_impact=base.cross_impact,
+            inventories=base.inventories,
+            thetas=base.thetas,
+            scales=base.scales,
+            priority=base.priority,
+            mask=np.repeat(np.array(mask)[:, None], base.n_agents, axis=1),
+        )
+        candidates[mask] = solve_hetero_nash(uniform).strategies
+    shape = tuple(len(per_agent) for per_agent in mask_options)
+    costs = np.empty(shape + (base.n_agents,))
+    for combo in product(*(range(k) for k in shape)):
+        strategies = np.stack(
+            [candidates[tuple(mask_options[j][o])][:, j, :] for j, o in enumerate(combo)], axis=1
+        )
+        for j in range(base.n_agents):
+            costs[combo + (j,)] = expected_cost(base, strategies, j)
+    return costs
+
+
+def venue_choice_game():
+    spec = hetero_spec(
+        [[1.0, 0.0], [0.0, 0.0]], [1.5, 1.5], n_steps=25, cross=one_factor_matrix(2, 0.6)
+    )
+    options = [np.array([True, False]), np.array([True, True])]
+    return spec, [options, options]
+
+
+def random_venue_game(rng):
+    # every option trades asset 0, which holds all the inventory
+    inventories = np.zeros((3, 3))
+    inventories[0] = rng.uniform(-1.0, 1.0, 3)
+    spec = hetero_spec(
+        inventories,
+        rng.uniform(0.2, 1.0, 3),
+        n_steps=10,
+        scales=rng.uniform(0.7, 1.3, 3),
+        priority=asymmetric_priority(3, rng),
+        cross=rank_one_matrix([0.3, 0.5, 0.6]),
+    )
+    options = [np.array(m, dtype=bool) for m in ([1, 1, 1], [1, 1, 0], [1, 0, 1])]
+    return spec, [options, options[::-1], options]
+
+
+def count_expected_cost_calls(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return expected_cost(*args)
+
+    monkeypatch.setattr(hetero, "expected_cost", counting)
+    return calls
+
+
+@pytest.mark.parametrize("game", ["venue_choice", "random"])
+def test_pairwise_payoff_table_equals_per_cell_costs(game, rng, monkeypatch):
+    base, options = venue_choice_game() if game == "venue_choice" else random_venue_game(rng)
+    reference = per_cell_costs(base, options)
+    calls = count_expected_cost_calls(monkeypatch)
+    table = payoff_matrix(base, options)
+    assert np.array_equal(table.costs, reference)
+    # only the first and the last cell are priced per cell
+    assert len(calls) == 2 * base.n_agents
+
+
+def test_payoff_cell_mismatch_prices_every_cell(rng, monkeypatch):
+    base, options = random_venue_game(rng)
+    reference = per_cell_costs(base, options)
+    cross_term = hetero.cross_cost_term
+    monkeypatch.setattr(hetero, "cross_cost_term", lambda *args: cross_term(*args) + 1e-9)
+    calls = count_expected_cost_calls(monkeypatch)
+    table = payoff_matrix(base, options)
+    assert np.array_equal(table.costs, reference)
+    # the first cell already disagrees, then every cell is priced
+    assert len(calls) == (1 + reference[..., 0].size) * base.n_agents
+
+
+def test_cost_tables_script_prints_the_venue_choice_table(capsys):
+    runpy.run_path(str(SCRIPTS / "cost_tables.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line for line in lines if line.lstrip().startswith("seller ")]
+    assert len(rows) == 2
+    pair = re.compile(r"\(\s*(-?\d\.\d{4}),\s*(-?\d\.\d{4})\)(\*?)")
+    for seller, row in enumerate(rows):
+        cells = pair.findall(row)
+        assert len(cells) == 2
+        for idle, (fundamentalist, arbitrageur, mark) in enumerate(cells):
+            printed = VENUE_CHOICE_COSTS[seller, idle]
+            assert_matches_printed(float(fundamentalist), printed[0])
+            assert_matches_printed(float(arbitrageur), printed[1])
+            assert (mark == "*") == ((seller, idle) == (1, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["cross_impact", "inventories", "thetas", "scales", "priority"])
+def test_hetero_spec_rejects_non_finite_inputs(field, bad):
+    values = {
+        "cross_impact": np.eye(2),
+        "inventories": np.array([[1.0, 0.5], [0.0, -0.5]]),
+        "thetas": np.array([1.0, 1.0]),
+        "scales": np.array([1.0, 1.0]),
+        "priority": np.array([[0.0, 0.5], [0.5, 0.0]]),
+    }
+    values[field] = values[field].copy()
+    values[field].flat[1] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        HeteroGameSpec(grid=make_equidistant_grid(4, 1.0), kernel=KERNEL, **values)
