@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+
+# (prefix, suffix) of the thread-count functions in OpenBLAS builds; the numpy
+# and scipy wheels each bundle a renamed OpenBLAS
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
 
 
 class NumericError(RuntimeError):
@@ -29,6 +38,49 @@ def _symmetric(name: str, matrix: np.ndarray) -> None:
     """Reject matrices asymmetric beyond 1e-10 of their largest entry (at least 1)."""
     if np.abs(matrix - matrix.T).max() > 1e-10 * max(np.abs(matrix).max(), 1.0):
         raise ValueError(f"{name} must be symmetric")
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy and scipy."""
+    controls = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for prefix, suffix in _OPENBLAS_NAMES:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype = ctypes.c_int
+                    put.argtypes = (ctypes.c_int,)
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with the OpenBLAS bundled with numpy and scipy on one thread.
+
+    For solves of a few hundred unknowns a second BLAS thread gains little, and
+    when another process holds a core it waits for it: on 2 vCPUs one busy core
+    doubled the time of a venue-choice payoff table. The thread counts are
+    process-wide and are restored on exit. Without a bundled OpenBLAS (other
+    BLAS vendors, other platforms) the block runs unchanged.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
 
 
 def guarded_solve(matrix: np.ndarray, rhs: np.ndarray, max_condition: float = 1e12) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from impact_games import _linalg
 from impact_games import equilibrium as equilibrium_module
 from impact_games import (
     GameSpec,
@@ -265,6 +266,25 @@ def test_condition_guard_rejects_near_singular_systems():
         guarded_solve(nearly_singular, np.ones(2))
     with pytest.raises(NumericError):
         guarded_solve(np.ones((2, 2)), np.ones(2))
+
+
+def test_single_blas_thread_caps_and_restores_the_thread_counts():
+    controls = _linalg._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS")
+    original = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        with _linalg.single_blas_thread():
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+        with pytest.raises(ZeroDivisionError), _linalg.single_blas_thread():
+            1 / 0
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, put), count in zip(controls, original):
+            put(count)
 
 
 def per_asset_fundamentals(spec):
