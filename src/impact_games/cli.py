@@ -484,6 +484,7 @@ def _run_theta_critical(cfg: dict, out: Path, warnings: list) -> dict:
         "predicted_theorem": report.predicted_theorem,
         "predicted_conjecture": report.predicted_conjecture,
         "n_probes": len(report.trace),
+        "solve_paths": report.solve_paths,
         "params": report.params,
         "files": {"trace": "trace.csv"},
     }

@@ -10,7 +10,7 @@ inventory, one by the deviation from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +22,9 @@ __all__ = [
     "GameSpec",
     "FundamentalSolutions",
     "Equilibrium",
+    "profile_systems",
     "fundamental_solutions",
+    "principal_bundles",
     "principal_fundamentals",
     "closed_form_equilibrium",
     "aggregate_flow_is_zero",
@@ -139,19 +141,29 @@ class FundamentalSolutions:
     deviation_profile: np.ndarray
 
 
-def fundamental_solutions(bundle: MatrixBundle, n_agents: int) -> FundamentalSolutions:
-    """Solve the two normalized linear systems of one single-asset game.
+def profile_systems(bundle: MatrixBundle, n_agents: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Matrices of the mean-profile and the deviation-profile systems of one asset.
 
-    The mean profile solves the risk-adjusted self-cost matrix plus
-    ``n_agents - 1`` fair-priority cross-cost matrices against the all-ones
-    vector; the deviation profile solves self-cost minus one cross-cost.
-    Each solution is divided by its sum, so both sum to exactly one.
+    The mean system is the risk-adjusted self-cost matrix plus
+    ``n_agents - 1`` fair-priority cross-cost matrices, the deviation system
+    is self-cost minus one cross-cost matrix; both are solved against the
+    all-ones vector.
     """
     if n_agents < 1:
         raise ValueError("need at least one agent")
-    ones = np.ones(bundle.mv_self_cost.shape[0])
     mean_sys = bundle.mv_self_cost + (n_agents - 1) * bundle.fair_priority
     dev_sys = bundle.mv_self_cost - bundle.fair_priority
+    return mean_sys, dev_sys
+
+
+def fundamental_solutions(bundle: MatrixBundle, n_agents: int) -> FundamentalSolutions:
+    """Solve the two normalized linear systems of one single-asset game.
+
+    The systems are those of :func:`profile_systems`. Each solution is
+    divided by its sum, so both sum to exactly one.
+    """
+    mean_sys, dev_sys = profile_systems(bundle, n_agents)
+    ones = np.ones(mean_sys.shape[0])
     v = guarded_solve(mean_sys, ones)
     w = guarded_solve(dev_sys, ones)
     return FundamentalSolutions(mean_profile=v / (ones @ v), deviation_profile=w / (ones @ w))
@@ -209,16 +221,17 @@ def _shared_solves(eigenvalues: np.ndarray, var_rates: np.ndarray, risk_averse: 
     return same.argmax(axis=1)
 
 
-def principal_fundamentals(
+def principal_bundles(
     spec: GameSpec,
-) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
-    """Profile pair of every principal asset of the game.
+) -> Tuple[SpectralReport, np.ndarray, Iterator[Tuple[int, MatrixBundle]]]:
+    """Spectrum, shared-solve index and the matrix bundles of the distinct principal assets.
 
     Principal asset i uses the effective kernel scaled by the i-th eigenvalue
     of the cross-impact matrix and the i-th diagonal entry of the rotated
-    covariance as its variance rate. Principal assets with the same eigenvalue
-    and variance rate (see :func:`_shared_solves`) share one solve and one
-    profile-pair object.
+    covariance as its variance rate. ``shared[i]`` is the principal asset
+    whose bundle asset i reuses (see :func:`_shared_solves`). The last item
+    yields (first member, bundle) pairs at the fee stored in ``spec``, in
+    increasing order of first member, each built when it is reached.
     """
     spectrum = analyze_cross_impact(spec.cross_impact, spec.covariance)
     if spectrum.eigenvalues[-1] <= 0.0:
@@ -233,16 +246,35 @@ def principal_fundamentals(
     kernel = spec.effective_kernel
     var_rates = _principal_var_rates(spec, spectrum)
     shared = _shared_solves(spectrum.eigenvalues, var_rates, spec.gamma > 0.0)
-    solved = {}
-    for i in np.unique(shared):
-        bundle = build_matrices(
-            spec.grid,
-            kernel.scaled(float(spectrum.eigenvalues[i])),
-            theta=spec.theta,
-            gamma=spec.gamma,
-            var_rate=max(float(var_rates[i]), 0.0),
+    bundles = (
+        (
+            int(i),
+            build_matrices(
+                spec.grid,
+                kernel.scaled(float(spectrum.eigenvalues[i])),
+                theta=spec.theta,
+                gamma=spec.gamma,
+                var_rate=max(float(var_rates[i]), 0.0),
+            ),
         )
+        for i in np.unique(shared)
+    )
+    return spectrum, shared, bundles
+
+
+def principal_fundamentals(
+    spec: GameSpec,
+) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
+    """Profile pair of every principal asset of the game.
+
+    Principal assets with the same eigenvalue and variance rate (see
+    :func:`principal_bundles`) share one solve and one profile-pair object.
+    """
+    spectrum, shared, bundles = principal_bundles(spec)
+    solved = {}
+    for i, bundle in bundles:
         solved[i] = fundamental_solutions(bundle, spec.n_agents)
+        del bundle  # free before the next bundle is built
     return spectrum, tuple(solved[i] for i in shared)
 
 

@@ -106,6 +106,7 @@ class DecayKernel:
     def __post_init__(self):
         if self.family not in ("exponential", "power_law"):
             raise ValueError(f"unknown kernel family {self.family!r}")
+        _finite("kernel parameters", np.array([self.rate, self.exponent, self.offset, self.scale]))
         if not self.scale > 0.0:
             raise ValueError("kernel scale must be positive")
         if self.family == "exponential" and not self.rate > 0.0:

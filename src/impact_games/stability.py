@@ -7,23 +7,46 @@ bisection, guarded by a verdict-consistency check with a grid-scan fallback,
 and compared against two closed-form predictions: the two-agent theorem value
 (top eigenvalue times the lag-zero kernel over four) and its many-agent
 extrapolation.
+
+The fee enters each profile system only as ``2 theta`` on the diagonal, so
+:func:`critical_theta` builds every distinct principal asset's two systems
+once, at zero fee (:func:`prepare_profile_systems`), and each probe solves
+``(A_0 + 2 theta I) x = 1``. On an equidistant grid without a variance term
+both systems are Toeplitz and a probe solves them by Levinson recursion in
+O(N^2). A Levinson solution is kept only when a bound on the condition number
+is within the dense solver's cap and its normwise residual against the dense
+matrix is at most 1e-12; every other solve, and every system that is not
+Toeplitz, goes to :func:`guarded_solve`, which rejects the systems it always
+rejected. At the final lower bracket end the dense reference path
+(:func:`principal_fundamentals`) recomputes the profiles; if its verdict or
+profiles disagree with the prepared systems, the bisection is run again on
+the dense path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import solve_toeplitz
 
-from ._linalg import NumericError
+from ._linalg import NumericError, guarded_solve, single_blas_thread
 from .cross_impact import one_factor_matrix
-from .equilibrium import GameSpec, principal_fundamentals
+from .equilibrium import (
+    FundamentalSolutions,
+    GameSpec,
+    principal_bundles,
+    principal_fundamentals,
+    profile_systems,
+)
 from .kernels import DecayKernel, make_equidistant_grid
 
 __all__ = [
     "OscillationFlags",
     "oscillation_flags",
+    "ProfileSystems",
+    "prepare_profile_systems",
     "is_unstable_at",
     "predicted_theta_star",
     "BracketError",
@@ -35,6 +58,14 @@ __all__ = [
 ]
 
 DEFAULT_FLIP_TOL = 1e-9
+# guarded_solve's default cap on the estimated 1-norm condition number
+_MAX_CONDITION = 1e12
+# largest normwise backward error accepted from a Levinson solve
+_RESIDUAL_TOL = 1e-12
+# grid steps equal within this fraction of the horizon count as equidistant
+_UNIFORM_TOL = 1e-13
+# relative agreement required of prepared and dense profiles in the final check
+_CROSS_CHECK_TOL = 1e-10
 
 
 class BracketError(ValueError):
@@ -65,30 +96,183 @@ def oscillation_flags(u: np.ndarray, rel_tol: float = DEFAULT_FLIP_TOL) -> Oscil
     return OscillationFlags(flip_count=flips, unstable=flips >= 1)
 
 
-def _profile_flags(
-    spec: GameSpec, theta: float, rel_tol: float
+def _pair_flags(
+    pairs: Sequence[FundamentalSolutions], rel_tol: float
 ) -> Tuple[Tuple[OscillationFlags, OscillationFlags], ...]:
-    _, fundamentals = principal_fundamentals(replace(spec, theta=float(theta)))
-    return tuple(
-        (
-            oscillation_flags(pair.mean_profile, rel_tol),
-            oscillation_flags(pair.deviation_profile, rel_tol),
+    """(mean, deviation) flags of each profile pair; a shared pair object is checked once."""
+    flags = {}
+    for pair in pairs:
+        if id(pair) not in flags:
+            flags[id(pair)] = (
+                oscillation_flags(pair.mean_profile, rel_tol),
+                oscillation_flags(pair.deviation_profile, rel_tol),
+            )
+    return tuple(flags[id(pair)] for pair in pairs)
+
+
+def _any_unstable(flags: Iterable[Tuple[OscillationFlags, OscillationFlags]]) -> bool:
+    return any(f.unstable for pair in flags for f in pair)
+
+
+class _FeeFreeSystem:
+    """One profile system at zero fee; at fee theta it is ``matrix + 2 theta I``.
+
+    ``floor`` is a lower bound on the smallest eigenvalue of the symmetric
+    part of ``matrix`` when the matrix is Toeplitz, and None otherwise.
+    """
+
+    def __init__(self, matrix: np.ndarray, floor: Optional[float]):
+        self.matrix = matrix
+        self.floor = floor
+        self.norm_1 = float(np.linalg.norm(matrix, 1))
+        self.norm_inf = float(np.linalg.norm(matrix, np.inf))
+
+    def solve(self, theta: float, paths: Dict[str, int]) -> np.ndarray:
+        """Normalized solution of ``(matrix + 2 theta I) x = 1``, counted in ``paths``."""
+        ones = np.ones(len(self.matrix))
+        shift = 2.0 * theta
+        x = self._levinson(shift, ones)
+        if x is None:
+            paths["dense"] += 1
+            x = guarded_solve(self.matrix + shift * np.eye(len(ones)), ones, _MAX_CONDITION)
+        else:
+            paths["levinson"] += 1
+        return x / (ones @ x)
+
+    def _levinson(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
+        """Levinson solution, or None when the matrix is not Toeplitz or a guard fails.
+
+        ``sqrt(n) ||A||_1 / (floor + shift)`` bounds the 1-norm condition
+        number (a symmetric part >= mu I gives ``||A^-1||_2 <= 1 / mu``) and
+        must be within the dense solver's cap; the solution's normwise
+        backward error against the dense matrix must be at most
+        ``_RESIDUAL_TOL``.
+        """
+        if self.floor is None or not self.floor + shift > 0.0:
+            return None
+        bound = np.sqrt(len(ones)) * (self.norm_1 + shift) / (self.floor + shift)
+        if not bound <= _MAX_CONDITION:
+            return None
+        column = self.matrix[:, 0].copy()
+        row = self.matrix[0].copy()
+        column[0] += shift
+        row[0] += shift
+        try:
+            x = solve_toeplitz((column, row), ones, check_finite=False)
+        except np.linalg.LinAlgError:  # a singular leading block
+            return None
+        residual = np.abs(self.matrix @ x + shift * x - ones).max()
+        if not residual <= _RESIDUAL_TOL * ((self.norm_inf + shift) * np.abs(x).max() + 1.0):
+            return None
+        return x
+
+
+@dataclass(frozen=True)
+class ProfileSystems:
+    """Zero-fee profile systems of the distinct principal assets of one game.
+
+    ``pairs[k]`` holds the (mean, deviation) systems of the k-th distinct
+    principal asset and ``shared[i]`` is the position in ``pairs`` of
+    principal asset i. ``paths`` counts the profile solves by path
+    ("levinson", "dense") and the dense re-bisections ("rebisect") of
+    :func:`critical_theta`.
+    """
+
+    shared: np.ndarray
+    pairs: Tuple[Tuple[_FeeFreeSystem, _FeeFreeSystem], ...]
+    paths: Dict[str, int]
+
+    def profiles(self, theta: float) -> Tuple[FundamentalSolutions, ...]:
+        """Profile pair of each distinct principal asset at fee ``theta``."""
+        return tuple(
+            FundamentalSolutions(
+                mean_profile=mean.solve(theta, self.paths),
+                deviation_profile=deviation.solve(theta, self.paths),
+            )
+            for mean, deviation in self.pairs
         )
-        for pair in fundamentals
+
+
+def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
+    """Build the zero-fee profile systems of every distinct principal asset once.
+
+    Runs the spectral analysis and its checks of :func:`principal_bundles`.
+    On an equidistant grid, a system without a variance term (risk aversion
+    or variance rate zero) is Toeplitz; its symmetric part is
+    ``(J + 1) / 2 * K`` (mean) or ``K / 2`` (deviation) for the kernel matrix
+    K, and K is a multiple of the first such asset's kernel matrix, so one
+    ``eigvalsh`` gives every floor. The floor is lowered by ``n eps ||K||_1``
+    to cover rounding.
+    """
+    _, shared, bundles = principal_bundles(replace(spec, theta=0.0))
+    steps = np.diff(spec.grid.points)
+    uniform = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon
+    n, n_agents = spec.grid.n_points, spec.n_agents
+    unit_floor = None  # floor of the kernel matrix per unit lag-zero value
+    pairs = []
+    for _, bundle in bundles:
+        mean, deviation = profile_systems(bundle, n_agents)
+        if uniform and bundle.gamma * bundle.var_rate == 0.0:
+            if unit_floor is None:
+                kernel = bundle.kernel_matrix
+                rounding = n * np.finfo(float).eps * np.linalg.norm(kernel, 1)
+                unit_floor = (np.linalg.eigvalsh(kernel)[0] - rounding) / bundle.kernel_at_zero
+            floor = unit_floor * bundle.kernel_at_zero
+            pairs.append(
+                (
+                    _FeeFreeSystem(mean, 0.5 * (n_agents + 1) * floor),
+                    _FeeFreeSystem(deviation, 0.5 * floor),
+                )
+            )
+        else:
+            pairs.append((_FeeFreeSystem(mean, None), _FeeFreeSystem(deviation, None)))
+        del bundle  # free before the next bundle is built
+    return ProfileSystems(
+        shared=np.unique(shared, return_inverse=True)[1],
+        pairs=tuple(pairs),
+        paths={"levinson": 0, "dense": 0, "rebisect": 0},
     )
 
 
-def is_unstable_at(spec: GameSpec, theta: float, rel_tol: float = DEFAULT_FLIP_TOL) -> bool:
+def is_unstable_at(
+    spec: GameSpec,
+    theta: float,
+    rel_tol: float = DEFAULT_FLIP_TOL,
+    systems: Optional[ProfileSystems] = None,
+) -> bool:
     """True when any profile of any principal asset oscillates at this fee.
 
     The fee stored in ``spec`` is ignored; inventories are irrelevant because
-    every equilibrium is a combination of the probed profiles.
+    every equilibrium is a combination of the probed profiles. Without
+    ``systems`` the profiles come from :func:`principal_fundamentals`; with
+    systems prepared from ``spec`` by :func:`prepare_profile_systems` they
+    are solved from those.
     """
-    return any(
-        flags.unstable
-        for pair in _profile_flags(spec, theta, rel_tol)
-        for flags in pair
-    )
+    if systems is None:
+        _, pairs = principal_fundamentals(replace(spec, theta=float(theta)))
+    else:
+        pairs = systems.profiles(theta)
+    return _any_unstable(_pair_flags(pairs, rel_tol))
+
+
+def _agrees(
+    fast: Sequence[FundamentalSolutions],
+    shared: np.ndarray,
+    fundamentals: Sequence[FundamentalSolutions],
+    flags: Sequence[Tuple[OscillationFlags, OscillationFlags]],
+    rel_tol: float,
+) -> bool:
+    """Whether prepared profiles (``fast[shared[i]]``) give the dense verdict and profiles."""
+    if _any_unstable(_pair_flags(fast, rel_tol)) != _any_unstable(flags):
+        return False
+    for k, dense in zip(shared, fundamentals):
+        for a, b in (
+            (fast[k].mean_profile, dense.mean_profile),
+            (fast[k].deviation_profile, dense.deviation_profile),
+        ):
+            if not np.abs(a - b).max() <= _CROSS_CHECK_TOL * np.abs(b).max():
+                return False
+    return True
 
 
 def predicted_theta_star(
@@ -178,8 +362,12 @@ class StabilityReport:
     ``estimate`` lies inside ``bracket``; ``method`` is "bisect" unless the
     monotonicity guard tripped and a grid scan produced the estimate.
     ``flags_below`` holds the (mean, deviation) oscillation flags of every
-    principal asset probed just below the transition. Predictions carry the
-    theorem value and the many-agent extrapolation for this game.
+    principal asset probed just below the transition, from the dense path.
+    Predictions carry the theorem value and the many-agent extrapolation for
+    this game. ``solve_paths`` counts the profile solves by path: "levinson"
+    and "dense" (fallbacks, the final check and any dense re-bisection), and
+    "rebisect" is 1 when the final check failed and the bisection ran again
+    on the dense path.
     """
 
     estimate: float
@@ -190,6 +378,44 @@ class StabilityReport:
     predicted_theorem: float
     predicted_conjecture: float
     params: Dict[str, float]
+    solve_paths: Dict[str, int]
+
+
+def _checked_bisection(
+    spec: GameSpec, lo: float, hi: float, tol: float, rel_tol: float, scan_points: int
+):
+    """Bisection on prepared systems, checked at the end against the dense path.
+
+    Returns (estimate, bracket, trace, method, flags_below, solve_paths).
+    """
+    systems = prepare_profile_systems(spec)
+    paths, shared = systems.paths, systems.shared
+    dense_solves = 2 * len(systems.pairs)  # per probe on the dense path
+
+    def bisect(prepared):
+        return _bisect_threshold(
+            lambda theta: is_unstable_at(spec, theta, rel_tol, systems=prepared),
+            lo,
+            hi,
+            tol=tol,
+            scan_points=scan_points,
+        )
+
+    def dense_at(theta):
+        paths["dense"] += dense_solves
+        _, fundamentals = principal_fundamentals(replace(spec, theta=theta))
+        return fundamentals, _pair_flags(fundamentals, rel_tol)
+
+    estimate, final_bracket, trace, method = bisect(systems)
+    fast = systems.profiles(final_bracket[0])
+    del systems  # the dense check needs the memory of the prepared matrices
+    fundamentals, flags_below = dense_at(final_bracket[0])
+    if not _agrees(fast, shared, fundamentals, flags_below, rel_tol):
+        paths["rebisect"] += 1
+        estimate, final_bracket, trace, method = bisect(None)
+        paths["dense"] += dense_solves * len(trace)
+        _, flags_below = dense_at(final_bracket[0])
+    return estimate, final_bracket, trace, method, flags_below, paths
 
 
 def critical_theta(
@@ -210,6 +436,9 @@ def critical_theta(
     rel_tol : relative flip-detection tolerance.
     scan_points : resolution of the fallback scan when bisection detects a
         non-monotone verdict.
+
+    The probes solve systems prepared once (see the module docstring), on
+    one BLAS thread (see :func:`single_blas_thread`).
     """
     conjecture = predicted_theta_star(
         spec.cross_impact, spec.kernel.at_zero, spec.n_agents, spec.beta, "conjecture"
@@ -231,14 +460,10 @@ def critical_theta(
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got {bracket!r}")
 
-    estimate, final_bracket, trace, method = _bisect_threshold(
-        lambda theta: is_unstable_at(spec, theta, rel_tol),
-        lo,
-        hi,
-        tol=tol,
-        scan_points=scan_points,
-    )
-    flags_below = _profile_flags(spec, final_bracket[0], rel_tol)
+    with single_blas_thread():
+        estimate, final_bracket, trace, method, flags_below, paths = _checked_bisection(
+            spec, lo, hi, tol, rel_tol, scan_points
+        )
     spectrum_top = float(np.linalg.eigvalsh(spec.cross_impact)[-1])
     params = {
         "n_assets": float(spec.n_assets),
@@ -259,6 +484,7 @@ def critical_theta(
         predicted_theorem=theorem,
         predicted_conjecture=conjecture,
         params=params,
+        solve_paths=paths,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,3 +209,35 @@ def test_heterogeneous_config_dispatches_to_the_stacked_solver(tmp_path):
 
     with pytest.raises(ConfigError, match="identical agents"):
         run_experiment(dict(config, gamma=2.0), tmp_path / "x")
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[path.stem for path in CONFIGS])
+def test_shipped_configs_run(path, tmp_path):
+    config = json.loads(path.read_text())
+    report = run_experiment(config, tmp_path)
+    assert json.loads((tmp_path / "report.json").read_text()) == json.loads(json.dumps(report))
+    assert report["experiment"] == config["experiment"] and report["warnings"] == []
+    results = report["results"]
+    for name in results["files"].values():
+        assert (tmp_path / name).stat().st_size > 0
+    if config["experiment"] == "theta-critical":
+        lo, hi = results["bracket"]
+        assert results["method"] == "bisect" and lo <= results["estimate"] <= hi
+        assert hi - lo <= report["config"]["tolerances"]["bisection"]
+    if config["experiment"] == "sweep":
+        assert all(row["error"] is None for row in results["rows"])
+
+
+def test_theta_critical_base_probes_by_levinson(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "theta_critical_base.json"
+    results = run_experiment(json.loads(path.read_text()), tmp_path)["results"]
+    # one principal asset: two Levinson solves per probe and for the final
+    # check, whose two dense solves are the only ones
+    assert results["solve_paths"] == {
+        "levinson": 2 * (results["n_probes"] + 1),
+        "dense": 2,
+        "rebisect": 0,
+    }

@@ -364,9 +364,37 @@ def test_time_major_principal_solves_avoid_the_dense_fallback(seed, n_assets, mo
     assert residual <= 1e-12
 
 
+def test_stacked_solve_retries_in_time_major_order(monkeypatch):
+    # the top-eigenvalue system of the [91, 106] venue game as a one-asset game;
+    # agent-major, the stacked solve missed the inventories by 1.2e-4
+    game = venue_game([91, 106], 8)
+    spec = dataclasses.replace(
+        game, cross_impact=np.array([[5.2]]), inventories=game.inventories[:1], mask=None
+    )
+    strategies, dims = solve_recording_dims(spec, monkeypatch)
+    assert dims == [principal_dim(spec)] * 2
+    assert np.abs(strategies.sum(axis=2) - spec.inventories).max() <= 1e-13
+    residual = max(stationarity_residual(spec, strategies, j) for j in range(spec.n_agents))
+    assert residual <= 1e-12
+
+
+def test_stacked_solve_failing_both_orders_raises(rng, monkeypatch):
+    spec = hetero_spec([[1.0, -0.5]], [0.1, 0.3])
+    monkeypatch.setattr(hetero, "stationarity_residual", lambda *args: 1.0)
+    with pytest.raises(NumericError, match="both variable orders"):
+        solve_hetero_nash(spec)
+
+
 def test_failed_equilibrium_check_falls_back_to_the_dense_solve(rng, monkeypatch):
     spec = uniform_game(rng, one_factor_matrix(3, 0.4))
-    monkeypatch.setattr(hetero, "stationarity_residual", lambda *args: 1.0)
+    checked = []
+
+    def fails_first_check(*args):
+        # the split's check fails; the stacked result is checked for real
+        checked.append(args)
+        return 1.0 if len(checked) == 1 else stationarity_residual(*args)
+
+    monkeypatch.setattr(hetero, "stationarity_residual", fails_first_check)
     strategies, dims = solve_recording_dims(spec, monkeypatch)
     assert dims == [principal_dim(spec)] * 2 + [len(assemble_equilibrium_system(spec).matrix)]
     assert np.array_equal(strategies, dense_reference(spec))

@@ -58,6 +58,14 @@ def test_kernel_parameter_validation():
         DecayKernel(family="linear")
 
 
+@pytest.mark.parametrize("field", ["rate", "exponent", "offset", "scale"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_kernel_rejects_non_finite_parameters(field, bad):
+    for family in ("exponential", "power_law"):
+        with pytest.raises(ValueError, match="finite"):
+            DecayKernel(family=family, **{field: bad})
+
+
 def test_two_point_exponential_bundle():
     bundle = build_matrices(make_equidistant_grid(1, 1.0), exponential_kernel())
     e1 = np.exp(-1.0)

@@ -1,21 +1,28 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
 from impact_games import (
     BracketError,
     GameSpec,
+    NumericError,
+    TimeGrid,
     critical_theta,
     exponential_kernel,
+    guarded_solve,
     is_unstable_at,
     make_equidistant_grid,
     one_factor_matrix,
     oscillation_flags,
+    power_law_kernel,
     predicted_theta_star,
     principal_fundamentals,
     stability_sweep,
 )
 from impact_games import stability as stability_module
-from impact_games.stability import SweepBase, _bisect_threshold
+from impact_games.stability import SweepBase, _bisect_threshold, prepare_profile_systems
 
 KERNEL = exponential_kernel()
 
@@ -199,3 +206,118 @@ def test_bisection_helper_falls_back_to_scan_on_non_monotone_verdicts():
     assert method == "scan"
     assert estimate == pytest.approx(0.8, abs=5e-3)
     assert bracket[0] <= estimate <= bracket[1]
+
+
+def prepared_against_dense(spec, theta):
+    """Largest relative difference of prepared and dense profiles, and the solve paths."""
+    systems = prepare_profile_systems(spec)
+    fast = systems.profiles(theta)
+    _, dense = principal_fundamentals(dataclasses.replace(spec, theta=theta))
+    worst = 0.0
+    for k, pair in zip(systems.shared, dense):
+        for a, b in ((fast[k].mean_profile, pair.mean_profile),
+                     (fast[k].deviation_profile, pair.deviation_profile)):
+            worst = max(worst, np.abs(a - b).max() / np.abs(b).max())
+    return worst, systems.paths
+
+
+def count_solves(monkeypatch):
+    """Count the Levinson and dense solves of the prepared systems."""
+    calls = {"toeplitz": 0, "guarded": 0}
+    toeplitz = stability_module.solve_toeplitz
+
+    def counted_toeplitz(*args, **kwargs):
+        calls["toeplitz"] += 1
+        return toeplitz(*args, **kwargs)
+
+    def counted_guarded(*args, **kwargs):
+        calls["guarded"] += 1
+        return guarded_solve(*args, **kwargs)
+
+    monkeypatch.setattr(stability_module, "solve_toeplitz", counted_toeplitz)
+    monkeypatch.setattr(stability_module, "guarded_solve", counted_guarded)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", [KERNEL, power_law_kernel(0.5, 0.1)], ids=["exp", "power"])
+@pytest.mark.parametrize("n_agents", [2, 10])
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 2.0])
+def test_levinson_profiles_match_the_dense_path(kernel, n_agents, fraction, monkeypatch):
+    spec = stability_game(n_assets=3, coupling=0.5, n_agents=n_agents, n_steps=60, kernel=kernel)
+    theta = fraction * predicted_theta_star(spec.cross_impact, kernel.at_zero, n_agents)
+    calls = count_solves(monkeypatch)
+    worst, paths = prepared_against_dense(spec, theta)
+    assert worst <= 1e-11
+    # two distinct eigenvalues, two profile systems each, all solved by Levinson
+    assert paths == {"levinson": 4, "dense": 0, "rebisect": 0}
+    assert calls == {"toeplitz": 4, "guarded": 0}
+
+
+def test_risk_aversion_and_uneven_grids_take_the_dense_path(monkeypatch):
+    calls = count_solves(monkeypatch)
+    risk_averse = stability_game(n_assets=2, coupling=0.5, n_agents=3, gamma=5.0)
+    uneven = GameSpec(
+        grid=TimeGrid(np.sort(np.r_[0.0, np.random.default_rng(3).uniform(0.0, 1.0, 40)])),
+        kernel=KERNEL,
+        cross_impact=one_factor_matrix(2, 0.5),
+        n_agents=3,
+    )
+    for spec in (risk_averse, uneven):
+        worst, paths = prepared_against_dense(spec, 0.3)
+        assert worst <= 1e-12
+        assert paths == {"levinson": 0, "dense": 4, "rebisect": 0}
+    assert calls == {"toeplitz": 0, "guarded": 8}
+
+
+def test_failed_levinson_residual_falls_back_to_the_dense_solve(monkeypatch):
+    calls = count_solves(monkeypatch)
+    monkeypatch.setattr(stability_module, "solve_toeplitz", lambda cr, b, **kw: 2.0 * b)
+    worst, paths = prepared_against_dense(stability_game(n_agents=3), 0.1)
+    assert worst <= 1e-12
+    assert paths == {"levinson": 0, "dense": 2, "rebisect": 0}
+    assert calls["guarded"] == 2
+
+
+def test_condition_bound_above_the_cap_reaches_the_guarded_solve(monkeypatch):
+    calls = count_solves(monkeypatch)
+    spec = stability_game(n_agents=3)
+    systems = prepare_profile_systems(spec)
+    # every system's bound is at least 1, so a cap of 1 sends it to the dense guard
+    monkeypatch.setattr(stability_module, "_MAX_CONDITION", 1.0)
+    with pytest.raises(NumericError, match="ill-conditioned"):
+        is_unstable_at(spec, 0.1, systems=systems)
+    assert calls == {"toeplitz": 0, "guarded": 1}
+
+
+def test_cross_check_mismatch_bisects_again_on_the_dense_path(monkeypatch):
+    spec = stability_game(n_agents=3, n_steps=40)
+    fast = critical_theta(spec, tol=1e-4)
+    assert fast.solve_paths["rebisect"] == 0
+    probes = []
+    probe = stability_module.is_unstable_at
+
+    def recording(spec, theta, rel_tol=1e-9, systems=None):
+        probes.append(systems is None)
+        return probe(spec, theta, rel_tol, systems=systems)
+
+    monkeypatch.setattr(stability_module, "is_unstable_at", recording)
+    monkeypatch.setattr(stability_module, "_CROSS_CHECK_TOL", -1.0)
+    report = critical_theta(spec, tol=1e-4)
+    n = len(fast.trace)
+    # prepared probes, then the same probes again on the dense path
+    assert probes == [False] * n + [True] * n
+    assert report.solve_paths == {"levinson": 2 * (n + 1), "dense": 2 * (n + 2), "rebisect": 1}
+    assert report.trace == fast.trace and report.estimate == fast.estimate
+
+
+def test_high_frequency_limit_at_a_thousand_steps():
+    # theta* -> lambda_max G(0) / 4 = 0.25 as the grid refines; at N = 1000 the
+    # dense path gave 0.2494998, about 2 / N below the limit
+    spec = stability_game(n_assets=1, n_agents=2, n_steps=1000)
+    started = time.perf_counter()
+    report = critical_theta(spec, tol=1e-6)
+    elapsed = time.perf_counter() - started
+    assert report.estimate == pytest.approx(0.2494998, abs=1e-6)
+    assert report.method == "bisect"
+    assert report.solve_paths["rebisect"] == 0 and report.solve_paths["dense"] == 2
+    assert elapsed < 2.0
