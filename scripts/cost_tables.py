@@ -9,40 +9,40 @@ per-agent impact-scale comparison.
 import numpy as np
 
 from impact_games import (
-    HeteroGameSpec,
+    GameSpec,
     expected_cost,
     exponential_kernel,
     make_equidistant_grid,
     one_factor_matrix,
     payoff_matrix,
-    solve_hetero_nash,
+    solve,
 )
 
 KERNEL = exponential_kernel()
 
 
 def two_seller_costs(n_steps, thetas, scales=None, priority=0.5):
-    spec = HeteroGameSpec(
+    spec = GameSpec(
         grid=make_equidistant_grid(n_steps, 1.0),
         kernel=KERNEL,
         cross_impact=np.eye(1),
         inventories=np.array([[1.0, 1.0]]),
-        thetas=np.asarray(thetas, dtype=float),
+        theta=np.asarray(thetas, dtype=float),
         scales=scales,
         priority=priority,
     )
-    eq = solve_hetero_nash(spec)
+    eq = solve(spec)
     return tuple(expected_cost(spec, eq.strategies, j) for j in range(2))
 
 
 def main():
     print("venue choice: seller (1,0) vs idle agent, coupling 0.6, fee 1.5, 26 points")
-    spec = HeteroGameSpec(
+    spec = GameSpec(
         grid=make_equidistant_grid(25, 1.0),
         kernel=KERNEL,
         cross_impact=one_factor_matrix(2, 0.6),
         inventories=np.array([[1.0, 0.0], [0.0, 0.0]]),
-        thetas=np.array([1.5, 1.5]),
+        theta=1.5,
     )
     options = [np.array([True, False]), np.array([True, True])]
     table = payoff_matrix(spec, [options, options])

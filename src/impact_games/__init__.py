@@ -1,9 +1,10 @@
 """Market impact games: equilibria, execution costs, and stability analysis.
 
 A toolkit for multi-agent, multi-asset trading games with transient price
-impact and quadratic transaction costs: closed-form Nash equilibria for
-identical agents, a stacked linear solver for heterogeneous agents (fees,
-impact scales, execution priority, tradable-asset masks), expected-cost and
+impact and quadratic transaction costs: one game spec and one ``solve``,
+which takes the closed-form Nash equilibrium for identical agents and a
+stacked linear solver for heterogeneous agents (fees, impact scales,
+execution priority, tradable-asset masks), expected-cost and
 mean-variance evaluation, critical-fee estimation with parameter sweeps, and
 Bachelier price-path simulation.
 """
@@ -30,11 +31,11 @@ from .equilibrium import (
     principal_fundamentals,
 )
 from .hetero import (
-    HeteroGameSpec,
     KktSystem,
     PayoffTable,
     assemble_equilibrium_system,
     payoff_matrix,
+    solve,
     solve_hetero_nash,
 )
 from .kernels import (
@@ -86,7 +87,7 @@ __all__ = [
     "closed_form_equilibrium",
     "aggregate_flow_is_zero",
     "arbitrageur_is_idle",
-    "HeteroGameSpec",
+    "solve",
     "KktSystem",
     "assemble_equilibrium_system",
     "solve_hetero_nash",

@@ -34,6 +34,14 @@ def _finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def _boolean_mask(values) -> np.ndarray:
+    """``values`` as a bool array; ValueError unless every entry is a bool, 0 or 1."""
+    mask = np.asarray(values)
+    if mask.dtype != bool and not np.all((mask == 0) | (mask == 1)):
+        raise ValueError("mask entries must be booleans, 0 or 1")
+    return mask.astype(bool)
+
+
 def _symmetric(name: str, matrix: np.ndarray) -> None:
     """Reject matrices asymmetric beyond 1e-10 of their largest entry (at least 1)."""
     if np.abs(matrix - matrix.T).max() > 1e-10 * max(np.abs(matrix).max(), 1.0):

@@ -28,8 +28,8 @@ from . import __version__
 from ._linalg import NumericError
 from .costs import cost_report
 from .cross_impact import build_cross_impact
-from .equilibrium import GameSpec, closed_form_equilibrium
-from .hetero import HeteroGameSpec, payoff_matrix, solve_hetero_nash
+from .equilibrium import GameSpec
+from .hetero import payoff_matrix, solve
 from .kernels import exponential_kernel, make_equidistant_grid, power_law_kernel
 from .simulate import simulate_price, write_price_csv
 from .stability import BracketError, SweepBase, critical_theta, stability_sweep
@@ -240,83 +240,56 @@ def _sigma_from_config(cfg: dict, cross: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _inventories_from_config(cfg: dict, n_assets: int) -> np.ndarray:
-    agents = cfg.get("agents")
-    if agents is None:
-        raise ConfigError("this experiment needs an agents array", field="agents")
-    rows = []
-    for idx, agent in enumerate(agents):
-        inv = agent["inventories"]
-        if len(inv) != n_assets:
+def _per_asset_columns(agents: list, key: str, n_assets: int, default=None) -> np.ndarray:
+    """(n_assets, n_agents) array of each agent's per-asset ``key`` list."""
+    rows = [agent.get(key, default) for agent in agents]
+    for idx, row in enumerate(rows):
+        if len(row) != n_assets:
             raise ConfigError(
-                f"expected {n_assets} per-asset inventories, got {len(inv)}",
-                field=f"agents.{idx}.inventories",
+                f"expected {n_assets} per-asset entries, got {len(row)}",
+                field=f"agents.{idx}.{key}",
             )
-        rows.append(inv)
-    return np.asarray(rows, dtype=float).T
+    return np.array(rows).T
 
 
-def _is_heterogeneous(cfg: dict) -> bool:
-    agents = cfg.get("agents", [])
-    if any(key in agent for agent in agents for key in ("theta", "scale", "mask")):
-        return True
-    priority = cfg["priority"]
-    return not (isinstance(priority, (int, float)) and float(priority) == 0.5)
+def _game_spec_from_config(cfg: dict) -> GameSpec:
+    """Build the game a config describes; the spec's ValueErrors become ConfigErrors.
 
-
-def _game_spec_from_config(cfg: dict):
-    """Build the spec (identical-agent or heterogeneous) described by a config."""
+    A theta-critical config may give ``n_agents`` in place of the agents
+    array; every other experiment needs the agents.
+    """
+    if "cross_impact" not in cfg:
+        raise ConfigError("this experiment needs a cross_impact block", field="cross_impact")
+    cross = _cross_impact_from_config(cfg)
+    agents = cfg.get("agents")
+    if agents is not None:
+        n_assets = cross.shape[0]
+        players = {
+            "inventories": _per_asset_columns(agents, "inventories", n_assets).astype(float),
+            "theta": [agent.get("theta", cfg["theta"]) for agent in agents],
+            "scales": [agent.get("scale", 1.0) for agent in agents],
+            "mask": _per_asset_columns(agents, "mask", n_assets, [1] * n_assets),
+        }
+    elif cfg["experiment"] == "theta-critical" and "n_agents" in cfg:
+        players = {"n_agents": cfg["n_agents"], "theta": cfg["theta"]}
+    else:
+        raise ConfigError("this experiment needs an agents array", field="agents")
     grid = make_equidistant_grid(cfg["grid"]["steps"], cfg["grid"]["horizon"])
     kernel = _kernel_from_config(cfg)
-    cross = _cross_impact_from_config(cfg)
-    inventories = _inventories_from_config(cfg, cross.shape[0])
     sigma = _sigma_from_config(cfg, cross)
-    n_agents = inventories.shape[1]
-    beta = cfg["kernel"]["beta"]
-
-    if not _is_heterogeneous(cfg):
+    try:
         return GameSpec(
             grid=grid,
             kernel=kernel,
             cross_impact=cross,
-            inventories=inventories,
-            theta=cfg["theta"],
             gamma=cfg["gamma"],
-            beta=beta,
+            beta=cfg["kernel"]["beta"],
             covariance=sigma,
+            priority=cfg["priority"],
+            **players,
         )
-
-    if cfg["gamma"] > 0.0:
-        raise ConfigError(
-            "risk aversion is only supported with identical agents", field="gamma"
-        )
-    agents = cfg["agents"]
-    thetas = np.array([agent.get("theta", cfg["theta"]) for agent in agents])
-    scales = np.array([agent.get("scale", 1.0) for agent in agents])
-    mask = np.ones((cross.shape[0], n_agents), dtype=bool)
-    for j, agent in enumerate(agents):
-        if "mask" in agent:
-            if len(agent["mask"]) != cross.shape[0]:
-                raise ConfigError("mask length must equal the asset count", f"agents.{j}.mask")
-            mask[:, j] = np.asarray(agent["mask"], dtype=bool)
-    if beta > 0.0:
-        kernel = kernel.scaled(float(n_agents) ** (-beta))
-    return HeteroGameSpec(
-        grid=grid,
-        kernel=kernel,
-        cross_impact=cross,
-        inventories=inventories,
-        thetas=thetas,
-        scales=scales,
-        priority=cfg["priority"],
-        mask=mask,
-    )
-
-
-def _solve(spec):
-    if isinstance(spec, HeteroGameSpec):
-        return solve_hetero_nash(spec)
-    return closed_form_equilibrium(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _round_floats(value, digits: int = 12):
@@ -336,17 +309,23 @@ def _round_floats(value, digits: int = 12):
     return value
 
 
-def _write_strategies_csv(path: Path, grid_points: np.ndarray, strategies: np.ndarray) -> None:
-    n_assets, n_agents, _ = strategies.shape
-    header = ["time"] + [
-        f"asset{i + 1}_agent{j + 1}" for i in range(n_assets) for j in range(n_agents)
-    ]
+def _write_csv(path: Path, header: list, rows) -> None:
+    """CSV with floats written to 12 significant digits, ints and strings as they are."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for k, t in enumerate(grid_points):
-            row = [t] + [strategies[i, j, k] for i in range(n_assets) for j in range(n_agents)]
-            writer.writerow(f"{value:.12g}" for value in row)
+        for row in rows:
+            writer.writerow(f"{value:.12g}" if isinstance(value, float) else value for value in row)
+
+
+def _write_strategies_csv(path: Path, grid_points: np.ndarray, strategies: np.ndarray) -> None:
+    n_assets, n_agents, _ = strategies.shape
+    pairs = [(i, j) for i in range(n_assets) for j in range(n_agents)]
+    _write_csv(
+        path,
+        ["time"] + [f"asset{i + 1}_agent{j + 1}" for i, j in pairs],
+        ([t] + [strategies[i, j, k] for i, j in pairs] for k, t in enumerate(grid_points)),
+    )
 
 
 def read_strategies_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +344,7 @@ def read_strategies_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_equilibrium(cfg: dict, out: Path) -> dict:
     spec = _game_spec_from_config(cfg)
-    eq = _solve(spec)
+    eq = solve(spec)
     _write_strategies_csv(out / "strategies.csv", spec.grid.points, eq.strategies)
     return {
         "n_assets": spec.n_assets,
@@ -379,20 +358,14 @@ def _run_equilibrium(cfg: dict, out: Path) -> dict:
 
 def _run_costs(cfg: dict, out: Path) -> dict:
     spec = _game_spec_from_config(cfg)
-    eq = _solve(spec)
+    eq = solve(spec)
     report = cost_report(spec, eq.strategies)
     _write_strategies_csv(out / "strategies.csv", spec.grid.points, eq.strategies)
-    with open(out / "costs.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["agent", "expected_cost", "variance", "mean_variance"])
-        for j in range(spec.n_agents):
-            writer.writerow(
-                [j + 1]
-                + [
-                    f"{value:.12g}"
-                    for value in (report.expected[j], report.variance[j], report.mean_variance[j])
-                ]
-            )
+    _write_csv(
+        out / "costs.csv",
+        ["agent", "expected_cost", "variance", "mean_variance"],
+        zip(range(1, spec.n_agents + 1), report.expected, report.variance, report.mean_variance),
+    )
     return {
         "expected_cost": report.expected,
         "variance": report.variance,
@@ -403,32 +376,23 @@ def _run_costs(cfg: dict, out: Path) -> dict:
 
 def _run_payoff_matrix(cfg: dict, out: Path) -> dict:
     spec = _game_spec_from_config(cfg)
-    if isinstance(spec, GameSpec):
-        spec = HeteroGameSpec(
-            grid=spec.grid,
-            kernel=spec.effective_kernel,
-            cross_impact=spec.cross_impact,
-            inventories=spec.inventories,
-            thetas=np.full(spec.n_agents, spec.theta),
-        )
-    agents = cfg.get("agents", [])
     options = []
-    for j, agent in enumerate(agents):
+    for j, agent in enumerate(cfg["agents"]):
         if "mask_options" not in agent:
             raise ConfigError("payoff-matrix needs mask_options", f"agents.{j}.mask_options")
         options.append([np.asarray(mask, dtype=bool) for mask in agent["mask_options"]])
     table = payoff_matrix(spec, options)
-    combos = list(itertools.product(*(range(len(per)) for per in options)))
-    with open(out / "payoff.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [f"option_agent{j + 1}" for j in range(spec.n_agents)]
-            + [f"cost_agent{j + 1}" for j in range(spec.n_agents)]
-            + ["nash"]
-        )
-        for combo in combos:
-            costs = [f"{table.costs[combo + (j,)]:.12g}" for j in range(spec.n_agents)]
-            writer.writerow([c + 1 for c in combo] + costs + [int(table.equilibrium[combo])])
+    combos = itertools.product(*(range(len(per)) for per in options))
+    _write_csv(
+        out / "payoff.csv",
+        [f"option_agent{j + 1}" for j in range(spec.n_agents)]
+        + [f"cost_agent{j + 1}" for j in range(spec.n_agents)]
+        + ["nash"],
+        (
+            [c + 1 for c in combo] + list(table.costs[combo]) + [int(table.equilibrium[combo])]
+            for combo in combos
+        ),
+    )
     return {
         "mask_options": [[mask.astype(int) for mask in per] for per in table.mask_options],
         "costs": table.costs,
@@ -437,32 +401,8 @@ def _run_payoff_matrix(cfg: dict, out: Path) -> dict:
     }
 
 
-def _stability_spec_from_config(cfg: dict):
-    grid = make_equidistant_grid(cfg["grid"]["steps"], cfg["grid"]["horizon"])
-    kernel = _kernel_from_config(cfg)
-    if "cross_impact" not in cfg:
-        raise ConfigError("stability experiments need a cross_impact block", "cross_impact")
-    cross = _cross_impact_from_config(cfg)
-    sigma = _sigma_from_config(cfg, cross)
-    if "agents" in cfg:
-        n_agents = len(cfg["agents"])
-    elif "n_agents" in cfg:
-        n_agents = cfg["n_agents"]
-    else:
-        raise ConfigError("stability experiments need agents or n_agents", "n_agents")
-    return GameSpec(
-        grid=grid,
-        kernel=kernel,
-        cross_impact=cross,
-        n_agents=n_agents,
-        gamma=cfg["gamma"],
-        beta=cfg["kernel"]["beta"],
-        covariance=sigma,
-    )
-
-
 def _run_theta_critical(cfg: dict, out: Path, warnings: list) -> dict:
-    spec = _stability_spec_from_config(cfg)
+    spec = _game_spec_from_config(cfg)
     bracket = cfg.get("theta_critical", {}).get("bracket")
     report = critical_theta(
         spec,
@@ -472,11 +412,11 @@ def _run_theta_critical(cfg: dict, out: Path, warnings: list) -> dict:
     )
     if report.method == "scan":
         warnings.append("bisection verdicts were not monotone; estimate comes from a grid scan")
-    with open(out / "trace.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["theta", "unstable"])
-        for theta, unstable in report.trace:
-            writer.writerow([f"{theta:.12g}", int(unstable)])
+    _write_csv(
+        out / "trace.csv",
+        ["theta", "unstable"],
+        ((theta, int(unstable)) for theta, unstable in report.trace),
+    )
     return {
         "estimate": report.estimate,
         "bracket": list(report.bracket),
@@ -506,42 +446,24 @@ def _run_sweep(cfg: dict, out: Path, warnings: list) -> dict:
         coupling=sweep_cfg.get("coupling", 0.5),
         gamma=cfg["gamma"],
         beta=cfg["kernel"]["beta"],
+        rel_tol=cfg["tolerances"]["bisection"],
+        flip_tol=cfg["tolerances"]["flip"],
     )
     rows = stability_sweep(points, base)
     failed = [row for row in rows if row.error]
     if failed:
         warnings.append(f"{len(failed)} of {len(rows)} sweep rows failed; see the rows")
-    with open(out / "sweep.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "n_assets",
-                "n_agents",
-                "n_steps",
-                "gamma",
-                "beta",
-                "estimate",
-                "predicted",
-                "rel_discrepancy",
-                "method",
-                "error",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    int(row.params["n_assets"]),
-                    int(row.params["n_agents"]),
-                    int(row.params["n_steps"]),
-                    f"{row.params['gamma']:.12g}",
-                    f"{row.params['beta']:.12g}",
-                    "" if row.estimate is None else f"{row.estimate:.12g}",
-                    f"{row.predicted:.12g}",
-                    "" if row.rel_discrepancy is None else f"{row.rel_discrepancy:.12g}",
-                    row.method or "",
-                    row.error or "",
-                ]
-            )
+    _write_csv(
+        out / "sweep.csv",
+        ["n_assets", "n_agents", "n_steps", "gamma", "beta"]
+        + ["estimate", "predicted", "rel_discrepancy", "method", "error"],
+        (
+            [int(row.params[key]) for key in ("n_assets", "n_agents", "n_steps")]
+            + [row.params["gamma"], row.params["beta"], row.estimate, row.predicted]
+            + [row.rel_discrepancy, row.method, row.error]
+            for row in rows
+        ),
+    )
     return {
         "rows": [
             {
@@ -560,7 +482,7 @@ def _run_sweep(cfg: dict, out: Path, warnings: list) -> dict:
 
 def _run_simulate(cfg: dict, out: Path) -> dict:
     spec = _game_spec_from_config(cfg)
-    eq = _solve(spec)
+    eq = solve(spec)
     sim_cfg = cfg.get("simulate", {})
     path = simulate_price(
         spec,

@@ -1,7 +1,6 @@
 """Expected execution costs, revenue variance, and the mean-variance value.
 
-Works for both the identical-agent and the heterogeneous game specs. All
-reported costs are impact costs: the bookkeeping term (inventory times the
+All reported costs are impact costs: the bookkeeping term (inventory times the
 initial price) is omitted, which for deterministic strategies only shifts
 every agent's cost by the same constant when the initial price is nonzero.
 """
@@ -21,33 +20,6 @@ __all__ = [
     "CostReport",
     "stationarity_residual",
 ]
-
-
-def _agent_params(spec):
-    """Normalize either spec flavor to per-agent arrays.
-
-    Returns (thetas, scales, priority, kernel, cross_impact). ``scales`` maps
-    each agent's share volume to impact volume; for identical agents the
-    crowding factor is folded into the kernel instead, so scales are one.
-    """
-    n_agents = spec.n_agents
-    if hasattr(spec, "thetas"):  # heterogeneous spec
-        return (
-            np.asarray(spec.thetas, dtype=float),
-            np.asarray(spec.scales, dtype=float),
-            np.asarray(spec.priority, dtype=float),
-            spec.kernel,
-            spec.cross_impact,
-        )
-    priority = np.full((n_agents, n_agents), 0.5)
-    np.fill_diagonal(priority, 0.0)
-    return (
-        np.full(n_agents, float(spec.theta)),
-        np.ones(n_agents),
-        priority,
-        spec.effective_kernel,
-        spec.cross_impact,
-    )
 
 
 def _check_strategies(spec, strategies) -> np.ndarray:
@@ -89,16 +61,16 @@ def expected_cost(spec, strategies, agent: int) -> float:
     in agent order, starting from the own term.
     """
     strategies = _check_strategies(spec, strategies)
-    thetas, scales, priority, kernel, q = _agent_params(spec)
-    bundle = build_matrices(spec.grid, kernel)
+    bundle = build_matrices(spec.grid, spec.effective_kernel)
+    q, scales = spec.cross_impact, spec.scales
 
     own = scales[agent] * strategies[:, agent, :]
-    cost = own_cost_term(q, bundle.kernel_matrix, thetas[agent], own)
+    cost = own_cost_term(q, bundle.kernel_matrix, spec.thetas[agent], own)
     for other in range(spec.n_agents):
         if other == agent:
             continue
         theirs = scales[other] * strategies[:, other, :]
-        cost += cross_cost_term(q, priority_cross(bundle, priority[agent, other]), own, theirs)
+        cost += cross_cost_term(q, priority_cross(bundle, spec.priority[agent, other]), own, theirs)
     return float(cost)
 
 
@@ -110,17 +82,14 @@ def variance_and_mv(spec, strategies, agent: int) -> tuple[float, float]:
     times ``t_k`` and ``t_h`` through the covariance at ``min(t_k, t_h)``.
     """
     strategies = _check_strategies(spec, strategies)
-    _, scales, _, _, _ = _agent_params(spec)
-    own = scales[agent] * strategies[:, agent, :]
-    covariance = getattr(spec, "covariance", None)
-    if covariance is None:
+    own = spec.scales[agent] * strategies[:, agent, :]
+    if spec.covariance is None:
         variance = 0.0
     else:
         t = spec.grid.points
         earlier = np.minimum.outer(t, t)
-        variance = float(np.sum(earlier * (own.T @ covariance @ own)))
-    gamma = getattr(spec, "gamma", 0.0)
-    mv = expected_cost(spec, strategies, agent) + 0.5 * gamma * variance
+        variance = float(np.sum(earlier * (own.T @ spec.covariance @ own)))
+    mv = expected_cost(spec, strategies, agent) + 0.5 * spec.gamma * variance
     return variance, mv
 
 
@@ -151,28 +120,25 @@ def stationarity_residual(spec, strategies, agent: int) -> float:
     untradable coordinates dropped); at an equilibrium it vanishes.
     """
     strategies = _check_strategies(spec, strategies)
-    thetas, scales, priority, kernel, q = _agent_params(spec)
-    bundle = build_matrices(spec.grid, kernel)
+    bundle = build_matrices(spec.grid, spec.effective_kernel)
+    q, scales = spec.cross_impact, spec.scales
 
     own = scales[agent] * strategies[:, agent, :]
     gram = bundle.kernel_matrix
-    grad = scales[agent] * (q @ own @ gram) + 2.0 * thetas[agent] * scales[agent] * own
+    grad = scales[agent] * (q @ own @ gram) + 2.0 * spec.thetas[agent] * scales[agent] * own
     for other in range(spec.n_agents):
         if other == agent:
             continue
-        cross = priority_cross(bundle, priority[agent, other])
+        cross = priority_cross(bundle, spec.priority[agent, other])
         grad += scales[agent] * scales[other] * (q @ strategies[:, other, :] @ cross.T)
-    gamma = getattr(spec, "gamma", 0.0)
-    covariance = getattr(spec, "covariance", None)
-    if gamma > 0.0 and covariance is not None:
+    if spec.gamma > 0.0 and spec.covariance is not None:
         t = spec.grid.points
         earlier = np.minimum.outer(t, t)
-        grad += gamma * scales[agent] * (covariance @ own @ earlier)
+        grad += spec.gamma * scales[agent] * (spec.covariance @ own @ earlier)
 
-    mask = getattr(spec, "mask", None)
     residual = 0.0
     for asset in range(spec.n_assets):
-        if mask is not None and not mask[asset, agent]:
+        if not spec.mask[asset, agent]:
             continue
         centered = grad[asset] - grad[asset].mean()
         residual = max(residual, float(np.abs(centered).max()))

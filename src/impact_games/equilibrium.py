@@ -1,4 +1,4 @@
-"""Closed-form Nash equilibria for games with identical agents.
+"""The game spec, and closed-form Nash equilibria when its agents are identical.
 
 The cross-impact matrix is diagonalized, each principal (eigenvector-rotated)
 asset becomes an independent single-asset game whose kernel is the original
@@ -10,11 +10,11 @@ inventory, one by the deviation from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ._linalg import _finite, _symmetric, guarded_solve
+from ._linalg import _boolean_mask, _finite, _symmetric, guarded_solve
 from .cross_impact import SpectralReport, analyze_cross_impact
 from .kernels import DecayKernel, MatrixBundle, TimeGrid, build_matrices
 
@@ -40,7 +40,7 @@ _SHARE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A market impact game with identical agents.
+    """A market impact game of J agents trading M assets.
 
     Parameters
     ----------
@@ -50,11 +50,27 @@ class GameSpec:
     inventories : (M, n_agents) array, positive entries are sells; zeros when
         omitted (enough for stability analysis, which only needs dimensions).
     n_agents : number of agents; inferred from ``inventories`` when omitted.
-    theta : quadratic transaction-cost parameter, >= 0.
-    gamma : risk-aversion parameter of the mean-variance objective, >= 0.
-    beta : crowding exponent; the kernel is scaled by ``n_agents ** -beta``.
+    theta : quadratic fee parameter, >= 0: one float shared by every agent
+        (stored as a float) or a length-J vector of per-agent fees. The fee
+        applies to the agent's impact volume (share volume times its scale),
+        which makes a reduced impact scale behave exactly like trading a
+        proportionally smaller inventory.
+    gamma : risk-aversion parameter of the mean-variance objective, >= 0;
+        positive only with identical agents.
+    beta : crowding exponent; every consumer scales the kernel by
+        ``n_agents ** -beta`` (see :attr:`effective_kernel`).
     covariance : (M, M) covariance rate of the Bachelier unaffected price;
         zero when omitted. Must commute with ``cross_impact`` when gamma > 0.
+    scales : per-agent impact scales, > 0; ones when omitted. An agent's
+        share volume is multiplied by its scale wherever it hits the price;
+        per-agent crowding exponents are expressed as ``n_agents ** -beta_j``
+        here.
+    priority : (J, J) matrix, ``priority[j, l]`` is the probability that agent
+        l executes before agent j at a shared trading time. Off-diagonal
+        entries must pair up to one; 1/2 everywhere is the fair game. A scalar
+        is broadcast to all pairs.
+    mask : (M, J) array of tradable assets with bool or 0/1 entries;
+        inventories must vanish on masked entries. Full when omitted.
     """
 
     grid: TimeGrid
@@ -62,10 +78,13 @@ class GameSpec:
     cross_impact: np.ndarray
     inventories: Optional[np.ndarray] = None
     n_agents: Optional[int] = None
-    theta: float = 0.0
+    theta: Union[float, np.ndarray] = 0.0
     gamma: float = 0.0
     beta: float = 0.0
     covariance: Optional[np.ndarray] = None
+    scales: Optional[np.ndarray] = None
+    priority: Union[float, np.ndarray] = 0.5
+    mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
         q = np.asarray(self.cross_impact, dtype=float)
@@ -90,15 +109,54 @@ class GameSpec:
         if self.n_agents is not None and inv.shape[1] != self.n_agents:
             raise ValueError("n_agents disagrees with the inventory column count")
         object.__setattr__(self, "inventories", inv)
-        object.__setattr__(self, "n_agents", inv.shape[1])
-
-        for name in ("theta", "gamma", "beta"):
-            value = getattr(self, name)
-            if not (value >= 0.0) or not np.isfinite(value):
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if self.n_agents < 1:
+        n_agents = inv.shape[1]
+        object.__setattr__(self, "n_agents", n_agents)
+        if n_agents < 1:
             raise ValueError("need at least one agent")
 
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.ndim and theta.shape != (n_agents,):
+            raise ValueError("theta must be a scalar or one fee per agent")
+        for name, value in (("theta", theta), ("gamma", self.gamma), ("beta", self.beta)):
+            value = np.asarray(value, dtype=float)
+            if value.ndim and name != "theta":
+                raise ValueError(f"{name} must be a scalar")
+            if not (np.all(np.isfinite(value)) and np.all(value >= 0.0)):
+                raise ValueError(f"{name} must be finite and nonnegative")
+        object.__setattr__(self, "theta", theta.copy() if theta.ndim else float(theta))
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "beta", float(self.beta))
+
+        scales = np.ones(n_agents) if self.scales is None else self.scales
+        scales = np.broadcast_to(np.asarray(scales, dtype=float), (n_agents,)).copy()
+        _finite("scales", scales)
+        if np.any(scales <= 0.0):
+            raise ValueError("per-agent impact scales must be positive")
+        object.__setattr__(self, "scales", scales)
+
+        prio = np.asarray(self.priority, dtype=float)
+        _finite("priority", prio)
+        if prio.ndim == 0:
+            prio = np.full((n_agents, n_agents), float(prio))
+            np.fill_diagonal(prio, 0.0)
+        if prio.shape != (n_agents, n_agents):
+            raise ValueError("priority must be scalar or a (J, J) matrix")
+        if np.any(prio < 0.0) or np.any(prio > 1.0):
+            raise ValueError("priority probabilities must lie in [0, 1]")
+        off = ~np.eye(n_agents, dtype=bool)
+        if n_agents > 1 and np.abs((prio + prio.T)[off] - 1.0).max() > 1e-12:
+            raise ValueError("priority[j, l] + priority[l, j] must equal 1 for j != l")
+        object.__setattr__(self, "priority", prio)
+
+        mask = np.ones(inv.shape, dtype=bool) if self.mask is None else _boolean_mask(self.mask)
+        if mask.shape != inv.shape:
+            raise ValueError("mask must have the same shape as the inventories")
+        if np.any((inv != 0.0) & ~mask):
+            raise ValueError("inventories must be zero on untradable assets")
+        object.__setattr__(self, "mask", mask)
+
+        if self.gamma > 0.0 and not self.identical_agents:
+            raise ValueError("risk aversion is only supported with identical agents")
         if self.covariance is not None:
             sigma = np.asarray(self.covariance, dtype=float)
             if sigma.shape != q.shape:
@@ -120,6 +178,23 @@ class GameSpec:
     @property
     def n_assets(self) -> int:
         return self.cross_impact.shape[0]
+
+    @property
+    def thetas(self) -> np.ndarray:
+        """Per-agent fees as a length-J vector."""
+        return np.broadcast_to(self.theta, (self.n_agents,))
+
+    @property
+    def identical_agents(self) -> bool:
+        """Equal fees, equal scales, fair priority and a full mask."""
+        fair = np.full((self.n_agents, self.n_agents), 0.5)
+        np.fill_diagonal(fair, 0.0)
+        return bool(
+            np.all(self.thetas == self.thetas[0])
+            and np.all(self.scales == self.scales[0])
+            and np.array_equal(self.priority, fair)
+            and self.mask.all()
+        )
 
     @property
     def effective_kernel(self) -> DecayKernel:
@@ -198,6 +273,15 @@ class Equilibrium:
         return self.strategies.sum(axis=2)
 
 
+def _require_identical_agents(spec: GameSpec) -> None:
+    """Reject a game whose agents differ; only identical agents have the closed form."""
+    if not spec.identical_agents:
+        raise ValueError(
+            "the closed form needs identical agents (equal fees and scales, fair "
+            "priority, full mask); solve other games with hetero.solve"
+        )
+
+
 def _principal_var_rates(spec: GameSpec, spectrum: SpectralReport) -> np.ndarray:
     if spec.covariance is None:
         return np.zeros(spec.n_assets)
@@ -226,6 +310,7 @@ def principal_bundles(
 ) -> Tuple[SpectralReport, np.ndarray, Iterator[Tuple[int, MatrixBundle]]]:
     """Spectrum, shared-solve index and the matrix bundles of the distinct principal assets.
 
+    The agents of ``spec`` must be identical (ValueError otherwise).
     Principal asset i uses the effective kernel scaled by the i-th eigenvalue
     of the cross-impact matrix and the i-th diagonal entry of the rotated
     covariance as its variance rate. ``shared[i]`` is the principal asset
@@ -233,6 +318,7 @@ def principal_bundles(
     yields (first member, bundle) pairs at the fee stored in ``spec``, in
     increasing order of first member, each built when it is reached.
     """
+    _require_identical_agents(spec)
     spectrum = analyze_cross_impact(spec.cross_impact, spec.covariance)
     if spectrum.eigenvalues[-1] <= 0.0:
         raise ValueError(
@@ -252,7 +338,7 @@ def principal_bundles(
             build_matrices(
                 spec.grid,
                 kernel.scaled(float(spectrum.eigenvalues[i])),
-                theta=spec.theta,
+                theta=spec.thetas[0],
                 gamma=spec.gamma,
                 var_rate=max(float(var_rates[i]), 0.0),
             ),
@@ -283,7 +369,8 @@ def closed_form_equilibrium(spec: GameSpec) -> Equilibrium:
 
     Inventories are rotated into the eigenbasis of the cross-impact matrix,
     each principal asset is solved independently through its profile pair,
-    and the result is rotated back.
+    and the result is rotated back. ValueError for a game whose agents differ
+    (see :func:`hetero.solve`).
     """
     spectrum, fundamentals = principal_fundamentals(spec)
     vec = spectrum.eigenvectors

@@ -1,5 +1,8 @@
 """Equilibria for heterogeneous risk-neutral games via stacked first-order conditions.
 
+:func:`solve` is the entry point for every game: identical agents take the
+closed form of :mod:`equilibrium`, all others the stacked system here.
+
 Heterogeneity covers per-agent quadratic fees, per-agent impact scales,
 pairwise execution-priority probabilities, and per-agent tradable-asset
 masks. The game is linear-quadratic, so the stationarity conditions of all
@@ -13,13 +16,13 @@ checked against the game's conditions as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import NumericError, _finite, _symmetric, guarded_solve, single_blas_thread
+from ._linalg import NumericError, _boolean_mask, guarded_solve, single_blas_thread
 from .costs import (
     cross_cost_term,
     expected_cost,
@@ -28,110 +31,17 @@ from .costs import (
     stationarity_residual,
 )
 from .cross_impact import analyze_cross_impact
-from .equilibrium import Equilibrium, _shared_solves
-from .kernels import DecayKernel, TimeGrid, build_matrices
+from .equilibrium import Equilibrium, GameSpec, _shared_solves, closed_form_equilibrium
+from .kernels import build_matrices
 
 __all__ = [
-    "HeteroGameSpec",
+    "solve",
     "KktSystem",
     "assemble_equilibrium_system",
     "solve_hetero_nash",
     "PayoffTable",
     "payoff_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class HeteroGameSpec:
-    """A risk-neutral market impact game with heterogeneous agents.
-
-    Parameters
-    ----------
-    grid, kernel, cross_impact, inventories : as in :class:`GameSpec`.
-    thetas : per-agent quadratic fee parameters, >= 0. The fee applies to the
-        agent's impact volume (share volume times the agent's scale), which is
-        what makes a reduced impact scale behave exactly like trading a
-        proportionally smaller inventory.
-    scales : per-agent impact scales, > 0. An agent's share volume is
-        multiplied by its scale wherever it hits the price; crowding exponents
-        per agent are expressed as ``n_agents ** -beta_j`` here.
-    priority : (J, J) matrix, ``priority[j, l]`` is the probability that agent
-        l executes before agent j at a shared trading time. Off-diagonal
-        entries must pair up to one; 1/2 everywhere is the fair game. A scalar
-        is broadcast to all pairs.
-    mask : (M, J) boolean array of tradable assets; inventories must vanish on
-        masked entries. Full mask when omitted.
-    """
-
-    grid: TimeGrid
-    kernel: DecayKernel
-    cross_impact: np.ndarray
-    inventories: np.ndarray
-    thetas: np.ndarray
-    scales: Optional[np.ndarray] = None
-    priority: float | np.ndarray = 0.5
-    mask: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        q = np.asarray(self.cross_impact, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("cross_impact must be a square matrix")
-        _finite("cross_impact", q)
-        _symmetric("cross_impact", q)
-        object.__setattr__(self, "cross_impact", q)
-
-        inv = np.atleast_2d(np.asarray(self.inventories, dtype=float))
-        _finite("inventories", inv)
-        if inv.shape[0] != q.shape[0]:
-            raise ValueError("inventories must have one row per asset")
-        object.__setattr__(self, "inventories", inv)
-        n_agents = inv.shape[1]
-
-        thetas = np.broadcast_to(np.asarray(self.thetas, dtype=float), (n_agents,)).copy()
-        _finite("thetas", thetas)
-        if np.any(thetas < 0.0):
-            raise ValueError("per-agent fees must be nonnegative")
-        object.__setattr__(self, "thetas", thetas)
-
-        scales = self.scales if self.scales is not None else np.ones(n_agents)
-        scales = np.broadcast_to(np.asarray(scales, dtype=float), (n_agents,)).copy()
-        _finite("scales", scales)
-        if np.any(scales <= 0.0):
-            raise ValueError("per-agent impact scales must be positive")
-        object.__setattr__(self, "scales", scales)
-
-        prio = np.asarray(self.priority, dtype=float)
-        _finite("priority", prio)
-        if prio.ndim == 0:
-            p = np.full((n_agents, n_agents), float(prio))
-            np.fill_diagonal(p, 0.0)
-            prio = p
-        if prio.shape != (n_agents, n_agents):
-            raise ValueError("priority must be scalar or a (J, J) matrix")
-        if np.any(prio < 0.0) or np.any(prio > 1.0):
-            raise ValueError("priority probabilities must lie in [0, 1]")
-        off = ~np.eye(n_agents, dtype=bool)
-        if n_agents > 1 and np.abs((prio + prio.T)[off] - 1.0).max() > 1e-12:
-            raise ValueError("priority[j, l] + priority[l, j] must equal 1 for j != l")
-        object.__setattr__(self, "priority", prio)
-
-        mask = self.mask
-        if mask is None:
-            mask = np.ones(inv.shape, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != inv.shape:
-            raise ValueError("mask must have the same shape as the inventories")
-        if np.any((inv != 0.0) & ~mask):
-            raise ValueError("inventories must be zero on untradable assets")
-        object.__setattr__(self, "mask", mask)
-
-    @property
-    def n_assets(self) -> int:
-        return self.cross_impact.shape[0]
-
-    @property
-    def n_agents(self) -> int:
-        return self.inventories.shape[1]
 
 
 @dataclass(frozen=True)
@@ -161,10 +71,10 @@ def _constraint_rhs(size: int, strategy_rows, inventories: np.ndarray) -> np.nda
     return rhs
 
 
-def assemble_equilibrium_system(spec: HeteroGameSpec) -> KktSystem:
+def assemble_equilibrium_system(spec: GameSpec) -> KktSystem:
     """Build the dense linear system whose solution is the Nash equilibrium."""
     q = spec.cross_impact
-    bundle = build_matrices(spec.grid, spec.kernel)
+    bundle = build_matrices(spec.grid, spec.effective_kernel)
     n = spec.grid.n_points
 
     active = [np.flatnonzero(spec.mask[:, j]) for j in range(spec.n_agents)]
@@ -214,7 +124,7 @@ def _solve_kkt(matrix: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
         ) from exc
 
 
-def _solve_stacked(spec: HeteroGameSpec) -> np.ndarray:
+def _solve_stacked(spec: GameSpec) -> np.ndarray:
     """Strategies from one dense solve of the full stacked system.
 
     The result must pass :func:`_is_equilibrium`. Partial pivoting in the
@@ -253,7 +163,7 @@ def _solve_stacked(spec: HeteroGameSpec) -> np.ndarray:
     return strategies
 
 
-def _solve_principal(spec: HeteroGameSpec, assets: np.ndarray) -> np.ndarray:
+def _solve_principal(spec: GameSpec, assets: np.ndarray) -> np.ndarray:
     """Strategies of a game in which every agent trades exactly ``assets``.
 
     Every block of the stacked system is ``kron(Q_SS, .)`` on the tradable
@@ -280,12 +190,13 @@ def _solve_principal(spec: HeteroGameSpec, assets: np.ndarray) -> np.ndarray:
     with single_blas_thread():
         for first in np.unique(shared):
             members = np.flatnonzero(shared == first)
-            single = HeteroGameSpec(
+            single = GameSpec(
                 grid=spec.grid,
                 kernel=spec.kernel,
                 cross_impact=np.array([[lam[first]]]),
                 inventories=principal_inv[first : first + 1],
-                thetas=spec.thetas,
+                theta=spec.theta,
+                beta=spec.beta,
                 scales=spec.scales,
                 priority=spec.priority,
             )
@@ -302,7 +213,7 @@ def _solve_principal(spec: HeteroGameSpec, assets: np.ndarray) -> np.ndarray:
     return strategies
 
 
-def _is_equilibrium(spec: HeteroGameSpec, strategies: np.ndarray) -> bool:
+def _is_equilibrium(spec: GameSpec, strategies: np.ndarray) -> bool:
     """Whether strategies meet every inventory and first-order condition of ``spec``."""
     scale = max(float(np.abs(spec.inventories).max()), 1.0)
     conservation = np.abs(strategies.sum(axis=2) - spec.inventories).max()
@@ -311,8 +222,19 @@ def _is_equilibrium(spec: HeteroGameSpec, strategies: np.ndarray) -> bool:
     )
 
 
-def solve_hetero_nash(spec: HeteroGameSpec) -> Equilibrium:
-    """Solve the heterogeneous game; strategies are zero on masked assets.
+def solve(spec: GameSpec) -> Equilibrium:
+    """Nash equilibrium of any game.
+
+    Identical agents (see :attr:`GameSpec.identical_agents`) take
+    :func:`closed_form_equilibrium`, every other game :func:`solve_hetero_nash`.
+    """
+    if spec.identical_agents:
+        return closed_form_equilibrium(spec)
+    return solve_hetero_nash(spec)
+
+
+def solve_hetero_nash(spec: GameSpec) -> Equilibrium:
+    """Solve the risk-neutral game by its stacked conditions; zero on masked assets.
 
     When there are several assets and every agent trades the same nonempty
     set of them, the game is solved one principal asset of that set's
@@ -322,8 +244,11 @@ def solve_hetero_nash(spec: HeteroGameSpec) -> Equilibrium:
     agent's stationarity residual within 1e-9 (both relative to the largest
     inventory, or 1); otherwise the stacked system is solved densely, as it
     is for every other game. The stacked result must pass the same checks
-    (see :func:`_solve_stacked`), or NumericError is raised.
+    (see :func:`_solve_stacked`), or NumericError is raised. ValueError for a
+    risk-averse game, whose variance term this solver does not model.
     """
+    if spec.gamma > 0.0:
+        raise ValueError("the stacked solver is risk neutral; use solve for gamma > 0")
     strategies = None
     traded = spec.mask.all(axis=1)
     if spec.n_assets > 1 and traded.any() and np.array_equal(traded, spec.mask.any(axis=1)):
@@ -360,7 +285,7 @@ class PayoffTable:
 
 
 def payoff_matrix(
-    base: HeteroGameSpec,
+    base: GameSpec,
     mask_options: Sequence[Sequence[np.ndarray]],
     tol: float = 1e-12,
 ) -> PayoffTable:
@@ -386,7 +311,7 @@ def payoff_matrix(
     if len(mask_options) != n_agents:
         raise ValueError("need one mask-option list per agent")
     options = tuple(
-        tuple(np.asarray(mask, dtype=bool) for mask in per_agent) for per_agent in mask_options
+        tuple(_boolean_mask(mask) for mask in per_agent) for per_agent in mask_options
     )
     for per_agent in options:
         if not per_agent:
@@ -396,17 +321,7 @@ def payoff_matrix(
                 raise ValueError("each mask option must be a length-M vector")
 
     def uniform_game(mask: np.ndarray) -> np.ndarray:
-        full = np.repeat(mask[:, None], n_agents, axis=1)
-        spec = HeteroGameSpec(
-            grid=base.grid,
-            kernel=base.kernel,
-            cross_impact=base.cross_impact,
-            inventories=base.inventories,
-            thetas=base.thetas,
-            scales=base.scales,
-            priority=base.priority,
-            mask=full,
-        )
+        spec = replace(base, mask=np.repeat(mask[:, None], n_agents, axis=1))
         return solve_hetero_nash(spec).strategies
 
     candidate_cache: dict[bytes, np.ndarray] = {}
@@ -422,7 +337,7 @@ def payoff_matrix(
 
     shape = tuple(len(per_agent) for per_agent in options)
     q = base.cross_impact
-    bundle = build_matrices(base.grid, base.kernel)
+    bundle = build_matrices(base.grid, base.effective_kernel)
     volumes = [[base.scales[j] * candidate for candidate in candidates[j]] for j in range(n_agents)]
     own = [
         [own_cost_term(q, bundle.kernel_matrix, base.thetas[j], volume) for volume in volumes[j]]

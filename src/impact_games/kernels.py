@@ -1,9 +1,8 @@
 """Trading grids, decay kernels, and the dense matrices built from them.
 
-Every quadratic form used by the solvers is assembled here: the symmetric
-kernel matrix, its strict lower part, the fair-priority and general-priority
-cross-cost matrices, the quadratic-fee adjustment, the Bachelier variance
-matrix, and the risk-adjusted self-cost matrix.
+The solvers' quadratic forms are assembled here: the symmetric kernel
+matrix, its strict lower part, the fair-priority cross-cost matrix, and the
+self-cost matrix with the quadratic fee and the Bachelier variance term.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ def power_law_kernel(exponent: float, offset: float, scale: float = 1.0) -> Deca
 
 @dataclass(frozen=True)
 class MatrixBundle:
-    """All ``(N+1) x (N+1)`` matrices derived from one grid/kernel pair.
+    """The ``(N+1) x (N+1)`` matrices the solvers need from one grid/kernel pair.
 
     Attributes
     ----------
@@ -151,26 +150,18 @@ class MatrixBundle:
     strict_lower : kernel values at positive lags, zero on and above the diagonal.
     fair_priority : strict_lower plus half the lag-zero value on the diagonal;
         the cross-cost matrix when simultaneous execution order is a fair coin.
-    self_cost : kernel_matrix plus twice the quadratic fee on the diagonal.
-    priority_cross : strict_lower plus ``priority_prob`` times the lag-zero
-        value on the diagonal (cross cost when the counterparty executes
-        first with that probability).
-    price_variance : Bachelier variance matrix ``var_rate * min(t_i, t_j)``.
-    mv_self_cost : self_cost plus risk aversion times price_variance; the
-        system matrix of the mean-variance first-order conditions.
+    mv_self_cost : kernel_matrix plus twice the quadratic fee on the diagonal,
+        plus risk aversion times the Bachelier variance matrix
+        ``var_rate * min(t_i, t_j)``; the system matrix of the mean-variance
+        first-order conditions.
     """
 
     kernel_matrix: np.ndarray
     strict_lower: np.ndarray
     fair_priority: np.ndarray
-    self_cost: np.ndarray
-    priority_cross: np.ndarray
-    price_variance: np.ndarray
     mv_self_cost: np.ndarray
     kernel_at_zero: float
-    theta: float
     gamma: float
-    priority_prob: float
     var_rate: float
 
 
@@ -206,7 +197,6 @@ def build_matrices(
     kernel: DecayKernel,
     theta: float = 0.0,
     gamma: float = 0.0,
-    priority_prob: float = 0.5,
     var_rate: float = 0.0,
 ) -> MatrixBundle:
     """Assemble the matrix bundle for one asset.
@@ -216,8 +206,6 @@ def build_matrices(
     grid, kernel : trading grid and decay kernel.
     theta : quadratic transaction-cost parameter, >= 0.
     gamma : risk-aversion parameter, >= 0.
-    priority_prob : probability that the counterparty executes first at a
-        shared trading time, in [0, 1]; 1/2 is the fair game.
     var_rate : variance per unit time of the unaffected price, >= 0.
     """
     if theta < 0.0:
@@ -226,8 +214,6 @@ def build_matrices(
         raise ValueError("gamma must be nonnegative")
     if var_rate < 0.0:
         raise ValueError("var_rate must be nonnegative")
-    if not 0.0 <= priority_prob <= 1.0:
-        raise ValueError("priority_prob must lie in [0, 1]")
 
     if not kernel.scale > 0.0:
         raise ValueError("kernel scale must be positive")
@@ -240,22 +226,12 @@ def build_matrices(
     strict_lower = kernel.scale * unit_lower
     # symmetric matrix from the exact same kernel evaluations
     kernel_matrix = strict_lower + strict_lower.T + g0 * eye
-    fair_priority = strict_lower + 0.5 * g0 * eye
-    self_cost = kernel_matrix + 2.0 * theta * eye
-    priority_cross = strict_lower + priority_prob * g0 * eye
-    price_variance = var_rate * min_times
-    mv_self_cost = self_cost + gamma * price_variance
     return MatrixBundle(
         kernel_matrix=kernel_matrix,
         strict_lower=strict_lower,
-        fair_priority=fair_priority,
-        self_cost=self_cost,
-        priority_cross=priority_cross,
-        price_variance=price_variance,
-        mv_self_cost=mv_self_cost,
+        fair_priority=strict_lower + 0.5 * g0 * eye,
+        mv_self_cost=kernel_matrix + 2.0 * theta * eye + gamma * (var_rate * min_times),
         kernel_at_zero=g0,
-        theta=float(theta),
         gamma=float(gamma),
-        priority_prob=float(priority_prob),
         var_rate=float(var_rate),
     )

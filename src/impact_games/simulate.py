@@ -60,25 +60,18 @@ def _covariance_root(covariance: np.ndarray) -> np.ndarray:
     return vec * np.sqrt(np.clip(lam, 0.0, None))
 
 
-def _scaled_aggregate_flow(spec, strategies: np.ndarray) -> np.ndarray:
-    """Aggregate impact volume per (asset, time): per-agent scales applied."""
-    scales = getattr(spec, "scales", None)
-    if scales is None:
-        return strategies.sum(axis=1)
-    return np.einsum("j,ijk->ik", np.asarray(scales, dtype=float), strategies)
-
-
 def impact_drift(spec, strategies: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Deterministic price displacement of the aggregate flow at given times.
 
     ``drift(t) = -sum over trades before t of kernel(t - t_k) times the
-    cross-impact image of the aggregate impact volume at t_k``. Strictly
+    cross-impact image of the aggregate impact volume at t_k``, where each
+    agent's share volume is multiplied by its impact scale. Strictly
     before: the trade at t contributes nothing at t itself.
     """
-    kernel = spec.effective_kernel if hasattr(spec, "effective_kernel") else spec.kernel
-    flow = spec.cross_impact @ _scaled_aggregate_flow(spec, np.asarray(strategies, dtype=float))
+    volume = spec.scales[:, None] * np.asarray(strategies, dtype=float)
+    flow = spec.cross_impact @ volume.sum(axis=1)
     lag = np.asarray(times, dtype=float)[:, None] - spec.grid.points[None, :]
-    weights = np.where(lag > 0.0, kernel(np.where(lag > 0.0, lag, 0.0)), 0.0)
+    weights = np.where(lag > 0.0, spec.effective_kernel(np.where(lag > 0.0, lag, 0.0)), 0.0)
     return -(weights @ flow.T)
 
 
@@ -95,7 +88,7 @@ def simulate_price(
 
     Parameters
     ----------
-    spec : identical-agent or heterogeneous game spec.
+    spec : the game.
     strategies : (M, J, N+1) strategy array (typically an equilibrium).
     initial_prices : scalar or length-M vector of starting prices.
     fine_steps : sub-intervals per trading interval (the fine grid always
@@ -113,7 +106,7 @@ def simulate_price(
         raise ValueError("strategies do not match the spec dimensions")
 
     if covariance is None:
-        covariance = getattr(spec, "covariance", None)
+        covariance = spec.covariance
     if covariance is None:
         covariance = np.zeros((n_assets, n_assets))
     covariance = np.asarray(covariance, dtype=float)

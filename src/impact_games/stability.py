@@ -36,6 +36,7 @@ from .cross_impact import one_factor_matrix
 from .equilibrium import (
     FundamentalSolutions,
     GameSpec,
+    _require_identical_agents,
     principal_bundles,
     principal_fundamentals,
     profile_systems,
@@ -429,7 +430,8 @@ def critical_theta(
 
     Parameters
     ----------
-    spec : game parameters; the stored fee and inventories are ignored.
+    spec : game with identical agents; the stored fee and inventories are
+        ignored.
     bracket : (lo, hi) with an unstable verdict at lo and a stable one at hi.
         Defaults to (0, 2x the many-agent prediction).
     tol : final bracket width for the bisection, finite and positive.
@@ -438,8 +440,10 @@ def critical_theta(
         non-monotone verdict.
 
     The probes solve systems prepared once (see the module docstring), on
-    one BLAS thread (see :func:`single_blas_thread`).
+    one BLAS thread (see :func:`single_blas_thread`). ValueError for a game
+    whose agents differ.
     """
+    _require_identical_agents(spec)
     conjecture = predicted_theta_star(
         spec.cross_impact, spec.kernel.at_zero, spec.n_agents, spec.beta, "conjecture"
     )

@@ -16,7 +16,6 @@ import pytest
 from conftest import assert_matches_printed
 from impact_games import (
     GameSpec,
-    HeteroGameSpec,
     aggregate_flow_is_zero,
     analyze_cross_impact,
     arbitrageur_is_idle,
@@ -126,12 +125,12 @@ def test_criterion_4_beta_scaling():
 
 @criterion(5, "venue-choice payoff table reproduces all four published cells to 1e-3")
 def test_criterion_5_payoff_table():
-    spec = HeteroGameSpec(
+    spec = GameSpec(
         grid=make_equidistant_grid(25, 1.0),
         kernel=KERNEL,
         cross_impact=one_factor_matrix(2, 0.6),
         inventories=np.array([[1.0, 0.0], [0.0, 0.0]]),
-        thetas=np.array([1.5, 1.5]),
+        theta=np.array([1.5, 1.5]),
     )
     first_only = np.array([True, False])
     both = np.array([True, True])
@@ -177,12 +176,12 @@ def test_criterion_6_three_agent_costs():
 @criterion(7, "per-agent fees: (1,1)->(0.7970, 0.7970) and (1,0.5)->(0.8286, 0.7317)")
 def test_criterion_7_heterogeneous_fees():
     def costs_for(thetas):
-        spec = HeteroGameSpec(
+        spec = GameSpec(
             grid=make_equidistant_grid(15, 1.0),
             kernel=KERNEL,
             cross_impact=np.eye(1),
             inventories=np.array([[1.0, 1.0]]),
-            thetas=np.asarray(thetas, dtype=float),
+            theta=np.asarray(thetas, dtype=float),
         )
         eq = solve_hetero_nash(spec)
         return [expected_cost(spec, eq.strategies, j) for j in range(2)]
@@ -205,12 +204,12 @@ def test_criterion_8_priority_game():
         1.0: (0.8568, 0.7360),
     }
     for speed, expected in rows.items():
-        spec = HeteroGameSpec(
+        spec = GameSpec(
             grid=make_equidistant_grid(15, 1.0),
             kernel=KERNEL,
             cross_impact=np.eye(1),
             inventories=np.array([[1.0, 1.0]]),
-            thetas=np.array([1.0, 1.0]),
+            theta=np.array([1.0, 1.0]),
             priority=np.array([[0.0, speed], [1.0 - speed, 0.0]]),
         )
         eq = solve_hetero_nash(spec)
@@ -221,12 +220,12 @@ def test_criterion_8_priority_game():
 @criterion(9, "per-agent impact scales: (0.6521, 0.2582) and (0.7975, 0.7975)")
 def test_criterion_9_impact_scale_costs():
     def costs_for(scales):
-        spec = HeteroGameSpec(
+        spec = GameSpec(
             grid=make_equidistant_grid(25, 1.0),
             kernel=KERNEL,
             cross_impact=np.eye(1),
             inventories=np.array([[1.0, 1.0]]),
-            thetas=np.array([1.5, 1.5]),
+            theta=np.array([1.5, 1.5]),
             scales=np.asarray(scales, dtype=float),
         )
         eq = solve_hetero_nash(spec)
@@ -281,12 +280,12 @@ def test_criterion_10_property_suite():
             assert abs(pair.mean_profile.sum() - 1.0) <= 1e-12
             assert abs(pair.deviation_profile.sum() - 1.0) <= 1e-12
         stacked = solve_hetero_nash(
-            HeteroGameSpec(
+            GameSpec(
                 grid=spec.grid,
                 kernel=spec.kernel,
                 cross_impact=spec.cross_impact,
                 inventories=spec.inventories,
-                thetas=np.full(spec.n_agents, spec.theta),
+                theta=np.full(spec.n_agents, spec.theta),
             )
         )
         assert np.abs(stacked.strategies - eq.strategies).max() <= 1e-8

@@ -1,10 +1,15 @@
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from impact_games.cli import ConfigError, main, read_strategies_csv, run_experiment
+from impact_games import stability
+from impact_games.cli import ConfigError, _write_csv, main, read_strategies_csv, run_experiment
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -211,7 +216,62 @@ def test_heterogeneous_config_dispatches_to_the_stacked_solver(tmp_path):
         run_experiment(dict(config, gamma=2.0), tmp_path / "x")
 
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
+def test_game_the_spec_rejects_is_a_config_error(tmp_path, capsys):
+    # inventory on an asset the first agent cannot trade
+    config = dict(MINIMAL_EQUILIBRIUM, cross_impact={"family": "identity", "size": 2})
+    config["agents"] = [
+        {"inventories": [1.0, 0.5], "mask": [1, 0]},
+        {"inventories": [1.0, 0.0]},
+    ]
+    path = write_config(tmp_path, config)
+    assert main(["equilibrium", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "config" and "untradable" in error["message"]
+
+
+def test_sweep_tol_flag_sets_each_rows_relative_bracket_width(tmp_path, monkeypatch):
+    config = {
+        "experiment": "sweep",
+        "grid": {"steps": 40},
+        "gamma": 10.0,
+        "sweep": {"points": [{"n_assets": 2, "n_agents": 3, "n_steps": 40}]},
+    }
+    path = write_config(tmp_path, config)
+    brackets = []
+    critical = stability.critical_theta
+
+    def recording(*args, **kwargs):
+        report = critical(*args, **kwargs)
+        brackets.append(report.bracket)
+        return report
+
+    monkeypatch.setattr(stability, "critical_theta", recording)
+    widths = {}
+    for tol in (1e-6, 0.05):
+        out = tmp_path / f"out{tol}"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--tol", str(tol)]) == 0
+        (row,) = json.loads((out / "report.json").read_text())["results"]["rows"]
+        lo, hi = brackets[-1]
+        assert hi - lo <= tol * row["predicted"]
+        widths[tol] = hi - lo
+    assert widths[0.05] > 1e3 * widths[1e-6]
+
+
+def test_csv_writer_formats_floats_only(tmp_path):
+    _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], [[1, np.float64(1 / 3), "x", None]])
+    assert (tmp_path / "t.csv").read_text().splitlines() == ["a,b,c,d", "1,0.333333333333,x,"]
+
+
+def test_inventory_shapes_script_writes_one_strategies_csv_per_split(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["inventory_shapes.py", "--out", str(tmp_path)])
+    scope = runpy.run_path(str(SCRIPTS / "inventory_shapes.py"), run_name="__main__")
+    for name, split in scope["SPLITS"].items():
+        times, strategies = read_strategies_csv(tmp_path / f"{name}.csv")
+        assert strategies.shape == (1, 4, 16) and times[-1] == 1.0
+        assert np.allclose(strategies.sum(axis=2), [split], atol=1e-10)
+
+
+CONFIGS = sorted((SCRIPTS / "configs").glob("*.json"))
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[path.stem for path in CONFIGS])

@@ -51,7 +51,7 @@ def test_single_trader_optimal_cost_matches_closed_form(n_steps, theta):
     eq = closed_form_equilibrium(spec)
     bundle = build_matrices(spec.grid, KERNEL, theta=theta)
     ones = np.ones(spec.grid.n_points)
-    oracle = 0.5 * inventory**2 / (ones @ guarded_solve(bundle.self_cost, ones))
+    oracle = 0.5 * inventory**2 / (ones @ guarded_solve(bundle.mv_self_cost, ones))
     assert expected_cost(spec, eq.strategies, 0) == pytest.approx(oracle, rel=1e-12)
 
 

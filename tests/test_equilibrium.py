@@ -87,7 +87,7 @@ def test_single_trader_reduces_to_transient_impact_optimum():
     eq = closed_form_equilibrium(spec)
     bundle = build_matrices(spec.grid, KERNEL, theta=0.7)
     ones = np.ones(spec.grid.n_points)
-    raw = guarded_solve(bundle.self_cost, ones)
+    raw = guarded_solve(bundle.mv_self_cost, ones)
     tim = 2.0 * raw / (ones @ raw)
     assert np.allclose(eq.strategies[0, 0], tim, atol=1e-12)
 

@@ -10,12 +10,12 @@ import pytest
 from conftest import assert_matches_printed
 from impact_games import (
     GameSpec,
-    HeteroGameSpec,
     NumericError,
     assemble_equilibrium_system,
     block_matrix,
     build_matrices,
     closed_form_equilibrium,
+    critical_theta,
     expected_cost,
     exponential_kernel,
     guarded_solve,
@@ -27,6 +27,7 @@ from impact_games import (
     payoff_matrix,
     power_law_kernel,
     rank_one_matrix,
+    solve,
     solve_hetero_nash,
     stationarity_residual,
 )
@@ -47,12 +48,12 @@ VENUE_CHOICE_COSTS = {
 def hetero_spec(inventories, thetas, n_steps=15, scales=None, priority=0.5, cross=None, mask=None):
     inventories = np.atleast_2d(np.asarray(inventories, dtype=float))
     cross = np.eye(inventories.shape[0]) if cross is None else cross
-    return HeteroGameSpec(
+    return GameSpec(
         grid=make_equidistant_grid(n_steps, 1.0),
         kernel=KERNEL,
         cross_impact=cross,
         inventories=inventories,
-        thetas=np.asarray(thetas, dtype=float),
+        theta=np.asarray(thetas, dtype=float),
         scales=scales,
         priority=priority,
         mask=mask,
@@ -148,12 +149,12 @@ def test_stationarity_on_small_random_games(rng):
     for _ in range(5):
         n_agents = int(rng.integers(2, 4))
         cross = one_factor_matrix(2, float(rng.uniform(0.1, 0.8)))
-        spec = HeteroGameSpec(
+        spec = GameSpec(
             grid=make_equidistant_grid(int(rng.integers(2, 5)), 1.0),
             kernel=KERNEL,
             cross_impact=cross,
             inventories=rng.normal(size=(2, n_agents)),
-            thetas=rng.uniform(0.2, 2.0, size=n_agents),
+            theta=rng.uniform(0.2, 2.0, size=n_agents),
             scales=rng.uniform(0.5, 2.0, size=n_agents),
         )
         eq = solve_hetero_nash(spec)
@@ -340,12 +341,12 @@ def venue_game(seed, n_assets):
     priority = np.zeros((n_agents, n_agents))
     priority[upper] = rng.uniform(0.2, 0.8, upper[0].size)
     priority[upper[::-1]] = 1.0 - priority[upper]
-    return HeteroGameSpec(
+    return GameSpec(
         grid=make_equidistant_grid(120, 1.0),
         kernel=power_law_kernel(0.5, 0.1),
         cross_impact=one_factor_matrix(n_assets, 0.6),
         inventories=inventories,
-        thetas=thetas,
+        theta=thetas,
         scales=scales,
         priority=priority,
     )
@@ -404,12 +405,12 @@ def per_cell_costs(base, mask_options):
     """Payoff table priced one cell at a time with expected_cost."""
     candidates = {}
     for mask in {tuple(m) for per_agent in mask_options for m in per_agent}:
-        uniform = HeteroGameSpec(
+        uniform = GameSpec(
             grid=base.grid,
             kernel=base.kernel,
             cross_impact=base.cross_impact,
             inventories=base.inventories,
-            thetas=base.thetas,
+            theta=base.theta,
             scales=base.scales,
             priority=base.priority,
             mask=np.repeat(np.array(mask)[:, None], base.n_agents, axis=1),
@@ -484,6 +485,12 @@ def test_payoff_cell_mismatch_prices_every_cell(rng, monkeypatch):
     assert len(calls) == (1 + reference[..., 0].size) * base.n_agents
 
 
+def test_payoff_table_rejects_non_boolean_mask_options():
+    base, options = venue_choice_game()
+    with pytest.raises(ValueError, match="mask entries"):
+        payoff_matrix(base, [[np.array([1.0, np.nan]), options[0][1]], options[1]])
+
+
 def test_cost_tables_script_prints_the_venue_choice_table(capsys):
     runpy.run_path(str(SCRIPTS / "cost_tables.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
@@ -501,16 +508,84 @@ def test_cost_tables_script_prints_the_venue_choice_table(capsys):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("field", ["cross_impact", "inventories", "thetas", "scales", "priority"])
+@pytest.mark.parametrize(
+    "field",
+    ["cross_impact", "inventories", pytest.param("theta", id="thetas"), "scales", "priority"],
+)
 def test_hetero_spec_rejects_non_finite_inputs(field, bad):
     values = {
         "cross_impact": np.eye(2),
         "inventories": np.array([[1.0, 0.5], [0.0, -0.5]]),
-        "thetas": np.array([1.0, 1.0]),
+        "theta": np.array([1.0, 1.0]),
         "scales": np.array([1.0, 1.0]),
         "priority": np.array([[0.0, 0.5], [0.5, 0.0]]),
     }
     values[field] = values[field].copy()
     values[field].flat[1] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        HeteroGameSpec(grid=make_equidistant_grid(4, 1.0), kernel=KERNEL, **values)
+        GameSpec(grid=make_equidistant_grid(4, 1.0), kernel=KERNEL, **values)
+
+
+def test_identical_agents_take_the_closed_form(rng, monkeypatch):
+    # a fee vector with equal entries and equal scales other than one still
+    # describe identical agents
+    spec = hetero_spec(rng.normal(size=(2, 3)), [0.7, 0.7, 0.7], scales=[1.3, 1.3, 1.3],
+                       cross=one_factor_matrix(2, 0.5))
+    assert spec.identical_agents
+    monkeypatch.setattr(hetero, "solve_hetero_nash", None)
+    eq = solve(spec)
+    assert np.array_equal(eq.strategies, closed_form_equilibrium(spec).strategies)
+    assert eq.fundamentals is not None
+    # a common scale multiplies every agent's objective, so the closed form
+    # is still the equilibrium
+    assert max(stationarity_residual(spec, eq.strategies, j) for j in range(3)) <= 1e-10
+
+
+@pytest.mark.parametrize("differ", ["theta", "scales", "priority", "mask"])
+def test_agents_that_differ_take_the_stacked_solve(differ, rng, monkeypatch):
+    fields = {
+        "theta": [0.4, 0.9],
+        "scales": [1.0, 0.6],
+        "priority": np.array([[0.0, 0.7], [0.3, 0.0]]),
+        "mask": np.array([[True, True], [True, False]]),
+    }
+    inventories = np.array([[1.0, -0.5], [0.3, 0.0]])
+    spec = hetero_spec(inventories, [0.5, 0.5], cross=one_factor_matrix(2, 0.4))
+    assert spec.identical_agents
+    spec = dataclasses.replace(spec, **{differ: fields[differ]})
+    assert not spec.identical_agents
+    stacked = []
+    monkeypatch.setattr(hetero, "solve_hetero_nash", lambda s: stacked.append(s) or "stacked")
+    assert solve(spec) == "stacked" and stacked == [spec]
+    with pytest.raises(ValueError, match="identical agents"):
+        closed_form_equilibrium(spec)
+    with pytest.raises(ValueError, match="identical agents"):
+        critical_theta(spec)
+
+
+def test_risk_aversion_needs_identical_agents():
+    spec = hetero_spec([[1.0, 1.0]], [1.0, 1.0])
+    assert dataclasses.replace(spec, gamma=2.0).gamma == 2.0
+    with pytest.raises(ValueError, match="identical agents"):
+        dataclasses.replace(spec, theta=[1.0, 0.5], gamma=2.0)
+    # the stacked solver has no variance term
+    with pytest.raises(ValueError, match="risk neutral"):
+        solve_hetero_nash(dataclasses.replace(spec, gamma=2.0))
+
+
+def test_crowding_exponent_acts_in_every_stacked_consumer(rng):
+    spec = uniform_game(rng, one_factor_matrix(3, 0.4))
+    crowded = dataclasses.replace(spec, beta=0.7)
+    folded = dataclasses.replace(spec, kernel=KERNEL.scaled(spec.n_agents ** -0.7))
+    strategies = solve_hetero_nash(crowded).strategies
+    assert np.array_equal(strategies, solve_hetero_nash(folded).strategies)
+    assert not np.array_equal(strategies, solve_hetero_nash(spec).strategies)
+    times = np.linspace(0.0, 1.5, 16)
+    assert np.array_equal(
+        impact_drift(crowded, strategies, times), impact_drift(folded, strategies, times)
+    )
+    for j in range(spec.n_agents):
+        assert expected_cost(crowded, strategies, j) == expected_cost(folded, strategies, j)
+        assert stationarity_residual(crowded, strategies, j) == stationarity_residual(
+            folded, strategies, j
+        )

@@ -10,14 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impact_games import (
-    GameSpec,
-    HeteroGameSpec,
-    TimeGrid,
-    closed_form_equilibrium,
-    exponential_kernel,
-    solve_hetero_nash,
-)
+from impact_games import GameSpec, TimeGrid, exponential_kernel, solve
 
 CORRUPTIONS = ("nan", "inf", "-inf", "negative", "shape")
 
@@ -72,12 +65,12 @@ def game_spec(value):
 
 
 def hetero_game_spec(value):
-    return HeteroGameSpec(
+    return GameSpec(
         grid=TimeGrid(value("points", GRID_POINTS)),
         kernel=exponential_kernel(),
         cross_impact=value("cross_impact", CROSS),
         inventories=value("inventories", INVENTORIES),
-        thetas=value("thetas", np.array([0.1, 0.4])),
+        theta=value("thetas", np.array([0.1, 0.4])),
         scales=value("scales", np.array([1.0, 0.8])),
         priority=value("priority", np.array([[0.0, 0.3], [0.7, 0.0]])),
         mask=value("mask", np.ones((2, 2))),
@@ -86,9 +79,9 @@ def hetero_game_spec(value):
 
 # spec kind -> (constructor, solver, corruptible fields)
 KINDS = {
-    "game": (game_spec, closed_form_equilibrium,
+    "game": (game_spec, solve,
              ("points", "cross_impact", "inventories", "theta", "gamma", "beta", "covariance")),
-    "hetero": (hetero_game_spec, solve_hetero_nash,
+    "hetero": (hetero_game_spec, solve,
                ("points", "cross_impact", "inventories", "thetas", "scales", "priority", "mask")),
 }
 
@@ -110,6 +103,15 @@ def assert_sound(kind, changes):
 @pytest.mark.parametrize("kind, field", [(k, f) for k, (_, _, fields) in KINDS.items() for f in fields])
 def test_each_single_corruption(kind, field, how):
     assert_sound(kind, [(field, how, 1)])
+
+
+@pytest.mark.parametrize("entry", [np.nan, -3.0, 2.0])
+def test_each_non_boolean_mask_entry(entry):
+    # a cast to bool would read each of these as tradable
+    mask = np.ones((2, 2))
+    mask[0, 1] = entry
+    with pytest.raises(ValueError, match="mask entries"):
+        hetero_game_spec(lambda name, valid: mask if name == "mask" else valid)
 
 
 @settings(max_examples=50)

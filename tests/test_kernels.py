@@ -11,6 +11,7 @@ from impact_games import (
     make_equidistant_grid,
     power_law_kernel,
 )
+from impact_games.costs import priority_cross
 from impact_games.kernels import TimeGrid
 
 
@@ -73,12 +74,15 @@ def test_two_point_exponential_bundle():
     assert np.array_equal(bundle.strict_lower, [[0.0, 0.0], [e1, 0.0]])
     assert np.array_equal(bundle.fair_priority, [[0.5, 0.0], [e1, 0.5]])
     # priority one half coincides with the fair matrix by definition
-    assert np.array_equal(bundle.priority_cross, bundle.fair_priority)
+    assert np.array_equal(priority_cross(bundle, 0.5), bundle.fair_priority)
 
 
 def test_two_point_variance_matrix():
-    bundle = build_matrices(make_equidistant_grid(1, 1.0), exponential_kernel(), var_rate=1.0)
-    assert np.array_equal(bundle.price_variance, [[0.0, 0.0], [0.0, 1.0]])
+    bundle = build_matrices(
+        make_equidistant_grid(1, 1.0), exponential_kernel(), gamma=1.0, var_rate=1.0
+    )
+    variance = bundle.mv_self_cost - bundle.kernel_matrix
+    assert np.array_equal(variance, [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_kernel_matrix_decomposition_is_exact(rng):
@@ -93,10 +97,9 @@ def test_kernel_matrix_decomposition_is_exact(rng):
 def test_priority_complement_recovers_kernel_matrix(prob):
     grid = make_equidistant_grid(6, 1.0)
     kernel = exponential_kernel(rate=0.8)
-    one = build_matrices(grid, kernel, priority_prob=prob)
-    other = build_matrices(grid, kernel, priority_prob=1.0 - prob)
-    total = one.priority_cross + other.priority_cross.T
-    assert np.allclose(total, one.kernel_matrix, rtol=0, atol=1e-15)
+    bundle = build_matrices(grid, kernel)
+    total = priority_cross(bundle, prob) + priority_cross(bundle, 1.0 - prob).T
+    assert np.allclose(total, bundle.kernel_matrix, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -118,24 +121,18 @@ def test_fee_systems_are_solvable_and_kernel_matrix_definite(kernel, theta):
 def test_kernel_scaling_hits_only_kernel_terms(factor):
     grid = make_equidistant_grid(5, 1.0)
     kernel = exponential_kernel()
-    base = build_matrices(grid, kernel, theta=0.7, gamma=2.0, priority_prob=0.3, var_rate=1.5)
-    scaled = build_matrices(
-        grid, kernel.scaled(factor), theta=0.7, gamma=2.0, priority_prob=0.3, var_rate=1.5
-    )
-    for name in ("kernel_matrix", "strict_lower", "fair_priority", "priority_cross"):
+    base = build_matrices(grid, kernel, theta=0.7, gamma=2.0, var_rate=1.5)
+    scaled = build_matrices(grid, kernel.scaled(factor), theta=0.7, gamma=2.0, var_rate=1.5)
+    for name in ("kernel_matrix", "strict_lower", "fair_priority"):
         assert np.allclose(
             getattr(scaled, name), factor * getattr(base, name), rtol=1e-14, atol=0
         )
     # the fee and risk additions are untouched by the kernel scale
     assert np.allclose(
-        scaled.self_cost - scaled.kernel_matrix,
-        base.self_cost - base.kernel_matrix,
+        scaled.mv_self_cost - scaled.kernel_matrix,
+        base.mv_self_cost - base.kernel_matrix,
         rtol=0,
         atol=1e-12,
-    )
-    assert np.array_equal(scaled.price_variance, base.price_variance)
-    assert np.allclose(
-        scaled.mv_self_cost - scaled.self_cost, base.mv_self_cost - base.self_cost, atol=1e-14
     )
 
 
@@ -146,8 +143,6 @@ def test_build_matrices_rejects_bad_parameters():
         build_matrices(grid, kernel, theta=-0.1)
     with pytest.raises(ValueError):
         build_matrices(grid, kernel, gamma=-1.0)
-    with pytest.raises(ValueError):
-        build_matrices(grid, kernel, priority_prob=1.5)
     with pytest.raises(ValueError):
         build_matrices(grid, kernel, var_rate=-2.0)
 
@@ -172,18 +167,10 @@ def test_scaled_requires_positive_factor():
         exponential_kernel().scaled(0.0)
 
 
-BUNDLE_FIELDS = (
-    "kernel_matrix",
-    "strict_lower",
-    "fair_priority",
-    "self_cost",
-    "priority_cross",
-    "price_variance",
-    "mv_self_cost",
-)
+BUNDLE_FIELDS = ("kernel_matrix", "strict_lower", "fair_priority", "mv_self_cost")
 
 
-def direct_bundle(grid, kernel, theta, gamma, priority_prob, var_rate):
+def direct_bundle(grid, kernel, theta, gamma, var_rate):
     """Every bundle matrix evaluated from scratch, without the build cache."""
     t = grid.points
     lag = t[:, None] - t[None, :]
@@ -197,9 +184,6 @@ def direct_bundle(grid, kernel, theta, gamma, priority_prob, var_rate):
         "kernel_matrix": kernel_matrix,
         "strict_lower": strict_lower,
         "fair_priority": strict_lower + 0.5 * g0 * eye,
-        "self_cost": self_cost,
-        "priority_cross": strict_lower + priority_prob * g0 * eye,
-        "price_variance": price_variance,
         "mv_self_cost": self_cost + gamma * price_variance,
     }
 
@@ -212,7 +196,7 @@ def test_build_matrices_is_bit_identical_after_a_warm_cache(kernel, rng):
     grid = TimeGrid(points)
     # warm the cache on the same grid and kernel shape with other parameters
     build_matrices(grid, kernel.scaled(3.0), theta=2.0, gamma=1.0, var_rate=0.4)
-    params = dict(theta=0.3, gamma=0.2, priority_prob=0.3, var_rate=1.7)
+    params = dict(theta=0.3, gamma=0.2, var_rate=1.7)
     bundle = build_matrices(grid, kernel.scaled(0.5), **params)
     expected = direct_bundle(grid, kernel.scaled(0.5), **params)
     for name in BUNDLE_FIELDS:
