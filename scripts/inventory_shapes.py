@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from impact_games import GameSpec, closed_form_equilibrium, exponential_kernel, make_equidistant_grid
-from impact_games.cli import _write_strategies_csv
+from impact_games._csv import write_strategies_csv
 
 SPLITS = {
     "equal": [1.0, 1.0, 1.0, 1.0],
@@ -50,7 +50,7 @@ def main():
             theta=args.theta,
         )
         eq = closed_form_equilibrium(spec)
-        _write_strategies_csv(out / f"{name}.csv", grid.points, eq.strategies)
+        write_strategies_csv(out / f"{name}.csv", grid.points, eq.strategies)
         smallest, largest = int(np.argmin(split)), int(np.argmax(split))
         small = eq.strategies[0, smallest, :]
         big = eq.strategies[0, largest, :]

@@ -18,6 +18,7 @@ from .cross_impact import (
     build_cross_impact,
     explicit_matrix,
     one_factor_matrix,
+    price_covariance,
     rank_one_matrix,
 )
 from .equilibrium import (
@@ -79,6 +80,7 @@ __all__ = [
     "rank_one_matrix",
     "block_matrix",
     "explicit_matrix",
+    "price_covariance",
     "GameSpec",
     "Equilibrium",
     "FundamentalSolutions",

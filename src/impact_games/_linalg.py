@@ -28,24 +28,32 @@ class NumericError(RuntimeError):
         self.condition = condition
 
 
+class ArgumentError(ValueError):
+    """A ValueError about one argument of a library call, named in ``argument``."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
 def _finite(name: str, values: np.ndarray) -> None:
     """Reject arrays holding NaN or infinite entries."""
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite")
+        raise ArgumentError(name, f"{name} must be finite")
 
 
 def _boolean_mask(values) -> np.ndarray:
     """``values`` as a bool array; ValueError unless every entry is a bool, 0 or 1."""
     mask = np.asarray(values)
     if mask.dtype != bool and not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("mask entries must be booleans, 0 or 1")
+        raise ArgumentError("mask", "mask entries must be booleans, 0 or 1")
     return mask.astype(bool)
 
 
 def _symmetric(name: str, matrix: np.ndarray) -> None:
     """Reject matrices asymmetric beyond 1e-10 of their largest entry (at least 1)."""
     if np.abs(matrix - matrix.T).max() > 1e-10 * max(np.abs(matrix).max(), 1.0):
-        raise ValueError(f"{name} must be symmetric")
+        raise ArgumentError(name, f"{name} must be symmetric")
 
 
 @functools.lru_cache(maxsize=1)

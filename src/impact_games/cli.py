@@ -6,31 +6,40 @@ version, echoed config with defaults filled, config hash, results, warnings)
 plus experiment-specific CSV files into the output directory. Set the
 ``IMPACT_GAMES_LOG`` environment variable (debug/info/warning) for progress
 logging.
+
+A config is checked in two steps. One walk of :data:`CONFIG_KEYS` rejects an
+unknown key, a missing required key and a value of the wrong JSON type, and
+fills in the defaults. Ranges are left to the library calls that use each
+value, and their ValueErrors come back as a :class:`ConfigError` naming the
+config path that fed the call. Either way the command exits with code 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import copy
+import dataclasses
 import hashlib
 import itertools
 import json
 import logging
-import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
+from ._csv import read_strategies_csv, write_csv, write_strategies_csv
 from ._linalg import NumericError
 from .costs import cost_report
-from .cross_impact import build_cross_impact
+from .cross_impact import build_cross_impact, price_covariance
 from .equilibrium import GameSpec
 from .hetero import payoff_matrix, solve
-from .kernels import exponential_kernel, make_equidistant_grid, power_law_kernel
+from .kernels import DecayKernel, make_equidistant_grid
 from .simulate import simulate_price, write_price_csv
 from .stability import BracketError, SweepBase, critical_theta, stability_sweep
 
@@ -39,125 +48,72 @@ logger = logging.getLogger("impact_games")
 SCHEMA_VERSION = "1.0"
 EXPERIMENTS = ("equilibrium", "costs", "payoff-matrix", "theta-critical", "sweep", "simulate")
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["experiment", "grid"],
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "grid": {
-            "type": "object",
-            "required": ["steps"],
-            "additionalProperties": False,
-            "properties": {
-                "steps": {"type": "integer", "minimum": 1},
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "kernel": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "family": {"enum": ["exponential", "power_law"]},
-                "rate": {"type": "number", "exclusiveMinimum": 0},
-                "exponent": {"type": "number", "exclusiveMinimum": 0},
-                "offset": {"type": "number", "exclusiveMinimum": 0},
-                "scale": {"type": "number", "exclusiveMinimum": 0},
-                "beta": {"type": "number", "minimum": 0},
-            },
-        },
-        "cross_impact": {
-            "type": "object",
-            "required": ["family"],
-            "properties": {"family": {"type": "string"}},
-        },
-        "agents": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["inventories"],
-                "additionalProperties": False,
-                "properties": {
-                    "inventories": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                    "theta": {"type": "number", "minimum": 0},
-                    "scale": {"type": "number", "exclusiveMinimum": 0},
-                    "mask": {"type": "array", "items": {"type": "integer", "enum": [0, 1]}},
-                    "mask_options": {
-                        "type": "array",
-                        "items": {"type": "array", "items": {"type": "integer", "enum": [0, 1]}},
-                        "minItems": 1,
-                    },
-                },
-            },
-        },
-        "n_agents": {"type": "integer", "minimum": 1},
-        "theta": {"type": "number", "minimum": 0},
-        "gamma": {"type": "number", "minimum": 0},
-        "priority": {
-            "anyOf": [
-                {"type": "number", "minimum": 0, "maximum": 1},
-                {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-            ]
-        },
-        "sigma": {
-            "anyOf": [
-                {"const": "equal_to_Q"},
-                {"type": "number", "minimum": 0},
-                {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-            ]
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "bisection": {"type": "number", "exclusiveMinimum": 0},
-                "flip": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "theta_critical": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "bracket": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                }
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "points": {"type": "array", "items": {"type": "object"}},
-                "grid": {"type": "object"},
-                "coupling": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            },
-        },
-        "simulate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "fine_steps": {"type": "integer", "minimum": 1},
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "initial_prices": {
-                    "anyOf": [
-                        {"type": "number"},
-                        {"type": "array", "items": {"type": "number"}},
-                    ]
-                },
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"dir": {"type": "string"}},
-        },
-    },
+_REQUIRED = object()
+
+
+def _identity_for_agents(cfg: dict):
+    """Default cross impact: the identity over the first agent's assets."""
+    if cfg.get("agents"):
+        return {"family": "identity", "size": len(cfg["agents"][0]["inventories"])}
+    return None
+
+
+# Every config key as a dotted pattern, "*" standing for each item of an
+# array and for any other key of an object, with the JSON types its value may
+# have ("|" between alternatives, "[]" for an array of that type) and its
+# default. A callable default is computed from the enclosing block, and None
+# means no default. An object without keys listed here is free-form. Defaults
+# are filled in this order, which fixes the key order of the echoed config.
+CONFIG_KEYS = {
+    "": ("object", _REQUIRED),
+    "experiment": ("string", _REQUIRED),
+    "grid": ("object", _REQUIRED),
+    "grid.steps": ("integer", _REQUIRED),
+    "grid.horizon": ("number", 1.0),
+    "kernel": ("object", {}),
+    "kernel.family": ("string", "exponential"),
+    "kernel.rate": ("number", lambda kernel: 1.0 if kernel["family"] == "exponential" else None),
+    "kernel.exponent": ("number", lambda kernel: 1.0 if kernel["family"] == "power_law" else None),
+    "kernel.offset": ("number", lambda kernel: 1.0 if kernel["family"] == "power_law" else None),
+    "kernel.scale": ("number", 1.0),
+    "kernel.beta": ("number", 0.0),
+    "theta": ("number", 0.0),
+    "gamma": ("number", 0.0),
+    "priority": ("number|number[][]", 0.5),
+    "sigma": ("string|number|number[][]", "equal_to_Q"),
+    "seed": ("integer", 0),
+    "tolerances": ("object", {}),
+    "tolerances.bisection": ("number", 1e-4),
+    "tolerances.flip": ("number", 1e-9),
+    "cross_impact": ("object", _identity_for_agents),
+    "cross_impact.family": ("string", _REQUIRED),
+    "cross_impact.*": ("number|number[]|number[][]", None),
+    "n_agents": ("integer", lambda cfg: len(cfg["agents"]) if "agents" in cfg else None),
+    "agents": ("array", None),
+    "agents.*": ("object", None),
+    "agents.*.inventories": ("number[]", _REQUIRED),
+    "agents.*.theta": ("number", None),
+    "agents.*.scale": ("number", None),
+    "agents.*.mask": ("integer[]", None),
+    "agents.*.mask_options": ("integer[][]", None),
+    "theta_critical": ("object", None),
+    "theta_critical.bracket": ("number[]", None),
+    "sweep": ("object", None),
+    "sweep.points": ("object[]", None),
+    "sweep.grid": ("object", None),
+    "sweep.coupling": ("number", None),
+    "simulate": ("object", None),
+    "simulate.fine_steps": ("integer", None),
+    "simulate.horizon": ("number", None),
+    "simulate.initial_prices": ("number|number[]", None),
 }
+_CHILDREN: dict = {}
+for _pattern in CONFIG_KEYS:
+    if _pattern:
+        _parent, _, _name = _pattern.rpartition(".")
+        _CHILDREN.setdefault(_parent, []).append(_name)
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
 
 
 class ConfigError(ValueError):
@@ -168,85 +124,79 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def _validate_schema(config: dict) -> None:
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        path = ".".join(str(part) for part in first.absolute_path) or "<root>"
-        raise ConfigError(first.message, field=path)
+def _join(path: str, name) -> str:
+    return f"{path}.{name}" if path else str(name)
 
 
-def _normalize_config(config: dict) -> dict:
-    """Fill defaults so the echoed config reruns identically."""
-    cfg = json.loads(json.dumps(config))  # deep copy, JSON types only
-    cfg.setdefault("grid", {}).setdefault("horizon", 1.0)
-    kernel = cfg.setdefault("kernel", {})
-    kernel.setdefault("family", "exponential")
-    if kernel["family"] == "exponential":
-        kernel.setdefault("rate", 1.0)
-    else:
-        kernel.setdefault("exponent", 1.0)
-        kernel.setdefault("offset", 1.0)
-    kernel.setdefault("scale", 1.0)
-    kernel.setdefault("beta", 0.0)
-    cfg.setdefault("theta", 0.0)
-    cfg.setdefault("gamma", 0.0)
-    cfg.setdefault("priority", 0.5)
-    cfg.setdefault("sigma", "equal_to_Q")
-    cfg.setdefault("seed", 0)
-    tol = cfg.setdefault("tolerances", {})
-    tol.setdefault("bisection", 1e-4)
-    tol.setdefault("flip", 1e-9)
-    if "agents" in cfg:
-        n_assets = len(cfg["agents"][0]["inventories"])
-        cfg.setdefault("cross_impact", {"family": "identity", "size": n_assets})
-    if "n_agents" not in cfg and "agents" in cfg:
-        cfg["n_agents"] = len(cfg["agents"])
-    return cfg
+def _is_json(value, json_type: str) -> bool:
+    """Whether ``value`` has the JSON type ``json_type``; a bool is no number."""
+    if json_type.endswith("[]"):
+        return isinstance(value, list) and all(_is_json(item, json_type[:-2]) for item in value)
+    return isinstance(value, _JSON_TYPES[json_type]) and not isinstance(value, bool)
 
 
-def _kernel_from_config(cfg: dict):
-    spec = cfg["kernel"]
-    if spec["family"] == "exponential":
-        return exponential_kernel(rate=spec["rate"], scale=spec["scale"])
-    return power_law_kernel(
-        exponent=spec["exponent"], offset=spec["offset"], scale=spec["scale"]
-    )
+def _checked(value, key: str = "", path: str = ""):
+    """Check ``value`` as the CONFIG_KEYS entry ``key`` and fill its defaults in place.
+
+    Raises ConfigError at the dotted ``path`` of a value of the wrong JSON
+    type, of an unknown key and of a missing required key. Returns ``value``.
+    """
+    types = CONFIG_KEYS[key][0]
+    if not any(_is_json(value, json_type) for json_type in types.split("|")):
+        expected = types.replace("|", " or ")
+        raise ConfigError(f"expected {expected}, got {value!r:.40}", path or "<root>")
+    children = _CHILDREN.get(key, ())
+    if isinstance(value, list) and children:
+        for index, item in enumerate(value):
+            _checked(item, _join(key, "*"), _join(path, index))
+    elif isinstance(value, dict) and children:
+        for name, item in value.items():
+            if name not in children and "*" not in children:
+                raise ConfigError("unknown key", _join(path, name))
+            _checked(item, _join(key, name if name in children else "*"), _join(path, name))
+        for name in children:
+            default = CONFIG_KEYS[_join(key, name)][1]
+            if name in value or default is None:
+                continue
+            if default is _REQUIRED:
+                raise ConfigError("missing required key", _join(path, name))
+            default = default(value) if callable(default) else copy.deepcopy(default)
+            if default is not None:
+                value[name] = _checked(default, _join(key, name), _join(path, name))
+    return value
 
 
-def _cross_impact_from_config(cfg: dict) -> np.ndarray:
-    params = dict(cfg["cross_impact"])
-    family = params.pop("family")
+@contextmanager
+def _errors_at(field: Optional[str] = None, **arguments: str):
+    """Report a ValueError of the block as a ConfigError at the config path that fed it.
+
+    An error naming one of ``arguments`` (an ``ArgumentError``) gets that
+    argument's path and any other gets ``field``; with no ``field`` it passes
+    unchanged, as does a BracketError.
+    """
     try:
-        return build_cross_impact(family, **params)
-    except TypeError as exc:
-        raise ConfigError(str(exc), field="cross_impact") from exc
+        yield
+    except (BracketError, ConfigError):
+        raise
     except ValueError as exc:
-        raise ConfigError(str(exc), field="cross_impact") from exc
+        path = arguments.get(getattr(exc, "argument", None), field)
+        if path is None:
+            raise
+        raise ConfigError(str(exc), path) from exc
 
 
-def _sigma_from_config(cfg: dict, cross: np.ndarray) -> np.ndarray:
-    sigma = cfg["sigma"]
-    if isinstance(sigma, str):
-        return cross
-    if isinstance(sigma, (int, float)):
-        return float(sigma) * np.eye(cross.shape[0])
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != cross.shape:
-        raise ConfigError("explicit sigma must match the cross-impact shape", field="sigma")
-    return sigma
+def _kernel_from_config(cfg: dict) -> DecayKernel:
+    with _errors_at("kernel"):
+        return DecayKernel(**{key: value for key, value in cfg["kernel"].items() if key != "beta"})
 
 
 def _per_asset_columns(agents: list, key: str, n_assets: int, default=None) -> np.ndarray:
-    """(n_assets, n_agents) array of each agent's per-asset ``key`` list."""
+    """(n_assets, n_agents) array of each agent's nonempty per-asset ``key`` list."""
     rows = [agent.get(key, default) for agent in agents]
     for idx, row in enumerate(rows):
-        if len(row) != n_assets:
+        if len(row) != n_assets or not row:
             raise ConfigError(
-                f"expected {n_assets} per-asset entries, got {len(row)}",
+                f"expected {n_assets or 'at least one'} per-asset entries, got {len(row)}",
                 field=f"agents.{idx}.{key}",
             )
     return np.array(rows).T
@@ -256,96 +206,79 @@ def _game_spec_from_config(cfg: dict) -> GameSpec:
     """Build the game a config describes; the spec's ValueErrors become ConfigErrors.
 
     A theta-critical config may give ``n_agents`` in place of the agents
-    array; every other experiment needs the agents.
+    array; every other experiment needs a nonempty agents array.
     """
+    agents = cfg.get("agents")
+    by_count = agents is None and cfg["experiment"] == "theta-critical" and "n_agents" in cfg
+    if not (agents or by_count):
+        raise ConfigError("this experiment needs a nonempty agents array", field="agents")
     if "cross_impact" not in cfg:
         raise ConfigError("this experiment needs a cross_impact block", field="cross_impact")
-    cross = _cross_impact_from_config(cfg)
-    agents = cfg.get("agents")
-    if agents is not None:
-        n_assets = cross.shape[0]
-        players = {
-            "inventories": _per_asset_columns(agents, "inventories", n_assets).astype(float),
-            "theta": [agent.get("theta", cfg["theta"]) for agent in agents],
-            "scales": [agent.get("scale", 1.0) for agent in agents],
-            "mask": _per_asset_columns(agents, "mask", n_assets, [1] * n_assets),
-        }
-    elif cfg["experiment"] == "theta-critical" and "n_agents" in cfg:
-        players = {"n_agents": cfg["n_agents"], "theta": cfg["theta"]}
-    else:
-        raise ConfigError("this experiment needs an agents array", field="agents")
-    grid = make_equidistant_grid(cfg["grid"]["steps"], cfg["grid"]["horizon"])
-    kernel = _kernel_from_config(cfg)
-    sigma = _sigma_from_config(cfg, cross)
+    params = dict(cfg["cross_impact"])
     try:
+        cross = build_cross_impact(params.pop("family"), **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), field="cross_impact") from exc
+    players = {"n_agents": cfg["n_agents"], "theta": cfg["theta"]}
+    if agents:
+        n_assets = cross.shape[0]
+        players.update(
+            inventories=_per_asset_columns(agents, "inventories", n_assets).astype(float),
+            theta=[agent.get("theta", cfg["theta"]) for agent in agents],
+            scales=[agent.get("scale", 1.0) for agent in agents],
+            mask=_per_asset_columns(agents, "mask", n_assets, [1] * n_assets),
+        )
+    kernel = _kernel_from_config(cfg)
+    with _errors_at("grid"):
+        grid = make_equidistant_grid(cfg["grid"]["steps"], cfg["grid"]["horizon"])
+    with _errors_at("sigma"):
+        covariance = price_covariance(cfg["sigma"], cross)
+    fees = "agents" if any("theta" in agent for agent in agents or ()) else "theta"
+    with _errors_at(
+        "<root>",
+        cross_impact="cross_impact",
+        inventories="agents",
+        n_agents="n_agents",
+        theta=fees,
+        gamma="gamma",
+        beta="kernel.beta",
+        covariance="sigma",
+        scales="agents",
+        priority="priority",
+        mask="agents",
+    ):
         return GameSpec(
             grid=grid,
             kernel=kernel,
             cross_impact=cross,
             gamma=cfg["gamma"],
             beta=cfg["kernel"]["beta"],
-            covariance=sigma,
+            covariance=covariance,
             priority=cfg["priority"],
             **players,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _round_floats(value, digits: int = 12):
-    """Round every float to the given number of significant digits."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float(f"{value:.{digits}g}")
-        return None if math.isnan(value) else value
+    """Every float rounded to ``digits`` significant digits and NaN made None; arrays as lists."""
     if isinstance(value, dict):
         return {key: _round_floats(item, digits) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round_floats(item, digits) for item in value]
-    if isinstance(value, np.generic):
-        return _round_floats(value.item(), digits)
-    if isinstance(value, np.ndarray):
-        return _round_floats(value.tolist(), digits)
+    if isinstance(value, (float, np.generic, np.ndarray)):
+        array = np.asarray(value)
+        if array.dtype.kind == "f":  # one pass over the values, formatted as the CSVs are
+            flat = [float(f"{x:.{digits}g}") for x in array.ravel().tolist()]
+            rounded = np.reshape(flat, array.shape)
+            array = np.where(np.isnan(rounded), None, rounded)
+        return array.tolist()
     return value
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    """CSV with floats written to 12 significant digits, ints and strings as they are."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(f"{value:.12g}" if isinstance(value, float) else value for value in row)
-
-
-def _write_strategies_csv(path: Path, grid_points: np.ndarray, strategies: np.ndarray) -> None:
-    n_assets, n_agents, _ = strategies.shape
-    pairs = [(i, j) for i in range(n_assets) for j in range(n_agents)]
-    _write_csv(
-        path,
-        ["time"] + [f"asset{i + 1}_agent{j + 1}" for i, j in pairs],
-        ([t] + [strategies[i, j, k] for i, j in pairs] for k, t in enumerate(grid_points)),
-    )
-
-
-def read_strategies_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the strategies CSV writer: (times, (M, J, N+1) array)."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    header, data = rows[0], np.asarray(rows[1:], dtype=float)
-    labels = [name.removeprefix("asset").split("_agent") for name in header[1:]]
-    n_assets = max(int(a) for a, _ in labels)
-    n_agents = max(int(j) for _, j in labels)
-    strategies = np.empty((n_assets, n_agents, data.shape[0]))
-    for col, (asset, agent) in enumerate(labels):
-        strategies[int(asset) - 1, int(agent) - 1, :] = data[:, col + 1]
-    return data[:, 0], strategies
 
 
 def _run_equilibrium(cfg: dict, out: Path) -> dict:
     spec = _game_spec_from_config(cfg)
     eq = solve(spec)
-    _write_strategies_csv(out / "strategies.csv", spec.grid.points, eq.strategies)
+    write_strategies_csv(out / "strategies.csv", spec.grid.points, eq.strategies)
     return {
         "n_assets": spec.n_assets,
         "n_agents": spec.n_agents,
@@ -360,8 +293,8 @@ def _run_costs(cfg: dict, out: Path) -> dict:
     spec = _game_spec_from_config(cfg)
     eq = solve(spec)
     report = cost_report(spec, eq.strategies)
-    _write_strategies_csv(out / "strategies.csv", spec.grid.points, eq.strategies)
-    _write_csv(
+    write_strategies_csv(out / "strategies.csv", spec.grid.points, eq.strategies)
+    write_csv(
         out / "costs.csv",
         ["agent", "expected_cost", "variance", "mean_variance"],
         zip(range(1, spec.n_agents + 1), report.expected, report.variance, report.mean_variance),
@@ -376,14 +309,11 @@ def _run_costs(cfg: dict, out: Path) -> dict:
 
 def _run_payoff_matrix(cfg: dict, out: Path) -> dict:
     spec = _game_spec_from_config(cfg)
-    options = []
-    for j, agent in enumerate(cfg["agents"]):
-        if "mask_options" not in agent:
-            raise ConfigError("payoff-matrix needs mask_options", f"agents.{j}.mask_options")
-        options.append([np.asarray(mask, dtype=bool) for mask in agent["mask_options"]])
-    table = payoff_matrix(spec, options)
+    options = [agent.get("mask_options", []) for agent in cfg["agents"]]
+    with _errors_at("agents"):
+        table = payoff_matrix(spec, options)
     combos = itertools.product(*(range(len(per)) for per in options))
-    _write_csv(
+    write_csv(
         out / "payoff.csv",
         [f"option_agent{j + 1}" for j in range(spec.n_agents)]
         + [f"cost_agent{j + 1}" for j in range(spec.n_agents)]
@@ -403,16 +333,18 @@ def _run_payoff_matrix(cfg: dict, out: Path) -> dict:
 
 def _run_theta_critical(cfg: dict, out: Path, warnings: list) -> dict:
     spec = _game_spec_from_config(cfg)
-    bracket = cfg.get("theta_critical", {}).get("bracket")
-    report = critical_theta(
-        spec,
-        bracket=tuple(bracket) if bracket else None,
-        tol=cfg["tolerances"]["bisection"],
-        rel_tol=cfg["tolerances"]["flip"],
-    )
+    with _errors_at(
+        tol="tolerances.bisection", rel_tol="tolerances.flip", bracket="theta_critical.bracket"
+    ):
+        report = critical_theta(
+            spec,
+            bracket=cfg.get("theta_critical", {}).get("bracket"),
+            tol=cfg["tolerances"]["bisection"],
+            rel_tol=cfg["tolerances"]["flip"],
+        )
     if report.method == "scan":
         warnings.append("bisection verdicts were not monotone; estimate comes from a grid scan")
-    _write_csv(
+    write_csv(
         out / "trace.csv",
         ["theta", "unstable"],
         ((theta, int(unstable)) for theta, unstable in report.trace),
@@ -440,20 +372,27 @@ def _run_sweep(cfg: dict, out: Path, warnings: list) -> dict:
         points = [dict(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
     else:
         raise ConfigError("sweep needs either points or grid", "sweep")
-    base = SweepBase(
-        kernel=_kernel_from_config(cfg),
-        horizon=cfg["grid"]["horizon"],
-        coupling=sweep_cfg.get("coupling", 0.5),
-        gamma=cfg["gamma"],
-        beta=cfg["kernel"]["beta"],
-        rel_tol=cfg["tolerances"]["bisection"],
-        flip_tol=cfg["tolerances"]["flip"],
-    )
+    with _errors_at(
+        coupling="sweep.coupling",
+        sigma="sigma",
+        rel_tol="tolerances.bisection",
+        flip_tol="tolerances.flip",
+    ):
+        base = SweepBase(
+            kernel=_kernel_from_config(cfg),
+            horizon=cfg["grid"]["horizon"],
+            coupling=sweep_cfg.get("coupling", 0.5),
+            gamma=cfg["gamma"],
+            beta=cfg["kernel"]["beta"],
+            sigma=cfg["sigma"],
+            rel_tol=cfg["tolerances"]["bisection"],
+            flip_tol=cfg["tolerances"]["flip"],
+        )
     rows = stability_sweep(points, base)
     failed = [row for row in rows if row.error]
     if failed:
         warnings.append(f"{len(failed)} of {len(rows)} sweep rows failed; see the rows")
-    _write_csv(
+    write_csv(
         out / "sweep.csv",
         ["n_assets", "n_agents", "n_steps", "gamma", "beta"]
         + ["estimate", "predicted", "rel_discrepancy", "method", "error"],
@@ -465,17 +404,7 @@ def _run_sweep(cfg: dict, out: Path, warnings: list) -> dict:
         ),
     )
     return {
-        "rows": [
-            {
-                "params": row.params,
-                "estimate": row.estimate,
-                "predicted": row.predicted,
-                "rel_discrepancy": row.rel_discrepancy,
-                "method": row.method,
-                "error": row.error,
-            }
-            for row in rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in rows],
         "files": {"sweep": "sweep.csv"},
     }
 
@@ -484,15 +413,16 @@ def _run_simulate(cfg: dict, out: Path) -> dict:
     spec = _game_spec_from_config(cfg)
     eq = solve(spec)
     sim_cfg = cfg.get("simulate", {})
-    path = simulate_price(
-        spec,
-        eq.strategies,
-        initial_prices=sim_cfg.get("initial_prices", 0.0),
-        fine_steps=sim_cfg.get("fine_steps", 10),
-        horizon=sim_cfg.get("horizon"),
-        seed=cfg["seed"],
-    )
-    _write_strategies_csv(out / "strategies.csv", spec.grid.points, eq.strategies)
+    with _errors_at("simulate", seed="seed"):
+        path = simulate_price(
+            spec,
+            eq.strategies,
+            initial_prices=sim_cfg.get("initial_prices", 0.0),
+            fine_steps=sim_cfg.get("fine_steps", 10),
+            horizon=sim_cfg.get("horizon"),
+            seed=cfg["seed"],
+        )
+    write_strategies_csv(out / "strategies.csv", spec.grid.points, eq.strategies)
     write_price_csv(path, out / "path.csv")
     return {
         "seed": path.seed,
@@ -504,14 +434,15 @@ def _run_simulate(cfg: dict, out: Path) -> dict:
 
 
 def run_experiment(config: dict, out_dir) -> dict:
-    """Validate, dispatch, and write the run report; returns the report."""
-    _validate_schema(config)
-    cfg = _normalize_config(config)
+    """Check the config, fill its defaults, run it and write the report; returns the report."""
+    cfg = _checked(copy.deepcopy(config))
+    experiment = cfg["experiment"]
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"expected one of {', '.join(EXPERIMENTS)}", field="experiment")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
     started = time.perf_counter()
-    experiment = cfg["experiment"]
     logger.info("running %s experiment into %s", experiment, out)
     runners = {
         "equilibrium": lambda: _run_equilibrium(cfg, out),
@@ -575,24 +506,17 @@ def main(argv=None) -> int:
             config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         return fail(exc, "config", 2)
-    if not isinstance(config, dict):
-        return fail(ConfigError("config must be a JSON object"), "config", 2)
-    if config.get("experiment", args.experiment) != args.experiment:
-        return fail(
-            ConfigError(
-                f"config is for {config.get('experiment')!r}, invoked as {args.experiment!r}",
-                field="experiment",
-            ),
-            "config",
-            2,
-        )
-    config["experiment"] = args.experiment
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.tol is not None:
-        config.setdefault("tolerances", {})["bisection"] = args.tol
-
     try:
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
+        if config.get("experiment", args.experiment) != args.experiment:
+            mismatch = f"config is for {config.get('experiment')!r}, invoked as {args.experiment!r}"
+            raise ConfigError(mismatch, field="experiment")
+        config["experiment"] = args.experiment
+        if args.seed is not None:
+            config["seed"] = args.seed
+        if args.tol is not None:
+            config.setdefault("tolerances", {})["bisection"] = args.tol
         report = run_experiment(config, args.out)
     except ConfigError as exc:
         return fail(exc, "config", 2)

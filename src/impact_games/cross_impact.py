@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import _symmetric
+from ._linalg import ArgumentError, _symmetric
 
 __all__ = [
     "one_factor_matrix",
@@ -21,6 +21,7 @@ __all__ = [
     "block_matrix",
     "explicit_matrix",
     "build_cross_impact",
+    "price_covariance",
     "SpectralReport",
     "analyze_cross_impact",
 ]
@@ -104,6 +105,27 @@ def build_cross_impact(family: str, **params) -> np.ndarray:
     if family not in builders:
         raise ValueError(f"unknown cross-impact family {family!r}")
     return builders[family](**params)
+
+
+def price_covariance(sigma, cross_impact: np.ndarray) -> np.ndarray:
+    """Covariance rate of the unaffected price described by ``sigma``.
+
+    ``"equal_to_Q"`` gives the cross-impact matrix, a finite number s >= 0
+    gives ``s I``, and an (M, M) array is taken as it is; the spec checks
+    that a matrix is symmetric and positive semidefinite.
+    """
+    if isinstance(sigma, str):
+        if sigma != "equal_to_Q":
+            raise ArgumentError("sigma", f"sigma must be 'equal_to_Q' if a string, got {sigma!r}")
+        return cross_impact
+    matrix = np.asarray(sigma, dtype=float)
+    if matrix.ndim == 0:
+        if not (np.isfinite(matrix) and matrix >= 0.0):
+            raise ArgumentError("sigma", f"a scalar sigma must be finite and >= 0, got {sigma!r}")
+        return float(matrix) * np.eye(len(cross_impact))
+    if matrix.shape != np.shape(cross_impact):
+        raise ArgumentError("sigma", "explicit sigma must match the cross-impact shape")
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ._linalg import _boolean_mask, _finite, _symmetric, guarded_solve
+from ._linalg import ArgumentError, _boolean_mask, _finite, _symmetric, guarded_solve
 from .cross_impact import SpectralReport, analyze_cross_impact
 from .kernels import DecayKernel, MatrixBundle, TimeGrid, build_matrices
 
@@ -71,6 +71,8 @@ class GameSpec:
         is broadcast to all pairs.
     mask : (M, J) array of tradable assets with bool or 0/1 entries;
         inventories must vanish on masked entries. Full when omitted.
+
+    An invalid argument raises an ``ArgumentError``, a ValueError naming it.
     """
 
     grid: TimeGrid
@@ -89,7 +91,7 @@ class GameSpec:
     def __post_init__(self):
         q = np.asarray(self.cross_impact, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("cross_impact must be a square matrix")
+            raise ArgumentError("cross_impact", "cross_impact must be a square matrix")
         _finite("cross_impact", q)
         _symmetric("cross_impact", q)
         object.__setattr__(self, "cross_impact", q)
@@ -98,31 +100,32 @@ class GameSpec:
         inv = self.inventories
         if inv is None:
             if self.n_agents is None:
-                raise ValueError("provide inventories or n_agents")
+                raise ArgumentError("n_agents", "provide inventories or n_agents")
             inv = np.zeros((m, int(self.n_agents)))
         inv = np.atleast_2d(np.asarray(inv, dtype=float))
         _finite("inventories", inv)
         if inv.shape[0] != m:
-            raise ValueError(
-                f"inventories have {inv.shape[0]} asset rows, cross_impact is {m}x{m}"
+            raise ArgumentError(
+                "inventories",
+                f"inventories have {inv.shape[0]} asset rows, cross_impact is {m}x{m}",
             )
         if self.n_agents is not None and inv.shape[1] != self.n_agents:
-            raise ValueError("n_agents disagrees with the inventory column count")
+            raise ArgumentError("n_agents", "n_agents disagrees with the inventory column count")
         object.__setattr__(self, "inventories", inv)
         n_agents = inv.shape[1]
         object.__setattr__(self, "n_agents", n_agents)
         if n_agents < 1:
-            raise ValueError("need at least one agent")
+            raise ArgumentError("n_agents", "need at least one agent")
 
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim and theta.shape != (n_agents,):
-            raise ValueError("theta must be a scalar or one fee per agent")
+            raise ArgumentError("theta", "theta must be a scalar or one fee per agent")
         for name, value in (("theta", theta), ("gamma", self.gamma), ("beta", self.beta)):
             value = np.asarray(value, dtype=float)
             if value.ndim and name != "theta":
-                raise ValueError(f"{name} must be a scalar")
+                raise ArgumentError(name, f"{name} must be a scalar")
             if not (np.all(np.isfinite(value)) and np.all(value >= 0.0)):
-                raise ValueError(f"{name} must be finite and nonnegative")
+                raise ArgumentError(name, f"{name} must be finite and nonnegative")
         object.__setattr__(self, "theta", theta.copy() if theta.ndim else float(theta))
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "beta", float(self.beta))
@@ -131,7 +134,7 @@ class GameSpec:
         scales = np.broadcast_to(np.asarray(scales, dtype=float), (n_agents,)).copy()
         _finite("scales", scales)
         if np.any(scales <= 0.0):
-            raise ValueError("per-agent impact scales must be positive")
+            raise ArgumentError("scales", "per-agent impact scales must be positive")
         object.__setattr__(self, "scales", scales)
 
         prio = np.asarray(self.priority, dtype=float)
@@ -140,37 +143,40 @@ class GameSpec:
             prio = np.full((n_agents, n_agents), float(prio))
             np.fill_diagonal(prio, 0.0)
         if prio.shape != (n_agents, n_agents):
-            raise ValueError("priority must be scalar or a (J, J) matrix")
+            raise ArgumentError("priority", "priority must be scalar or a (J, J) matrix")
         if np.any(prio < 0.0) or np.any(prio > 1.0):
-            raise ValueError("priority probabilities must lie in [0, 1]")
+            raise ArgumentError("priority", "priority probabilities must lie in [0, 1]")
         off = ~np.eye(n_agents, dtype=bool)
         if n_agents > 1 and np.abs((prio + prio.T)[off] - 1.0).max() > 1e-12:
-            raise ValueError("priority[j, l] + priority[l, j] must equal 1 for j != l")
+            raise ArgumentError(
+                "priority", "priority[j, l] + priority[l, j] must equal 1 for j != l"
+            )
         object.__setattr__(self, "priority", prio)
 
         mask = np.ones(inv.shape, dtype=bool) if self.mask is None else _boolean_mask(self.mask)
         if mask.shape != inv.shape:
-            raise ValueError("mask must have the same shape as the inventories")
+            raise ArgumentError("mask", "mask must have the same shape as the inventories")
         if np.any((inv != 0.0) & ~mask):
-            raise ValueError("inventories must be zero on untradable assets")
+            raise ArgumentError("mask", "inventories must be zero on untradable assets")
         object.__setattr__(self, "mask", mask)
 
         if self.gamma > 0.0 and not self.identical_agents:
-            raise ValueError("risk aversion is only supported with identical agents")
+            raise ArgumentError("gamma", "risk aversion is only supported with identical agents")
         if self.covariance is not None:
             sigma = np.asarray(self.covariance, dtype=float)
             if sigma.shape != q.shape:
-                raise ValueError("covariance must match the cross-impact shape")
+                raise ArgumentError("covariance", "covariance must match the cross-impact shape")
             _finite("covariance", sigma)
             _symmetric("covariance", sigma)
             if np.min(np.linalg.eigvalsh(sigma)) < -1e-10 * max(np.abs(sigma).max(), 1.0):
-                raise ValueError("covariance must be positive semidefinite")
+                raise ArgumentError("covariance", "covariance must be positive semidefinite")
             object.__setattr__(self, "covariance", sigma)
             if self.gamma > 0.0:
                 comm = np.linalg.norm(q @ sigma - sigma @ q)
                 bound = _COMMUTE_TOL * max(np.linalg.norm(q) * np.linalg.norm(sigma), 1e-300)
                 if comm > bound:
-                    raise ValueError(
+                    raise ArgumentError(
+                        "covariance",
                         "cross-impact and covariance matrices must commute when "
                         "risk aversion is positive (their eigenbases must agree)"
                     )

@@ -93,7 +93,8 @@ class DecayKernel:
       offset keeps the value at lag zero finite)
 
     ``scale`` is a uniform multiplier; crowding adjustments of the form
-    ``n_agents ** -beta`` are folded into it via :meth:`scaled`.
+    ``n_agents ** -beta`` are folded into it via :meth:`scaled`. Every
+    parameter must be finite and positive, also one the family does not use.
     """
 
     family: str
@@ -106,15 +107,9 @@ class DecayKernel:
         if self.family not in ("exponential", "power_law"):
             raise ValueError(f"unknown kernel family {self.family!r}")
         _finite("kernel parameters", np.array([self.rate, self.exponent, self.offset, self.scale]))
-        if not self.scale > 0.0:
-            raise ValueError("kernel scale must be positive")
-        if self.family == "exponential" and not self.rate > 0.0:
-            raise ValueError("exponential kernel needs a positive decay rate")
-        if self.family == "power_law":
-            if not self.exponent > 0.0:
-                raise ValueError("power-law kernel needs a positive exponent")
-            if not self.offset > 0.0:
-                raise ValueError("power-law kernel needs a positive time offset")
+        for name in ("rate", "exponent", "offset", "scale"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"kernel {name} must be positive, got {getattr(self, name)!r}")
 
     def __call__(self, lag):
         lag = np.asarray(lag, dtype=float)

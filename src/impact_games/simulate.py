@@ -8,11 +8,14 @@ prices only after t_k.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from ._csv import write_csv
+from ._linalg import ArgumentError
+from .cross_impact import price_covariance
 
 GENERATOR_ID = "numpy-default_rng(PCG64)-standard_normal"
 
@@ -38,13 +41,13 @@ class PricePath:
 
 def _fine_grid(trading_times: np.ndarray, fine_steps: int, horizon: float) -> np.ndarray:
     if fine_steps < 1:
-        raise ValueError("fine_steps must be at least 1")
+        raise ArgumentError("fine_steps", "fine_steps must be at least 1")
     segments = [np.array([trading_times[0]])]
     for left, right in zip(trading_times[:-1], trading_times[1:]):
         segments.append(np.linspace(left, right, fine_steps + 1)[1:])
     fine = np.concatenate(segments)
-    if horizon < trading_times[-1]:
-        raise ValueError("horizon must cover the whole trading session")
+    if not (np.isfinite(horizon) and horizon >= trading_times[-1]):
+        raise ArgumentError("horizon", "horizon must be finite and cover the whole trading session")
     if horizon > trading_times[-1]:
         step = (trading_times[-1] - trading_times[0]) / (len(trading_times) - 1) / fine_steps
         extra = np.arange(trading_times[-1] + step, horizon + 0.5 * step, step)
@@ -95,10 +98,11 @@ def simulate_price(
         contains every trading time by construction).
     horizon : final simulation time, at least the trading horizon; the grid
         is extended past the session with the same resolution.
-    seed : seed for the random generator; identical seeds give identical paths.
-    covariance : covariance rate of the unaffected price. A scalar is taken
-        as a per-asset variance rate; defaults to the spec's covariance, or
-        zero if the spec has none.
+    seed : nonnegative integer seed of the random generator; identical seeds
+        give identical paths.
+    covariance : covariance rate of the unaffected price, as ``sigma`` of
+        :func:`price_covariance` (a scalar is a per-asset variance rate);
+        defaults to the spec's covariance, or zero if the spec has none.
     """
     strategies = np.asarray(strategies, dtype=float)
     n_assets = spec.n_assets
@@ -106,20 +110,16 @@ def simulate_price(
         raise ValueError("strategies do not match the spec dimensions")
 
     if covariance is None:
-        covariance = spec.covariance
-    if covariance is None:
-        covariance = np.zeros((n_assets, n_assets))
-    covariance = np.asarray(covariance, dtype=float)
-    if covariance.ndim == 0:
-        covariance = float(covariance) * np.eye(n_assets)
-    if covariance.shape != (n_assets, n_assets):
-        raise ValueError("covariance must be a scalar or an (M, M) matrix")
+        covariance = 0.0 if spec.covariance is None else spec.covariance
+    covariance = price_covariance(covariance, spec.cross_impact)
 
     start = np.broadcast_to(np.asarray(initial_prices, dtype=float), (n_assets,))
     if horizon is None:
         horizon = spec.grid.horizon
     times = _fine_grid(spec.grid.points, int(fine_steps), float(horizon))
 
+    if int(seed) != seed or seed < 0:
+        raise ArgumentError("seed", f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((times.size - 1, n_assets))
     root = _covariance_root(covariance)
@@ -145,9 +145,5 @@ def write_price_csv(path: PricePath, filename) -> None:
     header = ["time"]
     for name in ("unaffected", "affected", "drift"):
         header.extend(f"{name}_{i + 1}" for i in range(n_assets))
-    with open(filename, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in range(path.times.size):
-            values = [path.times[row], *path.unaffected[row], *path.affected[row], *path.drift[row]]
-            writer.writerow(f"{value:.12g}" for value in values)
+    columns = [path.times[:, None], path.unaffected, path.affected, path.drift]
+    write_csv(filename, header, np.hstack(columns).tolist())

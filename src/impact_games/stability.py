@@ -26,13 +26,13 @@ the dense path.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
 
-from ._linalg import NumericError, guarded_solve, single_blas_thread
-from .cross_impact import one_factor_matrix
+from ._linalg import ArgumentError, NumericError, guarded_solve, single_blas_thread
+from .cross_impact import one_factor_matrix, price_covariance
 from .equilibrium import (
     FundamentalSolutions,
     GameSpec,
@@ -419,6 +419,13 @@ def _checked_bisection(
     return estimate, final_bracket, trace, method, flags_below, paths
 
 
+def _check_positive(**values: float) -> None:
+    """ArgumentError naming the first value that is not finite and positive."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0.0):
+            raise ArgumentError(name, f"{name} must be finite and positive, got {value!r}")
+
+
 def critical_theta(
     spec: GameSpec,
     bracket: Optional[Tuple[float, float]] = None,
@@ -432,10 +439,10 @@ def critical_theta(
     ----------
     spec : game with identical agents; the stored fee and inventories are
         ignored.
-    bracket : (lo, hi) with an unstable verdict at lo and a stable one at hi.
-        Defaults to (0, 2x the many-agent prediction).
+    bracket : (lo, hi) with an unstable verdict at lo and a stable one at hi,
+        both finite. Defaults to (0, 2x the many-agent prediction).
     tol : final bracket width for the bisection, finite and positive.
-    rel_tol : relative flip-detection tolerance.
+    rel_tol : relative flip-detection tolerance, finite and positive.
     scan_points : resolution of the fallback scan when bisection detects a
         non-monotone verdict.
 
@@ -456,11 +463,12 @@ def critical_theta(
                 "no default bracket available (prediction is zero); pass one explicitly"
             )
         bracket = (0.0, 2.0 * conjecture)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_positive(tol=tol, rel_tol=rel_tol)
+    if len(bracket) != 2:
+        raise ArgumentError("bracket", f"bracket must be a pair (lo, hi), got {bracket!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError(f"bracket ends must be finite, got {bracket!r}")
+        raise ArgumentError("bracket", f"bracket ends must be finite, got {bracket!r}")
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got {bracket!r}")
 
@@ -498,8 +506,11 @@ class SweepBase:
 
     Each sweep point describes one market through (n_assets, n_agents,
     n_steps, gamma, beta); the cross-impact matrix is one-factor with the
-    given coupling, and the price covariance equals the cross-impact matrix
-    unless ``covariance_mode`` is "none".
+    given coupling in (0, 1), and the price covariance is ``sigma`` resolved
+    against it by :func:`price_covariance`. Each row bisects the bracket
+    (0, 2x the row's prediction) down to ``rel_tol`` times the prediction;
+    ``flip_tol`` is the flip-detection tolerance. Both are finite and
+    positive.
     """
 
     kernel: DecayKernel
@@ -507,10 +518,16 @@ class SweepBase:
     coupling: float = 0.5
     gamma: float = 0.0
     beta: float = 0.0
-    covariance_mode: str = "cross_impact"
-    bracket_factor: float = 2.0
+    sigma: Union[str, float, np.ndarray] = "equal_to_Q"
     rel_tol: float = 1e-3
     flip_tol: float = DEFAULT_FLIP_TOL
+
+    def __post_init__(self):
+        if not 0.0 < self.coupling < 1.0:
+            raise ArgumentError("coupling", f"coupling must lie in (0, 1), got {self.coupling!r}")
+        _check_positive(rel_tol=self.rel_tol, flip_tol=self.flip_tol)
+        if np.ndim(self.sigma) == 0:  # a matrix sigma is checked against each row's size
+            price_covariance(self.sigma, np.eye(1))
 
 
 @dataclass(frozen=True)
@@ -531,8 +548,6 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
     n_assets=1, n_agents=2, n_steps=100 as final defaults). Failures are
     recorded per row and do not stop the sweep.
     """
-    if base.covariance_mode not in ("cross_impact", "none"):
-        raise ValueError(f"unknown covariance mode {base.covariance_mode!r}")
     rows: List[SweepRow] = []
     for point in points:
         params = {
@@ -542,9 +557,12 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
             "gamma": float(point.get("gamma", base.gamma)),
             "beta": float(point.get("beta", base.beta)),
         }
+        predicted = float("nan")
         try:
             cross = one_factor_matrix(params["n_assets"], base.coupling)
-            covariance = cross if base.covariance_mode == "cross_impact" else None
+            predicted = predicted_theta_star(
+                cross, base.kernel.at_zero, params["n_agents"], params["beta"], "conjecture"
+            )
             spec = GameSpec(
                 grid=make_equidistant_grid(params["n_steps"], base.horizon),
                 kernel=base.kernel,
@@ -552,14 +570,11 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
                 n_agents=params["n_agents"],
                 gamma=params["gamma"],
                 beta=params["beta"],
-                covariance=covariance,
-            )
-            predicted = predicted_theta_star(
-                cross, base.kernel.at_zero, params["n_agents"], params["beta"], "conjecture"
+                covariance=price_covariance(base.sigma, cross),
             )
             report = critical_theta(
                 spec,
-                bracket=(0.0, base.bracket_factor * predicted),
+                bracket=(0.0, 2.0 * predicted),
                 tol=max(base.rel_tol * predicted, 1e-12),
                 rel_tol=base.flip_tol,
             )
@@ -574,17 +589,6 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
                 )
             )
         except (ValueError, NumericError) as exc:  # record and continue with the next row
-            predicted = float("nan")
-            try:
-                predicted = predicted_theta_star(
-                    one_factor_matrix(params["n_assets"], base.coupling),
-                    base.kernel.at_zero,
-                    params["n_agents"],
-                    params["beta"],
-                    "conjecture",
-                )
-            except (ValueError, NumericError):
-                pass
             rows.append(
                 SweepRow(
                     params=params,

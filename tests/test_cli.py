@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -7,7 +9,14 @@ import numpy as np
 import pytest
 
 from impact_games import stability
-from impact_games.cli import ConfigError, _write_csv, main, read_strategies_csv, run_experiment
+from impact_games._csv import write_csv
+from impact_games.cli import (
+    ConfigError,
+    _round_floats,
+    main,
+    read_strategies_csv,
+    run_experiment,
+)
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -68,6 +77,115 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     # experiment mismatch between the flag and the config body
     assert main(["costs", "--config", str(ok_path), "--out", str(tmp_path / "o3")]) == 2
+
+
+def with_value(config, dotted, value):
+    """Copy of ``config`` with ``value`` at the dotted key (blocks made as needed)."""
+    config = copy.deepcopy(config)
+    *parents, last = dotted.split(".")
+    block = config
+    for key in parents:
+        block = block[int(key)] if isinstance(block, list) else block.setdefault(key, {})
+    block[int(last) if isinstance(block, list) else last] = value
+    return config
+
+
+SIMULATE = dict(MINIMAL_EQUILIBRIUM, experiment="simulate")
+THETA_CRITICAL = {
+    "experiment": "theta-critical",
+    "grid": {"steps": 20},
+    "cross_impact": {"family": "identity", "size": 1},
+    "n_agents": 2,
+}
+SWEEP = {
+    "experiment": "sweep",
+    "grid": {"steps": 20},
+    "sweep": {"points": [{"n_assets": 1, "n_agents": 2, "n_steps": 20}]},
+}
+# (config, dotted key, bad value, field the JSON schema of earlier versions
+# reported), each in an experiment that uses the value; the field may now be
+# a config block enclosing that path
+SCHEMA_CONSTRAINTS = [
+    (MINIMAL_EQUILIBRIUM, "grid.steps", 0, "grid.steps"),
+    (MINIMAL_EQUILIBRIUM, "grid.horizon", 0, "grid.horizon"),
+    (MINIMAL_EQUILIBRIUM, "kernel.rate", 0, "kernel.rate"),
+    (MINIMAL_EQUILIBRIUM, "kernel.offset", -1, "kernel.offset"),
+    (MINIMAL_EQUILIBRIUM, "kernel.beta", -1, "kernel.beta"),
+    (MINIMAL_EQUILIBRIUM, "theta", -1, "theta"),
+    (MINIMAL_EQUILIBRIUM, "gamma", -1, "gamma"),
+    (MINIMAL_EQUILIBRIUM, "n_agents", 0, "n_agents"),
+    (MINIMAL_EQUILIBRIUM, "priority", 1.5, "priority"),
+    (MINIMAL_EQUILIBRIUM, "sigma", -1, "sigma"),
+    (MINIMAL_EQUILIBRIUM, "sigma", "foo", "sigma"),
+    (SIMULATE, "seed", -1, "seed"),
+    (MINIMAL_EQUILIBRIUM, "agents", [], "agents"),
+    (MINIMAL_EQUILIBRIUM, "agents.0.inventories", [], "agents.0.inventories"),
+    (MINIMAL_EQUILIBRIUM, "agents.0.theta", -1, "agents.0.theta"),
+    (MINIMAL_EQUILIBRIUM, "agents.0.scale", 0, "agents.0.scale"),
+    (MINIMAL_EQUILIBRIUM, "agents.0.mask", [2], "agents.0.mask.0"),
+    (SIMULATE, "simulate.fine_steps", 0, "simulate.fine_steps"),
+    (SIMULATE, "simulate.horizon", 0, "simulate.horizon"),
+    (THETA_CRITICAL, "tolerances.bisection", 0, "tolerances.bisection"),
+    (SWEEP, "tolerances.bisection", -1, "tolerances.bisection"),
+    (THETA_CRITICAL, "tolerances.flip", 0, "tolerances.flip"),
+    (THETA_CRITICAL, "theta_critical.bracket", [0, 1, 2], "theta_critical.bracket"),
+    (SWEEP, "sweep.coupling", 1.5, "sweep.coupling"),
+]
+# a wrong JSON type or an unknown key is reported at its own dotted path;
+# output.dir was accepted by earlier versions
+EXACT_FIELDS = [
+    (MINIMAL_EQUILIBRIUM, "grid.steps", "15", "grid.steps"),
+    (MINIMAL_EQUILIBRIUM, "grid.stpes", 15, "grid.stpes"),
+    (MINIMAL_EQUILIBRIUM, "bogus", 15, "bogus"),
+    (MINIMAL_EQUILIBRIUM, "output.dir", "out", "output"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, field, exact",
+    [(with_value(c, key, value), field, False) for c, key, value, field in SCHEMA_CONSTRAINTS]
+    + [(with_value(c, key, value), field, True) for c, key, value, field in EXACT_FIELDS],
+    ids=[f"{key}={value!r}" for _, key, value, _ in SCHEMA_CONSTRAINTS + EXACT_FIELDS],
+)
+def test_bad_config_exits_2_and_names_its_field(tmp_path, capsys, config, field, exact):
+    path = write_config(tmp_path, config)
+    assert main([config["experiment"], "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "config"
+    assert error["field"] == field or (not exact and field.startswith(error["field"] + "."))
+
+
+def test_sweep_honours_sigma(tmp_path):
+    config = {
+        "experiment": "sweep",
+        "grid": {"steps": 40},
+        "gamma": 10.0,
+        "sweep": {"points": [{"n_assets": 2, "n_agents": 3, "n_steps": 40}]},
+    }
+
+    def estimate(**changes):
+        report = run_experiment(dict(config, **changes), tmp_path / json.dumps(changes))
+        return report["results"]["rows"][0]["estimate"]
+
+    assert estimate() == estimate(sigma="equal_to_Q") == 0.741279602051
+    # a zero price covariance leaves no risk term: the risk-neutral estimate
+    assert estimate(sigma=0) == estimate(gamma=0.0) == 0.708824157715
+
+
+def test_report_arrays_round_like_each_float():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, size=(40, 3))
+    values[0] = [np.nan, np.inf, -0.0]
+    values[1] = [1 / 3, 2.5e-12, 123456789.1234567]
+
+    def reference(x):
+        return None if math.isnan(x) else float(f"{x:.12g}") if math.isfinite(x) else x
+
+    expected = [[reference(x) for x in row] for row in values.tolist()]
+    assert _round_floats(values) == expected
+    nested = {"a": [values[1], np.float64(1 / 3)]}
+    assert _round_floats(nested) == {"a": [expected[1], expected[1][0]]}
+    assert _round_floats(np.arange(3)) == [0, 1, 2] and _round_floats(np.float64(np.nan)) is None
 
 
 def test_costs_experiment_outputs(tmp_path):
@@ -258,7 +376,7 @@ def test_sweep_tol_flag_sets_each_rows_relative_bracket_width(tmp_path, monkeypa
 
 
 def test_csv_writer_formats_floats_only(tmp_path):
-    _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], [[1, np.float64(1 / 3), "x", None]])
+    write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], [[1, np.float64(1 / 3), "x", None]])
     assert (tmp_path / "t.csv").read_text().splitlines() == ["a,b,c,d", "1,0.333333333333,x,"]
 
 

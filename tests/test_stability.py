@@ -107,11 +107,31 @@ def test_bad_brackets_are_rejected():
         {"bracket": (0.0, float("inf"))},
         {"bracket": (float("-inf"), 1.0)},
         {"bracket": (float("nan"), 1.0)},
+        {"rel_tol": 0.0},
+        {"rel_tol": float("nan")},
     ],
 )
 def test_non_finite_or_non_positive_bisection_settings_are_rejected(kwargs):
     with pytest.raises(ValueError, match="finite"):
         critical_theta(stability_game(n_assets=1, n_steps=20), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda: SweepBase(kernel=KERNEL, coupling=1.5), "coupling"),
+        (lambda: SweepBase(kernel=KERNEL, coupling=0.0), "coupling"),
+        (lambda: SweepBase(kernel=KERNEL, rel_tol=-1.0), "rel_tol"),
+        (lambda: SweepBase(kernel=KERNEL, flip_tol=0.0), "flip_tol"),
+        (lambda: SweepBase(kernel=KERNEL, sigma=-1.0), "sigma"),
+        (lambda: SweepBase(kernel=KERNEL, sigma="foo"), "sigma"),
+        (lambda: critical_theta(stability_game(n_steps=20), bracket=(0.0, 1.0, 2.0)), "bracket"),
+    ],
+)
+def test_bad_sweep_and_bisection_settings_name_their_argument(call, argument):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert excinfo.value.argument == argument
 
 
 def test_predictions():
