@@ -373,7 +373,10 @@ def _run_sweep(cfg: dict, out: Path, warnings: list) -> dict:
     else:
         raise ConfigError("sweep needs either points or grid", "sweep")
     with _errors_at(
+        horizon="grid.horizon",
         coupling="sweep.coupling",
+        gamma="gamma",
+        beta="kernel.beta",
         sigma="sigma",
         rel_tol="tolerances.bisection",
         flip_tol="tolerances.flip",
@@ -516,7 +519,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         if args.tol is not None:
-            config.setdefault("tolerances", {})["bisection"] = args.tol
+            tolerances = _checked(config.setdefault("tolerances", {}), "tolerances", "tolerances")
+            tolerances["bisection"] = args.tol
         report = run_experiment(config, args.out)
     except ConfigError as exc:
         return fail(exc, "config", 2)

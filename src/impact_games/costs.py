@@ -81,16 +81,17 @@ def variance_and_mv(spec, strategies, agent: int) -> tuple[float, float]:
     term is the unaffected-price revenue, whose variance couples trades at
     times ``t_k`` and ``t_h`` through the covariance at ``min(t_k, t_h)``.
     """
-    strategies = _check_strategies(spec, strategies)
+    variance = _variance(spec, _check_strategies(spec, strategies), agent)
+    return variance, expected_cost(spec, strategies, agent) + 0.5 * spec.gamma * variance
+
+
+def _variance(spec, strategies: np.ndarray, agent: int) -> float:
     own = spec.scales[agent] * strategies[:, agent, :]
     if spec.covariance is None:
-        variance = 0.0
-    else:
-        t = spec.grid.points
-        earlier = np.minimum.outer(t, t)
-        variance = float(np.sum(earlier * (own.T @ spec.covariance @ own)))
-    mv = expected_cost(spec, strategies, agent) + 0.5 * spec.gamma * variance
-    return variance, mv
+        return 0.0
+    t = spec.grid.points
+    earlier = np.minimum.outer(t, t)
+    return float(np.sum(earlier * (own.T @ spec.covariance @ own)))
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,11 @@ class CostReport:
 
 
 def cost_report(spec, strategies) -> CostReport:
-    expected = np.empty(spec.n_agents)
-    variance = np.empty(spec.n_agents)
-    mv = np.empty(spec.n_agents)
-    for j in range(spec.n_agents):
-        expected[j] = expected_cost(spec, strategies, j)
-        variance[j], mv[j] = variance_and_mv(spec, strategies, j)
+    """Cost report of every agent, pricing each agent's expected cost once."""
+    strategies = _check_strategies(spec, strategies)
+    expected = np.array([expected_cost(spec, strategies, j) for j in range(spec.n_agents)])
+    variance = np.array([_variance(spec, strategies, j) for j in range(spec.n_agents)])
+    mv = expected + 0.5 * spec.gamma * variance
     return CostReport(expected=expected, variance=variance, mean_variance=mv)
 
 

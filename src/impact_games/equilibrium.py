@@ -9,7 +9,7 @@ inventory, one by the deviation from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -288,11 +288,31 @@ def _require_identical_agents(spec: GameSpec) -> None:
         )
 
 
-def _principal_var_rates(spec: GameSpec, spectrum: SpectralReport) -> np.ndarray:
+def _covariance_basis(
+    spec: GameSpec, spectrum: SpectralReport
+) -> Tuple[SpectralReport, np.ndarray]:
+    """Spectrum in an eigenbasis of Q that diagonalizes the covariance too, and the variance rates.
+
+    A covariance that commutes with Q maps each eigenspace of Q into itself,
+    but on a repeated eigenvalue its block need not be diagonal in the basis
+    ``eigh`` returns. Each eigenspace whose block has an off-diagonal entry
+    above ``_SHARE_TOL`` of the largest entry is rotated by the eigenvectors
+    of that block. The variance rates are the diagonal of the rotated
+    covariance, zeros without one.
+    """
     if spec.covariance is None:
-        return np.zeros(spec.n_assets)
-    rotated = spectrum.eigenvectors.T @ spec.covariance @ spectrum.eigenvectors
-    return np.diag(rotated).copy()
+        return spectrum, np.zeros(spec.n_assets)
+    vec = spectrum.eigenvectors.copy()
+    rotated = vec.T @ spec.covariance @ vec
+    lam = spectrum.eigenvalues
+    eigenspaces = _shared_solves(lam, np.zeros_like(lam), risk_averse=False)
+    for first in np.unique(eigenspaces):
+        members = np.flatnonzero(eigenspaces == first)
+        block = rotated[np.ix_(members, members)]
+        if np.abs(block - np.diag(block.diagonal())).max() > _SHARE_TOL * np.abs(rotated).max():
+            vec[:, members] = vec[:, members] @ np.linalg.eigh(block)[1]
+    rotated = vec.T @ spec.covariance @ vec
+    return replace(spectrum, eigenvectors=vec), np.diag(rotated).copy()
 
 
 def _shared_solves(eigenvalues: np.ndarray, var_rates: np.ndarray, risk_averse: bool) -> np.ndarray:
@@ -319,7 +339,8 @@ def principal_bundles(
     The agents of ``spec`` must be identical (ValueError otherwise).
     Principal asset i uses the effective kernel scaled by the i-th eigenvalue
     of the cross-impact matrix and the i-th diagonal entry of the rotated
-    covariance as its variance rate. ``shared[i]`` is the principal asset
+    covariance as its variance rate; the spectrum's eigenvectors are those of
+    :func:`_covariance_basis`. ``shared[i]`` is the principal asset
     whose bundle asset i reuses (see :func:`_shared_solves`). The last item
     yields (first member, bundle) pairs at the fee stored in ``spec``, in
     increasing order of first member, each built when it is reached.
@@ -336,7 +357,7 @@ def principal_bundles(
             "cross-impact and covariance matrices must commute when risk aversion is positive"
         )
     kernel = spec.effective_kernel
-    var_rates = _principal_var_rates(spec, spectrum)
+    spectrum, var_rates = _covariance_basis(spec, spectrum)
     shared = _shared_solves(spectrum.eigenvalues, var_rates, spec.gamma > 0.0)
     bundles = (
         (

@@ -7,11 +7,14 @@ Heterogeneity covers per-agent quadratic fees, per-agent impact scales,
 pairwise execution-priority probabilities, and per-agent tradable-asset
 masks. The game is linear-quadratic, so the stationarity conditions of all
 agents plus their inventory constraints form one linear system; no
-best-response iteration is involved. When every agent trades the same assets,
-each block of that system is a Kronecker product with the cross-impact matrix
-Q, so it splits exactly into one single-asset system per eigenvalue of Q.
-Other games solve the stacked system as one dense solve, whose result is
-checked against the game's conditions as well.
+best-response iteration is involved. That system has one layout, fixed by
+:func:`assemble_equilibrium_system`: the strategy coordinates ordered by
+trading time, then by (agent, tradable asset), and the multipliers last (see
+:class:`KktSystem` for why). When every agent trades the same assets, each
+block of that system is a Kronecker product with the cross-impact matrix Q,
+so it splits exactly into one single-asset system per eigenvalue of Q. Other
+games solve the stacked system as one dense solve, whose result is checked
+against the game's conditions as well.
 """
 
 from __future__ import annotations
@@ -48,27 +51,20 @@ __all__ = [
 class KktSystem:
     """Stacked stationarity-plus-constraint system of the heterogeneous game.
 
-    Variables are every agent's strategy coordinates on its tradable assets,
-    followed by one multiplier per (agent, tradable asset). ``strategy_rows``
-    maps agent j to the list of (asset, slice-into-variables) pairs.
+    Variables are in time-major order. With P (agent, tradable asset) pairs,
+    numbered agent by agent and within an agent by asset, pair p's strategy
+    coordinate at trading time t is variable ``t * P + p``, and its inventory
+    multiplier is variable ``(N + 1) * P + p``, after all the coordinates.
+    ``strategy_rows`` maps agent j to the list of (asset, coordinate indices)
+    pairs, the indices being that pair's variables in time order. Partial
+    pivoting needs this order: on a 6-agent, 121-time single-asset system it
+    grew the entries by 3.3, against 7e11 with each agent's variables kept
+    together, whose solve then missed its inventories by 2e-3.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    strategy_rows: Tuple[Tuple[Tuple[int, slice], ...], ...]
-
-
-def _constraint_rhs(size: int, strategy_rows, inventories: np.ndarray) -> np.ndarray:
-    """Right-hand side of a stacked system: each multiplier row holds its inventory.
-
-    An agent's multipliers follow its last strategy coordinates, one per
-    tradable asset. ``inventories`` of shape (M, J, K) give K columns.
-    """
-    rhs = np.zeros((size,) + inventories.shape[2:])
-    for j, rows in enumerate(strategy_rows):
-        for pos, (asset, _) in enumerate(rows):
-            rhs[rows[-1][1].stop + pos] = inventories[asset, j]
-    return rhs
+    strategy_rows: Tuple[Tuple[Tuple[int, np.ndarray], ...], ...]
 
 
 def assemble_equilibrium_system(spec: GameSpec) -> KktSystem:
@@ -78,40 +74,36 @@ def assemble_equilibrium_system(spec: GameSpec) -> KktSystem:
     n = spec.grid.n_points
 
     active = [np.flatnonzero(spec.mask[:, j]) for j in range(spec.n_agents)]
-    offsets, size = [], 0
-    for assets in active:
-        offsets.append(size)
-        size += assets.size * (n + 1)  # strategy coords plus one multiplier per asset
-
-    matrix = np.zeros((size, size))
-    strategy_rows: List[Tuple[Tuple[int, slice], ...]] = []
-    for j in range(spec.n_agents):
-        assets_j = active[j]
-        start = offsets[j]
-        block = assets_j.size * n
+    first = np.cumsum([0] + [assets.size for assets in active])  # agent j owns pairs first[j]...
+    n_pairs = int(first[-1])
+    blocks = np.zeros((n_pairs, n + 1, n_pairs, n + 1))  # the multipliers as the last "time"
+    for j, assets_j in enumerate(active):
         s_j = spec.scales[j]
-        self_block = s_j**2 * np.kron(q[np.ix_(assets_j, assets_j)], bundle.kernel_matrix)
-        self_block += 2.0 * spec.thetas[j] * s_j**2 * np.eye(block)
-        matrix[start : start + block, start : start + block] = self_block
-        rows = []
-        for pos, asset in enumerate(assets_j):
-            coords = slice(start + pos * n, start + (pos + 1) * n)
-            rows.append((int(asset), coords))
-            mult = start + block + pos
-            matrix[coords, mult] = -1.0  # stationarity: gradient equals multiplier
-            matrix[mult, coords] = 1.0  # constraint: orders sum to the inventory
-        strategy_rows.append(tuple(rows))
-        for l in range(spec.n_agents):
+        for l, assets_l in enumerate(active):
             if l == j:
-                continue
-            assets_l = active[l]
-            if assets_l.size == 0:
-                continue
-            cross = priority_cross(bundle, spec.priority[j, l])
-            coupling = s_j * spec.scales[l] * np.kron(q[np.ix_(assets_j, assets_l)], cross)
-            matrix[start : start + block, offsets[l] : offsets[l] + assets_l.size * n] = coupling
-    rhs = _constraint_rhs(size, strategy_rows, spec.inventories)
-    return KktSystem(matrix=matrix, rhs=rhs, strategy_rows=tuple(strategy_rows))
+                block = s_j**2 * np.kron(q[np.ix_(assets_j, assets_j)], bundle.kernel_matrix)
+                block += 2.0 * spec.thetas[j] * s_j**2 * np.eye(len(block))
+            else:
+                cross = priority_cross(bundle, spec.priority[j, l])
+                block = s_j * spec.scales[l] * np.kron(q[np.ix_(assets_j, assets_l)], cross)
+            blocks[first[j] : first[j + 1], :n, first[l] : first[l + 1], :n] = block.reshape(
+                assets_j.size, n, assets_l.size, n
+            )
+    pairs = np.arange(n_pairs)
+    blocks[pairs, :n, pairs, n] = -1.0  # stationarity: gradient equals multiplier
+    blocks[pairs, n, pairs, :n] = 1.0  # constraint: orders sum to the inventory
+    # one copy into time-major order, [time, pair, time, pair]; filled pair by
+    # pair, each block above is written in contiguous runs along time
+    size = (n + 1) * n_pairs
+    matrix = blocks.transpose(1, 0, 3, 2).reshape(size, size)
+    rhs = np.zeros((n + 1, n_pairs))
+    rhs[n] = spec.inventories.T[spec.mask.T]  # pairs in agent-major order
+    coords = np.arange(n * n_pairs).reshape(n, n_pairs).T  # pair p's coordinates, in time order
+    strategy_rows = tuple(
+        tuple((int(asset), coords[first[j] + pos]) for pos, asset in enumerate(assets))
+        for j, assets in enumerate(active)
+    )
+    return KktSystem(matrix=matrix, rhs=rhs.ravel(), strategy_rows=strategy_rows)
 
 
 def _solve_kkt(matrix: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
@@ -127,38 +119,18 @@ def _solve_kkt(matrix: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
 def _solve_stacked(spec: GameSpec) -> np.ndarray:
     """Strategies from one dense solve of the full stacked system.
 
-    The result must pass :func:`_is_equilibrium`. Partial pivoting in the
-    agent-major layout can grow the entries enough to miss the inventories
-    (by 1.2e-4 on a 6-agent, 121-time single-asset game), so a failed result
-    is solved again with the strategy coordinates ordered by trading time,
-    then agent and asset, and the multipliers last, as in
-    :func:`_solve_principal`. If that result fails too, NumericError.
+    The result must pass :func:`_is_equilibrium`, or NumericError is raised.
     """
     system = assemble_equilibrium_system(spec)
-
-    def strategies_from(solution):
-        strategies = np.zeros((spec.n_assets, spec.n_agents, spec.grid.n_points))
-        for j, rows in enumerate(system.strategy_rows):
-            for asset, coords in rows:
-                strategies[asset, j, :] = solution[coords]
-        return strategies
-
-    strategies = strategies_from(_solve_kkt(system.matrix, system.rhs, "stacked system"))
-    if _is_equilibrium(spec, strategies):
-        return strategies
-    starts = [coords.start for rows in system.strategy_rows for _, coords in rows]
-    time_major = (np.arange(spec.grid.n_points)[:, None] + starts).ravel()
-    multipliers = np.setdiff1d(np.arange(len(system.matrix)), time_major)
-    order = np.concatenate([time_major, multipliers])
-    solution = np.empty_like(system.rhs)
-    solution[order] = _solve_kkt(
-        system.matrix[np.ix_(order, order)], system.rhs[order], "stacked system"
-    )
-    strategies = strategies_from(solution)
+    solution = _solve_kkt(system.matrix, system.rhs, "stacked system")
+    strategies = np.zeros((spec.n_assets, spec.n_agents, spec.grid.n_points))
+    for j, rows in enumerate(system.strategy_rows):
+        for asset, coords in rows:
+            strategies[asset, j, :] = solution[coords]
     if not _is_equilibrium(spec, strategies):
         raise NumericError(
             "no unique equilibrium: the stacked solve misses the inventory or "
-            "first-order conditions in both variable orders"
+            "first-order conditions"
         )
     return strategies
 
@@ -172,21 +144,12 @@ def _solve_principal(spec: GameSpec, assets: np.ndarray) -> np.ndarray:
     asset k is the single-asset game with cross impact ``lam[k]`` and the
     rotated inventories ``V^T inv_S``. Principal assets with equal eigenvalues
     share one system, whose right-hand sides are the columns of one solve.
-    Each system is solved with its variables ordered by trading time, then
-    by agent, and the multipliers last. In the agent-major layout of
-    :func:`assemble_equilibrium_system`, partial pivoting grew the entries by
-    7e11 on a 6-agent, 121-time system, whose solve then missed its
-    inventories by 2e-3; ordered by time, the growth was 3.3. The solves run
-    on one BLAS thread (see :func:`single_blas_thread`).
+    The solves run on one BLAS thread (see :func:`single_blas_thread`).
     """
     lam, vec = np.linalg.eigh(spec.cross_impact[np.ix_(assets, assets)])
     principal_inv = vec.T @ spec.inventories[assets]
     principal = np.empty((assets.size, spec.n_agents, spec.grid.n_points))
     shared = _shared_solves(lam, np.zeros_like(lam), risk_averse=False)
-    # in a single-asset system agent j owns rows j * block ... (j + 1) * block - 1:
-    # its coordinates, then its multiplier; swapping the two axes orders the rows
-    # by time, then by agent, with the multipliers as the last "time"
-    n_agents, block = spec.n_agents, spec.grid.n_points + 1
     with single_blas_thread():
         for first in np.unique(shared):
             members = np.flatnonzero(shared == first)
@@ -201,13 +164,12 @@ def _solve_principal(spec: GameSpec, assets: np.ndarray) -> np.ndarray:
                 priority=spec.priority,
             )
             system = assemble_equilibrium_system(single)
-            matrix = system.matrix.reshape(n_agents, block, n_agents, block)
-            matrix = matrix.transpose(1, 0, 3, 2).reshape(system.matrix.shape)
-            rhs = np.zeros((block, n_agents, members.size))
-            rhs[-1] = principal_inv[members].T  # the multiplier rows hold the inventories
+            rhs = np.zeros((len(system.matrix), members.size))
+            rhs[-spec.n_agents :] = principal_inv[members].T  # one multiplier per agent, last
             name = f"principal-asset system (eigenvalue {lam[first]:.6e})"
-            solution = _solve_kkt(matrix, rhs.reshape(len(matrix), -1), name)
-            principal[members] = solution.reshape(rhs.shape)[:-1].transpose(2, 1, 0)
+            solution = _solve_kkt(system.matrix, rhs, name)
+            for j, ((_, coords),) in enumerate(system.strategy_rows):
+                principal[members, j, :] = solution[coords].T
     strategies = np.zeros((spec.n_assets, spec.n_agents, spec.grid.n_points))
     strategies[assets] = np.einsum("ik,kjt->ijt", vec, principal)
     return strategies

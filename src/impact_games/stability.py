@@ -288,13 +288,16 @@ def predicted_theta_star(
     ``mode="theorem"`` gives the proven two-agent risk-neutral threshold,
     the top eigenvalue times the lag-zero kernel value over four.
     ``mode="conjecture"`` extrapolates to J agents with kernel crowding:
-    ``kernel_at_zero * J**-beta * (J - 1) * top_eigenvalue / 4``.
+    ``kernel_at_zero * J**-beta * (J - 1) * top_eigenvalue / 4``, for
+    ``n_agents`` of at least one (an ``ArgumentError`` otherwise).
     """
     eigenvalues = np.linalg.eigvalsh(np.asarray(cross_impact, dtype=float))
     top = float(eigenvalues[-1])
     if mode == "theorem":
         return kernel_at_zero * top / 4.0
     if mode == "conjecture":
+        if n_agents < 1:
+            raise ArgumentError("n_agents", f"need at least one agent, got {n_agents!r}")
         return kernel_at_zero * float(n_agents) ** (-beta) * (n_agents - 1) * top / 4.0
     raise ValueError(f"unknown prediction mode {mode!r}")
 
@@ -509,8 +512,8 @@ class SweepBase:
     given coupling in (0, 1), and the price covariance is ``sigma`` resolved
     against it by :func:`price_covariance`. Each row bisects the bracket
     (0, 2x the row's prediction) down to ``rel_tol`` times the prediction;
-    ``flip_tol`` is the flip-detection tolerance. Both are finite and
-    positive.
+    ``flip_tol`` is the flip-detection tolerance. These two and ``horizon``
+    are finite and positive, ``gamma`` and ``beta`` finite and nonnegative.
     """
 
     kernel: DecayKernel
@@ -525,7 +528,10 @@ class SweepBase:
     def __post_init__(self):
         if not 0.0 < self.coupling < 1.0:
             raise ArgumentError("coupling", f"coupling must lie in (0, 1), got {self.coupling!r}")
-        _check_positive(rel_tol=self.rel_tol, flip_tol=self.flip_tol)
+        _check_positive(horizon=self.horizon, rel_tol=self.rel_tol, flip_tol=self.flip_tol)
+        for name, value in (("gamma", self.gamma), ("beta", self.beta)):
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ArgumentError(name, f"{name} must be finite and nonnegative")
         if np.ndim(self.sigma) == 0:  # a matrix sigma is checked against each row's size
             price_covariance(self.sigma, np.eye(1))
 

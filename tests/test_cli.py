@@ -131,6 +131,12 @@ SCHEMA_CONSTRAINTS = [
     (THETA_CRITICAL, "theta_critical.bracket", [0, 1, 2], "theta_critical.bracket"),
     (SWEEP, "sweep.coupling", 1.5, "sweep.coupling"),
 ]
+# the base settings of a sweep, checked before any row runs
+SWEEP_BASE = [
+    (SWEEP, "gamma", -1, "gamma"),
+    (SWEEP, "kernel.beta", -1, "kernel.beta"),
+    (SWEEP, "grid.horizon", 0, "grid.horizon"),
+]
 # a wrong JSON type or an unknown key is reported at its own dotted path;
 # output.dir was accepted by earlier versions
 EXACT_FIELDS = [
@@ -144,8 +150,10 @@ EXACT_FIELDS = [
 @pytest.mark.parametrize(
     "config, field, exact",
     [(with_value(c, key, value), field, False) for c, key, value, field in SCHEMA_CONSTRAINTS]
-    + [(with_value(c, key, value), field, True) for c, key, value, field in EXACT_FIELDS],
-    ids=[f"{key}={value!r}" for _, key, value, _ in SCHEMA_CONSTRAINTS + EXACT_FIELDS],
+    + [(with_value(c, key, value), field, True) for c, key, value, field in EXACT_FIELDS]
+    + [(with_value(c, key, value), field, True) for c, key, value, field in SWEEP_BASE],
+    ids=[f"{key}={value!r}" for _, key, value, _ in SCHEMA_CONSTRAINTS + EXACT_FIELDS]
+    + [f"sweep:{key}={value!r}" for _, key, value, _ in SWEEP_BASE],
 )
 def test_bad_config_exits_2_and_names_its_field(tmp_path, capsys, config, field, exact):
     path = write_config(tmp_path, config)
@@ -238,6 +246,14 @@ def test_cli_tol_flag_overrides_config(tmp_path):
     lo, hi = report["results"]["bracket"]
     assert hi - lo <= 0.05
     assert report["config"]["tolerances"]["bisection"] == 0.05
+
+
+def test_tol_flag_on_a_non_object_tolerances_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, dict(THETA_CRITICAL, tolerances=5))
+    out = str(tmp_path / "out")
+    assert main(["theta-critical", "--config", str(path), "--out", out, "--tol", "0.01"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "config" and error["field"] == "tolerances"
 
 
 def test_sweep_isolates_row_errors(tmp_path):

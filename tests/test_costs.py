@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_matches_printed
+from impact_games import costs
 from impact_games import (
     GameSpec,
     build_matrices,
@@ -87,6 +88,19 @@ def test_variance_identities(rng):
     strategies[0, 0] = [a, b]
     var2, _ = variance_and_mv(spec2, strategies, 0)
     assert var2 == pytest.approx(b**2, rel=1e-14)
+
+
+def test_cost_report_prices_each_agent_once(monkeypatch):
+    spec = make_spec([[1.0, 0.5, -0.3]], theta=0.5, gamma=2.0, covariance=np.array([[0.8]]))
+    strategies = closed_form_equilibrium(spec).strategies
+    reference = [variance_and_mv(spec, strategies, j) for j in range(spec.n_agents)]
+    calls = []
+    price = costs.expected_cost
+    monkeypatch.setattr(costs, "expected_cost", lambda *args: calls.append(args) or price(*args))
+    report = cost_report(spec, strategies)
+    assert len(calls) == spec.n_agents
+    assert np.array_equal(report.variance, [variance for variance, _ in reference])
+    assert np.array_equal(report.mean_variance, [mv for _, mv in reference])
 
 
 def test_cost_splits_across_principal_assets(rng):

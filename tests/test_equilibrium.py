@@ -23,6 +23,7 @@ from impact_games import (
     one_factor_matrix,
     principal_fundamentals,
     rank_one_matrix,
+    stationarity_residual,
     variance_and_mv,
 )
 
@@ -222,6 +223,23 @@ def test_risk_aversion_requires_commuting_covariance():
             gamma=1.0,
             covariance=np.diag([1.0, 2.0]),
         )
+
+
+def test_commuting_covariance_is_diagonalized_within_a_repeated_eigenvalue():
+    # every basis diagonalizes Q = I, but only the rotated one diagonalizes
+    # the covariance; keeping diag(V^T S V) in eigh's basis left residuals 0.31
+    covariance = np.array([[1.0, 0.6], [0.6, 1.0]])
+    spec = two_agent_spec(
+        [[1.0, 0.0], [0.0, 0.5]], n_steps=20, theta=0.1, gamma=5.0, covariance=covariance
+    )
+    eq = closed_form_equilibrium(spec)
+    for agent in range(2):
+        assert stationarity_residual(spec, eq.strategies, agent) <= 1e-10
+    vec = eq.spectrum.eigenvectors
+    rotated = vec.T @ covariance @ vec
+    assert np.abs(rotated - np.diag(np.diag(rotated))).max() <= 1e-12
+    rotated_back = np.einsum("mi,ijk->mjk", vec, eq.principal_strategies)
+    assert np.abs(rotated_back - eq.strategies).max() <= 1e-12
 
 
 def test_gamespec_shape_validation():

@@ -171,10 +171,9 @@ def test_fair_priority_blocks_recombine_into_the_kernel_matrix():
     n = spec.grid.n_points
     blocks = []
     for rows in system.strategy_rows:
-        start, stop = rows[0][1].start, rows[-1][1].stop
-        blocks.append(slice(start, stop))
-    cross_01 = system.matrix[blocks[0], blocks[1]]
-    cross_10 = system.matrix[blocks[1], blocks[0]]
+        blocks.append(np.concatenate([coords for _, coords in rows]))
+    cross_01 = system.matrix[np.ix_(blocks[0], blocks[1])]
+    cross_10 = system.matrix[np.ix_(blocks[1], blocks[0])]
     s0, s1 = spec.scales
     expected = s0 * s1 * np.kron(spec.cross_impact, bundle.kernel_matrix)
     assert np.abs(cross_01 + cross_10.T - expected).max() <= 1e-12
@@ -373,7 +372,7 @@ def test_stacked_solve_retries_in_time_major_order(monkeypatch):
         game, cross_impact=np.array([[5.2]]), inventories=game.inventories[:1], mask=None
     )
     strategies, dims = solve_recording_dims(spec, monkeypatch)
-    assert dims == [principal_dim(spec)] * 2
+    assert dims == [principal_dim(spec)]
     assert np.abs(strategies.sum(axis=2) - spec.inventories).max() <= 1e-13
     residual = max(stationarity_residual(spec, strategies, j) for j in range(spec.n_agents))
     assert residual <= 1e-12
@@ -382,7 +381,7 @@ def test_stacked_solve_retries_in_time_major_order(monkeypatch):
 def test_stacked_solve_failing_both_orders_raises(rng, monkeypatch):
     spec = hetero_spec([[1.0, -0.5]], [0.1, 0.3])
     monkeypatch.setattr(hetero, "stationarity_residual", lambda *args: 1.0)
-    with pytest.raises(NumericError, match="both variable orders"):
+    with pytest.raises(NumericError, match="stacked solve misses the inventory or first-order"):
         solve_hetero_nash(spec)
 
 

@@ -196,6 +196,14 @@ def test_sweep_records_row_failures_and_continues():
     assert rows[1].error is not None and rows[1].estimate is None
 
 
+def test_sweep_records_a_row_without_agents_as_failed():
+    (row,) = stability_sweep(
+        [{"n_assets": 1, "n_agents": 0, "n_steps": 20, "beta": 0.5}], SweepBase(kernel=KERNEL)
+    )
+    assert row.estimate is None
+    assert row.error.startswith("ArgumentError: need at least one agent")
+
+
 def test_sweep_propagates_unexpected_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("programming error, not a failed row")
