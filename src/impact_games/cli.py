@@ -372,6 +372,7 @@ def _run_sweep(cfg: dict, out: Path, warnings: list) -> dict:
         points = [dict(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
     else:
         raise ConfigError("sweep needs either points or grid", "sweep")
+    points = [{"n_steps": cfg["grid"]["steps"], **point} for point in points]
     with _errors_at(
         horizon="grid.horizon",
         coupling="sweep.coupling",

@@ -9,7 +9,7 @@ stability threshold of the market.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,30 +142,12 @@ class SpectralReport:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     top_eigenvalue: float
-    commutes_with_covariance: Optional[bool]
     one_factor_bound: float
 
 
-def analyze_cross_impact(
-    cross_impact: np.ndarray,
-    covariance: Optional[np.ndarray] = None,
-    tol: float = 1e-9,
-    off_diagonal_sum: Optional[float] = None,
-) -> SpectralReport:
-    """Spectral report for a symmetric cross-impact matrix.
-
-    Parameters
-    ----------
-    cross_impact : symmetric (M, M) matrix.
-    covariance : optional symmetric (M, M) matrix; when given, the report
-        records whether the two matrices commute within ``tol`` (relative to
-        the product of their norms).
-    tol : relative tolerance for the commutation test.
-    off_diagonal_sum : upper-triangular off-diagonal sum used for the
-        one-factor bound; computed from the matrix when omitted.
-    """
+def analyze_cross_impact(cross_impact: np.ndarray) -> SpectralReport:
+    """Spectral report for a symmetric (M, M) cross-impact matrix."""
     q = explicit_matrix(cross_impact)
-    m = q.shape[0]
     try:
         lam, vec = np.linalg.eigh(q)
     except np.linalg.LinAlgError as exc:
@@ -173,22 +155,9 @@ def analyze_cross_impact(
     # descending eigenvalues, stable order within ties
     lam = lam[::-1].copy()
     vec = vec[:, ::-1].copy()
-
-    commutes = None
-    if covariance is not None:
-        sigma = np.asarray(covariance, dtype=float)
-        if sigma.shape != q.shape:
-            raise ValueError("covariance must match the cross-impact shape")
-        lhs = q @ sigma - sigma @ q
-        bound = tol * max(np.linalg.norm(q) * np.linalg.norm(sigma), np.finfo(float).tiny)
-        commutes = bool(np.linalg.norm(lhs) <= bound)
-
-    if off_diagonal_sum is None:
-        off_diagonal_sum = float(np.triu(q, k=1).sum())
     return SpectralReport(
         eigenvalues=lam,
         eigenvectors=vec,
         top_eigenvalue=float(lam[0]),
-        commutes_with_covariance=commutes,
-        one_factor_bound=1.0 + 2.0 * off_diagonal_sum / m,
+        one_factor_bound=1.0 + 2.0 * float(np.triu(q, k=1).sum()) / q.shape[0],
     )

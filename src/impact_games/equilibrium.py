@@ -5,16 +5,31 @@ asset becomes an independent single-asset game whose kernel is the original
 kernel times the eigenvalue, and every agent's strategy is a combination of
 two normalized profiles per principal asset: one carried by the average
 inventory, one by the deviation from it.
+
+:func:`principal_groups` makes that split for every consumer: the closed form
+here, the prepared stability probes of :mod:`stability`, and the
+heterogeneous split of :mod:`hetero` (on the tradable block of Q). It returns
+the spectrum, the variance rates and the groups of principal assets that
+share one solve. The closed form and the heterogeneous split run their
+per-group solves on one BLAS thread, as :func:`stability.critical_theta`
+runs its probes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import ArgumentError, _boolean_mask, _finite, _symmetric, guarded_solve
+from ._linalg import (
+    ArgumentError,
+    _boolean_mask,
+    _finite,
+    _symmetric,
+    guarded_solve,
+    single_blas_thread,
+)
 from .cross_impact import SpectralReport, analyze_cross_impact
 from .kernels import DecayKernel, MatrixBundle, TimeGrid, build_matrices
 
@@ -24,6 +39,7 @@ __all__ = [
     "Equilibrium",
     "profile_systems",
     "fundamental_solutions",
+    "principal_groups",
     "principal_bundles",
     "principal_fundamentals",
     "closed_form_equilibrium",
@@ -288,91 +304,94 @@ def _require_identical_agents(spec: GameSpec) -> None:
         )
 
 
-def _covariance_basis(
-    spec: GameSpec, spectrum: SpectralReport
-) -> Tuple[SpectralReport, np.ndarray]:
-    """Spectrum in an eigenbasis of Q that diagonalizes the covariance too, and the variance rates.
+def _shared_solves(*keys: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Member indices of each group of principal assets that share one solve.
 
-    A covariance that commutes with Q maps each eigenspace of Q into itself,
-    but on a repeated eigenvalue its block need not be diagonal in the basis
-    ``eigh`` returns. Each eigenspace whose block has an off-diagonal entry
-    above ``_SHARE_TOL`` of the largest entry is rotated by the eigenvectors
-    of that block. The variance rates are the diagonal of the rotated
-    covariance, zeros without one.
+    Asset i joins the group of the first asset whose keys all agree with its
+    own within ``_SHARE_TOL`` times the largest magnitude of that key. Groups
+    come in increasing order of their first member, whose values the solve
+    uses.
     """
-    if spec.covariance is None:
-        return spectrum, np.zeros(spec.n_assets)
-    vec = spectrum.eigenvectors.copy()
-    rotated = vec.T @ spec.covariance @ vec
+    same = np.logical_and.reduce(
+        [np.abs(v[:, None] - v[None, :]) <= _SHARE_TOL * np.abs(v).max() for v in keys]
+    )
+    first = same.argmax(axis=1)
+    return tuple(np.flatnonzero(first == i) for i in np.unique(first))
+
+
+def principal_groups(
+    cross_impact: np.ndarray, covariance: Optional[np.ndarray] = None, risk_averse: bool = False
+) -> Tuple[SpectralReport, np.ndarray, Tuple[np.ndarray, ...]]:
+    """Split of a game into principal assets: spectrum, variance rates and shared-solve groups.
+
+    The spectrum is that of :func:`analyze_cross_impact`. A covariance that
+    commutes with Q maps each eigenspace of Q into itself, but on a repeated
+    eigenvalue its block need not be diagonal in the basis ``eigh`` returns;
+    each eigenspace whose block has an off-diagonal entry above
+    ``_SHARE_TOL`` of the largest entry is rotated by the eigenvectors of
+    that block. The variance rates are the diagonal of the covariance in the
+    returned basis, zeros without one. Principal assets whose eigenvalues
+    (and, when ``risk_averse``, variance rates) agree share one solve; each
+    group is an array of member indices (see :func:`_shared_solves`).
+    """
+    spectrum = analyze_cross_impact(cross_impact)
     lam = spectrum.eigenvalues
-    eigenspaces = _shared_solves(lam, np.zeros_like(lam), risk_averse=False)
-    for first in np.unique(eigenspaces):
-        members = np.flatnonzero(eigenspaces == first)
+    eigenspaces = _shared_solves(lam)
+    if covariance is None:
+        return spectrum, np.zeros_like(lam), eigenspaces
+    vec = spectrum.eigenvectors.copy()
+    rotated = vec.T @ covariance @ vec
+    for members in eigenspaces:
         block = rotated[np.ix_(members, members)]
         if np.abs(block - np.diag(block.diagonal())).max() > _SHARE_TOL * np.abs(rotated).max():
             vec[:, members] = vec[:, members] @ np.linalg.eigh(block)[1]
-    rotated = vec.T @ spec.covariance @ vec
-    return replace(spectrum, eigenvectors=vec), np.diag(rotated).copy()
+    var_rates = np.diag(vec.T @ covariance @ vec).copy()
+    groups = _shared_solves(lam, var_rates) if risk_averse else eigenspaces
+    return replace(spectrum, eigenvectors=vec), var_rates, groups
 
 
-def _shared_solves(eigenvalues: np.ndarray, var_rates: np.ndarray, risk_averse: bool) -> np.ndarray:
-    """Index of the principal asset whose solve each principal asset reuses.
-
-    Asset i reuses the first asset whose eigenvalue agrees with its own within
-    ``_SHARE_TOL`` times the largest eigenvalue magnitude and, for risk-averse
-    games, whose variance rate agrees within the same fraction of the largest
-    variance rate. Without risk aversion the variance rate drops out of the
-    system, so it is not compared.
-    """
-    def close(values):
-        return np.abs(values[:, None] - values[None, :]) <= _SHARE_TOL * np.abs(values).max()
-
-    same = close(eigenvalues) & close(var_rates) if risk_averse else close(eigenvalues)
-    return same.argmax(axis=1)
+def _spread(groups: Sequence[np.ndarray], values: Iterable) -> tuple:
+    """One item per principal asset: each group's value at every member of the group."""
+    spread = [None] * sum(len(members) for members in groups)
+    for members, value in zip(groups, values):
+        for i in members:
+            spread[i] = value
+    return tuple(spread)
 
 
 def principal_bundles(
     spec: GameSpec,
-) -> Tuple[SpectralReport, np.ndarray, Iterator[Tuple[int, MatrixBundle]]]:
-    """Spectrum, shared-solve index and the matrix bundles of the distinct principal assets.
+) -> Tuple[SpectralReport, Tuple[np.ndarray, ...], Iterator[MatrixBundle]]:
+    """Spectrum, shared-solve groups and one matrix bundle per group of principal assets.
 
-    The agents of ``spec`` must be identical (ValueError otherwise).
-    Principal asset i uses the effective kernel scaled by the i-th eigenvalue
-    of the cross-impact matrix and the i-th diagonal entry of the rotated
-    covariance as its variance rate; the spectrum's eigenvectors are those of
-    :func:`_covariance_basis`. ``shared[i]`` is the principal asset
-    whose bundle asset i reuses (see :func:`_shared_solves`). The last item
-    yields (first member, bundle) pairs at the fee stored in ``spec``, in
-    increasing order of first member, each built when it is reached.
+    The agents of ``spec`` must be identical and the cross-impact matrix
+    positive definite (ValueError otherwise). The spectrum and groups are
+    those of :func:`principal_groups`. A group's bundle uses the effective
+    kernel scaled by its first member's eigenvalue and that member's
+    variance rate, at the fee stored in ``spec``; each is built when the
+    iterator reaches it.
     """
     _require_identical_agents(spec)
-    spectrum = analyze_cross_impact(spec.cross_impact, spec.covariance)
+    spectrum, var_rates, groups = principal_groups(
+        spec.cross_impact, spec.covariance, spec.gamma > 0.0
+    )
     if spectrum.eigenvalues[-1] <= 0.0:
         raise ValueError(
             "cross-impact matrix must be positive definite "
             f"(smallest eigenvalue {spectrum.eigenvalues[-1]:.3e})"
         )
-    if spec.gamma > 0.0 and spec.covariance is not None and not spectrum.commutes_with_covariance:
-        raise ValueError(
-            "cross-impact and covariance matrices must commute when risk aversion is positive"
-        )
     kernel = spec.effective_kernel
-    spectrum, var_rates = _covariance_basis(spec, spectrum)
-    shared = _shared_solves(spectrum.eigenvalues, var_rates, spec.gamma > 0.0)
     bundles = (
-        (
-            int(i),
-            build_matrices(
-                spec.grid,
-                kernel.scaled(float(spectrum.eigenvalues[i])),
-                theta=spec.thetas[0],
-                gamma=spec.gamma,
-                var_rate=max(float(var_rates[i]), 0.0),
-            ),
+        build_matrices(
+            spec.grid,
+            kernel.scaled(float(spectrum.eigenvalues[members[0]])),
+            theta=spec.thetas[0],
+            gamma=spec.gamma,
+            var_rate=max(float(var_rates[members[0]]), 0.0),
         )
-        for i in np.unique(shared)
+        for members in groups
     )
-    return spectrum, shared, bundles
+    return spectrum, groups, bundles
 
 
 def principal_fundamentals(
@@ -380,15 +399,17 @@ def principal_fundamentals(
 ) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
     """Profile pair of every principal asset of the game.
 
-    Principal assets with the same eigenvalue and variance rate (see
-    :func:`principal_bundles`) share one solve and one profile-pair object.
+    The principal assets of a group (see :func:`principal_bundles`) share one
+    solve and one profile-pair object. The solves run on one BLAS thread
+    (see :func:`single_blas_thread`).
     """
-    spectrum, shared, bundles = principal_bundles(spec)
-    solved = {}
-    for i, bundle in bundles:
-        solved[i] = fundamental_solutions(bundle, spec.n_agents)
-        del bundle  # free before the next bundle is built
-    return spectrum, tuple(solved[i] for i in shared)
+    spectrum, groups, bundles = principal_bundles(spec)
+    pairs = []
+    with single_blas_thread():
+        for bundle in bundles:
+            pairs.append(fundamental_solutions(bundle, spec.n_agents))
+            del bundle  # free before the next bundle is built
+    return spectrum, _spread(groups, pairs)
 
 
 def closed_form_equilibrium(spec: GameSpec) -> Equilibrium:

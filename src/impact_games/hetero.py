@@ -11,8 +11,10 @@ best-response iteration is involved. That system has one layout, fixed by
 :func:`assemble_equilibrium_system`: the strategy coordinates ordered by
 trading time, then by (agent, tradable asset), and the multipliers last (see
 :class:`KktSystem` for why). When every agent trades the same assets, each
-block of that system is a Kronecker product with the cross-impact matrix Q,
-so it splits exactly into one single-asset system per eigenvalue of Q. Other
+block of that system is a Kronecker product with the tradable block of the
+cross-impact matrix Q, so it splits exactly into one single-asset system per
+distinct eigenvalue of that block; the split is
+:func:`equilibrium.principal_groups`, the one the closed form uses. Other
 games solve the stacked system as one dense solve, whose result is checked
 against the game's conditions as well.
 """
@@ -34,7 +36,7 @@ from .costs import (
     stationarity_residual,
 )
 from .cross_impact import analyze_cross_impact
-from .equilibrium import Equilibrium, GameSpec, _shared_solves, closed_form_equilibrium
+from .equilibrium import Equilibrium, GameSpec, closed_form_equilibrium, principal_groups
 from .kernels import build_matrices
 
 __all__ = [
@@ -142,17 +144,18 @@ def _solve_principal(spec: GameSpec, assets: np.ndarray) -> np.ndarray:
     set S, so rotating each agent's strategy by the eigenvectors V of
     ``Q_SS = V diag(lam) V^T`` turns it into ``kron(diag(lam), .)``: principal
     asset k is the single-asset game with cross impact ``lam[k]`` and the
-    rotated inventories ``V^T inv_S``. Principal assets with equal eigenvalues
-    share one system, whose right-hand sides are the columns of one solve.
-    The solves run on one BLAS thread (see :func:`single_blas_thread`).
+    rotated inventories ``V^T inv_S``. The split is :func:`principal_groups`;
+    the principal assets of a group share one system, whose right-hand sides
+    are the columns of one solve. The solves run on one BLAS thread (see
+    :func:`single_blas_thread`).
     """
-    lam, vec = np.linalg.eigh(spec.cross_impact[np.ix_(assets, assets)])
+    spectrum, _, groups = principal_groups(spec.cross_impact[np.ix_(assets, assets)])
+    lam, vec = spectrum.eigenvalues, spectrum.eigenvectors
     principal_inv = vec.T @ spec.inventories[assets]
     principal = np.empty((assets.size, spec.n_agents, spec.grid.n_points))
-    shared = _shared_solves(lam, np.zeros_like(lam), risk_averse=False)
     with single_blas_thread():
-        for first in np.unique(shared):
-            members = np.flatnonzero(shared == first)
+        for members in groups:
+            first = members[0]
             single = GameSpec(
                 grid=spec.grid,
                 kernel=spec.kernel,

@@ -15,7 +15,6 @@ import numpy as np
 
 from ._csv import write_csv
 from ._linalg import ArgumentError
-from .cross_impact import price_covariance
 
 GENERATOR_ID = "numpy-default_rng(PCG64)-standard_normal"
 
@@ -85,7 +84,6 @@ def simulate_price(
     fine_steps: int = 10,
     horizon: Optional[float] = None,
     seed: int = 0,
-    covariance=None,
 ) -> PricePath:
     """Simulate unaffected and affected price paths for one strategy profile.
 
@@ -100,18 +98,13 @@ def simulate_price(
         is extended past the session with the same resolution.
     seed : nonnegative integer seed of the random generator; identical seeds
         give identical paths.
-    covariance : covariance rate of the unaffected price, as ``sigma`` of
-        :func:`price_covariance` (a scalar is a per-asset variance rate);
-        defaults to the spec's covariance, or zero if the spec has none.
+
+    The unaffected price has the spec's covariance rate, zero without one.
     """
     strategies = np.asarray(strategies, dtype=float)
     n_assets = spec.n_assets
     if strategies.shape != (n_assets, spec.n_agents, spec.grid.n_points):
         raise ValueError("strategies do not match the spec dimensions")
-
-    if covariance is None:
-        covariance = 0.0 if spec.covariance is None else spec.covariance
-    covariance = price_covariance(covariance, spec.cross_impact)
 
     start = np.broadcast_to(np.asarray(initial_prices, dtype=float), (n_assets,))
     if horizon is None:
@@ -122,7 +115,9 @@ def simulate_price(
         raise ArgumentError("seed", f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((times.size - 1, n_assets))
-    root = _covariance_root(covariance)
+    root = np.zeros((n_assets, n_assets))
+    if spec.covariance is not None:
+        root = _covariance_root(spec.covariance)
     increments = (draws @ root.T) * np.sqrt(np.diff(times))[:, None]
     unaffected = np.empty((times.size, n_assets))
     unaffected[0] = start

@@ -9,15 +9,17 @@ and compared against two closed-form predictions: the two-agent theorem value
 extrapolation.
 
 The fee enters each profile system only as ``2 theta`` on the diagonal, so
-:func:`critical_theta` builds every distinct principal asset's two systems
-once, at zero fee (:func:`prepare_profile_systems`), and each probe solves
-``(A_0 + 2 theta I) x = 1``. On an equidistant grid without a variance term
-both systems are Toeplitz and a probe solves them by Levinson recursion in
-O(N^2). A Levinson solution is kept only when a bound on the condition number
-is within the dense solver's cap and its normwise residual against the dense
-matrix is at most 1e-12; every other solve, and every system that is not
-Toeplitz, goes to :func:`guarded_solve`, which rejects the systems it always
-rejected. At the final lower bracket end the dense reference path
+:func:`critical_theta` builds the two systems of each group of principal
+assets that share a solve (the groups of :func:`equilibrium.principal_groups`,
+as in the closed form) once, at zero fee (:func:`prepare_profile_systems`),
+and each probe solves ``(A_0 + 2 theta I) x = 1`` once per group. On an
+equidistant grid without a variance term both systems are Toeplitz and a
+probe solves them by Levinson recursion in O(N^2). A Levinson solution is
+kept only when a bound on the condition number is within the dense solver's
+cap and its normwise residual against the dense matrix is at most 1e-12;
+every other solve, and every system that is not Toeplitz, goes to
+:func:`guarded_solve`, which rejects the systems it always rejected. At the
+final lower bracket end the dense reference path
 (:func:`principal_fundamentals`) recomputes the profiles; if its verdict or
 profiles disagree with the prepared systems, the bisection is run again on
 the dense path.
@@ -37,6 +39,7 @@ from .equilibrium import (
     FundamentalSolutions,
     GameSpec,
     _require_identical_agents,
+    _spread,
     principal_bundles,
     principal_fundamentals,
     profile_systems,
@@ -170,34 +173,37 @@ class _FeeFreeSystem:
 
 @dataclass(frozen=True)
 class ProfileSystems:
-    """Zero-fee profile systems of the distinct principal assets of one game.
+    """Zero-fee profile systems of the groups of principal assets of one game.
 
-    ``pairs[k]`` holds the (mean, deviation) systems of the k-th distinct
-    principal asset and ``shared[i]`` is the position in ``pairs`` of
-    principal asset i. ``paths`` counts the profile solves by path
-    ("levinson", "dense") and the dense re-bisections ("rebisect") of
-    :func:`critical_theta`.
+    ``pairs[k]`` holds the (mean, deviation) systems shared by the principal
+    assets ``groups[k]`` (see :func:`principal_bundles`). ``paths`` counts the
+    profile solves by path ("levinson", "dense") and the dense re-bisections
+    ("rebisect") of :func:`critical_theta`.
     """
 
-    shared: np.ndarray
+    groups: Tuple[np.ndarray, ...]
     pairs: Tuple[Tuple[_FeeFreeSystem, _FeeFreeSystem], ...]
     paths: Dict[str, int]
 
     def profiles(self, theta: float) -> Tuple[FundamentalSolutions, ...]:
-        """Profile pair of each distinct principal asset at fee ``theta``."""
-        return tuple(
+        """Profile pair of every principal asset at fee ``theta``, one solve per group.
+
+        The result is laid out as that of :func:`principal_fundamentals`.
+        """
+        pairs = (
             FundamentalSolutions(
                 mean_profile=mean.solve(theta, self.paths),
                 deviation_profile=deviation.solve(theta, self.paths),
             )
             for mean, deviation in self.pairs
         )
+        return _spread(self.groups, pairs)
 
 
 def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
-    """Build the zero-fee profile systems of every distinct principal asset once.
+    """Build the zero-fee profile systems of every group of principal assets once.
 
-    Runs the spectral analysis and its checks of :func:`principal_bundles`.
+    Runs the split and its checks of :func:`principal_bundles`.
     On an equidistant grid, a system without a variance term (risk aversion
     or variance rate zero) is Toeplitz; its symmetric part is
     ``(J + 1) / 2 * K`` (mean) or ``K / 2`` (deviation) for the kernel matrix
@@ -205,13 +211,13 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     ``eigvalsh`` gives every floor. The floor is lowered by ``n eps ||K||_1``
     to cover rounding.
     """
-    _, shared, bundles = principal_bundles(replace(spec, theta=0.0))
+    _, groups, bundles = principal_bundles(replace(spec, theta=0.0))
     steps = np.diff(spec.grid.points)
     uniform = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon
     n, n_agents = spec.grid.n_points, spec.n_agents
     unit_floor = None  # floor of the kernel matrix per unit lag-zero value
     pairs = []
-    for _, bundle in bundles:
+    for bundle in bundles:
         mean, deviation = profile_systems(bundle, n_agents)
         if uniform and bundle.gamma * bundle.var_rate == 0.0:
             if unit_floor is None:
@@ -229,7 +235,7 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
             pairs.append((_FeeFreeSystem(mean, None), _FeeFreeSystem(deviation, None)))
         del bundle  # free before the next bundle is built
     return ProfileSystems(
-        shared=np.unique(shared, return_inverse=True)[1],
+        groups=groups,
         pairs=tuple(pairs),
         paths={"levinson": 0, "dense": 0, "rebisect": 0},
     )
@@ -258,18 +264,17 @@ def is_unstable_at(
 
 def _agrees(
     fast: Sequence[FundamentalSolutions],
-    shared: np.ndarray,
     fundamentals: Sequence[FundamentalSolutions],
     flags: Sequence[Tuple[OscillationFlags, OscillationFlags]],
     rel_tol: float,
 ) -> bool:
-    """Whether prepared profiles (``fast[shared[i]]``) give the dense verdict and profiles."""
+    """Whether prepared profiles give the dense verdict and, asset by asset, the dense profiles."""
     if _any_unstable(_pair_flags(fast, rel_tol)) != _any_unstable(flags):
         return False
-    for k, dense in zip(shared, fundamentals):
+    for pair, dense in zip(fast, fundamentals):
         for a, b in (
-            (fast[k].mean_profile, dense.mean_profile),
-            (fast[k].deviation_profile, dense.deviation_profile),
+            (pair.mean_profile, dense.mean_profile),
+            (pair.deviation_profile, dense.deviation_profile),
         ):
             if not np.abs(a - b).max() <= _CROSS_CHECK_TOL * np.abs(b).max():
                 return False
@@ -385,24 +390,18 @@ class StabilityReport:
     solve_paths: Dict[str, int]
 
 
-def _checked_bisection(
-    spec: GameSpec, lo: float, hi: float, tol: float, rel_tol: float, scan_points: int
-):
+def _checked_bisection(spec: GameSpec, lo: float, hi: float, tol: float, rel_tol: float):
     """Bisection on prepared systems, checked at the end against the dense path.
 
     Returns (estimate, bracket, trace, method, flags_below, solve_paths).
     """
     systems = prepare_profile_systems(spec)
-    paths, shared = systems.paths, systems.shared
+    paths = systems.paths
     dense_solves = 2 * len(systems.pairs)  # per probe on the dense path
 
     def bisect(prepared):
         return _bisect_threshold(
-            lambda theta: is_unstable_at(spec, theta, rel_tol, systems=prepared),
-            lo,
-            hi,
-            tol=tol,
-            scan_points=scan_points,
+            lambda theta: is_unstable_at(spec, theta, rel_tol, systems=prepared), lo, hi, tol
         )
 
     def dense_at(theta):
@@ -414,7 +413,7 @@ def _checked_bisection(
     fast = systems.profiles(final_bracket[0])
     del systems  # the dense check needs the memory of the prepared matrices
     fundamentals, flags_below = dense_at(final_bracket[0])
-    if not _agrees(fast, shared, fundamentals, flags_below, rel_tol):
+    if not _agrees(fast, fundamentals, flags_below, rel_tol):
         paths["rebisect"] += 1
         estimate, final_bracket, trace, method = bisect(None)
         paths["dense"] += dense_solves * len(trace)
@@ -434,7 +433,6 @@ def critical_theta(
     bracket: Optional[Tuple[float, float]] = None,
     tol: float = 1e-4,
     rel_tol: float = DEFAULT_FLIP_TOL,
-    scan_points: int = 200,
 ) -> StabilityReport:
     """Estimate the critical fee below which the market is unstable.
 
@@ -446,8 +444,6 @@ def critical_theta(
         both finite. Defaults to (0, 2x the many-agent prediction).
     tol : final bracket width for the bisection, finite and positive.
     rel_tol : relative flip-detection tolerance, finite and positive.
-    scan_points : resolution of the fallback scan when bisection detects a
-        non-monotone verdict.
 
     The probes solve systems prepared once (see the module docstring), on
     one BLAS thread (see :func:`single_blas_thread`). ValueError for a game
@@ -477,7 +473,7 @@ def critical_theta(
 
     with single_blas_thread():
         estimate, final_bracket, trace, method, flags_below, paths = _checked_bisection(
-            spec, lo, hi, tol, rel_tol, scan_points
+            spec, lo, hi, tol, rel_tol
         )
     spectrum_top = float(np.linalg.eigvalsh(spec.cross_impact)[-1])
     params = {

@@ -418,7 +418,8 @@ def test_criterion_11_simulation():
     spec, eq, jumpy = drift_steps(0.01)
     assert oscillation_flags(jumpy).flip_count > 10
 
-    kwargs = dict(initial_prices=100.0, covariance=1.0, seed=99, fine_steps=10, horizon=1.2)
+    spec = dataclasses.replace(spec, covariance=np.eye(1))
+    kwargs = dict(initial_prices=100.0, seed=99, fine_steps=10, horizon=1.2)
     one = simulate_price(spec, eq.strategies, **kwargs)
     two = simulate_price(spec, eq.strategies, **kwargs)
     assert one.unaffected.tobytes() == two.unaffected.tobytes()

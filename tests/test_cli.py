@@ -293,6 +293,23 @@ def test_sweep_grid_expansion(tmp_path):
     assert len(report["results"]["rows"]) == 4
 
 
+def test_sweep_rows_default_to_the_grid_steps(tmp_path):
+    config = {
+        "experiment": "sweep",
+        "grid": {"steps": 20},
+        "sweep": {
+            "points": [
+                {"n_assets": 1, "n_agents": 2},
+                {"n_assets": 1, "n_agents": 2, "n_steps": 30},
+            ]
+        },
+    }
+    report = run_experiment(config, tmp_path)
+    assert [row["params"]["n_steps"] for row in report["results"]["rows"]] == [20, 30]
+    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+    assert [line.split(",")[2] for line in lines] == ["n_steps", "20", "30"]
+
+
 def test_simulate_experiment_is_seed_deterministic(tmp_path):
     config = {
         "experiment": "simulate",

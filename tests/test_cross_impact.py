@@ -5,11 +5,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from impact_games import (
+    GameSpec,
     analyze_cross_impact,
     block_matrix,
     build_cross_impact,
+    closed_form_equilibrium,
+    exponential_kernel,
+    make_equidistant_grid,
     one_factor_matrix,
     rank_one_matrix,
+    stationarity_residual,
 )
 
 
@@ -98,17 +103,21 @@ def test_block_without_inter_coupling_has_union_spectrum():
 
 
 def test_identity_commutes_with_any_covariance(rng):
-    sigma = rng.normal(size=(4, 4))
-    sigma = sigma + sigma.T
-    report = analyze_cross_impact(np.eye(4), covariance=sigma)
-    assert report.commutes_with_covariance is True
-
-
-def test_noncommuting_pair_is_flagged():
-    q = np.diag([1.0, 2.0])
-    sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-    report = analyze_cross_impact(q, covariance=sigma)
-    assert report.commutes_with_covariance is False
+    # a risk-averse game accepts every covariance when Q = I, and its closed
+    # form rotates the one eigenspace until the covariance is diagonal there
+    s = rng.normal(size=(4, 4))
+    spec = GameSpec(
+        grid=make_equidistant_grid(10, 1.0),
+        kernel=exponential_kernel(),
+        cross_impact=np.eye(4),
+        inventories=rng.normal(size=(4, 2)),
+        theta=0.2,
+        gamma=3.0,
+        covariance=s @ s.T,
+    )
+    strategies = closed_form_equilibrium(spec).strategies
+    for agent in range(spec.n_agents):
+        assert stationarity_residual(spec, strategies, agent) <= 1e-9
 
 
 def test_orthonormal_eigenvectors_and_reconstruction(rng):
@@ -144,8 +153,3 @@ def test_one_factor_attains_its_bound():
     q = one_factor_matrix(5, 0.3)
     report = analyze_cross_impact(q)
     assert report.top_eigenvalue == pytest.approx(report.one_factor_bound, rel=1e-12)
-
-
-def test_explicit_off_diagonal_sum_overrides_computed():
-    report = analyze_cross_impact(np.eye(3), off_diagonal_sum=1.5)
-    assert report.one_factor_bound == pytest.approx(2.0)

@@ -305,6 +305,30 @@ def test_single_blas_thread_caps_and_restores_the_thread_counts():
             put(count)
 
 
+def test_closed_form_solves_run_on_one_blas_thread(monkeypatch):
+    controls = _linalg._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS")
+    counts = []
+
+    def recording(*args, **kwargs):
+        counts.append([get() for get, _ in controls])
+        return guarded_solve(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium_module, "guarded_solve", recording)
+    original = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        closed_form_equilibrium(two_agent_spec(np.ones((3, 2)), cross=one_factor_matrix(3, 0.5)))
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, put), count in zip(controls, original):
+            put(count)
+    # two distinct eigenvalues, two profile systems each
+    assert counts == [[1] * len(controls)] * 4
+
+
 def per_asset_fundamentals(spec):
     """Reference: one build and one solve for every principal asset."""
     lam, vec = np.linalg.eigh(spec.cross_impact)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import impact_games.equilibrium as equilibrium_module
 from conftest import assert_matches_printed
 from impact_games import (
     GameSpec,
@@ -18,6 +19,7 @@ from impact_games import (
     critical_theta,
     expected_cost,
     exponential_kernel,
+    fundamental_solutions,
     guarded_solve,
     hetero,
     impact_drift,
@@ -60,21 +62,30 @@ def hetero_spec(inventories, thetas, n_steps=15, scales=None, priority=0.5, cros
     )
 
 
-def test_homogeneous_inputs_match_the_closed_form(rng):
-    cross = one_factor_matrix(2, 0.5)
-    inventories = rng.normal(size=(2, 3))
-    spec = hetero_spec(inventories, [0.7, 0.7, 0.7], cross=cross)
-    closed = closed_form_equilibrium(
-        GameSpec(
-            grid=spec.grid,
-            kernel=KERNEL,
-            cross_impact=cross,
-            inventories=inventories,
-            theta=0.7,
-        )
-    )
-    stacked = solve_hetero_nash(spec)
-    assert np.abs(stacked.strategies - closed.strategies).max() <= 1e-8
+@pytest.mark.parametrize(
+    "cross",
+    [
+        one_factor_matrix(4, 0.5),
+        block_matrix([2, 2, 2], [0.6, 0.6, 0.6], 0.2),
+        rank_one_matrix([0.2, 0.5, 0.7]),
+    ],
+    ids=["one_factor", "block", "rank_one"],
+)
+def test_homogeneous_inputs_match_the_closed_form(cross, rng, monkeypatch):
+    inventories = rng.normal(size=(len(cross), 3))
+    spec = hetero_spec(inventories, [0.7, 0.7, 0.7], n_steps=12, cross=cross)
+    fundamental_calls = []
+
+    def counted(*args, **kwargs):
+        fundamental_calls.append(1)
+        return fundamental_solutions(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium_module, "fundamental_solutions", counted)
+    closed = closed_form_equilibrium(spec)
+    split, dims = solve_recording_dims(spec, monkeypatch)
+    assert np.abs(split - closed.strategies).max() <= 1e-12
+    # both agent models group the principal assets alike
+    assert dims == [principal_dim(spec)] * len(fundamental_calls)
 
 
 @pytest.mark.parametrize(

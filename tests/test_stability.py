@@ -242,9 +242,9 @@ def prepared_against_dense(spec, theta):
     fast = systems.profiles(theta)
     _, dense = principal_fundamentals(dataclasses.replace(spec, theta=theta))
     worst = 0.0
-    for k, pair in zip(systems.shared, dense):
-        for a, b in ((fast[k].mean_profile, pair.mean_profile),
-                     (fast[k].deviation_profile, pair.deviation_profile)):
+    for prepared, pair in zip(fast, dense):
+        for a, b in ((prepared.mean_profile, pair.mean_profile),
+                     (prepared.deviation_profile, pair.deviation_profile)):
             worst = max(worst, np.abs(a - b).max() / np.abs(b).max())
     return worst, systems.paths
 
