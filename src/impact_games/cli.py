@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._csv import read_strategies_csv, write_csv, write_strategies_csv
+from ._csv import write_csv, write_strategies_csv
 from ._linalg import NumericError
 from .costs import cost_report
 from .cross_impact import build_cross_impact, price_covariance

@@ -22,8 +22,7 @@ against the game's conditions as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -48,25 +47,27 @@ __all__ = [
     "payoff_matrix",
 ]
 
+# a payoff cell is an equilibrium unless another option lowers some agent's
+# cost there by more than this fraction of the cost's magnitude, or of 1
+_NASH_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class KktSystem:
     """Stacked stationarity-plus-constraint system of the heterogeneous game.
 
-    Variables are in time-major order. With P (agent, tradable asset) pairs,
-    numbered agent by agent and within an agent by asset, pair p's strategy
-    coordinate at trading time t is variable ``t * P + p``, and its inventory
-    multiplier is variable ``(N + 1) * P + p``, after all the coordinates.
-    ``strategy_rows`` maps agent j to the list of (asset, coordinate indices)
-    pairs, the indices being that pair's variables in time order. Partial
-    pivoting needs this order: on a 6-agent, 121-time single-asset system it
-    grew the entries by 3.3, against 7e11 with each agent's variables kept
-    together, whose solve then missed its inventories by 2e-3.
+    Variables are in time-major order. With P (agent, tradable asset) pairs
+    in the order of ``np.nonzero(mask.T)``, agent by agent and within an
+    agent by asset, pair p's strategy coordinate at trading time t is
+    variable ``t * P + p``, so the first ``(N + 1) * P`` variables reshape to
+    [time, pair]; pair p's inventory multiplier is variable ``(N + 1) * P + p``.
+    Partial pivoting needs this order: on a 6-agent, 121-time single-asset
+    system it grew the entries by 3.3, against 7e11 with each agent's
+    variables kept together, whose solve then missed its inventories by 2e-3.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    strategy_rows: Tuple[Tuple[Tuple[int, np.ndarray], ...], ...]
 
 
 def assemble_equilibrium_system(spec: GameSpec) -> KktSystem:
@@ -100,12 +101,7 @@ def assemble_equilibrium_system(spec: GameSpec) -> KktSystem:
     matrix = blocks.transpose(1, 0, 3, 2).reshape(size, size)
     rhs = np.zeros((n + 1, n_pairs))
     rhs[n] = spec.inventories.T[spec.mask.T]  # pairs in agent-major order
-    coords = np.arange(n * n_pairs).reshape(n, n_pairs).T  # pair p's coordinates, in time order
-    strategy_rows = tuple(
-        tuple((int(asset), coords[first[j] + pos]) for pos, asset in enumerate(assets))
-        for j, assets in enumerate(active)
-    )
-    return KktSystem(matrix=matrix, rhs=rhs.ravel(), strategy_rows=strategy_rows)
+    return KktSystem(matrix=matrix, rhs=rhs.ravel())
 
 
 def _solve_kkt(matrix: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
@@ -125,10 +121,10 @@ def _solve_stacked(spec: GameSpec) -> np.ndarray:
     """
     system = assemble_equilibrium_system(spec)
     solution = _solve_kkt(system.matrix, system.rhs, "stacked system")
-    strategies = np.zeros((spec.n_assets, spec.n_agents, spec.grid.n_points))
-    for j, rows in enumerate(system.strategy_rows):
-        for asset, coords in rows:
-            strategies[asset, j, :] = solution[coords]
+    n = spec.grid.n_points
+    agents, assets = np.nonzero(spec.mask.T)  # the pairs, in the system's order
+    strategies = np.zeros((spec.n_assets, spec.n_agents, n))
+    strategies[assets, agents] = solution[: n * agents.size].reshape(n, agents.size).T
     if not _is_equilibrium(spec, strategies):
         raise NumericError(
             "no unique equilibrium: the stacked solve misses the inventory or "
@@ -152,28 +148,26 @@ def _solve_principal(spec: GameSpec, assets: np.ndarray) -> np.ndarray:
     spectrum, _, groups = principal_groups(spec.cross_impact[np.ix_(assets, assets)])
     lam, vec = spectrum.eigenvalues, spectrum.eigenvectors
     principal_inv = vec.T @ spec.inventories[assets]
-    principal = np.empty((assets.size, spec.n_agents, spec.grid.n_points))
+    n, n_agents = spec.grid.n_points, spec.n_agents
+    principal = np.empty((assets.size, n_agents, n))
     with single_blas_thread():
         for members in groups:
             first = members[0]
-            single = GameSpec(
-                grid=spec.grid,
-                kernel=spec.kernel,
+            single = replace(
+                spec,
                 cross_impact=np.array([[lam[first]]]),
                 inventories=principal_inv[first : first + 1],
-                theta=spec.theta,
-                beta=spec.beta,
-                scales=spec.scales,
-                priority=spec.priority,
+                covariance=None,
+                mask=None,
             )
             system = assemble_equilibrium_system(single)
             rhs = np.zeros((len(system.matrix), members.size))
-            rhs[-spec.n_agents :] = principal_inv[members].T  # one multiplier per agent, last
+            rhs[-n_agents:] = principal_inv[members].T  # one multiplier per agent, last
             name = f"principal-asset system (eigenvalue {lam[first]:.6e})"
             solution = _solve_kkt(system.matrix, rhs, name)
-            for j, ((_, coords),) in enumerate(system.strategy_rows):
-                principal[members, j, :] = solution[coords].T
-    strategies = np.zeros((spec.n_assets, spec.n_agents, spec.grid.n_points))
+            # one pair per agent: [time, agent, member]
+            principal[members] = solution[: n * n_agents].reshape(n, n_agents, -1).T
+    strategies = np.zeros((spec.n_assets, n_agents, n))
     strategies[assets] = np.einsum("ik,kjt->ijt", vec, principal)
     return strategies
 
@@ -252,7 +246,6 @@ class PayoffTable:
 def payoff_matrix(
     base: GameSpec,
     mask_options: Sequence[Sequence[np.ndarray]],
-    tol: float = 1e-12,
 ) -> PayoffTable:
     """Meta-game payoff table over per-agent tradable-asset choices.
 
@@ -266,11 +259,12 @@ def payoff_matrix(
     An agent's expected cost is its own-cost term plus one cross-cost term
     per other agent, and each term depends on the options of at most two
     agents. Every (agent, option) own term and every (agent, option, other
-    agent, option) cross term is evaluated once, and each cell sums its terms
-    in the order of :func:`expected_cost`, so the table equals per-cell
-    ``expected_cost`` bit for bit. As a guard, the first and the last cell are
-    priced with ``expected_cost``; if either differs by more than 1e-12
-    relative, every cell is priced that way instead.
+    agent, option) cross term is evaluated once, and the cells sum them as
+    arrays over the option grid in the order of :func:`expected_cost`, so the
+    table equals per-cell ``expected_cost`` bit for bit. As a guard, the
+    first and the last cell are priced with ``expected_cost``; if either
+    differs by more than 1e-12 relative, every cell is priced that way
+    instead.
     """
     n_agents = base.n_agents
     if len(mask_options) != n_agents:
@@ -285,45 +279,30 @@ def payoff_matrix(
             if mask.shape != (base.n_assets,):
                 raise ValueError("each mask option must be a length-M vector")
 
-    def uniform_game(mask: np.ndarray) -> np.ndarray:
-        spec = replace(base, mask=np.repeat(mask[:, None], n_agents, axis=1))
-        return solve_hetero_nash(spec).strategies
-
-    candidate_cache: dict[bytes, np.ndarray] = {}
-    candidates: List[List[np.ndarray]] = []
-    for j, per_agent in enumerate(options):
-        per_candidates = []
-        for mask in per_agent:
-            key = mask.tobytes()
-            if key not in candidate_cache:
-                candidate_cache[key] = uniform_game(mask)
-            per_candidates.append(candidate_cache[key][:, j, :])
-        candidates.append(per_candidates)
+    distinct = {mask.tobytes(): mask for per_agent in options for mask in per_agent}
+    uniform = {
+        key: solve_hetero_nash(replace(base, mask=np.repeat(mask[:, None], n_agents, axis=1)))
+        for key, mask in distinct.items()
+    }
+    candidates = [
+        [uniform[mask.tobytes()].strategies[:, j, :] for mask in per_agent]
+        for j, per_agent in enumerate(options)
+    ]
 
     shape = tuple(len(per_agent) for per_agent in options)
     q = base.cross_impact
     bundle = build_matrices(base.grid, base.effective_kernel)
     volumes = [[base.scales[j] * candidate for candidate in candidates[j]] for j in range(n_agents)]
-    own = [
-        [own_cost_term(q, bundle.kernel_matrix, base.thetas[j], volume) for volume in volumes[j]]
-        for j in range(n_agents)
-    ]
-    cross = {}
-    for j, l in product(range(n_agents), repeat=2):
-        if j != l:
-            matrix = priority_cross(bundle, base.priority[j, l])
-            cross[j, l] = [
-                [cross_cost_term(q, matrix, a, b) for b in volumes[l]] for a in volumes[j]
-            ]
-
+    option = np.indices(shape)  # option[j] is agent j's option in every cell
     costs = np.empty(shape + (n_agents,))
-    for combo in product(*(range(k) for k in shape)):
-        for j in range(n_agents):
-            cost = own[j][combo[j]]
-            for l in range(n_agents):
-                if l != j:
-                    cost += cross[j, l][combo[j]][combo[l]]
-            costs[combo + (j,)] = cost
+    for j in range(n_agents):
+        own = [own_cost_term(q, bundle.kernel_matrix, base.thetas[j], v) for v in volumes[j]]
+        costs[..., j] = np.array(own)[option[j]]
+        for l in range(n_agents):
+            if l != j:
+                matrix = priority_cross(bundle, base.priority[j, l])
+                cross = [[cross_cost_term(q, matrix, a, b) for b in volumes[l]] for a in volumes[j]]
+                costs[..., j] += np.array(cross)[option[j], option[l]]
 
     def priced(combo):
         strategies = np.stack([candidates[j][combo[j]] for j in range(n_agents)], axis=1)
@@ -331,22 +310,17 @@ def payoff_matrix(
 
     corners = {tuple(0 for _ in shape), tuple(k - 1 for k in shape)}
     if not all(np.allclose(costs[c], priced(c), rtol=1e-12, atol=0.0) for c in corners):
-        for combo in product(*(range(k) for k in shape)):
+        for combo in np.ndindex(shape):
             costs[combo] = priced(combo)
 
-    nash = np.zeros(shape, dtype=bool)
-    for combo in product(*(range(k) for k in shape)):
-        best = True
-        for j in range(n_agents):
-            here = costs[combo + (j,)]
-            for alt in range(shape[j]):
-                if alt == combo[j]:
-                    continue
-                other = combo[:j] + (alt,) + combo[j + 1 :]
-                if costs[other + (j,)] < here - tol * max(abs(here), 1.0):
-                    best = False
-                    break
-            if not best:
-                break
-        nash[combo] = best
-    return PayoffTable(mask_options=options, costs=costs, equilibrium=nash)
+    return PayoffTable(mask_options=options, costs=costs, equilibrium=_equilibrium_cells(costs))
+
+
+def _equilibrium_cells(costs: np.ndarray) -> np.ndarray:
+    """Flags of the cells of ``costs[o_1, ..., o_J, j]`` that no agent leaves unilaterally."""
+    nash = np.ones(costs.shape[:-1], dtype=bool)
+    for j in range(costs.shape[-1]):
+        here = costs[..., j]
+        best = here.min(axis=j, keepdims=True)  # agent j's best reply to the others' options
+        nash &= best >= here - _NASH_TOL * np.maximum(np.abs(here), 1.0)
+    return nash

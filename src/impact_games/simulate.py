@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ._csv import write_csv
-from ._linalg import ArgumentError
+from ._linalg import ArgumentError, _finite
 
 GENERATOR_ID = "numpy-default_rng(PCG64)-standard_normal"
 
@@ -91,7 +91,7 @@ def simulate_price(
     ----------
     spec : the game.
     strategies : (M, J, N+1) strategy array (typically an equilibrium).
-    initial_prices : scalar or length-M vector of starting prices.
+    initial_prices : scalar or length-M vector of finite starting prices.
     fine_steps : sub-intervals per trading interval (the fine grid always
         contains every trading time by construction).
     horizon : final simulation time, at least the trading horizon; the grid
@@ -107,6 +107,7 @@ def simulate_price(
         raise ValueError("strategies do not match the spec dimensions")
 
     start = np.broadcast_to(np.asarray(initial_prices, dtype=float), (n_assets,))
+    _finite("initial_prices", start)
     if horizon is None:
         horizon = spec.grid.horizon
     times = _fine_grid(spec.grid.points, int(fine_steps), float(horizon))

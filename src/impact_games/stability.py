@@ -294,9 +294,11 @@ def predicted_theta_star(
     the top eigenvalue times the lag-zero kernel value over four.
     ``mode="conjecture"`` extrapolates to J agents with kernel crowding:
     ``kernel_at_zero * J**-beta * (J - 1) * top_eigenvalue / 4``, for
-    ``n_agents`` of at least one (an ``ArgumentError`` otherwise).
+    ``n_agents`` of at least one (an ``ArgumentError`` otherwise). The
+    eigenvalues are computed on one BLAS thread (see :func:`single_blas_thread`).
     """
-    eigenvalues = np.linalg.eigvalsh(np.asarray(cross_impact, dtype=float))
+    with single_blas_thread():
+        eigenvalues = np.linalg.eigvalsh(np.asarray(cross_impact, dtype=float))
     top = float(eigenvalues[-1])
     if mode == "theorem":
         return kernel_at_zero * top / 4.0

@@ -9,14 +9,8 @@ import numpy as np
 import pytest
 
 from impact_games import stability
-from impact_games._csv import write_csv
-from impact_games.cli import (
-    ConfigError,
-    _round_floats,
-    main,
-    read_strategies_csv,
-    run_experiment,
-)
+from impact_games._csv import read_strategies_csv, write_csv
+from impact_games.cli import ConfigError, _round_floats, main, run_experiment
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -125,6 +119,7 @@ SCHEMA_CONSTRAINTS = [
     (MINIMAL_EQUILIBRIUM, "agents.0.mask", [2], "agents.0.mask.0"),
     (SIMULATE, "simulate.fine_steps", 0, "simulate.fine_steps"),
     (SIMULATE, "simulate.horizon", 0, "simulate.horizon"),
+    (SIMULATE, "simulate.initial_prices", math.nan, "simulate.initial_prices"),
     (THETA_CRITICAL, "tolerances.bisection", 0, "tolerances.bisection"),
     (SWEEP, "tolerances.bisection", -1, "tolerances.bisection"),
     (THETA_CRITICAL, "tolerances.flip", 0, "tolerances.flip"),

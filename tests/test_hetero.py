@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import impact_games.equilibrium as equilibrium_module
 from conftest import assert_matches_printed
@@ -174,15 +176,24 @@ def test_stationarity_on_small_random_games(rng):
         assert np.abs(eq.totals() - spec.inventories).max() <= 1e-10
 
 
+def coordinate_indices(spec):
+    """Each (asset, agent) pair's strategy variables in the KKT system, in time order.
+
+    Decodes the documented layout itself: with P pairs numbered agent by agent
+    and within an agent by asset, pair p at trading time t is variable t * P + p.
+    """
+    pairs = [(i, j) for j in range(spec.n_agents) for i in range(spec.n_assets) if spec.mask[i, j]]
+    times = np.arange(spec.grid.n_points)
+    return {pair: times * len(pairs) + p for p, pair in enumerate(pairs)}
+
+
 def test_fair_priority_blocks_recombine_into_the_kernel_matrix():
     spec = hetero_spec([[1.0, 1.0], [0.5, -0.5]], [0.3, 0.9],
                        scales=[1.0, 2.0], cross=one_factor_matrix(2, 0.4))
     system = assemble_equilibrium_system(spec)
     bundle = build_matrices(spec.grid, KERNEL)
-    n = spec.grid.n_points
-    blocks = []
-    for rows in system.strategy_rows:
-        blocks.append(np.concatenate([coords for _, coords in rows]))
+    coords = coordinate_indices(spec)
+    blocks = [np.concatenate([coords[i, j] for i in range(spec.n_assets)]) for j in range(2)]
     cross_01 = system.matrix[np.ix_(blocks[0], blocks[1])]
     cross_10 = system.matrix[np.ix_(blocks[1], blocks[0])]
     s0, s1 = spec.scales
@@ -255,9 +266,8 @@ def dense_reference(spec):
     system = assemble_equilibrium_system(spec)
     solution = guarded_solve(system.matrix, system.rhs)
     strategies = np.zeros((spec.n_assets, spec.n_agents, spec.grid.n_points))
-    for j, rows in enumerate(system.strategy_rows):
-        for asset, coords in rows:
-            strategies[asset, j, :] = solution[coords]
+    for (asset, j), coords in coordinate_indices(spec).items():
+        strategies[asset, j, :] = solution[coords]
     return strategies
 
 
@@ -375,7 +385,7 @@ def test_time_major_principal_solves_avoid_the_dense_fallback(seed, n_assets, mo
     assert residual <= 1e-12
 
 
-def test_stacked_solve_retries_in_time_major_order(monkeypatch):
+def test_stacked_solve_meets_the_conditions_in_one_time_major_solve(monkeypatch):
     # the top-eigenvalue system of the [91, 106] venue game as a one-asset game;
     # agent-major, the stacked solve missed the inventories by 1.2e-4
     game = venue_game([91, 106], 8)
@@ -389,7 +399,7 @@ def test_stacked_solve_retries_in_time_major_order(monkeypatch):
     assert residual <= 1e-12
 
 
-def test_stacked_solve_failing_both_orders_raises(rng, monkeypatch):
+def test_stacked_solve_failing_its_check_raises(rng, monkeypatch):
     spec = hetero_spec([[1.0, -0.5]], [0.1, 0.3])
     monkeypatch.setattr(hetero, "stationarity_residual", lambda *args: 1.0)
     with pytest.raises(NumericError, match="stacked solve misses the inventory or first-order"):
@@ -493,6 +503,45 @@ def test_payoff_cell_mismatch_prices_every_cell(rng, monkeypatch):
     assert np.array_equal(table.costs, reference)
     # the first cell already disagrees, then every cell is priced
     assert len(calls) == (1 + reference[..., 0].size) * base.n_agents
+
+
+def per_cell_equilibria(costs):
+    """Equilibrium flags of a payoff table, one cell and one deviation at a time."""
+    shape = costs.shape[:-1]
+    nash = np.zeros(shape, dtype=bool)
+    for combo in product(*(range(k) for k in shape)):
+        nash[combo] = all(
+            costs[combo[:j] + (alt,) + combo[j + 1 :] + (j,)]
+            >= costs[combo + (j,)] - hetero._NASH_TOL * max(abs(costs[combo + (j,)]), 1.0)
+            for j in range(len(shape))
+            for alt in range(shape[j])
+        )
+    return nash
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_equilibrium_flags_match_a_per_cell_loop(seed):
+    rng = np.random.default_rng(seed)
+    n_agents = int(rng.integers(2, 5))
+    shape = [int(k) for k in rng.integers(1, 4, n_agents)]
+    shape[rng.integers(n_agents)] = 1  # an agent with a single option
+    # each agent's costs sit at a level or below it by 0.99 (just inside the
+    # tolerance), 1 (on it), 1.01 (just outside) or 2 tolerance units; equal
+    # steps tie
+    level = rng.choice([0.0, 0.3, -0.7, 5.0, -40.0], n_agents)
+    unit = hetero._NASH_TOL * np.maximum(np.abs(level), 1.0)
+    costs = level - unit * rng.choice([0.0, 0.0, 0.99, 1.0, 1.01, 2.0], shape + [n_agents])
+    assert np.array_equal(hetero._equilibrium_cells(costs), per_cell_equilibria(costs))
+
+
+def test_equilibrium_flags_honour_the_tolerance():
+    # agent 0 has two options, agent 1 one; agent 0's costs are 5 and 5 less
+    # 0.99, 1 or 1.01 tolerance units of 5
+    unit = hetero._NASH_TOL * 5.0
+    for step, both in [(0.0, True), (0.99, True), (1.0, True), (1.01, False)]:
+        costs = np.array([[[5.0, 1.0]], [[5.0 - step * unit, 1.0]]])
+        assert costs[0, 0, 0] - costs[1, 0, 0] == pytest.approx(step * unit, rel=1e-3)
+        assert hetero._equilibrium_cells(costs).tolist() == [[both], [True]]
 
 
 def test_payoff_table_rejects_non_boolean_mask_options():

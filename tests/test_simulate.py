@@ -93,6 +93,14 @@ def test_horizon_must_cover_the_session():
         simulate_price(spec, eq.strategies, initial_prices=0.0, horizon=0.5, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_initial_prices_must_be_finite(bad):
+    spec = sellers_spec(theta=1.5, n_steps=5)
+    eq = closed_form_equilibrium(spec)
+    with pytest.raises(ValueError, match="initial_prices must be finite"):
+        simulate_price(spec, eq.strategies, initial_prices=bad, seed=0)
+
+
 def test_scalar_covariance_matches_the_matrix_form():
     q = one_factor_matrix(2, 0.5)
     explicit = np.array([[0.3, 0.1], [0.1, 0.2]])

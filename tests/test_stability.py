@@ -21,6 +21,7 @@ from impact_games import (
     principal_fundamentals,
     stability_sweep,
 )
+from impact_games import _linalg
 from impact_games import stability as stability_module
 from impact_games.stability import SweepBase, _bisect_threshold, prepare_profile_systems
 
@@ -148,6 +149,30 @@ def test_predictions():
         ) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
         predicted_theta_star(np.eye(1), 1.0, 2, mode="oracle")
+
+
+def test_predictions_run_on_one_blas_thread(monkeypatch):
+    controls = _linalg._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS")
+    counts = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(*args, **kwargs):
+        counts.append([get() for get, _ in controls])
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    original = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        predicted_theta_star(one_factor_matrix(3, 0.5), 1.0, n_agents=2)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, put), count in zip(controls, original):
+            put(count)
+    assert counts == [[1] * len(controls)]
 
 
 def test_estimate_scales_with_the_kernel():
