@@ -34,7 +34,7 @@ from .costs import (
     priority_cross,
     stationarity_residual,
 )
-from .cross_impact import analyze_cross_impact
+from .cross_impact import SpectralReport, analyze_cross_impact
 from .equilibrium import Equilibrium, GameSpec, closed_form_equilibrium, principal_groups
 from .kernels import build_matrices
 
@@ -133,8 +133,8 @@ def _solve_stacked(spec: GameSpec) -> np.ndarray:
     return strategies
 
 
-def _solve_principal(spec: GameSpec, assets: np.ndarray) -> np.ndarray:
-    """Strategies of a game in which every agent trades exactly ``assets``.
+def _solve_principal(spec: GameSpec, assets: np.ndarray) -> Tuple[np.ndarray, SpectralReport]:
+    """Strategies of a game in which every agent trades exactly ``assets``, and Q_SS's spectrum.
 
     Every block of the stacked system is ``kron(Q_SS, .)`` on the tradable
     set S, so rotating each agent's strategy by the eigenvectors V of
@@ -169,7 +169,7 @@ def _solve_principal(spec: GameSpec, assets: np.ndarray) -> np.ndarray:
             principal[members] = solution[: n * n_agents].reshape(n, n_agents, -1).T
     strategies = np.zeros((spec.n_assets, n_agents, n))
     strategies[assets] = np.einsum("ik,kjt->ijt", vec, principal)
-    return strategies
+    return strategies, spectrum
 
 
 def _is_equilibrium(spec: GameSpec, strategies: np.ndarray) -> bool:
@@ -203,20 +203,25 @@ def solve_hetero_nash(spec: GameSpec) -> Equilibrium:
     agent's stationarity residual within 1e-9 (both relative to the largest
     inventory, or 1); otherwise the stacked system is solved densely, as it
     is for every other game. The stacked result must pass the same checks
-    (see :func:`_solve_stacked`), or NumericError is raised. ValueError for a
-    risk-averse game, whose variance term this solver does not model.
+    (see :func:`_solve_stacked`), or NumericError is raised. When the split
+    covers every asset, its spectrum is the returned one, so Q is
+    diagonalised once. ValueError for a risk-averse game, whose variance term
+    this solver does not model.
     """
     if spec.gamma > 0.0:
         raise ValueError("the stacked solver is risk neutral; use solve for gamma > 0")
-    strategies = None
+    strategies = spectrum = None
     traded = spec.mask.all(axis=1)
     if spec.n_assets > 1 and traded.any() and np.array_equal(traded, spec.mask.any(axis=1)):
-        strategies = _solve_principal(spec, np.flatnonzero(traded))
+        strategies, split = _solve_principal(spec, np.flatnonzero(traded))
+        if traded.all():
+            spectrum = split  # Q_SS is Q, and the split does not rotate it
         if not _is_equilibrium(spec, strategies):
             strategies = None
     if strategies is None:
         strategies = _solve_stacked(spec)
-    spectrum = analyze_cross_impact(spec.cross_impact)
+    if spectrum is None:
+        spectrum = analyze_cross_impact(spec.cross_impact)
     principal = np.einsum("im,mjk->ijk", spectrum.eigenvectors.T, strategies)
     return Equilibrium(
         strategies=strategies,

@@ -8,6 +8,7 @@ prices only after t_k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from ._csv import write_csv
 from ._linalg import ArgumentError, _finite
+from .kernels import DecayKernel
 
 GENERATOR_ID = "numpy-default_rng(PCG64)-standard_normal"
 
@@ -39,19 +41,26 @@ class PricePath:
 
 
 def _fine_grid(trading_times: np.ndarray, fine_steps: int, horizon: float) -> np.ndarray:
+    """Each trading interval split into ``fine_steps`` equal parts, then extended to ``horizon``.
+
+    The interior is ``np.linspace(left, right, fine_steps + 1)[1:]`` for every
+    interval at once (the same expression, so the same floats). Past the
+    session the mean fine step is kept; the point nearest the horizon is
+    replaced by the horizon itself, so the grid ends exactly there.
+    """
     if fine_steps < 1:
         raise ArgumentError("fine_steps", "fine_steps must be at least 1")
-    segments = [np.array([trading_times[0]])]
-    for left, right in zip(trading_times[:-1], trading_times[1:]):
-        segments.append(np.linspace(left, right, fine_steps + 1)[1:])
-    fine = np.concatenate(segments)
     if not (np.isfinite(horizon) and horizon >= trading_times[-1]):
         raise ArgumentError("horizon", "horizon must be finite and cover the whole trading session")
-    if horizon > trading_times[-1]:
-        step = (trading_times[-1] - trading_times[0]) / (len(trading_times) - 1) / fine_steps
-        extra = np.arange(trading_times[-1] + step, horizon + 0.5 * step, step)
-        if extra.size:
-            fine = np.concatenate([fine, np.minimum(extra, horizon)])
+    left, right = trading_times[:-1, None], trading_times[1:, None]
+    interior = np.arange(1, fine_steps + 1) * ((right - left) / fine_steps) + left
+    interior[:, -1] = right[:, 0]
+    fine = np.concatenate([trading_times[:1], interior.ravel()])
+    end = trading_times[-1]
+    if horizon > end:
+        step = (end - trading_times[0]) / (len(trading_times) - 1) / fine_steps
+        extra = np.arange(end + step, horizon + 0.5 * step, step)
+        fine = np.concatenate([fine, extra[:-1], [horizon]])
     return fine
 
 
@@ -62,18 +71,38 @@ def _covariance_root(covariance: np.ndarray) -> np.ndarray:
     return vec * np.sqrt(np.clip(lam, 0.0, None))
 
 
+@functools.lru_cache(maxsize=1)
+def _drift_weights(times: bytes, points: bytes, kernel: DecayKernel) -> np.ndarray:
+    """Kernel at every positive (fine time - trading time) lag, zero elsewhere.
+
+    Only the last (fine grid, trading grid, kernel) is kept, so the paths of
+    one game share one evaluation. The array is read-only, since repeated
+    calls return the same one.
+    """
+    lag = np.frombuffer(times)[:, None] - np.frombuffer(points)[None, :]
+    positive = lag > 0.0
+    weights = np.zeros(lag.shape)
+    weights[positive] = kernel(lag[positive])
+    weights.flags.writeable = False
+    return weights
+
+
 def impact_drift(spec, strategies: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Deterministic price displacement of the aggregate flow at given times.
 
     ``drift(t) = -sum over trades before t of kernel(t - t_k) times the
     cross-impact image of the aggregate impact volume at t_k``, where each
     agent's share volume is multiplied by its impact scale. Strictly
-    before: the trade at t contributes nothing at t itself.
+    before: the trade at t contributes nothing at t itself. The kernel
+    weights are evaluated once per (times, trading grid, effective kernel);
+    only the last such set is kept, read-only, so a repeated call is one
+    matrix product. The returned array is new.
     """
     volume = spec.scales[:, None] * np.asarray(strategies, dtype=float)
     flow = spec.cross_impact @ volume.sum(axis=1)
-    lag = np.asarray(times, dtype=float)[:, None] - spec.grid.points[None, :]
-    weights = np.where(lag > 0.0, spec.effective_kernel(np.where(lag > 0.0, lag, 0.0)), 0.0)
+    weights = _drift_weights(
+        np.asarray(times, dtype=float).tobytes(), spec.grid.points.tobytes(), spec.effective_kernel
+    )
     return -(weights @ flow.T)
 
 
@@ -95,11 +124,15 @@ def simulate_price(
     fine_steps : sub-intervals per trading interval (the fine grid always
         contains every trading time by construction).
     horizon : final simulation time, at least the trading horizon; the grid
-        is extended past the session with the same resolution.
+        is extended past the session with the mean fine step and its last
+        time is ``horizon`` exactly.
     seed : nonnegative integer seed of the random generator; identical seeds
         give identical paths.
 
     The unaffected price has the spec's covariance rate, zero without one.
+    Paths of one game differ only in their random draws: the drift comes from
+    :func:`impact_drift`, whose kernel weights are evaluated on the first
+    path and reused by the others.
     """
     strategies = np.asarray(strategies, dtype=float)
     n_assets = spec.n_assets

@@ -14,6 +14,7 @@ from conftest import assert_matches_printed
 from impact_games import (
     GameSpec,
     NumericError,
+    analyze_cross_impact,
     assemble_equilibrium_system,
     block_matrix,
     build_matrices,
@@ -337,6 +338,30 @@ def test_principal_split_matches_the_dense_solve(case, solves, rng, monkeypatch)
     assert dims == [principal_dim(spec)] * solves
     assert np.abs(strategies - reference).max() <= 1e-12
     assert np.all(strategies[~spec.mask] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "traded, shapes",
+    [(None, [(8, 8)]), (np.array([1, 1, 1, 1, 1, 0, 0, 0], bool), [(5, 5), (8, 8)])],
+    ids=["every_asset", "nested_mask"],
+)
+def test_q_is_diagonalised_once_when_every_asset_is_traded(traded, shapes, rng, monkeypatch):
+    spec = uniform_game(rng, rank_one_matrix(np.linspace(0.15, 0.85, 8)), traded=traded)
+    reference = analyze_cross_impact(spec.cross_impact)
+    shapes_seen = []
+
+    def counted(matrix):
+        shapes_seen.append(np.shape(matrix))
+        return analyze_cross_impact(matrix)
+
+    monkeypatch.setattr(equilibrium_module, "analyze_cross_impact", counted)
+    monkeypatch.setattr(hetero, "analyze_cross_impact", counted)
+    spectrum = solve_hetero_nash(spec).spectrum
+    assert shapes_seen == shapes
+    assert spectrum.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert spectrum.eigenvectors.tobytes() == reference.eigenvectors.tobytes()
+    assert spectrum.top_eigenvalue == reference.top_eigenvalue
+    assert spectrum.one_factor_bound == reference.one_factor_bound
 
 
 def test_non_uniform_masks_take_the_stacked_solve(rng, monkeypatch):
