@@ -165,12 +165,12 @@ def test_fine_grid_is_the_linspace_loop_bit_for_bit(points, fine_steps):
 @pytest.mark.parametrize(
     "points, horizon",
     [
-        # the parent dropped the horizon: last times 1.0 and 1.01
+        # less than half a step past a whole step: once cut short at 1.0 and 1.01
         (np.linspace(0.0, 1.0, 11), 1.005),
         (np.linspace(0.0, 1.0, 11), 1.0149),
         (np.linspace(0.0, 1.0, 11), 1.0151),
         (np.linspace(0.0, 1.0, 11), 1.3),
-        # float noise in the extension left the last time 2e-14 short
+        # float noise in the extension once left the last time 2e-14 short
         (np.linspace(0.0, 1.0, 201), 1.2),
         (random_grid(12, 3), 4.0),
     ],
