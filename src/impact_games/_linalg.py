@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -15,6 +16,12 @@ from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 # (prefix, suffix) of the thread-count functions in OpenBLAS builds; the numpy
 # and scipy wheels each bundle a renamed OpenBLAS
 _OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
+
+# blocks of single_blas_thread open in any thread, and the thread counts the
+# first of them saw on entry; guarded by the lock
+_BLAS_LOCK = threading.Lock()
+_blas_entries = 0
+_blas_saved: list = []
 
 
 class NumericError(RuntimeError):
@@ -85,18 +92,27 @@ def single_blas_thread():
     For solves of a few hundred unknowns a second BLAS thread gains little, and
     when another process holds a core it waits for it: on 2 vCPUs one busy core
     doubled the time of a venue-choice payoff table. The thread counts are
-    process-wide and are restored on exit. Without a bundled OpenBLAS (other
-    BLAS vendors, other platforms) the block runs unchanged.
+    process-wide, so blocks open in several Python threads (or nested in one)
+    share them: the first entry saves them and sets one thread, and the last
+    exit restores them. Without a bundled OpenBLAS (other BLAS vendors, other
+    platforms) the block runs unchanged.
     """
+    global _blas_entries, _blas_saved
     controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    with _BLAS_LOCK:
+        if _blas_entries == 0:
+            _blas_saved = [get() for get, _ in controls]
+            for _, put in controls:
+                put(1)
+        _blas_entries += 1
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, previous):
-            put(count)
+        with _BLAS_LOCK:
+            _blas_entries -= 1
+            if _blas_entries == 0:
+                for (_, put), count in zip(controls, _blas_saved):
+                    put(count)
 
 
 def guarded_solve(matrix: np.ndarray, rhs: np.ndarray, max_condition: float = 1e12) -> np.ndarray:

@@ -12,17 +12,32 @@ The fee enters each profile system only as ``2 theta`` on the diagonal, so
 :func:`critical_theta` builds the two systems of each group of principal
 assets that share a solve (the groups of :func:`equilibrium.principal_groups`,
 as in the closed form) once, at zero fee (:func:`prepare_profile_systems`),
-and each probe solves ``(A_0 + 2 theta I) x = 1`` once per group. On an
-equidistant grid without a variance term both systems are Toeplitz and a
+and a probe solves ``(A_0 + 2 theta I) x = 1`` for the groups it needs. On
+an equidistant grid without a variance term both systems are Toeplitz and a
 probe solves them by Levinson recursion in O(N^2). A Levinson solution is
 kept only when a bound on the condition number is within the dense solver's
 cap and its normwise residual against the dense matrix is at most 1e-12;
 every other solve, and every system that is not Toeplitz, goes to
-:func:`guarded_solve`, which rejects the systems it always rejected. At the
-final lower bracket end the dense reference path
-(:func:`principal_fundamentals`) recomputes the profiles; if its verdict or
-profiles disagree with the prepared systems, the bisection is run again on
-the dense path.
+:func:`guarded_solve`, which rejects the systems it always rejected.
+
+The bisection probes only the group of largest eigenvalue in each class of
+groups with equal ``gamma * v_k / lambda_k`` (variance rate v_k, eigenvalue
+lambda_k). In one class, principal asset k's systems are
+``lambda_k (B + 2 (theta / lambda_k) I)`` for one zero-fee system B at unit
+eigenvalue, and profiles are normalized, so group k at fee theta has the top
+group's profiles at ``theta * lambda_top / lambda_k >= theta``: with a verdict
+that is unstable below some fee and stable above it, a lower group oscillates
+only where the top group does. This scale law is behind the theorem value
+``lambda_max G(0) / 4``; with ``gamma = 0`` or a covariance proportional to Q
+there is one class, and only the top principal asset is bisected. The
+returned bracket and estimate rest only on the verdicts at the two final
+bracket ends, so checking every group there also covers rounding and a
+verdict that is not monotone. At the lower end a bisected group oscillates,
+so the game does. At the upper end every group is solved on the prepared
+systems; if one oscillates, the bisection runs again on all groups. Then the
+dense reference path (:func:`principal_fundamentals`) recomputes every
+profile at the lower end; if its verdict or profiles disagree with the
+prepared systems, the bisection runs again on the dense path.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ from .equilibrium import (
     FundamentalSolutions,
     GameSpec,
     _require_identical_agents,
+    _shared_solves,
     _spread,
     principal_bundles,
     principal_fundamentals,
@@ -176,14 +192,19 @@ class ProfileSystems:
     """Zero-fee profile systems of the groups of principal assets of one game.
 
     ``pairs[k]`` holds the (mean, deviation) systems shared by the principal
-    assets ``groups[k]`` (see :func:`principal_bundles`). ``paths`` counts the
-    profile solves by path ("levinson", "dense") and the dense re-bisections
-    ("rebisect") of :func:`critical_theta`.
+    assets ``groups[k]`` (see :func:`principal_bundles`), built with the
+    eigenvalue ``eigenvalues[k]`` and the variance term ``variance_terms[k]``
+    (risk aversion times variance rate). ``paths`` counts the profile solves
+    by path ("levinson", "dense"), and the re-bisections of
+    :func:`critical_theta` on all groups ("all_groups") and on the dense path
+    ("rebisect").
     """
 
     groups: Tuple[np.ndarray, ...]
     pairs: Tuple[Tuple[_FeeFreeSystem, _FeeFreeSystem], ...]
     paths: Dict[str, int]
+    eigenvalues: np.ndarray
+    variance_terms: np.ndarray
 
     def profiles(self, theta: float) -> Tuple[FundamentalSolutions, ...]:
         """Profile pair of every principal asset at fee ``theta``, one solve per group.
@@ -199,6 +220,20 @@ class ProfileSystems:
         )
         return _spread(self.groups, pairs)
 
+    def subset(self, indices: Sequence[int]) -> "ProfileSystems":
+        """The systems of the groups ``indices`` alone, one principal asset standing for each.
+
+        The subset shares the systems and the solve counts of this one.
+        """
+        indices = list(indices)
+        return ProfileSystems(
+            groups=tuple(np.array([i]) for i in range(len(indices))),
+            pairs=tuple(self.pairs[k] for k in indices),
+            paths=self.paths,
+            eigenvalues=self.eigenvalues[indices],
+            variance_terms=self.variance_terms[indices],
+        )
+
 
 def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     """Build the zero-fee profile systems of every group of principal assets once.
@@ -211,15 +246,16 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     ``eigvalsh`` gives every floor. The floor is lowered by ``n eps ||K||_1``
     to cover rounding.
     """
-    _, groups, bundles = principal_bundles(replace(spec, theta=0.0))
+    spectrum, groups, bundles = principal_bundles(replace(spec, theta=0.0))
     steps = np.diff(spec.grid.points)
     uniform = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon
     n, n_agents = spec.grid.n_points, spec.n_agents
     unit_floor = None  # floor of the kernel matrix per unit lag-zero value
-    pairs = []
+    pairs, variance_terms = [], []
     for bundle in bundles:
+        variance_terms.append(bundle.gamma * bundle.var_rate)
         mean, deviation = profile_systems(bundle, n_agents)
-        if uniform and bundle.gamma * bundle.var_rate == 0.0:
+        if uniform and variance_terms[-1] == 0.0:
             if unit_floor is None:
                 kernel = bundle.kernel_matrix
                 rounding = n * np.finfo(float).eps * np.linalg.norm(kernel, 1)
@@ -237,7 +273,9 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     return ProfileSystems(
         groups=groups,
         pairs=tuple(pairs),
-        paths={"levinson": 0, "dense": 0, "rebisect": 0},
+        paths={"levinson": 0, "dense": 0, "all_groups": 0, "rebisect": 0},
+        eigenvalues=spectrum.eigenvalues[[members[0] for members in groups]],
+        variance_terms=np.array(variance_terms),
     )
 
 
@@ -297,9 +335,17 @@ def predicted_theta_star(
     ``n_agents`` of at least one (an ``ArgumentError`` otherwise). The
     eigenvalues are computed on one BLAS thread (see :func:`single_blas_thread`).
     """
+    return _prediction(_top_eigenvalue(cross_impact), kernel_at_zero, n_agents, beta, mode)
+
+
+def _top_eigenvalue(cross_impact: np.ndarray) -> float:
+    """Largest eigenvalue of the cross-impact matrix, by ``eigvalsh`` on one BLAS thread."""
     with single_blas_thread():
-        eigenvalues = np.linalg.eigvalsh(np.asarray(cross_impact, dtype=float))
-    top = float(eigenvalues[-1])
+        return float(np.linalg.eigvalsh(np.asarray(cross_impact, dtype=float))[-1])
+
+
+def _prediction(top: float, kernel_at_zero: float, n_agents: int, beta: float, mode: str) -> float:
+    """The prediction of :func:`predicted_theta_star` from the top eigenvalue."""
     if mode == "theorem":
         return kernel_at_zero * top / 4.0
     if mode == "conjecture":
@@ -376,9 +422,11 @@ class StabilityReport:
     principal asset probed just below the transition, from the dense path.
     Predictions carry the theorem value and the many-agent extrapolation for
     this game. ``solve_paths`` counts the profile solves by path: "levinson"
-    and "dense" (fallbacks, the final check and any dense re-bisection), and
-    "rebisect" is 1 when the final check failed and the bisection ran again
-    on the dense path.
+    and "dense" (fallbacks, the final check and any dense re-bisection);
+    "all_groups" is 1 when a group left out of the bisection was unstable at
+    the final upper bracket end and the bisection ran again on all groups,
+    and "rebisect" is 1 when the final dense check failed and the bisection
+    ran again on the dense path.
     """
 
     estimate: float
@@ -392,14 +440,26 @@ class StabilityReport:
     solve_paths: Dict[str, int]
 
 
-def _checked_bisection(spec: GameSpec, lo: float, hi: float, tol: float, rel_tol: float):
-    """Bisection on prepared systems, checked at the end against the dense path.
+def _top_groups(systems: ProfileSystems) -> Tuple[int, ...]:
+    """The largest-eigenvalue group of each class of equal variance term to eigenvalue ratio.
 
-    Returns (estimate, bracket, trace, method, flags_below, solve_paths).
+    Classes are formed as shared solves are (see :func:`equilibrium.principal_groups`).
+    """
+    eigenvalues = systems.eigenvalues
+    classes = _shared_solves(systems.variance_terms / eigenvalues)
+    return tuple(int(members[np.argmax(eigenvalues[members])]) for members in classes)
+
+
+def _checked_bisection(spec: GameSpec, lo: float, hi: float, tol: float, rel_tol: float):
+    """Bisection of the top groups on prepared systems, checked at the end on all groups.
+
+    See the module docstring. Returns (estimate, bracket, trace, method,
+    flags_below, solve_paths).
     """
     systems = prepare_profile_systems(spec)
     paths = systems.paths
     dense_solves = 2 * len(systems.pairs)  # per probe on the dense path
+    top = systems.subset(_top_groups(systems))
 
     def bisect(prepared):
         return _bisect_threshold(
@@ -411,9 +471,14 @@ def _checked_bisection(spec: GameSpec, lo: float, hi: float, tol: float, rel_tol
         _, fundamentals = principal_fundamentals(replace(spec, theta=theta))
         return fundamentals, _pair_flags(fundamentals, rel_tol)
 
-    estimate, final_bracket, trace, method = bisect(systems)
+    estimate, final_bracket, trace, method = bisect(top)
+    if len(top.pairs) < len(systems.pairs) and _any_unstable(
+        _pair_flags(systems.profiles(final_bracket[1]), rel_tol)
+    ):
+        paths["all_groups"] += 1
+        estimate, final_bracket, trace, method = bisect(systems)
     fast = systems.profiles(final_bracket[0])
-    del systems  # the dense check needs the memory of the prepared matrices
+    del systems, top  # the dense check needs the memory of the prepared matrices
     fundamentals, flags_below = dense_at(final_bracket[0])
     if not _agrees(fast, fundamentals, flags_below, rel_tol):
         paths["rebisect"] += 1
@@ -452,12 +517,9 @@ def critical_theta(
     whose agents differ.
     """
     _require_identical_agents(spec)
-    conjecture = predicted_theta_star(
-        spec.cross_impact, spec.kernel.at_zero, spec.n_agents, spec.beta, "conjecture"
-    )
-    theorem = predicted_theta_star(
-        spec.cross_impact, spec.kernel.at_zero, spec.n_agents, spec.beta, "theorem"
-    )
+    top = _top_eigenvalue(spec.cross_impact)
+    conjecture = _prediction(top, spec.kernel.at_zero, spec.n_agents, spec.beta, "conjecture")
+    theorem = _prediction(top, spec.kernel.at_zero, spec.n_agents, spec.beta, "theorem")
     if bracket is None:
         if conjecture <= 0.0:
             raise BracketError(
@@ -477,14 +539,13 @@ def critical_theta(
         estimate, final_bracket, trace, method, flags_below, paths = _checked_bisection(
             spec, lo, hi, tol, rel_tol
         )
-    spectrum_top = float(np.linalg.eigvalsh(spec.cross_impact)[-1])
     params = {
         "n_assets": float(spec.n_assets),
         "n_agents": float(spec.n_agents),
         "n_steps": float(spec.grid.n_steps),
         "gamma": float(spec.gamma),
         "beta": float(spec.beta),
-        "top_eigenvalue": spectrum_top,
+        "top_eigenvalue": top,
         "flip_tol": float(rel_tol),
         "requested_tol": float(tol),
     }

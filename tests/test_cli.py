@@ -445,5 +445,6 @@ def test_theta_critical_base_probes_by_levinson(tmp_path):
     assert results["solve_paths"] == {
         "levinson": 2 * (results["n_probes"] + 1),
         "dense": 2,
+        "all_groups": 0,
         "rebisect": 0,
     }

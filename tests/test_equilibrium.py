@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -304,6 +305,44 @@ def test_single_blas_thread_caps_and_restores_the_thread_counts():
         for (_, put), count in zip(controls, original):
             put(count)
 
+
+
+def test_overlapping_single_blas_thread_blocks_restore_the_entry_counts():
+    controls = _linalg._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS")
+    # thread 0 enters first and leaves first, while thread 1 is still inside
+    entered, left = threading.Event(), threading.Event()
+    inside = threading.Barrier(2, timeout=10.0)
+    seen = {}
+
+    def first():
+        with _linalg.single_blas_thread():
+            entered.set()
+            inside.wait()
+        left.set()
+
+    def second():
+        entered.wait(10.0)
+        with _linalg.single_blas_thread():
+            inside.wait()
+            left.wait(10.0)
+            seen["after_first_left"] = [get() for get, _ in controls]
+
+    original = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert seen["after_first_left"] == [1] * len(controls)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, put), count in zip(controls, original):
+            put(count)
 
 def test_closed_form_solves_run_on_one_blas_thread(monkeypatch):
     controls = _linalg._openblas_thread_controls()

@@ -6,6 +6,7 @@ import pytest
 
 from impact_games import (
     BracketError,
+    analyze_cross_impact,
     GameSpec,
     NumericError,
     TimeGrid,
@@ -23,7 +24,12 @@ from impact_games import (
 )
 from impact_games import _linalg
 from impact_games import stability as stability_module
-from impact_games.stability import SweepBase, _bisect_threshold, prepare_profile_systems
+from impact_games.stability import (
+    SweepBase,
+    _bisect_threshold,
+    _top_groups,
+    prepare_profile_systems,
+)
 
 KERNEL = exponential_kernel()
 
@@ -175,6 +181,24 @@ def test_predictions_run_on_one_blas_thread(monkeypatch):
     assert counts == [[1] * len(controls)]
 
 
+def test_critical_fee_decomposes_the_cross_impact_once_on_one_blas_thread(monkeypatch):
+    controls = _linalg._openblas_thread_controls()
+    spec = stability_game(n_assets=3, coupling=0.5, n_steps=30)
+    counts = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(matrix, *args, **kwargs):
+        if np.shape(matrix) == spec.cross_impact.shape:
+            counts.append([get() for get, _ in controls])
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    report = critical_theta(spec, tol=1e-3)
+    assert counts == [[1] * len(controls)]
+    assert report.params["top_eigenvalue"] == eigvalsh(spec.cross_impact)[-1]
+    assert report.predicted_conjecture == predicted_theta_star(spec.cross_impact, 1.0, 2)
+
+
 def test_estimate_scales_with_the_kernel():
     base = critical_theta(stability_game(), tol=1e-5).estimate
     for factor in (0.5, 2.0):
@@ -302,7 +326,7 @@ def test_levinson_profiles_match_the_dense_path(kernel, n_agents, fraction, monk
     worst, paths = prepared_against_dense(spec, theta)
     assert worst <= 1e-11
     # two distinct eigenvalues, two profile systems each, all solved by Levinson
-    assert paths == {"levinson": 4, "dense": 0, "rebisect": 0}
+    assert paths == {"levinson": 4, "dense": 0, "all_groups": 0, "rebisect": 0}
     assert calls == {"toeplitz": 4, "guarded": 0}
 
 
@@ -318,7 +342,7 @@ def test_risk_aversion_and_uneven_grids_take_the_dense_path(monkeypatch):
     for spec in (risk_averse, uneven):
         worst, paths = prepared_against_dense(spec, 0.3)
         assert worst <= 1e-12
-        assert paths == {"levinson": 0, "dense": 4, "rebisect": 0}
+        assert paths == {"levinson": 0, "dense": 4, "all_groups": 0, "rebisect": 0}
     assert calls == {"toeplitz": 0, "guarded": 8}
 
 
@@ -327,7 +351,7 @@ def test_failed_levinson_residual_falls_back_to_the_dense_solve(monkeypatch):
     monkeypatch.setattr(stability_module, "solve_toeplitz", lambda cr, b, **kw: 2.0 * b)
     worst, paths = prepared_against_dense(stability_game(n_agents=3), 0.1)
     assert worst <= 1e-12
-    assert paths == {"levinson": 0, "dense": 2, "rebisect": 0}
+    assert paths == {"levinson": 0, "dense": 2, "all_groups": 0, "rebisect": 0}
     assert calls["guarded"] == 2
 
 
@@ -359,7 +383,9 @@ def test_cross_check_mismatch_bisects_again_on_the_dense_path(monkeypatch):
     n = len(fast.trace)
     # prepared probes, then the same probes again on the dense path
     assert probes == [False] * n + [True] * n
-    assert report.solve_paths == {"levinson": 2 * (n + 1), "dense": 2 * (n + 2), "rebisect": 1}
+    assert report.solve_paths == {
+        "levinson": 2 * (n + 1), "dense": 2 * (n + 2), "all_groups": 0, "rebisect": 1
+    }
     assert report.trace == fast.trace and report.estimate == fast.estimate
 
 
@@ -374,3 +400,94 @@ def test_high_frequency_limit_at_a_thousand_steps():
     assert report.method == "bisect"
     assert report.solve_paths["rebisect"] == 0 and report.solve_paths["dense"] == 2
     assert elapsed < 2.0
+
+
+def test_one_factor_game_bisects_its_top_principal_asset_only():
+    spec = stability_game(n_assets=4, coupling=0.5, n_agents=3, n_steps=60)
+    full = critical_theta(spec, tol=1e-4)
+    top = analyze_cross_impact(spec.cross_impact).eigenvalues[0]
+    reduced = critical_theta(
+        GameSpec(grid=spec.grid, kernel=KERNEL, cross_impact=[[top]], n_agents=3),
+        bracket=(0.0, 2.0 * full.predicted_conjecture),
+        tol=1e-4,
+    )
+    assert (full.estimate, full.bracket, full.trace) == (
+        reduced.estimate, reduced.bracket, reduced.trace
+    )
+    # the top group per probe, then both groups at each final bracket end
+    n = len(full.trace)
+    assert full.solve_paths == {"levinson": 2 * n + 8, "dense": 4, "all_groups": 0, "rebisect": 0}
+    # every verdict of the trace is the dense all-groups verdict
+    assert [(theta, is_unstable_at(spec, theta)) for theta, _ in full.trace] == list(full.trace)
+
+
+def two_class_game():
+    """Risk-averse game whose covariance commutes with Q but is not proportional to it.
+
+    The two larger eigenvalues have no variance term and form one class; the
+    smallest, with a large variance rate, is a class of its own and
+    oscillates up to a higher fee than the top principal asset.
+    """
+    rotation = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))[0]
+    return GameSpec(
+        grid=make_equidistant_grid(40, 1.0),
+        kernel=KERNEL,
+        cross_impact=rotation @ np.diag([1.02, 1.01, 1.0]) @ rotation.T,
+        n_agents=3,
+        gamma=1.0,
+        covariance=rotation @ np.diag([0.0, 0.0, 10.0]) @ rotation.T,
+    )
+
+
+def all_groups_report(spec, monkeypatch):
+    """critical_theta with every group bisected."""
+    with monkeypatch.context() as patch:
+        patch.setattr(stability_module, "_top_groups", lambda systems: range(len(systems.pairs)))
+        return critical_theta(spec, bracket=(0.0, 1.0), tol=1e-4)
+
+
+def test_two_ratio_classes_bisect_the_top_group_of_each(monkeypatch):
+    spec = two_class_game()
+    systems = prepare_profile_systems(spec)
+    assert np.allclose(systems.eigenvalues, [1.02, 1.01, 1.0], rtol=1e-12)
+    assert _top_groups(systems) == (0, 2)
+    report = critical_theta(spec, bracket=(0.0, 1.0), tol=1e-4)
+    reference = all_groups_report(spec, monkeypatch)
+    assert (report.estimate, report.bracket, report.trace) == (
+        reference.estimate, reference.bracket, reference.trace
+    )
+    # the lower class decides: above the top principal asset's own estimate
+    alone = critical_theta(
+        GameSpec(grid=spec.grid, kernel=KERNEL, cross_impact=[[1.02]], n_agents=3),
+        bracket=(0.0, 1.0),
+        tol=1e-4,
+    )
+    assert report.estimate > alone.estimate + 1e-3
+    # two groups per probe, then all three at both ends and in the dense check
+    paths = report.solve_paths
+    assert paths["levinson"] + paths["dense"] == 4 * len(report.trace) + 18
+    assert paths["all_groups"] == 0 and paths["rebisect"] == 0
+
+
+def test_unstable_group_left_out_at_the_upper_end_bisects_all_groups(monkeypatch):
+    spec = two_class_game()
+    reference = all_groups_report(spec, monkeypatch)
+    probes = []
+    probe = stability_module.is_unstable_at
+
+    def recording(spec, theta, rel_tol=1e-9, systems=None):
+        probes.append(len(systems.pairs))
+        return probe(spec, theta, rel_tol, systems=systems)
+
+    monkeypatch.setattr(stability_module, "is_unstable_at", recording)
+    # one class: the lower group, unstable at the top group's upper end, is left out
+    monkeypatch.setattr(
+        stability_module, "_top_groups", lambda systems: (int(np.argmax(systems.eigenvalues)),)
+    )
+    report = critical_theta(spec, bracket=(0.0, 1.0), tol=1e-4)
+    assert report.solve_paths["all_groups"] == 1 and report.solve_paths["rebisect"] == 0
+    n = len(reference.trace)
+    assert probes == [1] * (len(probes) - n) + [3] * n
+    assert (report.estimate, report.bracket, report.trace) == (
+        reference.estimate, reference.bracket, reference.trace
+    )
