@@ -6,10 +6,10 @@ import pytest
 
 from impact_games import (
     BracketError,
-    analyze_cross_impact,
     GameSpec,
     NumericError,
     TimeGrid,
+    analyze_cross_impact,
     critical_theta,
     exponential_kernel,
     guarded_solve,
