@@ -26,16 +26,3 @@ def write_strategies_csv(path, grid_points: np.ndarray, strategies: np.ndarray) 
         ([t] + [strategies[i, j, k] for i, j in pairs] for k, t in enumerate(grid_points)),
     )
 
-
-def read_strategies_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the strategies CSV writer: (times, (M, J, N+1) array)."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    header, data = rows[0], np.asarray(rows[1:], dtype=float)
-    labels = [name.removeprefix("asset").split("_agent") for name in header[1:]]
-    n_assets = max(int(a) for a, _ in labels)
-    n_agents = max(int(j) for _, j in labels)
-    strategies = np.empty((n_assets, n_agents, data.shape[0]))
-    for col, (asset, agent) in enumerate(labels):
-        strategies[int(asset) - 1, int(agent) - 1, :] = data[:, col + 1]
-    return data[:, 0], strategies

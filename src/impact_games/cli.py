@@ -269,8 +269,9 @@ def _round_floats(value, digits: int = 12):
         array = np.asarray(value)
         if array.dtype.kind == "f":  # one pass over the values, formatted as the CSVs are
             flat = [float(f"{x:.{digits}g}") for x in array.ravel().tolist()]
-            rounded = np.reshape(flat, array.shape)
-            array = np.where(np.isnan(rounded), None, rounded)
+            array = np.reshape(flat, array.shape)
+            if np.isnan(array).any():
+                array = np.where(np.isnan(array), None, array)
         return array.tolist()
     return value
 
@@ -312,16 +313,17 @@ def _run_payoff_matrix(cfg: dict, out: Path) -> dict:
     options = [agent.get("mask_options", []) for agent in cfg["agents"]]
     with _errors_at("agents"):
         table = payoff_matrix(spec, options)
-    combos = itertools.product(*(range(len(per)) for per in options))
+    # one row per cell, in C order: 1-based options, costs, Nash flag
+    shape = table.equilibrium.shape
+    labels = (np.indices(shape).reshape(len(shape), -1).T + 1).tolist()
+    costs = table.costs.reshape(-1, spec.n_agents).tolist()
+    flags = table.equilibrium.ravel().astype(int).tolist()
     write_csv(
         out / "payoff.csv",
         [f"option_agent{j + 1}" for j in range(spec.n_agents)]
         + [f"cost_agent{j + 1}" for j in range(spec.n_agents)]
         + ["nash"],
-        (
-            [c + 1 for c in combo] + list(table.costs[combo]) + [int(table.equilibrium[combo])]
-            for combo in combos
-        ),
+        (label + cost + [flag] for label, cost, flag in zip(labels, costs, flags)),
     )
     return {
         "mask_options": [[mask.astype(int) for mask in per] for per in table.mask_options],

@@ -21,6 +21,8 @@ against the game's conditions as well.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
@@ -35,7 +37,13 @@ from .costs import (
     stationarity_residual,
 )
 from .cross_impact import SpectralReport, analyze_cross_impact
-from .equilibrium import Equilibrium, GameSpec, closed_form_equilibrium, principal_groups
+from .equilibrium import (
+    _SHARE_TOL,
+    Equilibrium,
+    GameSpec,
+    closed_form_equilibrium,
+    principal_groups,
+)
 from .kernels import build_matrices
 
 __all__ = [
@@ -50,6 +58,10 @@ __all__ = [
 # a payoff cell is an equilibrium unless another option lowers some agent's
 # cost there by more than this fraction of the cost's magnitude, or of 1
 _NASH_TOL = 1e-12
+
+# (eigenvalue, unit responses) of the principal systems solved so far inside
+# _shared_responses, None outside it
+_RESPONSES: ContextVar = ContextVar("_RESPONSES", default=None)
 
 
 @dataclass(frozen=True)
@@ -140,10 +152,11 @@ def _solve_principal(spec: GameSpec, assets: np.ndarray) -> Tuple[np.ndarray, Sp
     set S, so rotating each agent's strategy by the eigenvectors V of
     ``Q_SS = V diag(lam) V^T`` turns it into ``kron(diag(lam), .)``: principal
     asset k is the single-asset game with cross impact ``lam[k]`` and the
-    rotated inventories ``V^T inv_S``. The split is :func:`principal_groups`;
-    the principal assets of a group share one system, whose right-hand sides
-    are the columns of one solve. The solves run on one BLAS thread (see
-    :func:`single_blas_thread`).
+    rotated inventories ``V^T inv_S``. The split is :func:`principal_groups`.
+    The system is linear in the inventories, so a group's strategies are its
+    system's responses to each agent's unit inventory (see
+    :func:`_unit_responses`) times the group's rotated inventories. The
+    solves run on one BLAS thread (see :func:`single_blas_thread`).
     """
     spectrum, _, groups = principal_groups(spec.cross_impact[np.ix_(assets, assets)])
     lam, vec = spectrum.eigenvalues, spectrum.eigenvectors
@@ -152,24 +165,58 @@ def _solve_principal(spec: GameSpec, assets: np.ndarray) -> Tuple[np.ndarray, Sp
     principal = np.empty((assets.size, n_agents, n))
     with single_blas_thread():
         for members in groups:
-            first = members[0]
-            single = replace(
-                spec,
-                cross_impact=np.array([[lam[first]]]),
-                inventories=principal_inv[first : first + 1],
-                covariance=None,
-                mask=None,
-            )
-            system = assemble_equilibrium_system(single)
-            rhs = np.zeros((len(system.matrix), members.size))
-            rhs[-n_agents:] = principal_inv[members].T  # one multiplier per agent, last
-            name = f"principal-asset system (eigenvalue {lam[first]:.6e})"
-            solution = _solve_kkt(system.matrix, rhs, name)
+            response = _unit_responses(spec, float(lam[members[0]]))
             # one pair per agent: [time, agent, member]
-            principal[members] = solution[: n * n_agents].reshape(n, n_agents, -1).T
+            solution = response[: n * n_agents] @ principal_inv[members].T
+            principal[members] = solution.reshape(n, n_agents, -1).T
     strategies = np.zeros((spec.n_assets, n_agents, n))
     strategies[assets] = np.einsum("ik,kjt->ijt", vec, principal)
     return strategies, spectrum
+
+
+def _unit_responses(spec: GameSpec, eigenvalue: float) -> np.ndarray:
+    """Solutions of one principal-asset system, one column per agent's unit inventory.
+
+    The system is that of the single-asset game with cross impact
+    ``eigenvalue`` and the grid, kernel, fees, scales and priority of
+    ``spec``; column j has agent j's inventory 1 and the others 0. Inside
+    :func:`_shared_responses`, a system whose eigenvalue agrees with an
+    earlier one's within ``_SHARE_TOL`` of the larger magnitude is not solved
+    again: its earlier responses are returned.
+    """
+    shared = _RESPONSES.get()
+    for known, response in shared or ():
+        if abs(known - eigenvalue) <= _SHARE_TOL * max(abs(known), abs(eigenvalue)):
+            return response
+    single = replace(
+        spec, cross_impact=np.array([[eigenvalue]]), inventories=None, covariance=None, mask=None
+    )
+    system = assemble_equilibrium_system(single)
+    n_agents = spec.n_agents
+    rhs = np.zeros((len(system.matrix), n_agents))
+    rhs[-n_agents:] = np.eye(n_agents)  # one multiplier row per agent, last
+    response = _solve_kkt(
+        system.matrix, rhs, f"principal-asset system (eigenvalue {eigenvalue:.6e})"
+    )
+    if shared is not None:
+        shared.append((eigenvalue, response))
+    return response
+
+
+@contextmanager
+def _shared_responses():
+    """Share the principal systems' unit responses among the solves of the block.
+
+    Only for solves of games that differ in their masks alone, so that a
+    principal system is fixed by its eigenvalue. The responses are dropped
+    when the block exits; the sharing is private to the thread (a context
+    variable).
+    """
+    token = _RESPONSES.set([])
+    try:
+        yield
+    finally:
+        _RESPONSES.reset(token)
 
 
 def _is_equilibrium(spec: GameSpec, strategies: np.ndarray) -> bool:
@@ -261,6 +308,13 @@ def payoff_matrix(
         boolean vectors). Each distinct mask must admit the uniform game in
         which every agent is restricted to it.
 
+    Each distinct mask's uniform game is solved once by
+    :func:`solve_hetero_nash`. Those games differ only in their masks, so
+    their principal-asset systems are fixed by the eigenvalue: each distinct
+    one is factored once per table, and the games that share it use its
+    responses to unit inventories (see :func:`_unit_responses`). Nothing of
+    that outlives the call.
+
     An agent's expected cost is its own-cost term plus one cross-cost term
     per other agent, and each term depends on the options of at most two
     agents. Every (agent, option) own term and every (agent, option, other
@@ -285,10 +339,11 @@ def payoff_matrix(
                 raise ValueError("each mask option must be a length-M vector")
 
     distinct = {mask.tobytes(): mask for per_agent in options for mask in per_agent}
-    uniform = {
-        key: solve_hetero_nash(replace(base, mask=np.repeat(mask[:, None], n_agents, axis=1)))
-        for key, mask in distinct.items()
-    }
+    with _shared_responses():  # the uniform games differ in their masks alone
+        uniform = {
+            key: solve_hetero_nash(replace(base, mask=np.repeat(mask[:, None], n_agents, axis=1)))
+            for key, mask in distinct.items()
+        }
     candidates = [
         [uniform[mask.tobytes()].strategies[:, j, :] for mask in per_agent]
         for j, per_agent in enumerate(options)

@@ -244,21 +244,27 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     ``(J + 1) / 2 * K`` (mean) or ``K / 2`` (deviation) for the kernel matrix
     K, and K is a multiple of the first such asset's kernel matrix, so one
     ``eigvalsh`` gives every floor. The floor is lowered by ``n eps ||K||_1``
-    to cover rounding.
+    to cover rounding. A variance term ``gamma v Gamma``, with
+    ``Gamma = min(t_i, t_j)``, counts as absent when its 1-norm is within that
+    rounding allowance, as when v is rounding noise of the split: the term is
+    positive semi-definite, so the floor still holds, and its first row and
+    column are zero, so the Levinson generators are K's. The Levinson
+    residual is checked against the actual matrix.
     """
     spectrum, groups, bundles = principal_bundles(replace(spec, theta=0.0))
     steps = np.diff(spec.grid.points)
     uniform = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon
     n, n_agents = spec.grid.n_points, spec.n_agents
+    earlier_norm = float(np.sum(spec.grid.points))  # ||min(t_i, t_j)||_1, the last column
     unit_floor = None  # floor of the kernel matrix per unit lag-zero value
     pairs, variance_terms = [], []
     for bundle in bundles:
         variance_terms.append(bundle.gamma * bundle.var_rate)
         mean, deviation = profile_systems(bundle, n_agents)
-        if uniform and variance_terms[-1] == 0.0:
+        kernel = bundle.kernel_matrix
+        rounding = n * np.finfo(float).eps * np.linalg.norm(kernel, 1)
+        if uniform and variance_terms[-1] * earlier_norm <= rounding:
             if unit_floor is None:
-                kernel = bundle.kernel_matrix
-                rounding = n * np.finfo(float).eps * np.linalg.norm(kernel, 1)
                 unit_floor = (np.linalg.eigvalsh(kernel)[0] - rounding) / bundle.kernel_at_zero
             floor = unit_floor * bundle.kernel_at_zero
             pairs.append(

@@ -1,4 +1,7 @@
 import copy
+import csv
+import dataclasses
+import itertools
 import json
 import math
 import runpy
@@ -8,11 +11,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impact_games import stability
-from impact_games._csv import read_strategies_csv, write_csv
+from impact_games import cli, stability
+from impact_games._csv import write_csv
 from impact_games.cli import ConfigError, _round_floats, main, run_experiment
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def read_strategies_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of the strategies CSV writer: (times, (M, J, N+1) array)."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    header, data = rows[0], np.asarray(rows[1:], dtype=float)
+    labels = [name.removeprefix("asset").split("_agent") for name in header[1:]]
+    n_assets = max(int(a) for a, _ in labels)
+    n_agents = max(int(j) for _, j in labels)
+    strategies = np.empty((n_assets, n_agents, data.shape[0]))
+    for col, (asset, agent) in enumerate(labels):
+        strategies[int(asset) - 1, int(agent) - 1, :] = data[:, col + 1]
+    return data[:, 0], strategies
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -341,6 +358,61 @@ def test_payoff_matrix_experiment(tmp_path):
     assert nash.sum() == 1
     lines = (tmp_path / "payoff.csv").read_text().strip().splitlines()
     assert len(lines) == 5
+
+
+THREE_AGENT_PAYOFF = {
+    "experiment": "payoff-matrix",
+    "grid": {"steps": 10},
+    "cross_impact": {"family": "one_factor", "n_assets": 3, "coupling": 0.5},
+    "agents": [
+        {
+            "inventories": [inventory, 0.0, 0.0],
+            "theta": theta,
+            "mask_options": [[1, 0, 0], [1, 1, 0], [1, 1, 1]],
+        }
+        for inventory, theta in [(1.0, 0.4), (-0.5, 0.8), (0.0, 1.2)]
+    ],
+}
+
+
+def assert_payoff_csv_matches_the_report(out):
+    """Every payoff.csv row against report.json: options, costs to 12 digits, Nash flag."""
+    results = json.loads((out / "report.json").read_text())["results"]
+    with open(out / "payoff.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    shape = [len(per_agent) for per_agent in results["mask_options"]]
+    assert header[-1] == "nash" and len(header) == 2 * len(shape) + 1
+    assert len(rows) == math.prod(shape)
+    for row, combo in zip(rows, itertools.product(*(range(k) for k in shape))):
+        costs, nash = results["costs"], results["nash"]
+        for option in combo:
+            costs, nash = costs[option], nash[option]
+        assert row[: len(shape)] == [str(option + 1) for option in combo]
+        assert row[len(shape) : -1] == ["nan" if x is None else f"{x:.12g}" for x in costs]
+        assert row[-1] == str(nash)
+
+
+@pytest.mark.parametrize("name", ["shipped", "three_agents"])
+def test_payoff_csv_rows_match_the_report(name, tmp_path):
+    path = SCRIPTS / "configs" / "payoff_matrix_two_assets.json"
+    config = json.loads(path.read_text()) if name == "shipped" else THREE_AGENT_PAYOFF
+    run_experiment(config, tmp_path)
+    assert_payoff_csv_matches_the_report(tmp_path)
+
+
+def test_nan_payoff_cost_is_null_in_the_report(tmp_path, monkeypatch):
+    payoff_matrix = cli.payoff_matrix
+
+    def with_nan(*args):
+        table = payoff_matrix(*args)
+        costs = table.costs.copy()
+        costs[1, 2, 0, 1] = np.nan
+        return dataclasses.replace(table, costs=costs)
+
+    monkeypatch.setattr(cli, "payoff_matrix", with_nan)
+    results = run_experiment(THREE_AGENT_PAYOFF, tmp_path)["results"]
+    assert results["costs"][1][2][0][1] is None and results["costs"][1][2][0][0] is not None
+    assert_payoff_csv_matches_the_report(tmp_path)
 
 
 def test_heterogeneous_config_dispatches_to_the_stacked_solver(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import re
 import runpy
@@ -528,6 +529,71 @@ def test_payoff_cell_mismatch_prices_every_cell(rng, monkeypatch):
     assert np.array_equal(table.costs, reference)
     # the first cell already disagrees, then every cell is priced
     assert len(calls) == (1 + reference[..., 0].size) * base.n_agents
+
+
+def venue_table_recording_dims(monkeypatch, seed=[91, 106], n_assets=8):
+    """Venue game with the options asset 0, the first half and all for every agent.
+
+    Returns the game, its payoff table and the dimension of every linear
+    solve the table made.
+    """
+    spec = venue_game(seed, n_assets)
+    masks = [np.arange(n_assets) < size for size in (1, n_assets // 2, n_assets)]
+    dims = []
+
+    def recording(matrix, rhs, *args, **kwargs):
+        dims.append(len(matrix))
+        return guarded_solve(matrix, rhs, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hetero, "guarded_solve", recording)
+        table = payoff_matrix(spec, [masks] * spec.n_agents)
+    return spec, table, dims
+
+
+def test_payoff_table_factors_each_distinct_principal_system_once(monkeypatch):
+    # eigenvalues 1; 0.4 and 2.8; 0.4 and 5.2: 0.4 is solved once for two masks
+    spec, table, dims = venue_table_recording_dims(monkeypatch)
+    assert dims == [principal_dim(spec)] * 4
+    monkeypatch.setattr(hetero, "_shared_responses", contextlib.nullcontext)
+    _, alone, dims = venue_table_recording_dims(monkeypatch)
+    assert dims == [principal_dim(spec)] * 5
+    assert np.allclose(table.costs, alone.costs, rtol=1e-12, atol=0.0)
+    assert np.array_equal(table.equilibrium, alone.equilibrium)
+
+
+def test_no_shared_response_outlives_a_payoff_table(monkeypatch):
+    spec, _, _ = venue_table_recording_dims(monkeypatch)
+    assert hetero._RESPONSES.get() is None
+    # eigenvalues 0.4 and 5.2, each factored again
+    _, dims = solve_recording_dims(spec, monkeypatch)
+    assert dims == [principal_dim(spec)] * 2
+    singular = hetero_spec([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], cross=np.ones((2, 2)))
+    with pytest.raises(NumericError, match="no unique equilibrium"):
+        payoff_matrix(singular, [[np.array([True, True])]] * 2)
+    assert hetero._RESPONSES.get() is None
+
+
+def test_only_eigenvalues_within_the_share_tolerance_share_responses(monkeypatch):
+    spec = venue_game([54, 49], 4)
+    dims = []
+
+    def recording(matrix, rhs, *args, **kwargs):
+        dims.append(len(matrix))
+        return guarded_solve(matrix, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(hetero, "guarded_solve", recording)
+    tol = equilibrium_module._SHARE_TOL
+    with hetero._shared_responses():
+        first = hetero._unit_responses(spec, 0.4)
+        assert hetero._unit_responses(spec, 0.4 * (1.0 + 0.5 * tol)) is first
+        assert hetero._unit_responses(spec, 0.4 * (1.0 - 0.5 * tol)) is first
+        apart = hetero._unit_responses(spec, 0.4 * (1.0 + 2.0 * tol))
+    assert apart is not first and len(dims) == 2
+    # each agent's unit inventory: the strategy rows of column j sum to 1 for agent j only
+    n = spec.grid.n_points
+    totals = first[: n * spec.n_agents].reshape(n, spec.n_agents, -1).sum(axis=0)
+    assert np.allclose(totals, np.eye(spec.n_agents), rtol=0.0, atol=1e-13)
 
 
 def per_cell_equilibria(costs):

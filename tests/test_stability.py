@@ -27,6 +27,7 @@ from impact_games import stability as stability_module
 from impact_games.stability import (
     SweepBase,
     _bisect_threshold,
+    _FeeFreeSystem,
     _top_groups,
     prepare_profile_systems,
 )
@@ -467,6 +468,35 @@ def test_two_ratio_classes_bisect_the_top_group_of_each(monkeypatch):
     paths = report.solve_paths
     assert paths["levinson"] + paths["dense"] == 4 * len(report.trace) + 18
     assert paths["all_groups"] == 0 and paths["rebisect"] == 0
+
+
+def test_variance_term_of_rounding_noise_keeps_the_levinson_path(monkeypatch):
+    # the split leaves the 1.01 group a variance rate of rounding noise
+    spec = two_class_game()
+    systems = prepare_profile_systems(spec)
+    assert systems.variance_terms[0] == 0.0 and 0.0 < systems.variance_terms[1] < 1e-15
+    floors = [[system.floor for system in pair] for pair in systems.pairs]
+    assert None not in floors[0] + floors[1] and floors[2] == [None, None]
+    report = critical_theta(spec, bracket=(0.0, 1.0), tol=1e-4)
+
+    prepare = stability_module.prepare_profile_systems
+
+    def exact_zero_only(spec):
+        """The prepared systems with floors only where the variance term is exactly zero."""
+        systems = prepare(spec)
+        pairs = tuple(
+            pair if term == 0.0 else tuple(_FeeFreeSystem(s.matrix, None) for s in pair)
+            for pair, term in zip(systems.pairs, systems.variance_terms)
+        )
+        return dataclasses.replace(systems, pairs=pairs)
+
+    monkeypatch.setattr(stability_module, "prepare_profile_systems", exact_zero_only)
+    dense = critical_theta(spec, bracket=(0.0, 1.0), tol=1e-4)
+    assert (report.estimate, report.bracket, report.trace) == (
+        dense.estimate, dense.bracket, dense.trace
+    )
+    assert report.solve_paths["levinson"] > dense.solve_paths["levinson"]
+    assert sum(report.solve_paths.values()) == sum(dense.solve_paths.values())
 
 
 def test_unstable_group_left_out_at_the_upper_end_bisects_all_groups(monkeypatch):
