@@ -273,8 +273,8 @@ def dense_reference(spec):
     return strategies
 
 
-def solve_recording_dims(spec, monkeypatch):
-    """Solve the game, recording the dimension of every linear solve it makes."""
+def recorded_dims(monkeypatch):
+    """List that receives the dimension of every later linear solve of hetero."""
     dims = []
 
     def recording(matrix, rhs, *args, **kwargs):
@@ -282,6 +282,12 @@ def solve_recording_dims(spec, monkeypatch):
         return guarded_solve(matrix, rhs, *args, **kwargs)
 
     monkeypatch.setattr(hetero, "guarded_solve", recording)
+    return dims
+
+
+def solve_recording_dims(spec, monkeypatch):
+    """Solve the game, recording the dimension of every linear solve it makes."""
+    dims = recorded_dims(monkeypatch)
     return solve_hetero_nash(spec).strategies, dims
 
 
@@ -531,22 +537,16 @@ def test_payoff_cell_mismatch_prices_every_cell(rng, monkeypatch):
     assert len(calls) == (1 + reference[..., 0].size) * base.n_agents
 
 
-def venue_table_recording_dims(monkeypatch, seed=[91, 106], n_assets=8):
-    """Venue game with the options asset 0, the first half and all for every agent.
+def venue_table_recording_dims(monkeypatch):
+    """The 8-asset venue game with the options asset 0, the first half and all for every agent.
 
     Returns the game, its payoff table and the dimension of every linear
     solve the table made.
     """
-    spec = venue_game(seed, n_assets)
-    masks = [np.arange(n_assets) < size for size in (1, n_assets // 2, n_assets)]
-    dims = []
-
-    def recording(matrix, rhs, *args, **kwargs):
-        dims.append(len(matrix))
-        return guarded_solve(matrix, rhs, *args, **kwargs)
-
+    spec = venue_game([91, 106], 8)
+    masks = [np.arange(8) < size for size in (1, 4, 8)]
     with monkeypatch.context() as patch:
-        patch.setattr(hetero, "guarded_solve", recording)
+        dims = recorded_dims(patch)
         table = payoff_matrix(spec, [masks] * spec.n_agents)
     return spec, table, dims
 
@@ -576,13 +576,7 @@ def test_no_shared_response_outlives_a_payoff_table(monkeypatch):
 
 def test_only_eigenvalues_within_the_share_tolerance_share_responses(monkeypatch):
     spec = venue_game([54, 49], 4)
-    dims = []
-
-    def recording(matrix, rhs, *args, **kwargs):
-        dims.append(len(matrix))
-        return guarded_solve(matrix, rhs, *args, **kwargs)
-
-    monkeypatch.setattr(hetero, "guarded_solve", recording)
+    dims = recorded_dims(monkeypatch)
     tol = equilibrium_module._SHARE_TOL
     with hetero._shared_responses():
         first = hetero._unit_responses(spec, 0.4)
