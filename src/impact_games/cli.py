@@ -99,8 +99,19 @@ CONFIG_KEYS = {
     "theta_critical": ("object", None),
     "theta_critical.bracket": ("number[]", None),
     "sweep": ("object", None),
-    "sweep.points": ("object[]", None),
+    "sweep.points": ("array", None),
+    "sweep.points.*": ("object", None),
+    "sweep.points.*.n_assets": ("integer", None),
+    "sweep.points.*.n_agents": ("integer", None),
+    "sweep.points.*.n_steps": ("integer", None),
+    "sweep.points.*.gamma": ("number", None),
+    "sweep.points.*.beta": ("number", None),
     "sweep.grid": ("object", None),
+    "sweep.grid.n_assets": ("integer[]", None),
+    "sweep.grid.n_agents": ("integer[]", None),
+    "sweep.grid.n_steps": ("integer[]", None),
+    "sweep.grid.gamma": ("number[]", None),
+    "sweep.grid.beta": ("number[]", None),
     "sweep.coupling": ("number", None),
     "simulate": ("object", None),
     "simulate.fine_steps": ("integer", None),
@@ -366,6 +377,8 @@ def _run_theta_critical(cfg: dict, out: Path, warnings: list) -> dict:
 
 def _run_sweep(cfg: dict, out: Path, warnings: list) -> dict:
     sweep_cfg = cfg.get("sweep", {})
+    if "points" in sweep_cfg and "grid" in sweep_cfg:
+        raise ConfigError("give either points or grid, not both", "sweep")
     if "points" in sweep_cfg:
         points = sweep_cfg["points"]
     elif "grid" in sweep_cfg:

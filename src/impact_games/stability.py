@@ -86,6 +86,10 @@ _RESIDUAL_TOL = 1e-12
 _UNIFORM_TOL = 1e-13
 # relative agreement required of prepared and dense profiles in the final check
 _CROSS_CHECK_TOL = 1e-10
+# after a bisection, the verdict is checked at this many interior points of
+# the bracket, and a failed check scans it at this many points
+_CHECK_POINTS = 16
+_SCAN_POINTS = 200
 
 
 class BracketError(ValueError):
@@ -366,15 +370,13 @@ def _bisect_threshold(
     lo: float,
     hi: float,
     tol: float,
-    check_points: int = 16,
-    scan_points: int = 200,
 ) -> Tuple[float, Tuple[float, float], List[Tuple[float, bool]], str]:
     """Bisection for the edge of a boolean region, with a monotonicity guard.
 
     ``verdict(x)`` is expected to be True below the edge and False above.
     After bisecting, the verdict is probed on a coarse grid; if the collected
     verdicts are not separated (some True above some False), the assumption
-    failed and a fine scan of ``scan_points`` values locates the largest x
+    failed and a fine scan of ``_SCAN_POINTS`` values locates the largest x
     with a True verdict instead. Returns (estimate, bracket, trace, method).
     """
     trace: List[Tuple[float, bool]] = []
@@ -398,7 +400,7 @@ def _bisect_threshold(
         else:
             hi = mid
 
-    for x in np.linspace(lo0, hi0, check_points + 2)[1:-1]:
+    for x in np.linspace(lo0, hi0, _CHECK_POINTS + 2)[1:-1]:
         if lo0 < x < hi0:
             probe(float(x))
     largest_true = max(x for x, r in trace if r)
@@ -407,7 +409,7 @@ def _bisect_threshold(
         return 0.5 * (lo + hi), (lo, hi), trace, "bisect"
 
     # verdict is not monotone on this problem: fall back to a fine scan
-    grid = np.linspace(lo0, hi0, scan_points)
+    grid = np.linspace(lo0, hi0, _SCAN_POINTS)
     verdicts = [probe(float(x)) for x in grid]
     if not any(verdicts):
         raise BracketError("fine scan found no unstable fee inside the bracket")

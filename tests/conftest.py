@@ -10,6 +10,15 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# printed (fundamentalist, arbitrageur) costs of the two-asset venue-choice
+# game; cells are (seller option, idle agent option), 0 = asset 1 only
+VENUE_CHOICE_COSTS = {
+    (0, 0): (0.4882, -0.0370),
+    (0, 1): (0.4935, -0.0412),
+    (1, 0): (0.4836, -0.0334),
+    (1, 1): (0.4885, -0.0377),
+}
+
 
 def assert_matches_printed(computed, printed, decimals=4, rel=1e-3):
     """Compare against a value printed with a fixed number of decimals.

@@ -278,9 +278,7 @@ def test_bisection_helper_falls_back_to_scan_on_non_monotone_verdicts():
     def verdict(x):
         return x < 0.8 and not (0.3 < x < 0.4)
 
-    estimate, bracket, trace, method = _bisect_threshold(
-        lambda x: verdict(x), 0.0, 1.0, tol=1e-6, scan_points=400
-    )
+    estimate, bracket, trace, method = _bisect_threshold(lambda x: verdict(x), 0.0, 1.0, tol=1e-6)
     assert method == "scan"
     assert estimate == pytest.approx(0.8, abs=5e-3)
     assert bracket[0] <= estimate <= bracket[1]
