@@ -8,10 +8,11 @@ import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import scipy
-from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, hessenberg, lapack, lu_factor, lu_solve
 
 # (prefix, suffix) of the thread-count functions in OpenBLAS builds; the numpy
 # and scipy wheels each bundle a renamed OpenBLAS
@@ -142,3 +143,67 @@ def guarded_solve(matrix: np.ndarray, rhs: np.ndarray, max_condition: float = 1e
     if condition > max_condition:
         raise NumericError("matrix too ill-conditioned for a trustworthy solve", condition)
     return lu_solve((lu, piv), rhs)
+
+
+class _ShiftedSolver:
+    """Solves of ``(A + s I) x = b`` for many shifts s from one Hessenberg reduction.
+
+    ``A = Z H Z^T`` with H upper Hessenberg and Z orthogonal
+    (``scipy.linalg.hessenberg``), so a shifted system is
+    ``(H + s I) y = Z^T b`` with ``x = Z y``: a banded LU with one
+    subdiagonal, O(n^2) per shift after the O(n^3) reduction (Laub, IEEE
+    TAC 1981). A solve is returned only when the LU is regular, its
+    reciprocal 1-norm condition estimate (``dgbcon``) is within
+    ``max_condition / n`` (the 1-norm condition numbers of ``A + s I`` and
+    ``H + s I`` differ by at most a factor n, as their 2-norm condition
+    numbers agree) and the normwise backward error against A is at
+    most ``BACKWARD_TOL``; otherwise :meth:`solve` returns None and the
+    caller solves ``A + s I`` by :func:`guarded_solve`, which has the final
+    say on conditioning.
+    """
+
+    # largest normwise backward error ||(A + sI) x - b|| / ((||A|| + |s|) ||x|| + ||b||)
+    # accepted, in the infinity norm
+    BACKWARD_TOL = 1e-12
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = np.asarray(matrix, dtype=float)
+        n = len(self.matrix)
+        h, self._z = hessenberg(self.matrix, calc_q=True, check_finite=False)
+        self._diagonal = h.diagonal().copy()
+        self._off_diagonal_sums = np.abs(h).sum(axis=0) - np.abs(self._diagonal)
+        # LAPACK band storage with kl = 1, ku = n - 1, in Fortran order: H[i, j]
+        # at row n + i - j, under one row of fill-in space. That is flat offset
+        # n + i + j (n + 1), distinct for every (i, j) of the square, so all of H
+        # is written through one strided view; its zeros below the subdiagonal
+        # land on slots outside the band, which stay zero.
+        flat = np.zeros((n + 2) * n)
+        np.lib.stride_tricks.as_strided(
+            flat[n:], shape=(n, n), strides=(flat.itemsize, (n + 1) * flat.itemsize)
+        )[...] = h
+        self._band = flat.reshape((n + 2, n), order="F")
+        self._norm_inf = float(np.linalg.norm(self.matrix, np.inf))
+
+    def solve(
+        self, shift: float, rhs: np.ndarray, max_condition: float = 1e12
+    ) -> Optional[np.ndarray]:
+        """Solution of ``(A + shift I) x = rhs``, or None when a guard fails."""
+        n = len(self.matrix)
+        band = self._band.copy(order="F")
+        band[n] += shift
+        lu, ipiv, info = lapack.dgbtrf(band, 1, n - 1, overwrite_ab=True)
+        if info != 0:
+            return None
+        anorm = float(np.max(self._off_diagonal_sums + np.abs(self._diagonal + shift)))
+        rcond, info = lapack.dgbcon(1, n - 1, lu, ipiv, anorm)
+        if info != 0 or not rcond * max_condition >= n:
+            return None
+        y, info = lapack.dgbtrs(lu, 1, n - 1, self._z.T @ rhs, ipiv)
+        if info != 0:
+            return None
+        x = self._z @ y
+        residual = np.abs(self.matrix @ x + shift * x - rhs).max()
+        scale = (self._norm_inf + abs(shift)) * np.abs(x).max() + np.abs(rhs).max()
+        if not residual <= self.BACKWARD_TOL * scale:
+            return None
+        return x

@@ -381,8 +381,13 @@ def _run_sweep(cfg: dict, out: Path, warnings: list) -> dict:
         raise ConfigError("give either points or grid, not both", "sweep")
     if "points" in sweep_cfg:
         points = sweep_cfg["points"]
+        if not points:
+            raise ConfigError("a sweep needs at least one point", "sweep.points")
     elif "grid" in sweep_cfg:
         axes = sweep_cfg["grid"]
+        for key, values in axes.items():
+            if not values:
+                raise ConfigError("a sweep axis needs at least one value", f"sweep.grid.{key}")
         keys = list(axes)
         points = [dict(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
     else:

@@ -13,6 +13,18 @@ the spectrum, the variance rates and the groups of principal assets that
 share one solve. The closed form and the heterogeneous split run their
 per-group solves on one BLAS thread, as :func:`stability.critical_theta`
 runs its probes.
+
+The closed form uses the eigenvalue scale law. When a group's variance term
+(risk aversion times variance rate) is proportional to its eigenvalue
+lambda_k, as it is for ``gamma = 0`` or a covariance proportional to Q, the
+group's profile systems are ``lambda_k (B + (2 theta / lambda_k) I)`` for one
+system B at unit eigenvalue, and normalized profiles do not see the factor
+lambda_k. The groups of such a scale-law class share B. A class of at least
+``_REDUCE_MIN_GROUPS`` groups reduces each of B's two profile systems to
+Hessenberg form once and solves each group by an O(N^2) shifted solve, kept
+only when its condition estimate and backward error pass and otherwise
+redone by :func:`guarded_solve`; a smaller class builds and solves each
+group's own systems.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ import numpy as np
 
 from ._linalg import (
     ArgumentError,
+    _ShiftedSolver,
     _boolean_mask,
     _finite,
     _symmetric,
@@ -52,6 +65,10 @@ _COMMUTE_TOL = 1e-9
 # agree within this fraction of the largest one share one solve; eigh spreads
 # a repeated eigenvalue over about 1e-14 relative
 _SHARE_TOL = 1e-12
+# a scale-law class of at least this many groups is solved from one Hessenberg
+# reduction per profile system; at N = 100 to 300 the two reductions cost about
+# as much as the bundle builds and dense solves of four groups
+_REDUCE_MIN_GROUPS = 8
 
 
 @dataclass(frozen=True)
@@ -359,6 +376,49 @@ def _spread(groups: Sequence[np.ndarray], values: Iterable) -> tuple:
     return tuple(spread)
 
 
+def _scale_law_classes(
+    eigenvalues: np.ndarray, variance_terms: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Groups of principal assets, by index, whose systems follow one scale law.
+
+    ``eigenvalues[k]`` and ``variance_terms[k]`` (risk aversion times
+    variance rate) are those of group k. Group k's profile systems are
+    ``lambda_k (B + (2 theta / lambda_k) I)``, where B is the system at unit
+    eigenvalue with variance term ``variance_terms[k] / eigenvalues[k]``;
+    groups whose ratios agree (see :func:`_shared_solves`) share one B. With
+    ``gamma = 0`` or a covariance proportional to Q there is one class.
+    """
+    return _shared_solves(np.asarray(variance_terms) / np.asarray(eigenvalues))
+
+
+def _principal_split(spec: GameSpec) -> Tuple[SpectralReport, np.ndarray, Tuple[np.ndarray, ...]]:
+    """:func:`principal_groups` of a game with identical agents and a positive definite Q.
+
+    The variance rates are clipped at zero. ValueError otherwise.
+    """
+    _require_identical_agents(spec)
+    spectrum, var_rates, groups = principal_groups(
+        spec.cross_impact, spec.covariance, spec.gamma > 0.0
+    )
+    if spectrum.eigenvalues[-1] <= 0.0:
+        raise ValueError(
+            "cross-impact matrix must be positive definite "
+            f"(smallest eigenvalue {spectrum.eigenvalues[-1]:.3e})"
+        )
+    return spectrum, np.maximum(var_rates, 0.0), groups
+
+
+def _bundle(spec: GameSpec, eigenvalue: float, var_rate: float, theta: float) -> MatrixBundle:
+    """Matrix bundle of a principal asset with this eigenvalue and variance rate."""
+    return build_matrices(
+        spec.grid,
+        spec.effective_kernel.scaled(eigenvalue),
+        theta=theta,
+        gamma=spec.gamma,
+        var_rate=var_rate,
+    )
+
+
 def principal_bundles(
     spec: GameSpec,
 ) -> Tuple[SpectralReport, Tuple[np.ndarray, ...], Iterator[MatrixBundle]]:
@@ -371,27 +431,48 @@ def principal_bundles(
     variance rate, at the fee stored in ``spec``; each is built when the
     iterator reaches it.
     """
-    _require_identical_agents(spec)
-    spectrum, var_rates, groups = principal_groups(
-        spec.cross_impact, spec.covariance, spec.gamma > 0.0
-    )
-    if spectrum.eigenvalues[-1] <= 0.0:
-        raise ValueError(
-            "cross-impact matrix must be positive definite "
-            f"(smallest eigenvalue {spectrum.eigenvalues[-1]:.3e})"
-        )
-    kernel = spec.effective_kernel
+    spectrum, var_rates, groups = _principal_split(spec)
     bundles = (
-        build_matrices(
-            spec.grid,
-            kernel.scaled(float(spectrum.eigenvalues[members[0]])),
-            theta=spec.thetas[0],
-            gamma=spec.gamma,
-            var_rate=max(float(var_rates[members[0]]), 0.0),
+        _bundle(
+            spec,
+            float(spectrum.eigenvalues[members[0]]),
+            float(var_rates[members[0]]),
+            spec.thetas[0],
         )
         for members in groups
     )
     return spectrum, groups, bundles
+
+
+def _class_fundamentals(
+    spec: GameSpec, eigenvalues: np.ndarray, var_rates: np.ndarray
+) -> Iterator[FundamentalSolutions]:
+    """Profile pairs of the groups of one scale-law class, from one reduction per system.
+
+    Builds the class's unit-eigenvalue bundle with variance rate
+    ``var_rates[0] / eigenvalues[0]``, reduces its two profile systems once
+    (see :class:`_ShiftedSolver`), and solves group k at shift
+    ``2 theta / eigenvalues[k]``; a solve the reduction rejects goes to
+    :func:`guarded_solve` on the shifted unit system.
+    """
+    unit = _bundle(spec, 1.0, float(var_rates[0] / eigenvalues[0]), 0.0)
+    systems = profile_systems(unit, spec.n_agents)
+    del unit  # free before the reductions
+    ones = np.ones(len(systems[0]))
+    shifts = 2.0 * spec.thetas[0] / eigenvalues
+    profiles = []
+    for matrix in systems:
+        solver = _ShiftedSolver(matrix)
+        column = []
+        for shift in shifts:
+            x = solver.solve(shift, ones)
+            if x is None:
+                x = guarded_solve(matrix + shift * np.eye(len(ones)), ones)
+            column.append(x / (ones @ x))
+        profiles.append(column)
+        del solver  # free before the next reduction
+    for mean, deviation in zip(*profiles):
+        yield FundamentalSolutions(mean_profile=mean, deviation_profile=deviation)
 
 
 def principal_fundamentals(
@@ -400,15 +481,31 @@ def principal_fundamentals(
     """Profile pair of every principal asset of the game.
 
     The principal assets of a group (see :func:`principal_bundles`) share one
-    solve and one profile-pair object. The solves run on one BLAS thread
-    (see :func:`single_blas_thread`).
+    solve and one profile-pair object. A scale-law class (see
+    :func:`_scale_law_classes`) of at least ``_REDUCE_MIN_GROUPS`` groups is
+    solved from one Hessenberg reduction per profile system at unit
+    eigenvalue (see :func:`_class_fundamentals`); the groups of a smaller
+    class are solved one by one by :func:`fundamental_solutions`. The solves
+    run on one BLAS thread (see :func:`single_blas_thread`).
     """
-    spectrum, groups, bundles = principal_bundles(spec)
-    pairs = []
+    spectrum, var_rates, groups = _principal_split(spec)
+    firsts = [members[0] for members in groups]
+    eigenvalues, var_rates = spectrum.eigenvalues[firsts], var_rates[firsts]
+    pairs = [None] * len(groups)
     with single_blas_thread():
-        for bundle in bundles:
-            pairs.append(fundamental_solutions(bundle, spec.n_agents))
-            del bundle  # free before the next bundle is built
+        for members in _scale_law_classes(eigenvalues, spec.gamma * var_rates):
+            if len(members) >= _REDUCE_MIN_GROUPS:
+                solved = _class_fundamentals(spec, eigenvalues[members], var_rates[members])
+            else:
+                solved = (
+                    fundamental_solutions(
+                        _bundle(spec, float(eigenvalues[k]), float(var_rates[k]), spec.thetas[0]),
+                        spec.n_agents,
+                    )
+                    for k in members
+                )
+            for k, pair in zip(members, solved):
+                pairs[k] = pair
     return spectrum, _spread(groups, pairs)
 
 

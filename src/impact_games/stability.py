@@ -16,9 +16,13 @@ and a probe solves ``(A_0 + 2 theta I) x = 1`` for the groups it needs. On
 an equidistant grid without a variance term both systems are Toeplitz and a
 probe solves them by Levinson recursion in O(N^2). A Levinson solution is
 kept only when a bound on the condition number is within the dense solver's
-cap and its normwise residual against the dense matrix is at most 1e-12;
-every other solve, and every system that is not Toeplitz, goes to
-:func:`guarded_solve`, which rejects the systems it always rejected.
+cap and its normwise residual against the dense matrix is at most 1e-12. A
+bisected system that is not Toeplitz (a variance term, an uneven grid) is
+reduced to Hessenberg form once, and a probe solves it by a banded LU of the
+shifted Hessenberg matrix in O(N^2), kept only when its condition estimate
+is within the cap divided by N and its normwise backward error is at most
+1e-12. Every other solve goes to :func:`guarded_solve`, which rejects the
+systems it always rejected.
 
 The bisection probes only the group of largest eigenvalue in each class of
 groups with equal ``gamma * v_k / lambda_k`` (variance rate v_k, eigenvalue
@@ -35,9 +39,12 @@ bracket ends, so checking every group there also covers rounding and a
 verdict that is not monotone. At the lower end a bisected group oscillates,
 so the game does. At the upper end every group is solved on the prepared
 systems; if one oscillates, the bisection runs again on all groups. Then the
-dense reference path (:func:`principal_fundamentals`) recomputes every
-profile at the lower end; if its verdict or profiles disagree with the
-prepared systems, the bisection runs again on the dense path.
+reference path (:func:`principal_fundamentals`) recomputes every profile at
+the lower end; if its verdict or profiles disagree with the prepared
+systems, the bisection runs again on that path. The reference path solves
+each group's own systems densely, except in a scale-law class of at least
+``equilibrium._REDUCE_MIN_GROUPS`` groups, where it is the residual-checked
+shifted solve on the class's unit-eigenvalue systems.
 """
 
 from __future__ import annotations
@@ -48,13 +55,19 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 from scipy.linalg import solve_toeplitz
 
-from ._linalg import ArgumentError, NumericError, guarded_solve, single_blas_thread
+from ._linalg import (
+    ArgumentError,
+    NumericError,
+    _ShiftedSolver,
+    guarded_solve,
+    single_blas_thread,
+)
 from .cross_impact import one_factor_matrix, price_covariance
 from .equilibrium import (
     FundamentalSolutions,
     GameSpec,
     _require_identical_agents,
-    _shared_solves,
+    _scale_law_classes,
     _spread,
     principal_bundles,
     principal_fundamentals,
@@ -143,24 +156,33 @@ class _FeeFreeSystem:
 
     ``floor`` is a lower bound on the smallest eigenvalue of the symmetric
     part of ``matrix`` when the matrix is Toeplitz, and None otherwise.
+    ``shifted`` is the Hessenberg reduction of a system that :meth:`reduce`
+    prepared for many probes, and None otherwise.
     """
 
     def __init__(self, matrix: np.ndarray, floor: Optional[float]):
         self.matrix = matrix
         self.floor = floor
+        self.shifted: Optional[_ShiftedSolver] = None
         self.norm_1 = float(np.linalg.norm(matrix, 1))
         self.norm_inf = float(np.linalg.norm(matrix, np.inf))
+
+    def reduce(self) -> None:
+        """Reduce a system without a Levinson floor once, for O(n^2) shifted solves."""
+        if self.floor is None:
+            self.shifted = _ShiftedSolver(self.matrix)
 
     def solve(self, theta: float, paths: Dict[str, int]) -> np.ndarray:
         """Normalized solution of ``(matrix + 2 theta I) x = 1``, counted in ``paths``."""
         ones = np.ones(len(self.matrix))
         shift = 2.0 * theta
-        x = self._levinson(shift, ones)
+        x, path = self._levinson(shift, ones), "levinson"
+        if x is None and self.shifted is not None:
+            x, path = self.shifted.solve(shift, ones, _MAX_CONDITION), "shifted"
         if x is None:
-            paths["dense"] += 1
+            path = "dense"
             x = guarded_solve(self.matrix + shift * np.eye(len(ones)), ones, _MAX_CONDITION)
-        else:
-            paths["levinson"] += 1
+        paths[path] += 1
         return x / (ones @ x)
 
     def _levinson(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
@@ -199,7 +221,7 @@ class ProfileSystems:
     assets ``groups[k]`` (see :func:`principal_bundles`), built with the
     eigenvalue ``eigenvalues[k]`` and the variance term ``variance_terms[k]``
     (risk aversion times variance rate). ``paths`` counts the profile solves
-    by path ("levinson", "dense"), and the re-bisections of
+    by path ("levinson", "dense", "shifted"), and the re-bisections of
     :func:`critical_theta` on all groups ("all_groups") and on the dense path
     ("rebisect").
     """
@@ -283,7 +305,7 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     return ProfileSystems(
         groups=groups,
         pairs=tuple(pairs),
-        paths={"levinson": 0, "dense": 0, "all_groups": 0, "rebisect": 0},
+        paths={"levinson": 0, "dense": 0, "shifted": 0, "all_groups": 0, "rebisect": 0},
         eigenvalues=spectrum.eigenvalues[[members[0] for members in groups]],
         variance_terms=np.array(variance_terms),
     )
@@ -429,8 +451,9 @@ class StabilityReport:
     ``flags_below`` holds the (mean, deviation) oscillation flags of every
     principal asset probed just below the transition, from the dense path.
     Predictions carry the theorem value and the many-agent extrapolation for
-    this game. ``solve_paths`` counts the profile solves by path: "levinson"
-    and "dense" (fallbacks, the final check and any dense re-bisection);
+    this game. ``solve_paths`` counts the profile solves by path: "levinson",
+    "shifted" (on a reduced top group) and "dense" (fallbacks, the final
+    check and any re-bisection on the reference path);
     "all_groups" is 1 when a group left out of the bisection was unstable at
     the final upper bracket end and the bisection ran again on all groups,
     and "rebisect" is 1 when the final dense check failed and the bisection
@@ -449,12 +472,12 @@ class StabilityReport:
 
 
 def _top_groups(systems: ProfileSystems) -> Tuple[int, ...]:
-    """The largest-eigenvalue group of each class of equal variance term to eigenvalue ratio.
+    """The largest-eigenvalue group of each scale-law class.
 
-    Classes are formed as shared solves are (see :func:`equilibrium.principal_groups`).
+    The classes are those of :func:`equilibrium._scale_law_classes`.
     """
     eigenvalues = systems.eigenvalues
-    classes = _shared_solves(systems.variance_terms / eigenvalues)
+    classes = _scale_law_classes(eigenvalues, systems.variance_terms)
     return tuple(int(members[np.argmax(eigenvalues[members])]) for members in classes)
 
 
@@ -468,6 +491,9 @@ def _checked_bisection(spec: GameSpec, lo: float, hi: float, tol: float, rel_tol
     paths = systems.paths
     dense_solves = 2 * len(systems.pairs)  # per probe on the dense path
     top = systems.subset(_top_groups(systems))
+    for pair in top.pairs:
+        for system in pair:
+            system.reduce()
 
     def bisect(prepared):
         return _bisect_threshold(

@@ -151,7 +151,8 @@ SWEEP_BASE = [
 ]
 # a wrong JSON type or an unknown key is reported at its own dotted path.
 # Earlier versions accepted output.dir, ran the sweep rows past a misspelt
-# axis or a fractional or boolean count, and dropped a grid given with points
+# axis or a fractional or boolean count, dropped a grid given with points, and
+# wrote a header-only sweep.csv for an empty axis or point list
 EXACT_FIELDS = [
     (MINIMAL_EQUILIBRIUM, "grid.steps", "15", "grid.steps"),
     (MINIMAL_EQUILIBRIUM, "grid.stpes", 15, "grid.stpes"),
@@ -162,6 +163,8 @@ EXACT_FIELDS = [
     (SWEEP, "sweep.points.0.n_assets", 2.7, "sweep.points.0.n_assets"),
     (SWEEP, "sweep.points.0.n_agents", True, "sweep.points.0.n_agents"),
     (SWEEP, "sweep.grid", {"n_agents": [3]}, "sweep"),
+    (SWEEP_GRID, "sweep.grid.n_agents", [], "sweep.grid.n_agents"),
+    (SWEEP, "sweep.points", [], "sweep.points"),
 ]
 
 
@@ -563,6 +566,7 @@ def test_theta_critical_base_probes_by_levinson(tmp_path):
     assert results["solve_paths"] == {
         "levinson": 2 * (results["n_probes"] + 1),
         "dense": 2,
+        "shifted": 0,
         "all_groups": 0,
         "rebisect": 0,
     }

@@ -22,6 +22,7 @@ from impact_games import (
     guarded_solve,
     make_equidistant_grid,
     one_factor_matrix,
+    power_law_kernel,
     principal_fundamentals,
     rank_one_matrix,
     stationarity_residual,
@@ -446,3 +447,113 @@ def test_one_solve_per_distinct_principal_asset(kind, monkeypatch):
     _, pairs = principal_fundamentals(spec)
     assert len(calls) == distinct
     assert len({id(pair) for pair in pairs}) == distinct
+
+
+def risk_averse_systems(n_steps=80):
+    """The (mean, deviation) profile systems of a risk-averse power-law game; not symmetric."""
+    bundle = build_matrices(
+        make_equidistant_grid(n_steps, 1.0),
+        power_law_kernel(0.5, 0.1),
+        gamma=2.0,
+        var_rate=0.7,
+    )
+    return equilibrium_module.profile_systems(bundle, 4)
+
+
+@pytest.mark.parametrize("system", [0, 1], ids=["mean", "deviation"])
+def test_shifted_solver_matches_guarded_solve_at_several_shifts(system):
+    matrix = risk_averse_systems()[system]
+    solver = _linalg._ShiftedSolver(matrix)
+    rhs = np.random.default_rng(2).normal(size=len(matrix))
+    for shift in (0.0, 1e-3, 0.1, 1.0, 10.0, 1e3):
+        dense = guarded_solve(matrix + shift * np.eye(len(matrix)), rhs)
+        shifted = solver.solve(shift, rhs)
+        assert np.abs(shifted - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_singular_shifted_system_is_rejected_and_the_dense_guard_raises():
+    rotation = np.linalg.qr(np.random.default_rng(4).normal(size=(6, 6)))[0]
+    # not symmetric, with eigenvalues 1, ..., 6
+    triangular = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) + np.triu(np.full((6, 6), 0.3), 1)
+    matrix = rotation @ triangular @ rotation.T
+    ones = np.ones(6)
+    solver = _linalg._ShiftedSolver(matrix)
+    assert solver.solve(0.5, ones) is not None
+    assert solver.solve(-3.0, ones) is None
+    with pytest.raises(NumericError):
+        guarded_solve(matrix - 3.0 * np.eye(6), ones)
+
+
+def scale_law_game(kind, n_assets=12):
+    """Rank-one game whose principal assets are distinct groups, at least eight in one class.
+
+    ``"risk_neutral"`` has gamma = 0, ``"equal_to_Q"`` a covariance equal to
+    Q, and ``"two_classes"`` a covariance with variance rate lambda_k on the
+    nine largest eigenvalues and 3 lambda_k on the other three.
+    """
+    cross = rank_one_matrix(np.linspace(0.1, 0.9, n_assets))
+    gamma, covariance = 1.5, cross
+    if kind == "risk_neutral":
+        gamma, covariance = 0.0, None
+    elif kind == "two_classes":
+        lam, vec = np.linalg.eigh(cross)
+        rates = np.where(np.arange(n_assets) < n_assets - 9, 3.0, 1.0) * lam
+        covariance = (vec * rates) @ vec.T
+    spec = GameSpec(
+        grid=make_equidistant_grid(60, 1.0),
+        kernel=KERNEL,
+        cross_impact=cross,
+        inventories=np.random.default_rng(9).normal(size=(n_assets, 4)),
+        theta=0.05,
+        gamma=gamma,
+        beta=0.5,
+        covariance=covariance,
+    )
+    return spec
+
+
+@pytest.mark.parametrize(
+    "kind, per_group", [("risk_neutral", 0), ("equal_to_Q", 0), ("two_classes", 3)]
+)
+def test_large_scale_law_class_matches_per_asset_solves(kind, per_group, monkeypatch):
+    spec = scale_law_game(kind)
+    calls = []
+
+    def counted(bundle, n_agents):
+        calls.append(bundle.kernel_at_zero)
+        return fundamental_solutions(bundle, n_agents)
+
+    monkeypatch.setattr(equilibrium_module, "fundamental_solutions", counted)
+    _, pairs = principal_fundamentals(spec)
+    # the class of at least _REDUCE_MIN_GROUPS groups is reduced, the rest solved per group
+    assert len(calls) == per_group
+    assert len({id(pair) for pair in pairs}) == spec.n_assets
+    for pair, ref in zip(pairs, per_asset_fundamentals(spec)):
+        assert np.allclose(pair.mean_profile, ref.mean_profile, rtol=0, atol=1e-12)
+        assert np.allclose(pair.deviation_profile, ref.deviation_profile, rtol=0, atol=1e-12)
+    equilibrium = closed_form_equilibrium(spec)
+    assert np.allclose(equilibrium.totals(), spec.inventories, rtol=0, atol=1e-12)
+    for agent in range(spec.n_agents):
+        assert stationarity_residual(spec, equilibrium.strategies, agent) <= 1e-10
+
+
+def test_rejected_shifted_solves_fall_back_to_guarded_solve_bit_for_bit(monkeypatch):
+    spec = scale_law_game("equal_to_Q")
+    results = []
+
+    def recording(matrix, rhs, *args):
+        results.append(guarded_solve(matrix, rhs, *args))
+        return results[-1]
+
+    monkeypatch.setattr(equilibrium_module, "guarded_solve", recording)
+    monkeypatch.setattr(_linalg._ShiftedSolver, "BACKWARD_TOL", -1.0)  # every solve fails it
+    _, pairs = principal_fundamentals(spec)
+    # one class: the mean system's solves for every group, then the deviation system's
+    n = spec.n_assets
+    assert len(results) == 2 * n
+    for k, pair in enumerate(pairs):
+        mean, deviation = results[k], results[n + k]
+        assert np.array_equal(pair.mean_profile, mean / (np.ones(len(mean)) @ mean))
+        assert np.array_equal(pair.deviation_profile, deviation / (np.ones(len(mean)) @ deviation))
+    for pair, ref in zip(pairs, per_asset_fundamentals(spec)):
+        assert np.allclose(pair.mean_profile, ref.mean_profile, rtol=0, atol=1e-12)

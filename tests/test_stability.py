@@ -325,7 +325,7 @@ def test_levinson_profiles_match_the_dense_path(kernel, n_agents, fraction, monk
     worst, paths = prepared_against_dense(spec, theta)
     assert worst <= 1e-11
     # two distinct eigenvalues, two profile systems each, all solved by Levinson
-    assert paths == {"levinson": 4, "dense": 0, "all_groups": 0, "rebisect": 0}
+    assert paths == {"levinson": 4, "dense": 0, "shifted": 0, "all_groups": 0, "rebisect": 0}
     assert calls == {"toeplitz": 4, "guarded": 0}
 
 
@@ -341,7 +341,7 @@ def test_risk_aversion_and_uneven_grids_take_the_dense_path(monkeypatch):
     for spec in (risk_averse, uneven):
         worst, paths = prepared_against_dense(spec, 0.3)
         assert worst <= 1e-12
-        assert paths == {"levinson": 0, "dense": 4, "all_groups": 0, "rebisect": 0}
+        assert paths == {"levinson": 0, "dense": 4, "shifted": 0, "all_groups": 0, "rebisect": 0}
     assert calls == {"toeplitz": 0, "guarded": 8}
 
 
@@ -350,7 +350,7 @@ def test_failed_levinson_residual_falls_back_to_the_dense_solve(monkeypatch):
     monkeypatch.setattr(stability_module, "solve_toeplitz", lambda cr, b, **kw: 2.0 * b)
     worst, paths = prepared_against_dense(stability_game(n_agents=3), 0.1)
     assert worst <= 1e-12
-    assert paths == {"levinson": 0, "dense": 2, "all_groups": 0, "rebisect": 0}
+    assert paths == {"levinson": 0, "dense": 2, "shifted": 0, "all_groups": 0, "rebisect": 0}
     assert calls["guarded"] == 2
 
 
@@ -383,7 +383,7 @@ def test_cross_check_mismatch_bisects_again_on_the_dense_path(monkeypatch):
     # prepared probes, then the same probes again on the dense path
     assert probes == [False] * n + [True] * n
     assert report.solve_paths == {
-        "levinson": 2 * (n + 1), "dense": 2 * (n + 2), "all_groups": 0, "rebisect": 1
+        "levinson": 2 * (n + 1), "dense": 2 * (n + 2), "shifted": 0, "all_groups": 0, "rebisect": 1
     }
     assert report.trace == fast.trace and report.estimate == fast.estimate
 
@@ -415,7 +415,9 @@ def test_one_factor_game_bisects_its_top_principal_asset_only():
     )
     # the top group per probe, then both groups at each final bracket end
     n = len(full.trace)
-    assert full.solve_paths == {"levinson": 2 * n + 8, "dense": 4, "all_groups": 0, "rebisect": 0}
+    assert full.solve_paths == {
+        "levinson": 2 * n + 8, "dense": 4, "shifted": 0, "all_groups": 0, "rebisect": 0
+    }
     # every verdict of the trace is the dense all-groups verdict
     assert [(theta, is_unstable_at(spec, theta)) for theta, _ in full.trace] == list(full.trace)
 
@@ -462,9 +464,12 @@ def test_two_ratio_classes_bisect_the_top_group_of_each(monkeypatch):
         tol=1e-4,
     )
     assert report.estimate > alone.estimate + 1e-3
-    # two groups per probe, then all three at both ends and in the dense check
+    # two groups per probe, then all three at both ends and in the dense check;
+    # the bisected group without a Levinson floor is reduced once and solved
+    # by shifted solves, so only the dense check's six solves are dense
     paths = report.solve_paths
-    assert paths["levinson"] + paths["dense"] == 4 * len(report.trace) + 18
+    assert paths["levinson"] + paths["dense"] + paths["shifted"] == 4 * len(report.trace) + 18
+    assert paths["shifted"] == 2 * len(report.trace) + 4 and paths["dense"] == 6
     assert paths["all_groups"] == 0 and paths["rebisect"] == 0
 
 
@@ -519,3 +524,52 @@ def test_unstable_group_left_out_at_the_upper_end_bisects_all_groups(monkeypatch
     assert (report.estimate, report.bracket, report.trace) == (
         reference.estimate, reference.bracket, reference.trace
     )
+
+
+def test_risk_averse_bisection_probes_the_reduced_top_group(monkeypatch):
+    # the threshold-sweep setting: gamma > 0 with a covariance equal to Q
+    spec = stability_game(n_assets=3, coupling=0.5, n_agents=3, n_steps=60, gamma=10.0)
+    report = critical_theta(spec, tol=1e-4)
+    n = len(report.trace)
+    # the top group's two systems for every probe and at both final bracket
+    # ends; the other group at both ends, and both groups in the dense check
+    assert report.solve_paths == {
+        "levinson": 0, "dense": 4 + 4, "shifted": 2 * (n + 2), "all_groups": 0, "rebisect": 0
+    }
+    monkeypatch.setattr(_FeeFreeSystem, "reduce", lambda self: None)
+    dense = critical_theta(spec, tol=1e-4)
+    assert dense.solve_paths["shifted"] == 0
+    assert (report.estimate, report.bracket, report.trace, report.flags_below) == (
+        dense.estimate, dense.bracket, dense.trace, dense.flags_below
+    )
+
+
+def risk_averse_system():
+    spec = stability_game(n_agents=3, n_steps=40, gamma=5.0)
+    system = prepare_profile_systems(spec).pairs[0][0]
+    assert system.floor is None
+    system.reduce()
+    return system
+
+
+def test_rejected_shifted_probe_falls_back_to_guarded_solve_bit_for_bit(monkeypatch):
+    system = risk_averse_system()
+    ones = np.ones(len(system.matrix))
+    paths = {"levinson": 0, "dense": 0, "shifted": 0}
+    shifted = system.solve(0.2, paths)
+    assert paths == {"levinson": 0, "dense": 0, "shifted": 1}
+    monkeypatch.setattr(_linalg._ShiftedSolver, "BACKWARD_TOL", -1.0)  # every solve fails it
+    fallback = system.solve(0.2, paths)
+    assert paths == {"levinson": 0, "dense": 1, "shifted": 1}
+    dense = guarded_solve(system.matrix + 0.4 * np.eye(len(ones)), ones)
+    assert np.array_equal(fallback, dense / (ones @ dense))
+    assert np.abs(shifted - fallback).max() <= 1e-12 * np.abs(fallback).max()
+
+
+def test_singular_shifted_probe_raises_numeric_error():
+    system = risk_averse_system()
+    # minus twice the fee on the diagonal: theta = -lambda / 2 makes A + 2 theta I singular
+    eigenvalues = np.linalg.eigvals(system.matrix)
+    eigenvalue = eigenvalues[eigenvalues.imag == 0.0].real.max()
+    with pytest.raises(NumericError):
+        system.solve(-0.5 * eigenvalue, {"levinson": 0, "dense": 0, "shifted": 0})
