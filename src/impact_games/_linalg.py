@@ -153,15 +153,18 @@ class _ShiftedSolver:
     ``(H + s I) y = Z^T b`` with ``x = Z y``: a banded LU with one
     subdiagonal, O(n^2) per shift after the O(n^3) reduction (Laub, IEEE
     TAC 1981). A solve is returned only when the LU is regular, its
-    reciprocal 1-norm condition estimate (``dgbcon``) is within
-    ``max_condition / n`` (the 1-norm condition numbers of ``A + s I`` and
-    ``H + s I`` differ by at most a factor n, as their 2-norm condition
-    numbers agree) and the normwise backward error against A is at
-    most ``BACKWARD_TOL``; otherwise :meth:`solve` returns None and the
-    caller solves ``A + s I`` by :func:`guarded_solve`, which has the final
-    say on conditioning.
+    1-norm condition estimate (``dgbcon``) is within ``MAX_CONDITION / n**2``
+    and the normwise backward error against A is at most ``BACKWARD_TOL``;
+    otherwise :meth:`solve` returns None and the caller solves ``A + s I``
+    by :func:`guarded_solve`, which has the final say on conditioning.
+    The 2-norm condition numbers of ``A + s I`` and ``H + s I`` agree, and
+    a 1-norm condition number is within a factor n of the 2-norm one either
+    way, so ``kappa_1(A + s I) <= n**2 kappa_1(H + s I)``: the cap keeps
+    ``A + s I`` within ``MAX_CONDITION``.
     """
 
+    # guarded_solve's default cap on the estimated 1-norm condition number
+    MAX_CONDITION = 1e12
     # largest normwise backward error ||(A + sI) x - b|| / ((||A|| + |s|) ||x|| + ||b||)
     # accepted, in the infinity norm
     BACKWARD_TOL = 1e-12
@@ -184,9 +187,7 @@ class _ShiftedSolver:
         self._band = flat.reshape((n + 2, n), order="F")
         self._norm_inf = float(np.linalg.norm(self.matrix, np.inf))
 
-    def solve(
-        self, shift: float, rhs: np.ndarray, max_condition: float = 1e12
-    ) -> Optional[np.ndarray]:
+    def solve(self, shift: float, rhs: np.ndarray) -> Optional[np.ndarray]:
         """Solution of ``(A + shift I) x = rhs``, or None when a guard fails."""
         n = len(self.matrix)
         band = self._band.copy(order="F")
@@ -196,7 +197,7 @@ class _ShiftedSolver:
             return None
         anorm = float(np.max(self._off_diagonal_sums + np.abs(self._diagonal + shift)))
         rcond, info = lapack.dgbcon(1, n - 1, lu, ipiv, anorm)
-        if info != 0 or not rcond * max_condition >= n:
+        if info != 0 or not rcond * self.MAX_CONDITION >= n * n:
             return None
         y, info = lapack.dgbtrs(lu, 1, n - 1, self._z.T @ rhs, ipiv)
         if info != 0:

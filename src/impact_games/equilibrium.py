@@ -30,7 +30,7 @@ group's own systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -445,7 +445,7 @@ def principal_bundles(
 
 
 def _class_fundamentals(
-    spec: GameSpec, eigenvalues: np.ndarray, var_rates: np.ndarray
+    spec: GameSpec, eigenvalues: np.ndarray, var_rates: np.ndarray, paths: Dict[str, int]
 ) -> Iterator[FundamentalSolutions]:
     """Profile pairs of the groups of one scale-law class, from one reduction per system.
 
@@ -453,7 +453,8 @@ def _class_fundamentals(
     ``var_rates[0] / eigenvalues[0]``, reduces its two profile systems once
     (see :class:`_ShiftedSolver`), and solves group k at shift
     ``2 theta / eigenvalues[k]``; a solve the reduction rejects goes to
-    :func:`guarded_solve` on the shifted unit system.
+    :func:`guarded_solve` on the shifted unit system. Each solve is counted
+    in ``paths`` ("shifted" or "dense").
     """
     unit = _bundle(spec, 1.0, float(var_rates[0] / eigenvalues[0]), 0.0)
     systems = profile_systems(unit, spec.n_agents)
@@ -465,9 +466,10 @@ def _class_fundamentals(
         solver = _ShiftedSolver(matrix)
         column = []
         for shift in shifts:
-            x = solver.solve(shift, ones)
+            x, path = solver.solve(shift, ones), "shifted"
             if x is None:
-                x = guarded_solve(matrix + shift * np.eye(len(ones)), ones)
+                x, path = guarded_solve(matrix + shift * np.eye(len(ones)), ones), "dense"
+            paths[path] += 1
             column.append(x / (ones @ x))
         profiles.append(column)
         del solver  # free before the next reduction
@@ -476,7 +478,7 @@ def _class_fundamentals(
 
 
 def principal_fundamentals(
-    spec: GameSpec,
+    spec: GameSpec, paths: Optional[Dict[str, int]] = None
 ) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
     """Profile pair of every principal asset of the game.
 
@@ -486,8 +488,11 @@ def principal_fundamentals(
     solved from one Hessenberg reduction per profile system at unit
     eigenvalue (see :func:`_class_fundamentals`); the groups of a smaller
     class are solved one by one by :func:`fundamental_solutions`. The solves
-    run on one BLAS thread (see :func:`single_blas_thread`).
+    run on one BLAS thread (see :func:`single_blas_thread`). When given,
+    ``paths`` counts the profile solves by path: "shifted" and "dense".
     """
+    if paths is None:
+        paths = {"shifted": 0, "dense": 0}
     spectrum, var_rates, groups = _principal_split(spec)
     firsts = [members[0] for members in groups]
     eigenvalues, var_rates = spectrum.eigenvalues[firsts], var_rates[firsts]
@@ -495,8 +500,11 @@ def principal_fundamentals(
     with single_blas_thread():
         for members in _scale_law_classes(eigenvalues, spec.gamma * var_rates):
             if len(members) >= _REDUCE_MIN_GROUPS:
-                solved = _class_fundamentals(spec, eigenvalues[members], var_rates[members])
+                solved = _class_fundamentals(
+                    spec, eigenvalues[members], var_rates[members], paths
+                )
             else:
+                paths["dense"] += 2 * len(members)
                 solved = (
                     fundamental_solutions(
                         _bundle(spec, float(eigenvalues[k]), float(var_rates[k]), spec.thetas[0]),

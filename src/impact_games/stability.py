@@ -20,9 +20,9 @@ cap and its normwise residual against the dense matrix is at most 1e-12. A
 bisected system that is not Toeplitz (a variance term, an uneven grid) is
 reduced to Hessenberg form once, and a probe solves it by a banded LU of the
 shifted Hessenberg matrix in O(N^2), kept only when its condition estimate
-is within the cap divided by N and its normwise backward error is at most
-1e-12. Every other solve goes to :func:`guarded_solve`, which rejects the
-systems it always rejected.
+is within the cap divided by the squared system size and its normwise
+backward error is at most 1e-12. Every other solve goes to
+:func:`guarded_solve`, which rejects the systems it always rejected.
 
 The bisection probes only the group of largest eigenvalue in each class of
 groups with equal ``gamma * v_k / lambda_k`` (variance rate v_k, eigenvalue
@@ -44,7 +44,10 @@ the lower end; if its verdict or profiles disagree with the prepared
 systems, the bisection runs again on that path. The reference path solves
 each group's own systems densely, except in a scale-law class of at least
 ``equilibrium._REDUCE_MIN_GROUPS`` groups, where it is the residual-checked
-shifted solve on the class's unit-eigenvalue systems.
+shifted solve on the class's unit-eigenvalue systems. There the check uses
+the same shifted solver as the probes of a reduced top group, and differs
+from them only in the systems it builds; it counts its solves by path, as
+the probes do.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ _MAX_CONDITION = 1e12
 _RESIDUAL_TOL = 1e-12
 # grid steps equal within this fraction of the horizon count as equidistant
 _UNIFORM_TOL = 1e-13
-# relative agreement required of prepared and dense profiles in the final check
+# relative agreement required of prepared and reference profiles in the final check
 _CROSS_CHECK_TOL = 1e-10
 # after a bisection, the verdict is checked at this many interior points of
 # the bracket, and a failed check scans it at this many points
@@ -178,7 +181,7 @@ class _FeeFreeSystem:
         shift = 2.0 * theta
         x, path = self._levinson(shift, ones), "levinson"
         if x is None and self.shifted is not None:
-            x, path = self.shifted.solve(shift, ones, _MAX_CONDITION), "shifted"
+            x, path = self.shifted.solve(shift, ones), "shifted"
         if x is None:
             path = "dense"
             x = guarded_solve(self.matrix + shift * np.eye(len(ones)), ones, _MAX_CONDITION)
@@ -222,8 +225,8 @@ class ProfileSystems:
     eigenvalue ``eigenvalues[k]`` and the variance term ``variance_terms[k]``
     (risk aversion times variance rate). ``paths`` counts the profile solves
     by path ("levinson", "dense", "shifted"), and the re-bisections of
-    :func:`critical_theta` on all groups ("all_groups") and on the dense path
-    ("rebisect").
+    :func:`critical_theta` on all groups ("all_groups") and on the reference
+    path ("rebisect").
     """
 
     groups: Tuple[np.ndarray, ...]
@@ -338,13 +341,13 @@ def _agrees(
     flags: Sequence[Tuple[OscillationFlags, OscillationFlags]],
     rel_tol: float,
 ) -> bool:
-    """Whether prepared profiles give the dense verdict and, asset by asset, the dense profiles."""
+    """Whether prepared profiles give the reference verdict and, asset by asset, its profiles."""
     if _any_unstable(_pair_flags(fast, rel_tol)) != _any_unstable(flags):
         return False
-    for pair, dense in zip(fast, fundamentals):
+    for pair, reference in zip(fast, fundamentals):
         for a, b in (
-            (pair.mean_profile, dense.mean_profile),
-            (pair.deviation_profile, dense.deviation_profile),
+            (pair.mean_profile, reference.mean_profile),
+            (pair.deviation_profile, reference.deviation_profile),
         ):
             if not np.abs(a - b).max() <= _CROSS_CHECK_TOL * np.abs(b).max():
                 return False
@@ -449,15 +452,16 @@ class StabilityReport:
     ``estimate`` lies inside ``bracket``; ``method`` is "bisect" unless the
     monotonicity guard tripped and a grid scan produced the estimate.
     ``flags_below`` holds the (mean, deviation) oscillation flags of every
-    principal asset probed just below the transition, from the dense path.
-    Predictions carry the theorem value and the many-agent extrapolation for
-    this game. ``solve_paths`` counts the profile solves by path: "levinson",
-    "shifted" (on a reduced top group) and "dense" (fallbacks, the final
-    check and any re-bisection on the reference path);
+    principal asset probed just below the transition, from the reference
+    path (:func:`principal_fundamentals`). Predictions carry the theorem
+    value and the many-agent extrapolation for this game. ``solve_paths``
+    counts the profile solves by path, the final check and any re-bisection
+    on the reference path included: "levinson", "shifted" (on a reduced top
+    group or a large scale-law class) and "dense" (every other solve);
     "all_groups" is 1 when a group left out of the bisection was unstable at
     the final upper bracket end and the bisection ran again on all groups,
-    and "rebisect" is 1 when the final dense check failed and the bisection
-    ran again on the dense path.
+    and "rebisect" is 1 when the final reference check failed and the
+    bisection ran again on the reference path.
     """
 
     estimate: float
@@ -489,21 +493,22 @@ def _checked_bisection(spec: GameSpec, lo: float, hi: float, tol: float, rel_tol
     """
     systems = prepare_profile_systems(spec)
     paths = systems.paths
-    dense_solves = 2 * len(systems.pairs)  # per probe on the dense path
     top = systems.subset(_top_groups(systems))
     for pair in top.pairs:
         for system in pair:
             system.reduce()
 
-    def bisect(prepared):
-        return _bisect_threshold(
-            lambda theta: is_unstable_at(spec, theta, rel_tol, systems=prepared), lo, hi, tol
-        )
-
-    def dense_at(theta):
-        paths["dense"] += dense_solves
-        _, fundamentals = principal_fundamentals(replace(spec, theta=theta))
+    def reference_at(theta):
+        _, fundamentals = principal_fundamentals(replace(spec, theta=theta), paths)
         return fundamentals, _pair_flags(fundamentals, rel_tol)
+
+    def bisect(prepared):
+        def verdict(theta):
+            if prepared is None:
+                return _any_unstable(reference_at(theta)[1])
+            return is_unstable_at(spec, theta, rel_tol, systems=prepared)
+
+        return _bisect_threshold(verdict, lo, hi, tol)
 
     estimate, final_bracket, trace, method = bisect(top)
     if len(top.pairs) < len(systems.pairs) and _any_unstable(
@@ -512,13 +517,12 @@ def _checked_bisection(spec: GameSpec, lo: float, hi: float, tol: float, rel_tol
         paths["all_groups"] += 1
         estimate, final_bracket, trace, method = bisect(systems)
     fast = systems.profiles(final_bracket[0])
-    del systems, top  # the dense check needs the memory of the prepared matrices
-    fundamentals, flags_below = dense_at(final_bracket[0])
+    del systems, top  # the reference check needs the memory of the prepared matrices
+    fundamentals, flags_below = reference_at(final_bracket[0])
     if not _agrees(fast, fundamentals, flags_below, rel_tol):
         paths["rebisect"] += 1
         estimate, final_bracket, trace, method = bisect(None)
-        paths["dense"] += dense_solves * len(trace)
-        _, flags_below = dense_at(final_bracket[0])
+        _, flags_below = reference_at(final_bracket[0])
     return estimate, final_bracket, trace, method, flags_below, paths
 
 

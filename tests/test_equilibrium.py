@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -482,6 +483,29 @@ def test_singular_shifted_system_is_rejected_and_the_dense_guard_raises():
     assert solver.solve(-3.0, ones) is None
     with pytest.raises(NumericError):
         guarded_solve(matrix - 3.0 * np.eye(6), ones)
+
+
+def test_shifted_condition_cap_is_the_dense_cap_over_n_squared():
+    rotation = np.linalg.qr(np.random.default_rng(4).normal(size=(6, 6)))[0]
+    triangular = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) + np.triu(np.full((6, 6), 0.3), 1)
+    matrix = rotation @ triangular @ rotation.T
+    hessenberg_form = scipy.linalg.hessenberg(matrix)
+    ones = np.ones(6)
+    solver = _linalg._ShiftedSolver(matrix)
+    cap = _linalg._ShiftedSolver.MAX_CONDITION
+    for gap, accepted in ((1e-9, True), (8e-11, False)):
+        shift = -3.0 + gap  # near the eigenvalue 3
+        shifted = np.linalg.cond(hessenberg_form + shift * np.eye(6), 1)
+        dense = np.linalg.cond(matrix + shift * np.eye(6), 1)
+        # kappa_1(A + sI) <= n^2 kappa_1(H + sI), as the cap assumes
+        assert dense <= 36.0 * shifted
+        if accepted:
+            assert shifted <= 0.25 * cap / 36.0
+            assert solver.solve(shift, ones) is not None
+        else:
+            # within cap / n, which does not keep kappa_1(A + sI) within the cap
+            assert 2.0 * cap / 36.0 <= shifted <= 0.5 * cap / 6.0
+            assert solver.solve(shift, ones) is None
 
 
 def scale_law_game(kind, n_assets=12):

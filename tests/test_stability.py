@@ -20,9 +20,11 @@ from impact_games import (
     power_law_kernel,
     predicted_theta_star,
     principal_fundamentals,
+    rank_one_matrix,
     stability_sweep,
 )
 from impact_games import _linalg
+from impact_games import equilibrium as equilibrium_module
 from impact_games import stability as stability_module
 from impact_games.stability import (
     SweepBase,
@@ -371,17 +373,24 @@ def test_cross_check_mismatch_bisects_again_on_the_dense_path(monkeypatch):
     assert fast.solve_paths["rebisect"] == 0
     probes = []
     probe = stability_module.is_unstable_at
+    reference = stability_module.principal_fundamentals
 
     def recording(spec, theta, rel_tol=1e-9, systems=None):
         probes.append(systems is None)
         return probe(spec, theta, rel_tol, systems=systems)
 
+    def recording_reference(spec, paths=None):
+        probes.append(True)
+        return reference(spec, paths)
+
     monkeypatch.setattr(stability_module, "is_unstable_at", recording)
+    monkeypatch.setattr(stability_module, "principal_fundamentals", recording_reference)
     monkeypatch.setattr(stability_module, "_CROSS_CHECK_TOL", -1.0)
     report = critical_theta(spec, tol=1e-4)
     n = len(fast.trace)
-    # prepared probes, then the same probes again on the dense path
-    assert probes == [False] * n + [True] * n
+    # prepared probes and the failed reference check, then the same probes
+    # again on the reference path and its final check
+    assert probes == [False] * n + [True] * (n + 2)
     assert report.solve_paths == {
         "levinson": 2 * (n + 1), "dense": 2 * (n + 2), "shifted": 0, "all_groups": 0, "rebisect": 1
     }
@@ -420,6 +429,31 @@ def test_one_factor_game_bisects_its_top_principal_asset_only():
     }
     # every verdict of the trace is the dense all-groups verdict
     assert [(theta, is_unstable_at(spec, theta)) for theta, _ in full.trace] == list(full.trace)
+
+
+def test_large_scale_law_class_counts_its_reference_solves_as_shifted(monkeypatch):
+    # nine distinct eigenvalues in one scale-law class: the reference check
+    # solves them from one reduction per profile system
+    spec = GameSpec(
+        grid=make_equidistant_grid(40, 1.0),
+        kernel=KERNEL,
+        cross_impact=rank_one_matrix(np.linspace(0.1, 0.9, 9)),
+        n_agents=3,
+    )
+    report = critical_theta(spec, tol=1e-4)
+    n = len(report.trace)
+    # the top group per probe, all nine at both final bracket ends, then the reference check
+    assert report.solve_paths == {
+        "levinson": 2 * n + 36, "dense": 0, "shifted": 18, "all_groups": 0, "rebisect": 0
+    }
+    monkeypatch.setattr(equilibrium_module, "_REDUCE_MIN_GROUPS", 10)
+    per_group = critical_theta(spec, tol=1e-4)
+    assert per_group.solve_paths == {
+        "levinson": 2 * n + 36, "dense": 18, "shifted": 0, "all_groups": 0, "rebisect": 0
+    }
+    assert (report.estimate, report.bracket, report.trace, report.flags_below) == (
+        per_group.estimate, per_group.bracket, per_group.trace, per_group.flags_below
+    )
 
 
 def two_class_game():
