@@ -36,8 +36,10 @@ def priority_cross(bundle, probability: float) -> np.ndarray:
     Decayed impact of the other agent's earlier trades plus, at shared times,
     the lag-zero impact weighted by the probability of going second.
     """
-    eye = np.eye(len(bundle.strict_lower))
-    return bundle.strict_lower + probability * bundle.kernel_at_zero * eye
+    cross = bundle.strict_lower.copy()
+    # the diagonal of strict_lower is exactly zero
+    cross.flat[:: len(cross) + 1] = probability * bundle.kernel_at_zero
+    return cross
 
 
 def own_cost_term(q, gram, theta: float, own: np.ndarray):
@@ -61,9 +63,12 @@ def expected_cost(spec, strategies, agent: int) -> float:
     in agent order, starting from the own term.
     """
     strategies = _check_strategies(spec, strategies)
-    bundle = build_matrices(spec.grid, spec.effective_kernel)
-    q, scales = spec.cross_impact, spec.scales
+    return _expected_cost(spec, strategies, agent, build_matrices(spec.grid, spec.effective_kernel))
 
+
+def _expected_cost(spec, strategies: np.ndarray, agent: int, bundle) -> float:
+    """:func:`expected_cost` from the bundle of the spec's grid and effective kernel."""
+    q, scales = spec.cross_impact, spec.scales
     own = scales[agent] * strategies[:, agent, :]
     cost = own_cost_term(q, bundle.kernel_matrix, spec.thetas[agent], own)
     for other in range(spec.n_agents):
@@ -81,16 +86,21 @@ def variance_and_mv(spec, strategies, agent: int) -> tuple[float, float]:
     term is the unaffected-price revenue, whose variance couples trades at
     times ``t_k`` and ``t_h`` through the covariance at ``min(t_k, t_h)``.
     """
-    variance = _variance(spec, _check_strategies(spec, strategies), agent)
+    strategies = _check_strategies(spec, strategies)
+    variance = _variance(spec, strategies, agent, _earlier(spec))
     return variance, expected_cost(spec, strategies, agent) + 0.5 * spec.gamma * variance
 
 
-def _variance(spec, strategies: np.ndarray, agent: int) -> float:
-    own = spec.scales[agent] * strategies[:, agent, :]
+def _earlier(spec) -> np.ndarray:
+    """``min(t_k, t_h)`` over every pair of trading times."""
+    t = spec.grid.points
+    return np.minimum.outer(t, t)
+
+
+def _variance(spec, strategies: np.ndarray, agent: int, earlier: np.ndarray) -> float:
     if spec.covariance is None:
         return 0.0
-    t = spec.grid.points
-    earlier = np.minimum.outer(t, t)
+    own = spec.scales[agent] * strategies[:, agent, :]
     return float(np.sum(earlier * (own.T @ spec.covariance @ own)))
 
 
@@ -104,10 +114,17 @@ class CostReport:
 
 
 def cost_report(spec, strategies) -> CostReport:
-    """Cost report of every agent, pricing each agent's expected cost once."""
+    """Cost report of every agent, from one matrix bundle and one ``min(t_k, t_h)``.
+
+    Each entry equals what :func:`expected_cost` and :func:`variance_and_mv`
+    give for that agent, bit for bit.
+    """
     strategies = _check_strategies(spec, strategies)
-    expected = np.array([expected_cost(spec, strategies, j) for j in range(spec.n_agents)])
-    variance = np.array([_variance(spec, strategies, j) for j in range(spec.n_agents)])
+    bundle = build_matrices(spec.grid, spec.effective_kernel)
+    earlier = _earlier(spec)
+    agents = range(spec.n_agents)
+    expected = np.array([_expected_cost(spec, strategies, j, bundle) for j in agents])
+    variance = np.array([_variance(spec, strategies, j, earlier) for j in agents])
     mv = expected + 0.5 * spec.gamma * variance
     return CostReport(expected=expected, variance=variance, mean_variance=mv)
 
@@ -132,9 +149,7 @@ def stationarity_residual(spec, strategies, agent: int) -> float:
         cross = priority_cross(bundle, spec.priority[agent, other])
         grad += scales[agent] * scales[other] * (q @ strategies[:, other, :] @ cross.T)
     if spec.gamma > 0.0 and spec.covariance is not None:
-        t = spec.grid.points
-        earlier = np.minimum.outer(t, t)
-        grad += spec.gamma * scales[agent] * (spec.covariance @ own @ earlier)
+        grad += spec.gamma * scales[agent] * (spec.covariance @ own @ _earlier(spec))
 
     residual = 0.0
     for asset in range(spec.n_assets):

@@ -25,10 +25,19 @@ Hessenberg form once and solves each group by an O(N^2) shifted solve, kept
 only when its condition estimate and backward error pass and otherwise
 redone by :func:`guarded_solve`; a smaller class builds and solves each
 group's own systems.
+
+The profile pairs depend on the market, not on the inventories. The closed
+form keeps the spectrum and profile pairs of the last market it solved,
+read-only, keyed by the bytes of what :func:`principal_fundamentals` reads:
+trading times, effective kernel, Q, covariance, fee, risk aversion and agent
+count. Draws of new inventories in one market then cost one rotation each.
+:func:`principal_fundamentals` itself always solves.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -517,6 +526,44 @@ def principal_fundamentals(
     return spectrum, _spread(groups, pairs)
 
 
+@functools.lru_cache(maxsize=1)
+def _market_fundamentals(
+    points: bytes,
+    kernel: DecayKernel,
+    cross_impact: bytes,
+    covariance: Optional[bytes],
+    theta: float,
+    gamma: float,
+    n_agents: int,
+) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
+    """:func:`principal_fundamentals` of the identical-agent game of one market.
+
+    The key is everything that call reads, as bytes: the trading times, the
+    effective kernel, Q, the covariance (None without one), the fee, the risk
+    aversion and the agent count; inventories are not part of it. Only the
+    last market is kept, so the draws of one market share one solve. Its
+    arrays are read-only, since repeated calls return the same ones.
+    """
+    q = np.frombuffer(cross_impact)
+    q = q.reshape(math.isqrt(q.size), -1)
+    spec = GameSpec(
+        grid=TimeGrid(np.frombuffer(points)),
+        kernel=kernel,
+        cross_impact=q,
+        n_agents=n_agents,
+        theta=theta,
+        gamma=gamma,
+        covariance=None if covariance is None else np.frombuffer(covariance).reshape(q.shape),
+    )
+    spectrum, fundamentals = principal_fundamentals(spec)
+    arrays = [spectrum.eigenvalues, spectrum.eigenvectors]
+    for pair in fundamentals:
+        arrays += [pair.mean_profile, pair.deviation_profile]
+    for array in arrays:
+        array.flags.writeable = False
+    return spectrum, fundamentals
+
+
 def closed_form_equilibrium(spec: GameSpec) -> Equilibrium:
     """Unique Nash equilibrium of the mean-variance game with identical agents.
 
@@ -524,8 +571,24 @@ def closed_form_equilibrium(spec: GameSpec) -> Equilibrium:
     each principal asset is solved independently through its profile pair,
     and the result is rotated back. ValueError for a game whose agents differ
     (see :func:`hetero.solve`).
+
+    The spectrum and the profile pairs do not depend on the inventories:
+    they come from :func:`_market_fundamentals`, which keeps those of the
+    last market (keyed by its grid, effective kernel, Q, covariance, fee,
+    risk aversion and agent count) read-only. A new draw of inventories in
+    the same market costs one rotation and one ``einsum``; ``strategies``
+    and ``principal_strategies`` are new arrays.
     """
-    spectrum, fundamentals = principal_fundamentals(spec)
+    _require_identical_agents(spec)
+    spectrum, fundamentals = _market_fundamentals(
+        spec.grid.points.tobytes(),
+        spec.effective_kernel,
+        spec.cross_impact.tobytes(),
+        None if spec.covariance is None else spec.covariance.tobytes(),
+        float(spec.thetas[0]),
+        spec.gamma,
+        spec.n_agents,
+    )
     vec = spectrum.eigenvectors
     principal_inv = vec.T @ spec.inventories
     n_times = spec.grid.n_points

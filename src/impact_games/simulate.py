@@ -87,6 +87,10 @@ def _drift_weights(times: bytes, points: bytes, kernel: DecayKernel) -> np.ndarr
     return weights
 
 
+# (weights, flow bytes, drift) of the last product formed by impact_drift
+_last_drift: list = [None]
+
+
 def impact_drift(spec, strategies: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Deterministic price displacement of the aggregate flow at given times.
 
@@ -95,15 +99,20 @@ def impact_drift(spec, strategies: np.ndarray, times: np.ndarray) -> np.ndarray:
     agent's share volume is multiplied by its impact scale. Strictly
     before: the trade at t contributes nothing at t itself. The kernel
     weights are evaluated once per (times, trading grid, effective kernel);
-    only the last such set is kept, read-only, so a repeated call is one
-    matrix product. The returned array is new.
+    only the last such set is kept, read-only. The drift itself is kept for
+    the last (weights, aggregate flow) pair, so the paths of one strategy
+    profile form the matrix product once. The returned array is new.
     """
     volume = spec.scales[:, None] * np.asarray(strategies, dtype=float)
     flow = spec.cross_impact @ volume.sum(axis=1)
     weights = _drift_weights(
         np.asarray(times, dtype=float).tobytes(), spec.grid.points.tobytes(), spec.effective_kernel
     )
-    return -(weights @ flow.T)
+    key = flow.tobytes()
+    last = _last_drift[0]
+    if last is None or last[0] is not weights or last[1] != key:
+        last = _last_drift[0] = (weights, key, -(weights @ flow.T))
+    return last[2].copy()
 
 
 def simulate_price(
@@ -131,8 +140,8 @@ def simulate_price(
 
     The unaffected price has the spec's covariance rate, zero without one.
     Paths of one game differ only in their random draws: the drift comes from
-    :func:`impact_drift`, whose kernel weights are evaluated on the first
-    path and reused by the others.
+    :func:`impact_drift`, which evaluates the kernel weights and forms the
+    drift on the first path and reuses both on the others.
     """
     strategies = np.asarray(strategies, dtype=float)
     n_assets = spec.n_assets

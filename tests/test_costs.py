@@ -94,13 +94,28 @@ def test_cost_report_prices_each_agent_once(monkeypatch):
     spec = make_spec([[1.0, 0.5, -0.3]], theta=0.5, gamma=2.0, covariance=np.array([[0.8]]))
     strategies = closed_form_equilibrium(spec).strategies
     reference = [variance_and_mv(spec, strategies, j) for j in range(spec.n_agents)]
-    calls = []
-    price = costs.expected_cost
-    monkeypatch.setattr(costs, "expected_cost", lambda *args: calls.append(args) or price(*args))
+    calls, builds = [], []
+    price, build = costs._expected_cost, costs.build_matrices
+    monkeypatch.setattr(costs, "_expected_cost", lambda *args: calls.append(args) or price(*args))
+    monkeypatch.setattr(costs, "build_matrices", lambda *args: builds.append(args) or build(*args))
     report = cost_report(spec, strategies)
+    # one bundle for all agents, one pricing per agent
     assert len(calls) == spec.n_agents
+    assert len(builds) == 1
+    assert np.array_equal(report.expected, [expected_cost(spec, strategies, j) for j in range(spec.n_agents)])
     assert np.array_equal(report.variance, [variance for variance, _ in reference])
     assert np.array_equal(report.mean_variance, [mv for _, mv in reference])
+
+
+@pytest.mark.parametrize("n_steps", [1, 12, 40])
+def test_priority_cross_is_strict_lower_plus_the_weighted_lag_zero_diagonal(n_steps):
+    bundle = build_matrices(make_equidistant_grid(n_steps, 1.0), exponential_kernel(rate=0.7))
+    eye = np.eye(len(bundle.strict_lower))
+    for p in (0.0, 0.2, 0.5, 1.0 / 3.0, 0.8, 1.0):
+        reference = bundle.strict_lower + p * bundle.kernel_at_zero * eye
+        cross = costs.priority_cross(bundle, p)
+        assert cross.tobytes() == reference.tobytes()
+        assert not np.shares_memory(cross, bundle.strict_lower)
 
 
 def test_cost_splits_across_principal_assets(rng):

@@ -357,6 +357,7 @@ def test_closed_form_solves_run_on_one_blas_thread(monkeypatch):
         return guarded_solve(*args, **kwargs)
 
     monkeypatch.setattr(equilibrium_module, "guarded_solve", recording)
+    equilibrium_module._market_fundamentals.cache_clear()
     original = [get() for get, _ in controls]
     try:
         for _, put in controls:
@@ -581,3 +582,107 @@ def test_rejected_shifted_solves_fall_back_to_guarded_solve_bit_for_bit(monkeypa
         assert np.array_equal(pair.deviation_profile, deviation / (np.ones(len(mean)) @ deviation))
     for pair, ref in zip(pairs, per_asset_fundamentals(spec)):
         assert np.allclose(pair.mean_profile, ref.mean_profile, rtol=0, atol=1e-12)
+
+
+def market_spec(inventories=None, n_agents=3, **fields):
+    """Risk-averse three-asset game; one-factor Q and covariance, so any two commute."""
+    market = dict(
+        grid=make_equidistant_grid(20, 1.0),
+        kernel=power_law_kernel(0.5, 0.1),
+        cross_impact=one_factor_matrix(3, 0.5),
+        theta=0.05,
+        gamma=2.0,
+        beta=0.3,
+        covariance=one_factor_matrix(3, 0.2),
+    )
+    market.update(fields)
+    if inventories is None:
+        inventories = np.random.default_rng(n_agents).normal(size=(3, n_agents))
+    return GameSpec(inventories=inventories, **market)
+
+
+def count_principal_fundamentals(monkeypatch):
+    calls = []
+    solve = principal_fundamentals
+
+    def counted(spec, *args):
+        calls.append(spec)
+        return solve(spec, *args)
+
+    monkeypatch.setattr(equilibrium_module, "principal_fundamentals", counted)
+    return calls
+
+
+def fresh_strategies(spec):
+    """Closed-form strategies computed with an empty market memo."""
+    equilibrium_module._market_fundamentals.cache_clear()
+    return closed_form_equilibrium(spec).strategies
+
+
+def test_one_market_solves_its_profiles_once_across_inventories(monkeypatch, rng):
+    calls = count_principal_fundamentals(monkeypatch)
+    specs = [market_spec(rng.normal(size=(3, 3))) for _ in range(2)]
+    equilibrium_module._market_fundamentals.cache_clear()
+    solved = [closed_form_equilibrium(spec).strategies for spec in specs]
+    assert len(calls) == 1
+    assert solved[0].tobytes() != solved[1].tobytes()
+    for spec, strategies in zip(specs, solved):
+        assert strategies.tobytes() == fresh_strategies(spec).tobytes()
+        assert np.allclose(strategies.sum(axis=2), spec.inventories, rtol=0, atol=1e-12)
+
+
+def test_changed_markets_do_not_reuse_stale_profiles(monkeypatch):
+    calls = count_principal_fundamentals(monkeypatch)
+    base = market_spec()
+    variants = {
+        "theta": dataclasses.replace(base, theta=0.06),
+        "gamma": dataclasses.replace(base, gamma=2.5),
+        "beta": dataclasses.replace(base, beta=0.4),
+        "kernel": dataclasses.replace(base, kernel=power_law_kernel(0.5, 0.1001)),
+        "grid": dataclasses.replace(base, grid=make_equidistant_grid(20, 1.5)),
+        "cross_impact": dataclasses.replace(base, cross_impact=one_factor_matrix(3, 0.45)),
+        "covariance": dataclasses.replace(base, covariance=one_factor_matrix(3, 0.25)),
+        "n_agents": market_spec(n_agents=4),
+    }
+    for name, spec in variants.items():
+        reference = fresh_strategies(spec)
+        closed_form_equilibrium(base)
+        before = len(calls)
+        strategies = closed_form_equilibrium(spec).strategies
+        assert len(calls) == before + 1, name
+        assert strategies.tobytes() == reference.tobytes(), name
+    # beta enters the key through the effective kernel: an equal one is the same market
+    same = dataclasses.replace(base, kernel=base.effective_kernel, beta=0.0)
+    closed_form_equilibrium(base)
+    before = len(calls)
+    strategies = closed_form_equilibrium(same).strategies
+    assert len(calls) == before
+    assert strategies.tobytes() == fresh_strategies(base).tobytes()
+
+
+def test_memoised_profiles_are_read_only_and_strategies_are_new(rng):
+    spec = market_spec(rng.normal(size=(3, 3)))
+    first = closed_form_equilibrium(spec)
+    second = closed_form_equilibrium(spec)
+    assert second.fundamentals is first.fundamentals
+    spectrum = second.spectrum
+    for array in [spectrum.eigenvalues, spectrum.eigenvectors] + [
+        profile for pair in second.fundamentals for profile in pair.__dict__.values()
+    ]:
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    for array in (second.strategies, second.principal_strategies):
+        assert array.flags.writeable
+        assert not np.shares_memory(array, first.strategies)
+        assert not np.shares_memory(array, first.principal_strategies)
+    second.strategies[:] = 0.0
+    assert closed_form_equilibrium(spec).strategies.tobytes() == first.strategies.tobytes()
+
+
+def test_differing_fees_are_rejected_after_the_market_is_memoised():
+    base = market_spec(gamma=0.0, covariance=None)
+    closed_form_equilibrium(base)
+    # the first agent's fee matches the memoised market's
+    differing = dataclasses.replace(base, theta=np.array([0.05, 0.05, 0.06]))
+    with pytest.raises(ValueError, match="identical agents"):
+        closed_form_equilibrium(differing)

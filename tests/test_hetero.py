@@ -72,6 +72,7 @@ def test_homogeneous_inputs_match_the_closed_form(cross, rng, monkeypatch):
         return fundamental_solutions(*args, **kwargs)
 
     monkeypatch.setattr(equilibrium_module, "fundamental_solutions", counted)
+    equilibrium_module._market_fundamentals.cache_clear()
     closed = closed_form_equilibrium(spec)
     split, dims = solve_recording_dims(spec, monkeypatch)
     assert np.abs(split - closed.strategies).max() <= 1e-12

@@ -18,6 +18,7 @@ from impact_games import (
     simulate_price,
     write_price_csv,
 )
+from impact_games import simulate
 from impact_games.simulate import _drift_weights, _fine_grid
 
 KERNEL = exponential_kernel()
@@ -288,3 +289,50 @@ def test_eight_paths_of_one_game_evaluate_the_kernel_once():
         simulate_price(spec, eq.strategies, initial_prices=1.0, horizon=1.2, seed=seed)
     info = _drift_weights.cache_info()
     assert (info.misses, info.hits) == (1, 7)
+
+
+def test_paths_of_one_equilibrium_form_the_drift_once():
+    spec = drift_game(power_law_kernel(exponent=0.5, offset=0.1), np.linspace(0.0, 1.0, 31))
+    strategies = closed_form_equilibrium(spec).strategies
+    simulate._last_drift[0] = None
+    paths, kept = [], []
+    for seed in range(8):
+        paths.append(simulate_price(spec, strategies, initial_prices=1.0, horizon=1.2, seed=seed))
+        kept.append(simulate._last_drift[0])
+    # the product is formed on the first path and reused by the other seven
+    assert all(entry is kept[0] for entry in kept)
+    dense = dense_drift(spec, strategies, paths[0].times).tobytes()
+    for k, path in enumerate(paths):
+        assert path.drift.tobytes() == dense
+        assert not any(np.shares_memory(path.drift, other.drift) for other in paths[:k])
+
+
+def test_new_strategies_form_a_new_drift(rng):
+    spec = drift_game(power_law_kernel(exponent=0.5, offset=0.1), np.linspace(0.0, 1.0, 31))
+    times = _fine_grid(spec.grid.points, 5, 1.2)
+    first = closed_form_equilibrium(spec).strategies
+    other = closed_form_equilibrium(
+        dataclasses.replace(spec, inventories=rng.normal(size=(3, 4)))
+    ).strategies
+    tweaked = first.copy()
+    tweaked[1, 2, 7] += 1e-9
+    drifts = []
+    for strategies in (first, other, tweaked, first):
+        drift = impact_drift(spec, strategies, times)
+        assert drift.tobytes() == dense_drift(spec, strategies, times).tobytes()
+        drifts.append(drift.tobytes())
+    assert len(set(drifts[:3])) == 3
+    assert drifts[3] == drifts[0]
+
+
+def test_mutating_a_returned_drift_leaves_the_next_path_alone():
+    spec = sellers_spec(theta=0.3, n_steps=40, covariance=np.eye(1))
+    strategies = closed_form_equilibrium(spec).strategies
+    path = simulate_price(spec, strategies, initial_prices=1.0, horizon=1.2, seed=0)
+    expected = dense_drift(spec, strategies, path.times).tobytes()
+    path.drift[:] = 0.0
+    direct = impact_drift(spec, strategies, path.times)
+    direct *= 2.0
+    again = simulate_price(spec, strategies, initial_prices=1.0, horizon=1.2, seed=1)
+    assert again.drift.tobytes() == expected
+    assert np.array_equal(again.affected, again.unaffected + again.drift)
