@@ -538,11 +538,12 @@ def _market_fundamentals(
 ) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
     """:func:`principal_fundamentals` of the identical-agent game of one market.
 
-    The key is everything that call reads, as bytes: the trading times, the
-    effective kernel, Q, the covariance (None without one), the fee, the risk
-    aversion and the agent count; inventories are not part of it. Only the
-    last market is kept, so the draws of one market share one solve. Its
-    arrays are read-only, since repeated calls return the same ones.
+    The key is everything that call reads, arrays as bytes: the trading
+    times, the effective kernel, Q, the covariance (None without one), the
+    fee, the risk aversion and the agent count; inventories are not part of
+    it. Only the last market is kept, so the draws of one market share one
+    solve. Its arrays are read-only, since repeated calls return the same
+    ones.
     """
     q = np.frombuffer(cross_impact)
     q = q.reshape(math.isqrt(q.size), -1)

@@ -666,9 +666,9 @@ def test_memoised_profiles_are_read_only_and_strategies_are_new(rng):
     second = closed_form_equilibrium(spec)
     assert second.fundamentals is first.fundamentals
     spectrum = second.spectrum
-    for array in [spectrum.eigenvalues, spectrum.eigenvectors] + [
-        profile for pair in second.fundamentals for profile in pair.__dict__.values()
-    ]:
+    profiles = [array for pair in second.fundamentals for array in pair.__dict__.values()]
+    assert len(profiles) == 2 * spec.n_assets
+    for array in [spectrum.eigenvalues, spectrum.eigenvectors] + profiles:
         with pytest.raises(ValueError):
             array[0] = 1.0
     for array in (second.strategies, second.principal_strategies):
