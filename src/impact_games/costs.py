@@ -3,6 +3,9 @@
 All reported costs are impact costs: the bookkeeping term (inventory times the
 initial price) is omitted, which for deterministic strategies only shifts
 every agent's cost by the same constant when the initial price is nonzero.
+Another agent enters only through the strict lower kernel part ``L`` and the
+priority-weighted lag-zero value ``p g0``, so no per-pair matrix is formed:
+``X (L + p g0 I) Y^T = (X L) Y^T + p g0 X Y^T``.
 """
 
 from __future__ import annotations
@@ -47,9 +50,13 @@ def own_cost_term(q, gram, theta: float, own: np.ndarray):
     return 0.5 * np.sum(q * (own @ gram @ own.T)) + theta * np.sum(own**2)
 
 
-def cross_cost_term(q, cross, own: np.ndarray, theirs: np.ndarray):
-    """Cost that another agent's impact volume ``theirs`` adds to ``own``."""
-    return np.sum(q * (own @ cross @ theirs.T))
+def cross_cost_term(q, weight: float, own: np.ndarray, lagged: np.ndarray, theirs: np.ndarray):
+    """Cost that another agent's impact volume ``theirs`` adds to ``own``.
+
+    ``lagged`` is ``own @ strict_lower``; ``weight`` is ``p g0`` for the
+    other agent's probability ``p`` of executing first (see priority_cross).
+    """
+    return np.sum(q * (lagged @ theirs.T + weight * (own @ theirs.T)))
 
 
 def expected_cost(spec, strategies, agent: int) -> float:
@@ -68,14 +75,14 @@ def expected_cost(spec, strategies, agent: int) -> float:
 
 def _expected_cost(spec, strategies: np.ndarray, agent: int, bundle) -> float:
     """:func:`expected_cost` from the bundle of the spec's grid and effective kernel."""
-    q, scales = spec.cross_impact, spec.scales
+    q, scales, g0 = spec.cross_impact, spec.scales, bundle.kernel_at_zero
     own = scales[agent] * strategies[:, agent, :]
+    lagged = own @ bundle.strict_lower
     cost = own_cost_term(q, bundle.kernel_matrix, spec.thetas[agent], own)
     for other in range(spec.n_agents):
-        if other == agent:
-            continue
-        theirs = scales[other] * strategies[:, other, :]
-        cost += cross_cost_term(q, priority_cross(bundle, spec.priority[agent, other]), own, theirs)
+        if other != agent:
+            theirs = scales[other] * strategies[:, other, :]
+            cost += cross_cost_term(q, spec.priority[agent, other] * g0, own, lagged, theirs)
     return float(cost)
 
 
@@ -134,27 +141,20 @@ def stationarity_residual(spec, strategies, agent: int) -> float:
 
     The gradient of the mean-variance value with respect to the agent's own
     strategy is projected onto the feasible directions (per-asset sums fixed,
-    untradable coordinates dropped); at an equilibrium it vanishes.
+    untradable coordinates dropped); at an equilibrium it vanishes. It is 0
+    for an agent without tradable assets. The others' impact volumes ``V_o``
+    enter as ``(sum V_o) L^T + g0 sum p_ao V_o``: one product with ``L^T``.
     """
     strategies = _check_strategies(spec, strategies)
     bundle = build_matrices(spec.grid, spec.effective_kernel)
-    q, scales = spec.cross_impact, spec.scales
-
-    own = scales[agent] * strategies[:, agent, :]
-    gram = bundle.kernel_matrix
-    grad = scales[agent] * (q @ own @ gram) + 2.0 * spec.thetas[agent] * scales[agent] * own
-    for other in range(spec.n_agents):
-        if other == agent:
-            continue
-        cross = priority_cross(bundle, spec.priority[agent, other])
-        grad += scales[agent] * scales[other] * (q @ strategies[:, other, :] @ cross.T)
+    scale = spec.scales[agent]
+    volumes = spec.scales[:, None] * strategies
+    own, others = volumes[:, agent], np.arange(spec.n_agents) != agent
+    theirs = volumes[:, others]
+    impact = own @ bundle.kernel_matrix + theirs.sum(axis=1) @ bundle.strict_lower.T
+    impact += np.einsum("o,mot->mt", spec.priority[agent, others] * bundle.kernel_at_zero, theirs)
+    grad = scale * (spec.cross_impact @ impact) + 2.0 * spec.thetas[agent] * scale * own
     if spec.gamma > 0.0 and spec.covariance is not None:
-        grad += spec.gamma * scales[agent] * (spec.covariance @ own @ _earlier(spec))
-
-    residual = 0.0
-    for asset in range(spec.n_assets):
-        if not spec.mask[asset, agent]:
-            continue
-        centered = grad[asset] - grad[asset].mean()
-        residual = max(residual, float(np.abs(centered).max()))
-    return residual
+        grad += spec.gamma * scale * (spec.covariance @ own @ _earlier(spec))
+    traded = grad[spec.mask[:, agent]]
+    return float(np.abs(traded - traded.mean(axis=1, keepdims=True)).max(initial=0.0))

@@ -317,13 +317,13 @@ def payoff_matrix(
 
     An agent's expected cost is its own-cost term plus one cross-cost term
     per other agent, and each term depends on the options of at most two
-    agents. Every (agent, option) own term and every (agent, option, other
-    agent, option) cross term is evaluated once, and the cells sum them as
-    arrays over the option grid in the order of :func:`expected_cost`, so the
-    table equals per-cell ``expected_cost`` bit for bit. As a guard, the
-    first and the last cell are priced with ``expected_cost``; if either
-    differs by more than 1e-12 relative, every cell is priced that way
-    instead.
+    agents. Every (agent, option) own term and lagged volume, and every
+    (agent, option, other agent, option) cross term is evaluated once, and
+    the cells sum them as arrays over the option grid in the order of
+    :func:`expected_cost`, so the table equals per-cell ``expected_cost``
+    bit for bit. As a guard, the first and the last cell are priced with
+    ``expected_cost``; if either differs by more than 1e-12 relative, every
+    cell is priced that way instead.
     """
     n_agents = base.n_agents
     if len(mask_options) != n_agents:
@@ -358,10 +358,14 @@ def payoff_matrix(
     for j in range(n_agents):
         own = [own_cost_term(q, bundle.kernel_matrix, base.thetas[j], v) for v in volumes[j]]
         costs[..., j] = np.array(own)[option[j]]
+        lagged = [v @ bundle.strict_lower for v in volumes[j]]
         for l in range(n_agents):
             if l != j:
-                matrix = priority_cross(bundle, base.priority[j, l])
-                cross = [[cross_cost_term(q, matrix, a, b) for b in volumes[l]] for a in volumes[j]]
+                weight = base.priority[j, l] * bundle.kernel_at_zero
+                cross = [
+                    [cross_cost_term(q, weight, a, lagged_a, b) for b in volumes[l]]
+                    for a, lagged_a in zip(volumes[j], lagged)
+                ]
                 costs[..., j] += np.array(cross)[option[j], option[l]]
 
     def priced(combo):

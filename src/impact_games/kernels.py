@@ -216,16 +216,23 @@ def build_matrices(
         grid.points.tobytes(), kernel.family, kernel.rate, kernel.exponent, kernel.offset
     )
 
-    eye = np.eye(grid.n_points)
     g0 = kernel.at_zero
+    diagonal = slice(None, None, grid.n_points + 1)  # of the flattened matrix
     strict_lower = kernel.scale * unit_lower
-    # symmetric matrix from the exact same kernel evaluations
-    kernel_matrix = strict_lower + strict_lower.T + g0 * eye
+    # symmetric matrix from the exact same kernel evaluations; strict_lower's
+    # diagonal is exactly zero, so writing a value there adds it
+    kernel_matrix = strict_lower + strict_lower.T
+    kernel_matrix.flat[diagonal] = g0
+    fair_priority = strict_lower.copy()
+    fair_priority.flat[diagonal] = 0.5 * g0
+    mv_self_cost = kernel_matrix.copy()
+    mv_self_cost.flat[diagonal] += 2.0 * theta
+    mv_self_cost += gamma * (var_rate * min_times)
     return MatrixBundle(
         kernel_matrix=kernel_matrix,
         strict_lower=strict_lower,
-        fair_priority=strict_lower + 0.5 * g0 * eye,
-        mv_self_cost=kernel_matrix + 2.0 * theta * eye + gamma * (var_rate * min_times),
+        fair_priority=fair_priority,
+        mv_self_cost=mv_self_cost,
         kernel_at_zero=g0,
         gamma=float(gamma),
         var_rate=float(var_rate),

@@ -64,11 +64,20 @@ def _fine_grid(trading_times: np.ndarray, fine_steps: int, horizon: float) -> np
     return fine
 
 
-def _covariance_root(covariance: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(covariance)
+@functools.lru_cache(maxsize=1)
+def _covariance_root(covariance: bytes, n_assets: int) -> np.ndarray:
+    """Root ``R`` with ``R R^T`` the (M, M) covariance given by its bytes.
+
+    Only the last covariance is kept, so the paths of one game share one
+    ``eigh``; the array is read-only. A covariance that is not positive
+    semidefinite raises on every call.
+    """
+    lam, vec = np.linalg.eigh(np.frombuffer(covariance).reshape(n_assets, n_assets))
     if lam.min() < -1e-10 * max(abs(lam).max(), 1.0):
         raise ValueError("covariance must be positive semidefinite")
-    return vec * np.sqrt(np.clip(lam, 0.0, None))
+    root = vec * np.sqrt(np.clip(lam, 0.0, None))
+    root.flags.writeable = False
+    return root
 
 
 @functools.lru_cache(maxsize=1)
@@ -139,7 +148,8 @@ def simulate_price(
         give identical paths.
 
     The unaffected price has the spec's covariance rate, zero without one.
-    Paths of one game differ only in their random draws: the drift comes from
+    Paths of one game differ only in their random draws: the covariance root
+    is kept for the last covariance, and the drift comes from
     :func:`impact_drift`, which evaluates the kernel weights and forms the
     drift on the first path and reuses both on the others.
     """
@@ -160,7 +170,7 @@ def simulate_price(
     draws = rng.standard_normal((times.size - 1, n_assets))
     root = np.zeros((n_assets, n_assets))
     if spec.covariance is not None:
-        root = _covariance_root(spec.covariance)
+        root = _covariance_root(spec.covariance.tobytes(), n_assets)
     increments = (draws @ root.T) * np.sqrt(np.diff(times))[:, None]
     unaffected = np.empty((times.size, n_assets))
     unaffected[0] = start

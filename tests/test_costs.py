@@ -118,6 +118,85 @@ def test_priority_cross_is_strict_lower_plus_the_weighted_lag_zero_diagonal(n_st
         assert not np.shares_memory(cross, bundle.strict_lower)
 
 
+def per_pair_gradient(spec, strategies, agent):
+    """The agent's unprojected gradient with one priority_cross per other agent."""
+    bundle = build_matrices(spec.grid, spec.effective_kernel)
+    q, scales = spec.cross_impact, spec.scales
+    own = scales[agent] * strategies[:, agent, :]
+    grad = scales[agent] * (q @ own @ bundle.kernel_matrix) + 2.0 * spec.thetas[agent] * scales[agent] * own
+    for other in range(spec.n_agents):
+        if other != agent:
+            cross = costs.priority_cross(bundle, spec.priority[agent, other])
+            grad += scales[agent] * scales[other] * (q @ strategies[:, other, :] @ cross.T)
+    if spec.gamma > 0.0 and spec.covariance is not None:
+        t = spec.grid.points
+        grad += spec.gamma * scales[agent] * (spec.covariance @ own @ np.minimum.outer(t, t))
+    return grad
+
+
+def per_pair_cost(spec, strategies, agent):
+    bundle = build_matrices(spec.grid, spec.effective_kernel)
+    q, scales = spec.cross_impact, spec.scales
+    own = scales[agent] * strategies[:, agent, :]
+    cost = 0.5 * np.sum(q * (own @ bundle.kernel_matrix @ own.T)) + spec.thetas[agent] * np.sum(own**2)
+    for other in range(spec.n_agents):
+        if other != agent:
+            cross = costs.priority_cross(bundle, spec.priority[agent, other])
+            cost += np.sum(q * (own @ cross @ (scales[other] * strategies[:, other, :]).T))
+    return cost
+
+
+def hetero_game(rng):
+    """3 assets, 4 agents: unequal fees, scales and priorities; agent 3 trades nothing."""
+    priority = np.zeros((4, 4))
+    upper = np.triu_indices(4, 1)
+    priority[upper] = rng.uniform(0.1, 0.9, upper[0].size)
+    priority[upper[::-1]] = 1.0 - priority[upper]
+    mask = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=bool)
+    return GameSpec(
+        grid=make_equidistant_grid(17, 1.0),
+        kernel=exponential_kernel(rate=0.6),
+        cross_impact=one_factor_matrix(3, 0.4),
+        inventories=np.where(mask, rng.normal(size=(3, 4)), 0.0),
+        theta=[0.2, 0.5, 0.05, 0.9],
+        scales=[1.0, 0.6, 1.4, 0.8],
+        priority=priority,
+        mask=mask,
+        beta=0.3,
+    )
+
+
+def risk_averse_game(rng):
+    """Identical agents with gamma > 0 and a covariance that commutes with Q but differs."""
+    cross = one_factor_matrix(3, 0.5)
+    return make_spec(
+        rng.normal(size=(3, 3)), cross=cross, theta=0.3, gamma=2.5, covariance=0.7 * cross + 0.4 * np.eye(3)
+    )
+
+
+@pytest.mark.parametrize("game", [hetero_game, risk_averse_game])
+def test_lagged_product_forms_equal_the_per_pair_forms(game, rng):
+    spec = game(rng)
+    strategies = rng.normal(size=(spec.n_assets, spec.n_agents, spec.grid.n_points))
+    report = cost_report(spec, strategies)
+    for agent in range(spec.n_agents):
+        grad = per_pair_gradient(spec, strategies, agent)
+        rows = grad[spec.mask[:, agent]]
+        expected = np.abs(rows - rows.mean(axis=1, keepdims=True)).max(initial=0.0)
+        scale = np.abs(grad).max()
+        assert abs(stationarity_residual(spec, strategies, agent) - expected) <= 1e-12 * scale
+        cost = per_pair_cost(spec, strategies, agent)
+        assert expected_cost(spec, strategies, agent) == pytest.approx(cost, rel=1e-12, abs=0.0)
+        assert report.expected[agent] == expected_cost(spec, strategies, agent)
+
+
+def test_agent_without_tradable_assets_has_residual_zero(rng):
+    spec = hetero_game(rng)
+    strategies = rng.normal(size=(spec.n_assets, spec.n_agents, spec.grid.n_points))
+    assert not spec.mask[:, 3].any()
+    assert stationarity_residual(spec, strategies, 3) == 0.0
+
+
 def test_cost_splits_across_principal_assets(rng):
     cross = one_factor_matrix(3, 0.4)
     spec = make_spec(rng.normal(size=(3, 2)), cross=cross, theta=0.8)

@@ -93,6 +93,31 @@ def test_kernel_matrix_decomposition_is_exact(rng):
     assert np.array_equal(bundle.kernel_matrix, rebuilt)
 
 
+@pytest.mark.parametrize(
+    "theta, gamma, var_rate",
+    [(0.0, 0.0, 0.0), (0.7, 0.0, 1.5), (0.7, 2.0, 0.0), (0.05, 2.0, 1.5), (1.3, 0.4, 3.7)],
+)
+@pytest.mark.parametrize(
+    "kernel", [exponential_kernel(rate=0.8, scale=1.7), power_law_kernel(0.5, 0.1, scale=0.3)]
+)
+def test_bundle_bytes_equal_the_scaled_identity_expressions(kernel, theta, gamma, var_rate, rng):
+    points = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, size=17))])
+    bundle = build_matrices(TimeGrid(points), kernel, theta=theta, gamma=gamma, var_rate=var_rate)
+    eye = np.eye(points.size)
+    g0 = kernel.at_zero
+    lower = bundle.strict_lower
+    reference = {
+        "kernel_matrix": lower + lower.T + g0 * eye,
+        "fair_priority": lower + 0.5 * g0 * eye,
+        "mv_self_cost": lower + lower.T + g0 * eye + 2.0 * theta * eye
+        + gamma * (var_rate * np.minimum.outer(points, points)),
+    }
+    lag = points[:, None] - points[None, :]
+    assert lower.tobytes() == np.where(lag > 0.0, kernel(np.where(lag > 0.0, lag, 0.0)), 0.0).tobytes()
+    for name, expected in reference.items():
+        assert getattr(bundle, name).tobytes() == expected.tobytes(), name
+
+
 @given(prob=st.floats(min_value=0.0, max_value=1.0))
 def test_priority_complement_recovers_kernel_matrix(prob):
     grid = make_equidistant_grid(6, 1.0)

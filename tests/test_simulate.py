@@ -19,7 +19,7 @@ from impact_games import (
     write_price_csv,
 )
 from impact_games import simulate
-from impact_games.simulate import _drift_weights, _fine_grid
+from impact_games.simulate import _covariance_root, _drift_weights, _fine_grid
 
 KERNEL = exponential_kernel()
 
@@ -289,6 +289,44 @@ def test_eight_paths_of_one_game_evaluate_the_kernel_once():
         simulate_price(spec, eq.strategies, initial_prices=1.0, horizon=1.2, seed=seed)
     info = _drift_weights.cache_info()
     assert (info.misses, info.hits) == (1, 7)
+
+
+def test_eight_paths_of_one_game_take_one_covariance_root():
+    cross = one_factor_matrix(3, 0.4)
+    spec = GameSpec(
+        grid=make_equidistant_grid(20, 1.0),
+        kernel=KERNEL,
+        cross_impact=cross,
+        inventories=np.array([[1.0, -0.5], [0.3, 0.0], [0.0, 0.8]]),
+        theta=0.4,
+        covariance=0.5 * cross + 0.2 * np.eye(3),
+    )
+    strategies = closed_form_equilibrium(spec).strategies
+    fresh = []
+    for seed in range(8):
+        _covariance_root.cache_clear()
+        fresh.append(simulate_price(spec, strategies, initial_prices=1.0, horizon=1.2, seed=seed))
+    _covariance_root.cache_clear()
+    for seed in range(8):
+        path = simulate_price(spec, strategies, initial_prices=1.0, horizon=1.2, seed=seed)
+        for field in ("times", "unaffected", "affected", "drift"):
+            assert getattr(path, field).tobytes() == getattr(fresh[seed], field).tobytes()
+    info = _covariance_root.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+    # the kept root is the eigen-root of the covariance, and read-only
+    lam, vec = np.linalg.eigh(spec.covariance)
+    root = _covariance_root(spec.covariance.tobytes(), 3)
+    assert root.tobytes() == (vec * np.sqrt(np.clip(lam, 0.0, None))).tobytes()
+    assert not root.flags.writeable
+
+
+def test_a_covariance_that_is_not_semidefinite_raises_on_every_call():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]]).tobytes()
+    _covariance_root.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="semidefinite"):
+            _covariance_root(indefinite, 2)
+    assert _covariance_root.cache_info().misses == 3
 
 
 def test_paths_of_one_equilibrium_form_the_drift_once():
