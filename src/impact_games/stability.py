@@ -14,9 +14,20 @@ assets that share a solve (the groups of :func:`equilibrium.principal_groups`,
 as in the closed form) once, at zero fee (:func:`prepare_profile_systems`),
 and a probe solves ``(A_0 + 2 theta I) x = 1`` for the groups it needs. On
 an equidistant grid without a variance term both systems are Toeplitz and a
-probe solves them by Levinson recursion in O(N^2). A Levinson solution is
-kept only when a bound on the condition number is within the dense solver's
-cap and its normwise residual against the dense matrix is at most 1e-12. A
+probe solves the mean system ``J L + L^T + (J + 1) G(0) / 2 I`` by Levinson
+recursion in O(N^2), for the strict lower triangle L of the kernel matrix.
+The deviation system ``L^T + (G(0) / 2 + 2 theta) I`` is then upper
+triangular, its entries below the diagonal exactly zero, and a probe solves
+it by one back substitution in O(N^2), with the shift written onto the
+diagonal in place and the diagonal restored after. Either solution is kept
+only when a bound on the condition number is within the dense solver's cap
+and its normwise residual against the dense matrix is at most 1e-12. The
+bound rests on a floor under the smallest eigenvalue of the kernel matrix K.
+For an exponential kernel with rate r, K is the covariance of an
+Ornstein-Uhlenbeck process at the grid times, so its inverse is
+tridiagonal, and Gershgorin's theorem on the inverse gives
+``lambda_min(K) >= G(0) tanh(r h / 2)`` for the smallest step h, on any
+grid; for a power-law kernel the floor is ``eigvalsh``'s smallest value. A
 bisected system that is not Toeplitz (a variance term, an uneven grid) is
 reduced to Hessenberg form once, and a probe solves it by a banded LU of the
 shifted Hessenberg matrix in O(N^2), kept only when its condition estimate
@@ -56,7 +67,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
+from scipy.linalg import solve_toeplitz, solve_triangular
 
 from ._linalg import (
     ArgumentError,
@@ -125,9 +136,12 @@ def oscillation_flags(u: np.ndarray, rel_tol: float = DEFAULT_FLIP_TOL) -> Oscil
 
     Index k flips when ``u[k] * u[k+1]`` falls below ``-rel_tol * max(|u|)**2``;
     the relative floor suppresses solver noise around zero entries. One flip
-    already counts as unstable. The zero vector is stable by convention.
+    already counts as unstable. The zero vector is stable by convention. A
+    profile with a NaN or infinite entry has no verdict: NumericError.
     """
     u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise NumericError("trading profile has non-finite entries")
     peak = np.abs(u).max() if u.size else 0.0
     if peak == 0.0:
         return OscillationFlags(flip_count=0, unstable=False)
@@ -159,8 +173,12 @@ class _FeeFreeSystem:
 
     ``floor`` is a lower bound on the smallest eigenvalue of the symmetric
     part of ``matrix`` when the matrix is Toeplitz, and None otherwise.
-    ``shifted`` is the Hessenberg reduction of a system that :meth:`reduce`
-    prepared for many probes, and None otherwise.
+    ``triangular`` is True when such a matrix is upper triangular, its
+    entries below the diagonal exactly zero; a probe then writes the shift
+    onto the diagonal of ``matrix`` in place and restores it after, so a
+    system must not be solved from two threads at once. ``shifted`` is the
+    Hessenberg reduction of a system that :meth:`reduce` prepared for many
+    probes, and None otherwise.
     """
 
     def __init__(self, matrix: np.ndarray, floor: Optional[float]):
@@ -169,6 +187,8 @@ class _FeeFreeSystem:
         self.shifted: Optional[_ShiftedSolver] = None
         self.norm_1 = float(np.linalg.norm(matrix, 1))
         self.norm_inf = float(np.linalg.norm(matrix, np.inf))
+        self.triangular = floor is not None and not np.tril(matrix, -1).any()
+        self._diagonal = matrix.diagonal().copy()
 
     def reduce(self) -> None:
         """Reduce a system without a Levinson floor once, for O(n^2) shifted solves."""
@@ -176,31 +196,52 @@ class _FeeFreeSystem:
             self.shifted = _ShiftedSolver(self.matrix)
 
     def solve(self, theta: float, paths: Dict[str, int]) -> np.ndarray:
-        """Normalized solution of ``(matrix + 2 theta I) x = 1``, counted in ``paths``."""
+        """Normalized solution of ``(matrix + 2 theta I) x = 1``, counted in ``paths``.
+
+        NumericError when the solution sums to zero or to a non-finite value.
+        """
         ones = np.ones(len(self.matrix))
         shift = 2.0 * theta
-        x, path = self._levinson(shift, ones), "levinson"
+        if self.triangular:
+            x, path = self._back_substitution(shift, ones), "triangular"
+        else:
+            x, path = self._levinson(shift, ones), "levinson"
         if x is None and self.shifted is not None:
             x, path = self.shifted.solve(shift, ones), "shifted"
         if x is None:
             path = "dense"
             x = guarded_solve(self.matrix + shift * np.eye(len(ones)), ones, _MAX_CONDITION)
         paths[path] += 1
-        return x / (ones @ x)
+        total = ones @ x
+        if not (np.isfinite(total) and total != 0.0):
+            raise NumericError(
+                f"profile solution sums to {float(total)}, so it has no normalization"
+            )
+        return x / total
+
+    def _bounded(self, shift: float) -> bool:
+        """Whether the floor bounds the condition number within the dense solver's cap.
+
+        ``sqrt(n) ||A||_1 / (floor + shift)`` bounds the 1-norm condition
+        number: a symmetric part >= mu I gives ``||A^-1||_2 <= 1 / mu``.
+        """
+        if self.floor is None or not self.floor + shift > 0.0:
+            return False
+        bound = np.sqrt(len(self.matrix)) * (self.norm_1 + shift) / (self.floor + shift)
+        return bool(bound <= _MAX_CONDITION)
+
+    def _accepted(self, residual: np.ndarray, x: np.ndarray, shift: float) -> bool:
+        """Whether the normwise backward error is at most ``_RESIDUAL_TOL``."""
+        scale = (self.norm_inf + shift) * np.abs(x).max() + 1.0
+        return bool(np.abs(residual).max() <= _RESIDUAL_TOL * scale)
 
     def _levinson(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
         """Levinson solution, or None when the matrix is not Toeplitz or a guard fails.
 
-        ``sqrt(n) ||A||_1 / (floor + shift)`` bounds the 1-norm condition
-        number (a symmetric part >= mu I gives ``||A^-1||_2 <= 1 / mu``) and
-        must be within the dense solver's cap; the solution's normwise
-        backward error against the dense matrix must be at most
-        ``_RESIDUAL_TOL``.
+        The guards are :meth:`_bounded` and :meth:`_accepted`, the residual
+        taken against the dense matrix.
         """
-        if self.floor is None or not self.floor + shift > 0.0:
-            return None
-        bound = np.sqrt(len(ones)) * (self.norm_1 + shift) / (self.floor + shift)
-        if not bound <= _MAX_CONDITION:
+        if not self._bounded(shift):
             return None
         column = self.matrix[:, 0].copy()
         row = self.matrix[0].copy()
@@ -210,8 +251,29 @@ class _FeeFreeSystem:
             x = solve_toeplitz((column, row), ones, check_finite=False)
         except np.linalg.LinAlgError:  # a singular leading block
             return None
-        residual = np.abs(self.matrix @ x + shift * x - ones).max()
-        if not residual <= _RESIDUAL_TOL * ((self.norm_inf + shift) * np.abs(x).max() + 1.0):
+        if not self._accepted(self.matrix @ x + shift * x - ones, x, shift):
+            return None
+        return x
+
+    def _back_substitution(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
+        """Solution of the shifted upper triangular system, or None when a guard fails.
+
+        The guards are those of :meth:`_levinson`; the shifted matrix is
+        formed in place and its residual taken before the diagonal is
+        restored.
+        """
+        if not self._bounded(shift):
+            return None
+        diagonal = slice(None, None, len(ones) + 1)  # of the flattened matrix
+        self.matrix.flat[diagonal] = self._diagonal + shift
+        try:
+            x = solve_triangular(self.matrix, ones, check_finite=False)
+            residual = self.matrix @ x - ones
+        except np.linalg.LinAlgError:  # a zero on the diagonal
+            return None
+        finally:
+            self.matrix.flat[diagonal] = self._diagonal
+        if not self._accepted(residual, x, shift):
             return None
         return x
 
@@ -224,9 +286,9 @@ class ProfileSystems:
     assets ``groups[k]`` (see :func:`principal_bundles`), built with the
     eigenvalue ``eigenvalues[k]`` and the variance term ``variance_terms[k]``
     (risk aversion times variance rate). ``paths`` counts the profile solves
-    by path ("levinson", "dense", "shifted"), and the re-bisections of
-    :func:`critical_theta` on all groups ("all_groups") and on the reference
-    path ("rebisect").
+    by path ("levinson", "triangular", "dense", "shifted"), and the
+    re-bisections of :func:`critical_theta` on all groups ("all_groups") and
+    on the reference path ("rebisect").
     """
 
     groups: Tuple[np.ndarray, ...]
@@ -264,6 +326,29 @@ class ProfileSystems:
         )
 
 
+def _unit_floor(
+    kernel: DecayKernel,
+    kernel_matrix: np.ndarray,
+    at_zero: float,
+    min_step: float,
+    rounding: float,
+) -> float:
+    """Lower bound on the smallest eigenvalue of a kernel matrix, per unit lag-zero value.
+
+    ``kernel_matrix`` holds ``kernel``'s shape, scaled to the value
+    ``at_zero`` at lag zero, on a grid whose smallest step is ``min_step``;
+    ``rounding`` is subtracted from the bound. For an exponential kernel the
+    bound is ``tanh(rate * min_step / 2)``, on any grid: the matrix is an
+    Ornstein-Uhlenbeck covariance with a tridiagonal inverse, whose absolute
+    row sums are at most ``(1 + rho) / (1 - rho)`` for
+    ``rho = exp(-rate * min_step)`` (Gershgorin). Other kernels take the
+    smallest eigenvalue from ``eigvalsh``.
+    """
+    if kernel.family == "exponential":
+        return float(np.tanh(0.5 * kernel.rate * min_step)) - rounding / at_zero
+    return (np.linalg.eigvalsh(kernel_matrix)[0] - rounding) / at_zero
+
+
 def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     """Build the zero-fee profile systems of every group of principal assets once.
 
@@ -272,13 +357,14 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     or variance rate zero) is Toeplitz; its symmetric part is
     ``(J + 1) / 2 * K`` (mean) or ``K / 2`` (deviation) for the kernel matrix
     K, and K is a multiple of the first such asset's kernel matrix, so one
-    ``eigvalsh`` gives every floor. The floor is lowered by ``n eps ||K||_1``
-    to cover rounding. A variance term ``gamma v Gamma``, with
-    ``Gamma = min(t_i, t_j)``, counts as absent when its 1-norm is within that
-    rounding allowance, as when v is rounding noise of the split: the term is
-    positive semi-definite, so the floor still holds, and its first row and
-    column are zero, so the Levinson generators are K's. The Levinson
-    residual is checked against the actual matrix.
+    floor of it (:func:`_unit_floor`) gives every floor. The floor is lowered
+    by ``n eps ||K||_1`` to cover rounding. A variance term
+    ``gamma v Gamma``, with ``Gamma = min(t_i, t_j)``, counts as absent when
+    its 1-norm is within that rounding allowance, as when v is rounding noise
+    of the split: the term is positive semi-definite, so the floor still
+    holds, and its first row and column are zero, so the Levinson generators
+    are K's. The Levinson and triangular residuals are checked against the
+    actual matrix.
     """
     spectrum, groups, bundles = principal_bundles(replace(spec, theta=0.0))
     steps = np.diff(spec.grid.points)
@@ -294,7 +380,9 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
         rounding = n * np.finfo(float).eps * np.linalg.norm(kernel, 1)
         if uniform and variance_terms[-1] * earlier_norm <= rounding:
             if unit_floor is None:
-                unit_floor = (np.linalg.eigvalsh(kernel)[0] - rounding) / bundle.kernel_at_zero
+                unit_floor = _unit_floor(
+                    spec.kernel, kernel, bundle.kernel_at_zero, float(steps.min()), rounding
+                )
             floor = unit_floor * bundle.kernel_at_zero
             pairs.append(
                 (
@@ -308,7 +396,9 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     return ProfileSystems(
         groups=groups,
         pairs=tuple(pairs),
-        paths={"levinson": 0, "dense": 0, "shifted": 0, "all_groups": 0, "rebisect": 0},
+        paths=dict.fromkeys(
+            ("levinson", "triangular", "dense", "shifted", "all_groups", "rebisect"), 0
+        ),
         eigenvalues=spectrum.eigenvalues[[members[0] for members in groups]],
         variance_terms=np.array(variance_terms),
     )
@@ -456,12 +546,13 @@ class StabilityReport:
     path (:func:`principal_fundamentals`). Predictions carry the theorem
     value and the many-agent extrapolation for this game. ``solve_paths``
     counts the profile solves by path, the final check and any re-bisection
-    on the reference path included: "levinson", "shifted" (on a reduced top
-    group or a large scale-law class) and "dense" (every other solve);
-    "all_groups" is 1 when a group left out of the bisection was unstable at
-    the final upper bracket end and the bisection ran again on all groups,
-    and "rebisect" is 1 when the final reference check failed and the
-    bisection ran again on the reference path.
+    on the reference path included: "levinson" (a Toeplitz system),
+    "triangular" (an upper triangular Toeplitz deviation system), "shifted"
+    (on a reduced top group or a large scale-law class) and "dense" (every
+    other solve); "all_groups" is 1 when a group left out of the bisection
+    was unstable at the final upper bracket end and the bisection ran again
+    on all groups, and "rebisect" is 1 when the final reference check failed
+    and the bisection ran again on the reference path.
     """
 
     estimate: float

@@ -10,6 +10,7 @@ from impact_games import (
     NumericError,
     TimeGrid,
     analyze_cross_impact,
+    build_matrices,
     critical_theta,
     exponential_kernel,
     guarded_solve,
@@ -300,21 +301,39 @@ def prepared_against_dense(spec, theta):
 
 
 def count_solves(monkeypatch):
-    """Count the Levinson and dense solves of the prepared systems."""
-    calls = {"toeplitz": 0, "guarded": 0}
+    """Count the Levinson, triangular and dense solves of the prepared systems."""
+    calls = {"toeplitz": 0, "triangular": 0, "guarded": 0}
     toeplitz = stability_module.solve_toeplitz
+    triangular = stability_module.solve_triangular
 
     def counted_toeplitz(*args, **kwargs):
         calls["toeplitz"] += 1
         return toeplitz(*args, **kwargs)
+
+    def counted_triangular(*args, **kwargs):
+        calls["triangular"] += 1
+        return triangular(*args, **kwargs)
 
     def counted_guarded(*args, **kwargs):
         calls["guarded"] += 1
         return guarded_solve(*args, **kwargs)
 
     monkeypatch.setattr(stability_module, "solve_toeplitz", counted_toeplitz)
+    monkeypatch.setattr(stability_module, "solve_triangular", counted_triangular)
     monkeypatch.setattr(stability_module, "guarded_solve", counted_guarded)
     return calls
+
+
+def paths_of(levinson=0, triangular=0, dense=0, shifted=0, all_groups=0, rebisect=0):
+    """A ``solve_paths`` dict with these counts."""
+    return {
+        "levinson": levinson,
+        "triangular": triangular,
+        "dense": dense,
+        "shifted": shifted,
+        "all_groups": all_groups,
+        "rebisect": rebisect,
+    }
 
 
 @pytest.mark.parametrize("kernel", [KERNEL, power_law_kernel(0.5, 0.1)], ids=["exp", "power"])
@@ -326,9 +345,10 @@ def test_levinson_profiles_match_the_dense_path(kernel, n_agents, fraction, monk
     calls = count_solves(monkeypatch)
     worst, paths = prepared_against_dense(spec, theta)
     assert worst <= 1e-11
-    # two distinct eigenvalues, two profile systems each, all solved by Levinson
-    assert paths == {"levinson": 4, "dense": 0, "shifted": 0, "all_groups": 0, "rebisect": 0}
-    assert calls == {"toeplitz": 4, "guarded": 0}
+    # two distinct eigenvalues: each mean system solved by Levinson, each
+    # upper triangular deviation system by back substitution
+    assert paths == paths_of(levinson=2, triangular=2)
+    assert calls == {"toeplitz": 2, "triangular": 2, "guarded": 0}
 
 
 def test_risk_aversion_and_uneven_grids_take_the_dense_path(monkeypatch):
@@ -343,8 +363,8 @@ def test_risk_aversion_and_uneven_grids_take_the_dense_path(monkeypatch):
     for spec in (risk_averse, uneven):
         worst, paths = prepared_against_dense(spec, 0.3)
         assert worst <= 1e-12
-        assert paths == {"levinson": 0, "dense": 4, "shifted": 0, "all_groups": 0, "rebisect": 0}
-    assert calls == {"toeplitz": 0, "guarded": 8}
+        assert paths == paths_of(dense=4)
+    assert calls == {"toeplitz": 0, "triangular": 0, "guarded": 8}
 
 
 def test_failed_levinson_residual_falls_back_to_the_dense_solve(monkeypatch):
@@ -352,8 +372,47 @@ def test_failed_levinson_residual_falls_back_to_the_dense_solve(monkeypatch):
     monkeypatch.setattr(stability_module, "solve_toeplitz", lambda cr, b, **kw: 2.0 * b)
     worst, paths = prepared_against_dense(stability_game(n_agents=3), 0.1)
     assert worst <= 1e-12
-    assert paths == {"levinson": 0, "dense": 2, "shifted": 0, "all_groups": 0, "rebisect": 0}
-    assert calls["guarded"] == 2
+    # the mean system falls back; the deviation system is triangular
+    assert paths == paths_of(triangular=1, dense=1)
+    assert calls["guarded"] == 1
+
+
+def test_failed_triangular_residual_falls_back_to_the_dense_solve(monkeypatch):
+    calls = count_solves(monkeypatch)
+    monkeypatch.setattr(stability_module, "solve_triangular", lambda a, b, **kw: 2.0 * b)
+    spec = stability_game(n_agents=3)
+    systems = prepare_profile_systems(spec)
+    deviation = systems.pairs[0][1]
+    zero_fee = deviation.matrix.copy()
+    worst, paths = prepared_against_dense(spec, 0.1)
+    assert worst <= 1e-12
+    assert paths == paths_of(levinson=1, dense=1)
+    assert calls == {"toeplitz": 1, "triangular": 0, "guarded": 1}
+    # the rejected solve restores the diagonal it shifted
+    paths = paths_of()
+    fallback = deviation.solve(0.1, paths)
+    assert paths == paths_of(dense=1)
+    assert np.array_equal(deviation.matrix, zero_fee)
+    ones = np.ones(len(zero_fee))
+    dense = guarded_solve(zero_fee + 0.2 * np.eye(len(ones)), ones)
+    assert np.array_equal(fallback, dense / (ones @ dense))
+
+
+def test_deviation_system_without_a_variance_term_is_solved_by_back_substitution():
+    spec = stability_game(n_assets=3, coupling=0.5, n_agents=3, n_steps=40)
+    systems = prepare_profile_systems(spec)
+    for mean, deviation in systems.pairs:
+        assert not mean.triangular and deviation.triangular
+        assert np.array_equal(np.tril(deviation.matrix, -1), np.zeros_like(deviation.matrix))
+        zero_fee = deviation.matrix.copy()
+        paths = paths_of()
+        deviation.solve(0.3, paths)
+        assert paths == paths_of(triangular=1)
+        # the probe restores the diagonal it shifted
+        assert np.array_equal(deviation.matrix, zero_fee)
+    # a variance term fills the lower triangle
+    risk_averse = prepare_profile_systems(stability_game(n_agents=3, n_steps=40, gamma=5.0))
+    assert not any(system.triangular for pair in risk_averse.pairs for system in pair)
 
 
 def test_condition_bound_above_the_cap_reaches_the_guarded_solve(monkeypatch):
@@ -364,7 +423,7 @@ def test_condition_bound_above_the_cap_reaches_the_guarded_solve(monkeypatch):
     monkeypatch.setattr(stability_module, "_MAX_CONDITION", 1.0)
     with pytest.raises(NumericError, match="ill-conditioned"):
         is_unstable_at(spec, 0.1, systems=systems)
-    assert calls == {"toeplitz": 0, "guarded": 1}
+    assert calls == {"toeplitz": 0, "triangular": 0, "guarded": 1}
 
 
 def test_cross_check_mismatch_bisects_again_on_the_dense_path(monkeypatch):
@@ -391,9 +450,9 @@ def test_cross_check_mismatch_bisects_again_on_the_dense_path(monkeypatch):
     # prepared probes and the failed reference check, then the same probes
     # again on the reference path and its final check
     assert probes == [False] * n + [True] * (n + 2)
-    assert report.solve_paths == {
-        "levinson": 2 * (n + 1), "dense": 2 * (n + 2), "shifted": 0, "all_groups": 0, "rebisect": 1
-    }
+    assert report.solve_paths == paths_of(
+        levinson=n + 1, triangular=n + 1, dense=2 * (n + 2), rebisect=1
+    )
     assert report.trace == fast.trace and report.estimate == fast.estimate
 
 
@@ -424,9 +483,7 @@ def test_one_factor_game_bisects_its_top_principal_asset_only():
     )
     # the top group per probe, then both groups at each final bracket end
     n = len(full.trace)
-    assert full.solve_paths == {
-        "levinson": 2 * n + 8, "dense": 4, "shifted": 0, "all_groups": 0, "rebisect": 0
-    }
+    assert full.solve_paths == paths_of(levinson=n + 4, triangular=n + 4, dense=4)
     # every verdict of the trace is the dense all-groups verdict
     assert [(theta, is_unstable_at(spec, theta)) for theta, _ in full.trace] == list(full.trace)
 
@@ -443,14 +500,10 @@ def test_large_scale_law_class_counts_its_reference_solves_as_shifted(monkeypatc
     report = critical_theta(spec, tol=1e-4)
     n = len(report.trace)
     # the top group per probe, all nine at both final bracket ends, then the reference check
-    assert report.solve_paths == {
-        "levinson": 2 * n + 36, "dense": 0, "shifted": 18, "all_groups": 0, "rebisect": 0
-    }
+    assert report.solve_paths == paths_of(levinson=n + 18, triangular=n + 18, shifted=18)
     monkeypatch.setattr(equilibrium_module, "_REDUCE_MIN_GROUPS", 10)
     per_group = critical_theta(spec, tol=1e-4)
-    assert per_group.solve_paths == {
-        "levinson": 2 * n + 36, "dense": 18, "shifted": 0, "all_groups": 0, "rebisect": 0
-    }
+    assert per_group.solve_paths == paths_of(levinson=n + 18, triangular=n + 18, dense=18)
     assert (report.estimate, report.bracket, report.trace, report.flags_below) == (
         per_group.estimate, per_group.bracket, per_group.trace, per_group.flags_below
     )
@@ -502,7 +555,9 @@ def test_two_ratio_classes_bisect_the_top_group_of_each(monkeypatch):
     # the bisected group without a Levinson floor is reduced once and solved
     # by shifted solves, so only the dense check's six solves are dense
     paths = report.solve_paths
-    assert paths["levinson"] + paths["dense"] + paths["shifted"] == 4 * len(report.trace) + 18
+    solves = paths["levinson"] + paths["triangular"] + paths["dense"] + paths["shifted"]
+    assert solves == 4 * len(report.trace) + 18
+    assert paths["levinson"] == paths["triangular"] == len(report.trace) + 4
     assert paths["shifted"] == 2 * len(report.trace) + 4 and paths["dense"] == 6
     assert paths["all_groups"] == 0 and paths["rebisect"] == 0
 
@@ -567,9 +622,7 @@ def test_risk_averse_bisection_probes_the_reduced_top_group(monkeypatch):
     n = len(report.trace)
     # the top group's two systems for every probe and at both final bracket
     # ends; the other group at both ends, and both groups in the dense check
-    assert report.solve_paths == {
-        "levinson": 0, "dense": 4 + 4, "shifted": 2 * (n + 2), "all_groups": 0, "rebisect": 0
-    }
+    assert report.solve_paths == paths_of(dense=4 + 4, shifted=2 * (n + 2))
     monkeypatch.setattr(_FeeFreeSystem, "reduce", lambda self: None)
     dense = critical_theta(spec, tol=1e-4)
     assert dense.solve_paths["shifted"] == 0
@@ -607,3 +660,79 @@ def test_singular_shifted_probe_raises_numeric_error():
     eigenvalue = eigenvalues[eigenvalues.imag == 0.0].real.max()
     with pytest.raises(NumericError):
         system.solve(-0.5 * eigenvalue, {"levinson": 0, "dense": 0, "shifted": 0})
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_profile_has_no_verdict(entry):
+    with pytest.raises(NumericError, match="non-finite"):
+        oscillation_flags(np.array([1.0, entry, -1.0]))
+
+
+def test_profile_solution_without_a_normalization_raises(monkeypatch):
+    # x = (1, -1) sums to exactly zero
+    system = _FeeFreeSystem(np.diag([1.0, -1.0]), None)
+    with pytest.raises(NumericError, match="sums to 0.0"):
+        system.solve(0.0, paths_of())
+    infinite = np.array([np.inf, 1.0])
+    monkeypatch.setattr(stability_module, "guarded_solve", lambda a, b, cap: infinite)
+    with pytest.raises(NumericError, match="sums to inf"):
+        system.solve(0.0, paths_of())
+
+
+def kernel_matrix_and_floor(kernel, points):
+    """Kernel matrix on ``points`` and its floor per unit lag-zero value, as prepared."""
+    matrix = build_matrices(TimeGrid(points), kernel).kernel_matrix
+    rounding = len(points) * np.finfo(float).eps * np.linalg.norm(matrix, 1)
+    floor = stability_module._unit_floor(
+        kernel, matrix, kernel.at_zero, float(np.diff(points).min()), rounding
+    )
+    return matrix, floor
+
+
+@pytest.mark.parametrize("rate", [1e-2, 0.3, 1.0, 20.0, 300.0])
+@pytest.mark.parametrize("n_steps", [1, 7, 150, 400])
+@pytest.mark.parametrize("jitter", [False, True], ids=["uniform", "jittered"])
+def test_exponential_floor_is_below_the_smallest_eigenvalue(rate, n_steps, jitter):
+    points = make_equidistant_grid(n_steps, 1.0).points
+    if jitter:
+        steps = np.diff(points) * np.random.default_rng(n_steps).uniform(0.2, 1.8, n_steps)
+        points = np.r_[0.0, np.cumsum(steps)]
+    kernel = exponential_kernel(rate, scale=3.0)
+    matrix, floor = kernel_matrix_and_floor(kernel, points)
+    smallest = np.linalg.eigvalsh(matrix)[0] / kernel.at_zero
+    assert floor <= smallest
+    # the Gershgorin bound on the inverse is tight for a long uniform grid
+    if not jitter and n_steps == 400 and rate >= 1.0:
+        assert floor >= 0.99 * smallest
+
+
+def count_kernel_eigvalsh(monkeypatch, n_points):
+    """Count the ``eigvalsh`` calls on (n_points x n_points) matrices."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(matrix, *args, **kwargs):
+        if np.shape(matrix) == (n_points, n_points):
+            calls.append(np.shape(matrix))
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kernel, eigvalsh_calls",
+    [(KERNEL, 0), (power_law_kernel(0.5, 0.1), 1)],
+    ids=["exp_closed_form", "power_eigvalsh"],
+)
+def test_only_a_power_law_floor_takes_eigvalsh(kernel, eigvalsh_calls, monkeypatch):
+    spec = stability_game(n_assets=3, coupling=0.5, n_agents=3, n_steps=40, kernel=kernel)
+    calls = count_kernel_eigvalsh(monkeypatch, spec.grid.n_points)
+    systems = prepare_profile_systems(spec)
+    assert len(calls) == eigvalsh_calls
+    matrix, floor = kernel_matrix_and_floor(kernel, spec.grid.points)
+    for (mean, deviation), eigenvalue in zip(systems.pairs, systems.eigenvalues):
+        scale = floor * kernel.at_zero * eigenvalue
+        assert deviation.floor == pytest.approx(0.5 * scale, rel=1e-12)
+        # (J + 1) / 2 for J = 3 agents
+        assert mean.floor == pytest.approx(2.0 * scale, rel=1e-12)

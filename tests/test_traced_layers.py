@@ -1,12 +1,14 @@
 """The layer functions that the benchmark's tracer wraps keep their module and name.
 
 A traced benchmark run fails when a wrapped call's annotation cannot read the
-argument it names, or when spans of one op overlap as threads would make
-them; one small op of each workload is traced here to catch both.
+argument it names, when spans of one op overlap as threads would make them,
+or when the per-layer metrics cannot be read from the spans and from what the
+op wrote; one small op of each workload is traced here to catch all three.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -82,3 +84,22 @@ def test_a_traced_small_op_of_each_workload_passes(name, tmp_path):
     root = spans[0]
     op_s = root[tracing.END] - root[tracing.START]
     assert abs(sum(tracing.self_times(spans).values()) - op_s) <= 1e-6 * op_s
+    # the per-layer metrics of a traced run: from the spans, from the op's
+    # output, and their median over ops
+    metrics, probe_s = tracing.op_metrics(spans)
+    assert metrics["trace.op_s"] == op_s
+    assert abs(metrics["trace.self_sum_s"] - op_s) <= 1e-6 * op_s
+    counts = workload.output_metrics(op_input, output)
+    assert set(counts) <= set(tracing.OUTPUT_COUNTS)
+    if name == "theta_desk":
+        assert counts["stability.probes"] == metrics["stability.is_unstable_at.calls"]
+        assert counts["stability.probes"] == len(probe_s) > 0
+        assert sum(counts[f"stability.{kind}_probes"] for kind in ("bisect", "guard", "scan")) == (
+            counts["stability.probes"]
+        )
+    aggregated = tracing.aggregate([metrics], probe_s)
+    listed = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    computed = set(aggregated) | set(tracing.OUTPUT_COUNTS) | {"trace.overhead_s"}
+    for entry in listed:
+        assert entry["name"] in computed, entry["name"]
+        assert tracing.unit_of(entry["name"]) == entry["unit"], entry["name"]
