@@ -1,4 +1,33 @@
-"""Dense linear solves with an explicit ill-conditioning guard, and input checks."""
+"""Guarded linear solves, the prepared profile systems' solve paths, and input checks.
+
+:func:`guarded_solve` is the dense solve: one LU factorization, rejected when
+LAPACK's 1-norm condition estimate exceeds ``MAX_CONDITION``.
+
+:class:`_PreparedSystem` is a matrix A prepared once and solved against the
+all-ones vector at many shifts s, ``(A + s I) x = 1``; the profile systems of
+:mod:`equilibrium` are such matrices, with the fee in s. A solve takes the
+first of four paths that returns a solution, and counts it by name:
+
+- "triangular": A is upper triangular, with entries below the diagonal that
+  are exactly zero. One back substitution in O(n^2), with the shift written
+  onto the diagonal in place and the diagonal restored after.
+- "levinson": A is Toeplitz. Levinson recursion from its first column and
+  row in O(n^2) (``solve_toeplitz``).
+- "shifted": A was reduced to Hessenberg form once (:class:`_ShiftedSolver`);
+  a banded LU of each shifted Hessenberg matrix in O(n^2) (Laub, IEEE TAC
+  1981), kept only when its condition estimate is within
+  ``MAX_CONDITION / n**2``.
+- "dense": :func:`guarded_solve` on ``A + s I``, which has the final say on
+  conditioning.
+
+The first two paths need a floor, a lower bound mu on the smallest
+eigenvalue of the symmetric part of A, and run only when
+``sqrt(n) (||A||_1 + s) / (mu + s)``, a bound on the 1-norm condition number
+(a symmetric part >= mu I gives ``||(A + s I)^-1||_2 <= 1 / (mu + s)``), is
+within ``MAX_CONDITION``. A solution of the first three paths is kept only
+when its normwise backward error against the dense matrix is at most
+``BACKWARD_TOL`` (:func:`_backward_stable`); otherwise the next path runs.
+"""
 
 from __future__ import annotations
 
@@ -8,15 +37,28 @@ import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 import scipy
-from scipy.linalg import LinAlgWarning, hessenberg, lapack, lu_factor, lu_solve
+from scipy.linalg import (
+    LinAlgWarning,
+    hessenberg,
+    lapack,
+    lu_factor,
+    lu_solve,
+    solve_toeplitz,
+    solve_triangular,
+)
 
 # (prefix, suffix) of the thread-count functions in OpenBLAS builds; the numpy
 # and scipy wheels each bundle a renamed OpenBLAS
 _OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
+
+# cap on the 1-norm condition number of a system any solve path accepts
+MAX_CONDITION = 1e12
+# largest normwise backward error accepted from a triangular, Levinson or shifted solve
+BACKWARD_TOL = 1e-12
 
 # blocks of single_blas_thread open in any thread, and the thread counts the
 # first of them saw on entry; guarded by the lock
@@ -116,7 +158,9 @@ def single_blas_thread():
                     put(count)
 
 
-def guarded_solve(matrix: np.ndarray, rhs: np.ndarray, max_condition: float = 1e12) -> np.ndarray:
+def guarded_solve(
+    matrix: np.ndarray, rhs: np.ndarray, max_condition: float = MAX_CONDITION
+) -> np.ndarray:
     """Solve ``matrix @ x = rhs``, rejecting systems with condition above the cap.
 
     Uses one LU factorization plus a LAPACK reciprocal-condition estimate, so the
@@ -145,6 +189,22 @@ def guarded_solve(matrix: np.ndarray, rhs: np.ndarray, max_condition: float = 1e
     return lu_solve((lu, piv), rhs)
 
 
+
+
+def _backward_stable(
+    residual: np.ndarray, x: np.ndarray, rhs: np.ndarray, norm_inf: float, shift: float
+) -> bool:
+    """Whether ``x`` solves ``(A + shift I) x = rhs`` within ``BACKWARD_TOL``.
+
+    ``residual`` is ``(A + shift I) x - rhs`` and ``norm_inf`` is the
+    infinity norm of A; the test is
+    ``||r|| <= BACKWARD_TOL ((||A|| + |shift|) ||x|| + ||rhs||)``, in the
+    infinity norm. A NaN anywhere fails it.
+    """
+    scale = (norm_inf + abs(shift)) * np.abs(x).max() + np.abs(rhs).max()
+    return bool(np.abs(residual).max() <= BACKWARD_TOL * scale)
+
+
 class _ShiftedSolver:
     """Solves of ``(A + s I) x = b`` for many shifts s from one Hessenberg reduction.
 
@@ -154,20 +214,12 @@ class _ShiftedSolver:
     subdiagonal, O(n^2) per shift after the O(n^3) reduction (Laub, IEEE
     TAC 1981). A solve is returned only when the LU is regular, its
     1-norm condition estimate (``dgbcon``) is within ``MAX_CONDITION / n**2``
-    and the normwise backward error against A is at most ``BACKWARD_TOL``;
-    otherwise :meth:`solve` returns None and the caller solves ``A + s I``
-    by :func:`guarded_solve`, which has the final say on conditioning.
-    The 2-norm condition numbers of ``A + s I`` and ``H + s I`` agree, and
-    a 1-norm condition number is within a factor n of the 2-norm one either
-    way, so ``kappa_1(A + s I) <= n**2 kappa_1(H + s I)``: the cap keeps
-    ``A + s I`` within ``MAX_CONDITION``.
+    and it passes :func:`_backward_stable`; otherwise :meth:`solve` returns
+    None. The 2-norm condition numbers of ``A + s I`` and ``H + s I``
+    agree, and a 1-norm condition number is within a factor n of the 2-norm
+    one either way, so ``kappa_1(A + s I) <= n**2 kappa_1(H + s I)``: the cap
+    keeps ``A + s I`` within ``MAX_CONDITION``.
     """
-
-    # guarded_solve's default cap on the estimated 1-norm condition number
-    MAX_CONDITION = 1e12
-    # largest normwise backward error ||(A + sI) x - b|| / ((||A|| + |s|) ||x|| + ||b||)
-    # accepted, in the infinity norm
-    BACKWARD_TOL = 1e-12
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -197,14 +249,101 @@ class _ShiftedSolver:
             return None
         anorm = float(np.max(self._off_diagonal_sums + np.abs(self._diagonal + shift)))
         rcond, info = lapack.dgbcon(1, n - 1, lu, ipiv, anorm)
-        if info != 0 or not rcond * self.MAX_CONDITION >= n * n:
+        if info != 0 or not rcond * MAX_CONDITION >= n * n:
             return None
         y, info = lapack.dgbtrs(lu, 1, n - 1, self._z.T @ rhs, ipiv)
         if info != 0:
             return None
         x = self._z @ y
-        residual = np.abs(self.matrix @ x + shift * x - rhs).max()
-        scale = (self._norm_inf + abs(shift)) * np.abs(x).max() + np.abs(rhs).max()
-        if not residual <= self.BACKWARD_TOL * scale:
+        if not _backward_stable(self.matrix @ x + shift * x - rhs, x, rhs, self._norm_inf, shift):
             return None
         return x
+
+
+class _PreparedSystem:
+    """A matrix A solved against the all-ones vector at many shifts; see the module docstring.
+
+    ``floor`` is a lower bound on the smallest eigenvalue of the symmetric
+    part of A, or None; a matrix with a floor is upper triangular or
+    Toeplitz. ``triangular`` is True when it is upper triangular, its
+    entries below the diagonal exactly zero; a solve then writes the shift
+    onto the diagonal of ``matrix`` in place and restores it after, so a
+    system must not be solved from two threads at once. ``shifted`` is the
+    Hessenberg reduction :meth:`reduce` made, or None.
+    """
+
+    def __init__(self, matrix: np.ndarray, floor: Optional[float]):
+        self.matrix = matrix
+        self.floor = floor
+        self.shifted: Optional[_ShiftedSolver] = None
+        self.norm_1 = float(np.linalg.norm(matrix, 1))
+        self.norm_inf = float(np.linalg.norm(matrix, np.inf))
+        self.triangular = floor is not None and not np.tril(matrix, -1).any()
+        self._diagonal = matrix.diagonal().copy()
+
+    def reduce(self) -> None:
+        """Reduce a matrix without a floor to Hessenberg form, once, for shifted solves."""
+        if self.floor is None and self.shifted is None:
+            self.shifted = _ShiftedSolver(self.matrix)
+
+    def solve(self, shift: float, paths: Dict[str, int]) -> np.ndarray:
+        """Normalized solution of ``(A + shift I) x = 1``, its path counted in ``paths``.
+
+        NumericError when the solution sums to zero or to a non-finite value.
+        """
+        ones = np.ones(len(self.matrix))
+        x = None
+        if self._bounded(shift):
+            if self.triangular:
+                x, path = self._back_substitution(shift, ones), "triangular"
+            else:
+                x, path = self._levinson(shift, ones), "levinson"
+        if x is None and self.shifted is not None:
+            x, path = self.shifted.solve(shift, ones), "shifted"
+        if x is None:
+            path = "dense"
+            x = guarded_solve(self.matrix + shift * np.eye(len(ones)), ones, MAX_CONDITION)
+        paths[path] += 1
+        total = ones @ x
+        if not (np.isfinite(total) and total != 0.0):
+            raise NumericError(
+                f"profile solution sums to {float(total)}, so it has no normalization"
+            )
+        return x / total
+
+    def _bounded(self, shift: float) -> bool:
+        """Whether the floor bounds the condition number within ``MAX_CONDITION``."""
+        if self.floor is None or not self.floor + shift > 0.0:
+            return False
+        bound = np.sqrt(len(self.matrix)) * (self.norm_1 + shift) / (self.floor + shift)
+        return bool(bound <= MAX_CONDITION)
+
+    def _levinson(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
+        """Levinson solution from the first column and row, or None when it is rejected."""
+        column = self.matrix[:, 0].copy()
+        row = self.matrix[0].copy()
+        column[0] += shift
+        row[0] += shift
+        try:
+            x = solve_toeplitz((column, row), ones, check_finite=False)
+        except np.linalg.LinAlgError:  # a singular leading block
+            return None
+        residual = self.matrix @ x + shift * x - ones
+        return x if _backward_stable(residual, x, ones, self.norm_inf, shift) else None
+
+    def _back_substitution(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
+        """Back-substitution solution, or None when it is rejected.
+
+        The residual is taken against the shifted matrix before the diagonal
+        is restored.
+        """
+        diagonal = slice(None, None, len(ones) + 1)  # of the flattened matrix
+        self.matrix.flat[diagonal] = self._diagonal + shift
+        try:
+            x = solve_triangular(self.matrix, ones, check_finite=False)
+            residual = self.matrix @ x - ones
+        except np.linalg.LinAlgError:  # a zero on the diagonal
+            return None
+        finally:
+            self.matrix.flat[diagonal] = self._diagonal
+        return x if _backward_stable(residual, x, ones, self.norm_inf, shift) else None

@@ -7,31 +7,45 @@ two normalized profiles per principal asset: one carried by the average
 inventory, one by the deviation from it.
 
 :func:`principal_groups` makes that split for every consumer: the closed form
-here, the prepared stability probes of :mod:`stability`, and the
-heterogeneous split of :mod:`hetero` (on the tradable block of Q). It returns
-the spectrum, the variance rates and the groups of principal assets that
-share one solve. The closed form and the heterogeneous split run their
-per-group solves on one BLAS thread, as :func:`stability.critical_theta`
-runs its probes.
+here, the critical-fee probes of :mod:`stability`, and the heterogeneous
+split of :mod:`hetero` (on the tradable block of Q). It returns the spectrum,
+the variance rates and the groups of principal assets that share one solve.
 
-The closed form uses the eigenvalue scale law. When a group's variance term
-(risk aversion times variance rate) is proportional to its eigenvalue
+The closed form and the probes solve the same prepared systems
+(:func:`prepare_profile_systems`), by the solve paths of :mod:`_linalg`; they,
+the dense reference and the heterogeneous split run their solves on one BLAS
+thread. The prepared systems use the eigenvalue scale law. When a group's variance
+term (risk aversion times variance rate) is proportional to its eigenvalue
 lambda_k, as it is for ``gamma = 0`` or a covariance proportional to Q, the
-group's profile systems are ``lambda_k (B + (2 theta / lambda_k) I)`` for one
-system B at unit eigenvalue, and normalized profiles do not see the factor
-lambda_k. The groups of such a scale-law class share B. A class of at least
-``_REDUCE_MIN_GROUPS`` groups reduces each of B's two profile systems to
-Hessenberg form once and solves each group by an O(N^2) shifted solve, kept
-only when its condition estimate and backward error pass and otherwise
-redone by :func:`guarded_solve`; a smaller class builds and solves each
-group's own systems.
+group's profile systems at fee theta are ``lambda_k (B + (2 theta / lambda_k) I)``
+for one zero-fee system B at unit eigenvalue, and normalized profiles do not
+see the factor lambda_k. The groups of such a scale-law class share B: the
+class builds B's two systems once, and group k solves them at the shift
+``2 theta / lambda_k``.
+
+Without a variance term, B's systems are ``J L + L^T + (J + 1) G(0) / 2 I``
+(mean) and ``L^T + G(0) / 2 I`` (deviation), for the strict lower triangle L
+of the kernel matrix K and the lag-zero value G(0). The deviation system is
+upper triangular on any grid, the mean system Toeplitz on an equidistant one.
+Their symmetric parts are ``K / 2`` and ``(J + 1) / 2 K``, so a floor under
+the smallest eigenvalue of K gives both floors. For an exponential kernel
+with rate r, K is the covariance of an Ornstein-Uhlenbeck process at the
+grid times, so its inverse is tridiagonal, and Gershgorin's theorem on the
+inverse gives ``lambda_min(K) >= G(0) tanh(r h / 2)`` for the smallest step
+h, on any grid. A power-law kernel is a mixture of exponential kernels, and
+its floor a mixture of theirs (:func:`_unit_floor`); neither takes an
+eigenvalue solve. A class with a variance term has no floor; one of at least
+``_REDUCE_MIN_GROUPS`` groups is reduced to Hessenberg form when prepared,
+for shifted solves.
+
+:func:`principal_fundamentals` is the dense reference: one bundle and two
+:func:`guarded_solve` calls per group, at the group's own eigenvalue and fee.
 
 The profile pairs depend on the market, not on the inventories. The closed
 form keeps the spectrum and profile pairs of the last market it solved,
-read-only, keyed by the bytes of what :func:`principal_fundamentals` reads:
-trading times, effective kernel, Q, covariance, fee, risk aversion and agent
-count. Draws of new inventories in one market then cost one rotation each.
-:func:`principal_fundamentals` itself always solves.
+read-only, keyed by the bytes of what it reads: trading times, effective
+kernel, Q, covariance, fee, risk aversion and agent count. Draws of new
+inventories in one market then cost one rotation each.
 """
 
 from __future__ import annotations
@@ -45,7 +59,7 @@ import numpy as np
 
 from ._linalg import (
     ArgumentError,
-    _ShiftedSolver,
+    _PreparedSystem,
     _boolean_mask,
     _finite,
     _symmetric,
@@ -64,6 +78,8 @@ __all__ = [
     "principal_groups",
     "principal_bundles",
     "principal_fundamentals",
+    "ProfileSystems",
+    "prepare_profile_systems",
     "closed_form_equilibrium",
     "aggregate_flow_is_zero",
     "arbitrageur_is_idle",
@@ -74,10 +90,12 @@ _COMMUTE_TOL = 1e-9
 # agree within this fraction of the largest one share one solve; eigh spreads
 # a repeated eigenvalue over about 1e-14 relative
 _SHARE_TOL = 1e-12
-# a scale-law class of at least this many groups is solved from one Hessenberg
-# reduction per profile system; at N = 100 to 300 the two reductions cost about
+# a floor-less scale-law class of at least this many groups is reduced to
+# Hessenberg form when prepared; at N = 100 to 300 the two reductions cost about
 # as much as the bundle builds and dense solves of four groups
 _REDUCE_MIN_GROUPS = 8
+# grid steps equal within this fraction of the horizon count as equidistant
+_UNIFORM_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -453,77 +471,160 @@ def principal_bundles(
     return spectrum, groups, bundles
 
 
-def _class_fundamentals(
-    spec: GameSpec, eigenvalues: np.ndarray, var_rates: np.ndarray, paths: Dict[str, int]
-) -> Iterator[FundamentalSolutions]:
-    """Profile pairs of the groups of one scale-law class, from one reduction per system.
-
-    Builds the class's unit-eigenvalue bundle with variance rate
-    ``var_rates[0] / eigenvalues[0]``, reduces its two profile systems once
-    (see :class:`_ShiftedSolver`), and solves group k at shift
-    ``2 theta / eigenvalues[k]``; a solve the reduction rejects goes to
-    :func:`guarded_solve` on the shifted unit system. Each solve is counted
-    in ``paths`` ("shifted" or "dense").
-    """
-    unit = _bundle(spec, 1.0, float(var_rates[0] / eigenvalues[0]), 0.0)
-    systems = profile_systems(unit, spec.n_agents)
-    del unit  # free before the reductions
-    ones = np.ones(len(systems[0]))
-    shifts = 2.0 * spec.thetas[0] / eigenvalues
-    profiles = []
-    for matrix in systems:
-        solver = _ShiftedSolver(matrix)
-        column = []
-        for shift in shifts:
-            x, path = solver.solve(shift, ones), "shifted"
-            if x is None:
-                x, path = guarded_solve(matrix + shift * np.eye(len(ones)), ones), "dense"
-            paths[path] += 1
-            column.append(x / (ones @ x))
-        profiles.append(column)
-        del solver  # free before the next reduction
-    for mean, deviation in zip(*profiles):
-        yield FundamentalSolutions(mean_profile=mean, deviation_profile=deviation)
-
-
 def principal_fundamentals(
     spec: GameSpec, paths: Optional[Dict[str, int]] = None
 ) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
-    """Profile pair of every principal asset of the game.
+    """Profile pair of every principal asset of the game, by dense solves.
 
-    The principal assets of a group (see :func:`principal_bundles`) share one
-    solve and one profile-pair object. A scale-law class (see
-    :func:`_scale_law_classes`) of at least ``_REDUCE_MIN_GROUPS`` groups is
-    solved from one Hessenberg reduction per profile system at unit
-    eigenvalue (see :func:`_class_fundamentals`); the groups of a smaller
-    class are solved one by one by :func:`fundamental_solutions`. The solves
-    run on one BLAS thread (see :func:`single_blas_thread`). When given,
-    ``paths`` counts the profile solves by path: "shifted" and "dense".
+    The reference the prepared systems are checked against: one bundle per
+    group (see :func:`principal_bundles`) and one :func:`fundamental_solutions`
+    each, on one BLAS thread (see :func:`single_blas_thread`). The principal
+    assets of a group share one profile-pair object. When given, ``paths``
+    counts the solves under "dense".
     """
-    if paths is None:
-        paths = {"shifted": 0, "dense": 0}
+    spectrum, groups, bundles = principal_bundles(spec)
+    pairs = []
+    with single_blas_thread():
+        for bundle in bundles:
+            pairs.append(fundamental_solutions(bundle, spec.n_agents))
+            del bundle  # free before the next bundle is built
+    if paths is not None:
+        paths["dense"] += 2 * len(pairs)
+    return spectrum, _spread(groups, pairs)
+
+
+@dataclass(frozen=True)
+class ProfileSystems:
+    """Zero-fee profile systems of the groups of principal assets of one game.
+
+    ``pairs[k]`` holds the (mean, deviation) systems of group k's scale-law
+    class at unit eigenvalue; the groups of one class share the same two
+    :class:`_PreparedSystem` objects. Group k, the principal assets
+    ``groups[k]``, has the eigenvalue ``eigenvalues[k]`` and the variance
+    term ``variance_terms[k]`` (risk aversion times variance rate), and is
+    solved at fee theta with the shift ``2 theta / eigenvalues[k]``.
+    ``paths`` counts the profile solves by path ("levinson", "triangular",
+    "dense", "shifted"), and the re-bisections of
+    :func:`stability.critical_theta` on all groups ("all_groups") and on the
+    reference path ("rebisect").
+    """
+
+    spectrum: SpectralReport
+    groups: Tuple[np.ndarray, ...]
+    pairs: Tuple[Tuple[_PreparedSystem, _PreparedSystem], ...]
+    paths: Dict[str, int]
+    eigenvalues: np.ndarray
+    variance_terms: np.ndarray
+
+    def profiles(self, theta: float) -> Tuple[FundamentalSolutions, ...]:
+        """Profile pair of every principal asset at fee ``theta``, one solve per group.
+
+        The result is laid out as that of :func:`principal_fundamentals`.
+        """
+        pairs = (
+            FundamentalSolutions(
+                mean_profile=mean.solve(2.0 * theta / eigenvalue, self.paths),
+                deviation_profile=deviation.solve(2.0 * theta / eigenvalue, self.paths),
+            )
+            for (mean, deviation), eigenvalue in zip(self.pairs, self.eigenvalues)
+        )
+        return _spread(self.groups, pairs)
+
+    def subset(self, indices: Sequence[int]) -> "ProfileSystems":
+        """The systems of the groups ``indices`` alone, one principal asset standing for each.
+
+        The subset shares the systems and the solve counts of this one.
+        """
+        indices = list(indices)
+        return replace(
+            self,
+            groups=tuple(np.array([i]) for i in range(len(indices))),
+            pairs=tuple(self.pairs[k] for k in indices),
+            eigenvalues=self.eigenvalues[indices],
+            variance_terms=self.variance_terms[indices],
+        )
+
+
+def _unit_floor(kernel: DecayKernel, min_step: float) -> float:
+    """Lower bound on the smallest eigenvalue of a kernel matrix, per unit lag-zero value.
+
+    Holds on any grid whose smallest step is ``min_step``. An exponential
+    kernel's matrix is an Ornstein-Uhlenbeck covariance with a tridiagonal
+    inverse, whose absolute row sums are at most ``(1 + rho) / (1 - rho)``
+    for ``rho = exp(-rate * min_step)`` (Gershgorin): the bound is
+    ``tanh(rate * min_step / 2)``. A power-law kernel ``(t + c)^-a`` is
+    ``c^-a E[exp(-rho t)]`` for ``rho ~ Gamma(a, rate c)``, a mixture of
+    exponential kernels; the smallest eigenvalue of a sum of symmetric
+    matrices is at least the sum of theirs, and ``tanh(x) >= tanh(1) min(x, 1)``
+    for ``x >= 0``, so the bound is ``tanh(1) E[min(rho * min_step / 2, 1)]``,
+    in closed form through regularized incomplete gamma functions.
+    """
+    if kernel.family == "exponential":
+        return float(np.tanh(0.5 * kernel.rate * min_step))
+    # imported here: scipy.special adds about 50 ms and 4 MB to every process's start
+    from scipy.special import gammainc, gammaincc
+
+    a, c, cut = kernel.exponent, kernel.offset, 2.0 / min_step
+    # E[min(rho / cut, 1)] = E[rho; rho < cut] / cut + P(rho >= cut)
+    below = a / (c * cut) * gammainc(a + 1.0, c * cut)
+    return float(np.tanh(1.0) * (below + gammaincc(a, c * cut)))
+
+
+def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
+    """Build the zero-fee unit-eigenvalue profile systems of every scale-law class once.
+
+    Runs the split and its checks of :func:`principal_bundles`; the fee
+    stored in ``spec`` is ignored. A class's systems are built from its
+    first group's ratio of variance term to eigenvalue. Without a variance
+    term, the deviation system gets a floor on any grid and the mean system
+    on an equidistant grid (see the module docstring); both come from one
+    floor under the smallest eigenvalue of the kernel matrix K
+    (:func:`_unit_floor`), lowered by ``n eps ||K||_1`` to cover rounding. A
+    variance term ``gamma v Gamma``, with ``Gamma = min(t_i, t_j)``, counts
+    as absent when its 1-norm is within that rounding allowance, as when v
+    is rounding noise of the split: the term is positive semi-definite, so
+    the floor still holds, and its first row and column are zero, so the
+    Levinson generators are K's. A class without a floor of at least
+    ``_REDUCE_MIN_GROUPS`` groups is reduced (:meth:`_PreparedSystem.reduce`).
+    """
     spectrum, var_rates, groups = _principal_split(spec)
     firsts = [members[0] for members in groups]
     eigenvalues, var_rates = spectrum.eigenvalues[firsts], var_rates[firsts]
+    variance_terms = spec.gamma * var_rates
+    steps = np.diff(spec.grid.points)
+    uniform, min_step = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon, float(steps.min())
+    n, n_agents = spec.grid.n_points, spec.n_agents
+    earlier_norm = float(np.sum(spec.grid.points))  # ||min(t_i, t_j)||_1, the last column
     pairs = [None] * len(groups)
-    with single_blas_thread():
-        for members in _scale_law_classes(eigenvalues, spec.gamma * var_rates):
-            if len(members) >= _REDUCE_MIN_GROUPS:
-                solved = _class_fundamentals(
-                    spec, eigenvalues[members], var_rates[members], paths
-                )
-            else:
-                paths["dense"] += 2 * len(members)
-                solved = (
-                    fundamental_solutions(
-                        _bundle(spec, float(eigenvalues[k]), float(var_rates[k]), spec.thetas[0]),
-                        spec.n_agents,
-                    )
-                    for k in members
-                )
-            for k, pair in zip(members, solved):
-                pairs[k] = pair
-    return spectrum, _spread(groups, pairs)
+    for members in _scale_law_classes(eigenvalues, variance_terms):
+        first = members[0]
+        unit = _bundle(spec, 1.0, float(var_rates[first] / eigenvalues[first]), 0.0)
+        mean, deviation = profile_systems(unit, n_agents)
+        rounding = n * np.finfo(float).eps * np.linalg.norm(unit.kernel_matrix, 1)
+        if unit.gamma * unit.var_rate * earlier_norm <= rounding:
+            floor = unit.kernel_at_zero * _unit_floor(spec.kernel, min_step) - rounding
+            pair = (
+                _PreparedSystem(mean, 0.5 * (n_agents + 1) * floor if uniform else None),
+                _PreparedSystem(deviation, 0.5 * floor),
+            )
+        else:
+            pair = (_PreparedSystem(mean, None), _PreparedSystem(deviation, None))
+        del unit  # free before the next bundle is built
+        if len(members) >= _REDUCE_MIN_GROUPS:
+            for system in pair:
+                system.reduce()
+        for k in members:
+            pairs[k] = pair
+    return ProfileSystems(
+        spectrum=spectrum,
+        groups=groups,
+        pairs=tuple(pairs),
+        paths=dict.fromkeys(
+            ("levinson", "triangular", "dense", "shifted", "all_groups", "rebisect"), 0
+        ),
+        eigenvalues=eigenvalues,
+        variance_terms=variance_terms,
+    )
 
 
 @functools.lru_cache(maxsize=1)
@@ -536,14 +637,15 @@ def _market_fundamentals(
     gamma: float,
     n_agents: int,
 ) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
-    """:func:`principal_fundamentals` of the identical-agent game of one market.
+    """Spectrum and profile pairs of the identical-agent game of one market.
 
-    The key is everything that call reads, arrays as bytes: the trading
-    times, the effective kernel, Q, the covariance (None without one), the
-    fee, the risk aversion and the agent count; inventories are not part of
-    it. Only the last market is kept, so the draws of one market share one
-    solve. Its arrays are read-only, since repeated calls return the same
-    ones.
+    Solved on the prepared systems (:func:`prepare_profile_systems`), on one
+    BLAS thread. The key is everything the solve reads, arrays as bytes: the
+    trading times, the effective kernel, Q, the covariance (None without
+    one), the fee, the risk aversion and the agent count; inventories are not
+    part of it. Only the last market is kept, so the draws of one market
+    share one solve. Its arrays are read-only, since repeated calls return
+    the same ones.
     """
     q = np.frombuffer(cross_impact)
     q = q.reshape(math.isqrt(q.size), -1)
@@ -556,7 +658,10 @@ def _market_fundamentals(
         gamma=gamma,
         covariance=None if covariance is None else np.frombuffer(covariance).reshape(q.shape),
     )
-    spectrum, fundamentals = principal_fundamentals(spec)
+    with single_blas_thread():
+        systems = prepare_profile_systems(spec)
+        fundamentals = systems.profiles(theta)
+    spectrum = systems.spectrum
     arrays = [spectrum.eigenvalues, spectrum.eigenvectors]
     for pair in fundamentals:
         arrays += [pair.mean_profile, pair.deviation_profile]

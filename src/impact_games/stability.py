@@ -8,57 +8,29 @@ and compared against two closed-form predictions: the two-agent theorem value
 (top eigenvalue times the lag-zero kernel over four) and its many-agent
 extrapolation.
 
-The fee enters each profile system only as ``2 theta`` on the diagonal, so
-:func:`critical_theta` builds the two systems of each group of principal
-assets that share a solve (the groups of :func:`equilibrium.principal_groups`,
-as in the closed form) once, at zero fee (:func:`prepare_profile_systems`),
-and a probe solves ``(A_0 + 2 theta I) x = 1`` for the groups it needs. On
-an equidistant grid without a variance term both systems are Toeplitz and a
-probe solves the mean system ``J L + L^T + (J + 1) G(0) / 2 I`` by Levinson
-recursion in O(N^2), for the strict lower triangle L of the kernel matrix.
-The deviation system ``L^T + (G(0) / 2 + 2 theta) I`` is then upper
-triangular, its entries below the diagonal exactly zero, and a probe solves
-it by one back substitution in O(N^2), with the shift written onto the
-diagonal in place and the diagonal restored after. Either solution is kept
-only when a bound on the condition number is within the dense solver's cap
-and its normwise residual against the dense matrix is at most 1e-12. The
-bound rests on a floor under the smallest eigenvalue of the kernel matrix K.
-For an exponential kernel with rate r, K is the covariance of an
-Ornstein-Uhlenbeck process at the grid times, so its inverse is
-tridiagonal, and Gershgorin's theorem on the inverse gives
-``lambda_min(K) >= G(0) tanh(r h / 2)`` for the smallest step h, on any
-grid; for a power-law kernel the floor is ``eigvalsh``'s smallest value. A
-bisected system that is not Toeplitz (a variance term, an uneven grid) is
-reduced to Hessenberg form once, and a probe solves it by a banded LU of the
-shifted Hessenberg matrix in O(N^2), kept only when its condition estimate
-is within the cap divided by the squared system size and its normwise
-backward error is at most 1e-12. Every other solve goes to
-:func:`guarded_solve`, which rejects the systems it always rejected.
+:func:`critical_theta` prepares the profile systems once
+(:func:`equilibrium.prepare_profile_systems`, as the closed form does), and a
+probe solves them for the groups it needs. The bisection probes only the
+group of largest eigenvalue in each scale-law class, the groups with equal
+``gamma * v_k / lambda_k`` (variance rate v_k, eigenvalue lambda_k). Group k
+at fee theta has the unit-eigenvalue profiles at ``theta / lambda_k``, so it
+has the top group's profiles at ``theta * lambda_top / lambda_k >= theta``:
+with a verdict that is unstable below some fee and stable above it, a lower
+group oscillates only where the top group does. This scale law is behind the
+theorem value ``lambda_max G(0) / 4``; with ``gamma = 0`` or a covariance
+proportional to Q there is one class, and only the top principal asset is
+bisected. A bisected class without a floor is reduced to Hessenberg form
+once, for shifted solves.
 
-The bisection probes only the group of largest eigenvalue in each class of
-groups with equal ``gamma * v_k / lambda_k`` (variance rate v_k, eigenvalue
-lambda_k). In one class, principal asset k's systems are
-``lambda_k (B + 2 (theta / lambda_k) I)`` for one zero-fee system B at unit
-eigenvalue, and profiles are normalized, so group k at fee theta has the top
-group's profiles at ``theta * lambda_top / lambda_k >= theta``: with a verdict
-that is unstable below some fee and stable above it, a lower group oscillates
-only where the top group does. This scale law is behind the theorem value
-``lambda_max G(0) / 4``; with ``gamma = 0`` or a covariance proportional to Q
-there is one class, and only the top principal asset is bisected. The
-returned bracket and estimate rest only on the verdicts at the two final
+The returned bracket and estimate rest only on the verdicts at the two final
 bracket ends, so checking every group there also covers rounding and a
 verdict that is not monotone. At the lower end a bisected group oscillates,
 so the game does. At the upper end every group is solved on the prepared
 systems; if one oscillates, the bisection runs again on all groups. Then the
-reference path (:func:`principal_fundamentals`) recomputes every profile at
-the lower end; if its verdict or profiles disagree with the prepared
-systems, the bisection runs again on that path. The reference path solves
-each group's own systems densely, except in a scale-law class of at least
-``equilibrium._REDUCE_MIN_GROUPS`` groups, where it is the residual-checked
-shifted solve on the class's unit-eigenvalue systems. There the check uses
-the same shifted solver as the probes of a reduced top group, and differs
-from them only in the systems it builds; it counts its solves by path, as
-the probes do.
+dense reference (:func:`equilibrium.principal_fundamentals`) recomputes
+every profile at the lower end, independently of the prepared systems; if
+its verdict or profiles disagree with theirs, the bisection runs again on the
+reference path.
 """
 
 from __future__ import annotations
@@ -67,25 +39,17 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import solve_toeplitz, solve_triangular
 
-from ._linalg import (
-    ArgumentError,
-    NumericError,
-    _ShiftedSolver,
-    guarded_solve,
-    single_blas_thread,
-)
+from ._linalg import ArgumentError, NumericError, single_blas_thread
 from .cross_impact import one_factor_matrix, price_covariance
 from .equilibrium import (
     FundamentalSolutions,
     GameSpec,
+    ProfileSystems,
     _require_identical_agents,
     _scale_law_classes,
-    _spread,
-    principal_bundles,
+    prepare_profile_systems,
     principal_fundamentals,
-    profile_systems,
 )
 from .kernels import DecayKernel, make_equidistant_grid
 
@@ -105,12 +69,6 @@ __all__ = [
 ]
 
 DEFAULT_FLIP_TOL = 1e-9
-# guarded_solve's default cap on the estimated 1-norm condition number
-_MAX_CONDITION = 1e12
-# largest normwise backward error accepted from a Levinson solve
-_RESIDUAL_TOL = 1e-12
-# grid steps equal within this fraction of the horizon count as equidistant
-_UNIFORM_TOL = 1e-13
 # relative agreement required of prepared and reference profiles in the final check
 _CROSS_CHECK_TOL = 1e-10
 # after a bisection, the verdict is checked at this many interior points of
@@ -168,242 +126,6 @@ def _any_unstable(flags: Iterable[Tuple[OscillationFlags, OscillationFlags]]) ->
     return any(f.unstable for pair in flags for f in pair)
 
 
-class _FeeFreeSystem:
-    """One profile system at zero fee; at fee theta it is ``matrix + 2 theta I``.
-
-    ``floor`` is a lower bound on the smallest eigenvalue of the symmetric
-    part of ``matrix`` when the matrix is Toeplitz, and None otherwise.
-    ``triangular`` is True when such a matrix is upper triangular, its
-    entries below the diagonal exactly zero; a probe then writes the shift
-    onto the diagonal of ``matrix`` in place and restores it after, so a
-    system must not be solved from two threads at once. ``shifted`` is the
-    Hessenberg reduction of a system that :meth:`reduce` prepared for many
-    probes, and None otherwise.
-    """
-
-    def __init__(self, matrix: np.ndarray, floor: Optional[float]):
-        self.matrix = matrix
-        self.floor = floor
-        self.shifted: Optional[_ShiftedSolver] = None
-        self.norm_1 = float(np.linalg.norm(matrix, 1))
-        self.norm_inf = float(np.linalg.norm(matrix, np.inf))
-        self.triangular = floor is not None and not np.tril(matrix, -1).any()
-        self._diagonal = matrix.diagonal().copy()
-
-    def reduce(self) -> None:
-        """Reduce a system without a Levinson floor once, for O(n^2) shifted solves."""
-        if self.floor is None:
-            self.shifted = _ShiftedSolver(self.matrix)
-
-    def solve(self, theta: float, paths: Dict[str, int]) -> np.ndarray:
-        """Normalized solution of ``(matrix + 2 theta I) x = 1``, counted in ``paths``.
-
-        NumericError when the solution sums to zero or to a non-finite value.
-        """
-        ones = np.ones(len(self.matrix))
-        shift = 2.0 * theta
-        if self.triangular:
-            x, path = self._back_substitution(shift, ones), "triangular"
-        else:
-            x, path = self._levinson(shift, ones), "levinson"
-        if x is None and self.shifted is not None:
-            x, path = self.shifted.solve(shift, ones), "shifted"
-        if x is None:
-            path = "dense"
-            x = guarded_solve(self.matrix + shift * np.eye(len(ones)), ones, _MAX_CONDITION)
-        paths[path] += 1
-        total = ones @ x
-        if not (np.isfinite(total) and total != 0.0):
-            raise NumericError(
-                f"profile solution sums to {float(total)}, so it has no normalization"
-            )
-        return x / total
-
-    def _bounded(self, shift: float) -> bool:
-        """Whether the floor bounds the condition number within the dense solver's cap.
-
-        ``sqrt(n) ||A||_1 / (floor + shift)`` bounds the 1-norm condition
-        number: a symmetric part >= mu I gives ``||A^-1||_2 <= 1 / mu``.
-        """
-        if self.floor is None or not self.floor + shift > 0.0:
-            return False
-        bound = np.sqrt(len(self.matrix)) * (self.norm_1 + shift) / (self.floor + shift)
-        return bool(bound <= _MAX_CONDITION)
-
-    def _accepted(self, residual: np.ndarray, x: np.ndarray, shift: float) -> bool:
-        """Whether the normwise backward error is at most ``_RESIDUAL_TOL``."""
-        scale = (self.norm_inf + shift) * np.abs(x).max() + 1.0
-        return bool(np.abs(residual).max() <= _RESIDUAL_TOL * scale)
-
-    def _levinson(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
-        """Levinson solution, or None when the matrix is not Toeplitz or a guard fails.
-
-        The guards are :meth:`_bounded` and :meth:`_accepted`, the residual
-        taken against the dense matrix.
-        """
-        if not self._bounded(shift):
-            return None
-        column = self.matrix[:, 0].copy()
-        row = self.matrix[0].copy()
-        column[0] += shift
-        row[0] += shift
-        try:
-            x = solve_toeplitz((column, row), ones, check_finite=False)
-        except np.linalg.LinAlgError:  # a singular leading block
-            return None
-        if not self._accepted(self.matrix @ x + shift * x - ones, x, shift):
-            return None
-        return x
-
-    def _back_substitution(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
-        """Solution of the shifted upper triangular system, or None when a guard fails.
-
-        The guards are those of :meth:`_levinson`; the shifted matrix is
-        formed in place and its residual taken before the diagonal is
-        restored.
-        """
-        if not self._bounded(shift):
-            return None
-        diagonal = slice(None, None, len(ones) + 1)  # of the flattened matrix
-        self.matrix.flat[diagonal] = self._diagonal + shift
-        try:
-            x = solve_triangular(self.matrix, ones, check_finite=False)
-            residual = self.matrix @ x - ones
-        except np.linalg.LinAlgError:  # a zero on the diagonal
-            return None
-        finally:
-            self.matrix.flat[diagonal] = self._diagonal
-        if not self._accepted(residual, x, shift):
-            return None
-        return x
-
-
-@dataclass(frozen=True)
-class ProfileSystems:
-    """Zero-fee profile systems of the groups of principal assets of one game.
-
-    ``pairs[k]`` holds the (mean, deviation) systems shared by the principal
-    assets ``groups[k]`` (see :func:`principal_bundles`), built with the
-    eigenvalue ``eigenvalues[k]`` and the variance term ``variance_terms[k]``
-    (risk aversion times variance rate). ``paths`` counts the profile solves
-    by path ("levinson", "triangular", "dense", "shifted"), and the
-    re-bisections of :func:`critical_theta` on all groups ("all_groups") and
-    on the reference path ("rebisect").
-    """
-
-    groups: Tuple[np.ndarray, ...]
-    pairs: Tuple[Tuple[_FeeFreeSystem, _FeeFreeSystem], ...]
-    paths: Dict[str, int]
-    eigenvalues: np.ndarray
-    variance_terms: np.ndarray
-
-    def profiles(self, theta: float) -> Tuple[FundamentalSolutions, ...]:
-        """Profile pair of every principal asset at fee ``theta``, one solve per group.
-
-        The result is laid out as that of :func:`principal_fundamentals`.
-        """
-        pairs = (
-            FundamentalSolutions(
-                mean_profile=mean.solve(theta, self.paths),
-                deviation_profile=deviation.solve(theta, self.paths),
-            )
-            for mean, deviation in self.pairs
-        )
-        return _spread(self.groups, pairs)
-
-    def subset(self, indices: Sequence[int]) -> "ProfileSystems":
-        """The systems of the groups ``indices`` alone, one principal asset standing for each.
-
-        The subset shares the systems and the solve counts of this one.
-        """
-        indices = list(indices)
-        return ProfileSystems(
-            groups=tuple(np.array([i]) for i in range(len(indices))),
-            pairs=tuple(self.pairs[k] for k in indices),
-            paths=self.paths,
-            eigenvalues=self.eigenvalues[indices],
-            variance_terms=self.variance_terms[indices],
-        )
-
-
-def _unit_floor(
-    kernel: DecayKernel,
-    kernel_matrix: np.ndarray,
-    at_zero: float,
-    min_step: float,
-    rounding: float,
-) -> float:
-    """Lower bound on the smallest eigenvalue of a kernel matrix, per unit lag-zero value.
-
-    ``kernel_matrix`` holds ``kernel``'s shape, scaled to the value
-    ``at_zero`` at lag zero, on a grid whose smallest step is ``min_step``;
-    ``rounding`` is subtracted from the bound. For an exponential kernel the
-    bound is ``tanh(rate * min_step / 2)``, on any grid: the matrix is an
-    Ornstein-Uhlenbeck covariance with a tridiagonal inverse, whose absolute
-    row sums are at most ``(1 + rho) / (1 - rho)`` for
-    ``rho = exp(-rate * min_step)`` (Gershgorin). Other kernels take the
-    smallest eigenvalue from ``eigvalsh``.
-    """
-    if kernel.family == "exponential":
-        return float(np.tanh(0.5 * kernel.rate * min_step)) - rounding / at_zero
-    return (np.linalg.eigvalsh(kernel_matrix)[0] - rounding) / at_zero
-
-
-def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
-    """Build the zero-fee profile systems of every group of principal assets once.
-
-    Runs the split and its checks of :func:`principal_bundles`.
-    On an equidistant grid, a system without a variance term (risk aversion
-    or variance rate zero) is Toeplitz; its symmetric part is
-    ``(J + 1) / 2 * K`` (mean) or ``K / 2`` (deviation) for the kernel matrix
-    K, and K is a multiple of the first such asset's kernel matrix, so one
-    floor of it (:func:`_unit_floor`) gives every floor. The floor is lowered
-    by ``n eps ||K||_1`` to cover rounding. A variance term
-    ``gamma v Gamma``, with ``Gamma = min(t_i, t_j)``, counts as absent when
-    its 1-norm is within that rounding allowance, as when v is rounding noise
-    of the split: the term is positive semi-definite, so the floor still
-    holds, and its first row and column are zero, so the Levinson generators
-    are K's. The Levinson and triangular residuals are checked against the
-    actual matrix.
-    """
-    spectrum, groups, bundles = principal_bundles(replace(spec, theta=0.0))
-    steps = np.diff(spec.grid.points)
-    uniform = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon
-    n, n_agents = spec.grid.n_points, spec.n_agents
-    earlier_norm = float(np.sum(spec.grid.points))  # ||min(t_i, t_j)||_1, the last column
-    unit_floor = None  # floor of the kernel matrix per unit lag-zero value
-    pairs, variance_terms = [], []
-    for bundle in bundles:
-        variance_terms.append(bundle.gamma * bundle.var_rate)
-        mean, deviation = profile_systems(bundle, n_agents)
-        kernel = bundle.kernel_matrix
-        rounding = n * np.finfo(float).eps * np.linalg.norm(kernel, 1)
-        if uniform and variance_terms[-1] * earlier_norm <= rounding:
-            if unit_floor is None:
-                unit_floor = _unit_floor(
-                    spec.kernel, kernel, bundle.kernel_at_zero, float(steps.min()), rounding
-                )
-            floor = unit_floor * bundle.kernel_at_zero
-            pairs.append(
-                (
-                    _FeeFreeSystem(mean, 0.5 * (n_agents + 1) * floor),
-                    _FeeFreeSystem(deviation, 0.5 * floor),
-                )
-            )
-        else:
-            pairs.append((_FeeFreeSystem(mean, None), _FeeFreeSystem(deviation, None)))
-        del bundle  # free before the next bundle is built
-    return ProfileSystems(
-        groups=groups,
-        pairs=tuple(pairs),
-        paths=dict.fromkeys(
-            ("levinson", "triangular", "dense", "shifted", "all_groups", "rebisect"), 0
-        ),
-        eigenvalues=spectrum.eigenvalues[[members[0] for members in groups]],
-        variance_terms=np.array(variance_terms),
-    )
-
-
 def is_unstable_at(
     spec: GameSpec,
     theta: float,
@@ -416,8 +138,10 @@ def is_unstable_at(
     every equilibrium is a combination of the probed profiles. Without
     ``systems`` the profiles come from :func:`principal_fundamentals`; with
     systems prepared from ``spec`` by :func:`prepare_profile_systems` they
-    are solved from those.
+    are solved from those. ``ArgumentError`` unless ``theta`` is finite and
+    nonnegative.
     """
+    _check_number("theta", theta, positive=False)
     if systems is None:
         _, pairs = principal_fundamentals(replace(spec, theta=float(theta)))
     else:
@@ -546,10 +270,11 @@ class StabilityReport:
     path (:func:`principal_fundamentals`). Predictions carry the theorem
     value and the many-agent extrapolation for this game. ``solve_paths``
     counts the profile solves by path, the final check and any re-bisection
-    on the reference path included: "levinson" (a Toeplitz system),
-    "triangular" (an upper triangular Toeplitz deviation system), "shifted"
-    (on a reduced top group or a large scale-law class) and "dense" (every
-    other solve); "all_groups" is 1 when a group left out of the bisection
+    on the reference path included: "levinson" (a Toeplitz mean system),
+    "triangular" (an upper triangular deviation system), "shifted" (on the
+    reduced systems of a bisected or a large scale-law class) and "dense"
+    (the reference and every other solve; see :mod:`_linalg`);
+    "all_groups" is 1 when a group left out of the bisection
     was unstable at the final upper bracket end and the bisection ran again
     on all groups, and "rebisect" is 1 when the final reference check failed
     and the bisection ran again on the reference path.
@@ -617,11 +342,15 @@ def _checked_bisection(spec: GameSpec, lo: float, hi: float, tol: float, rel_tol
     return estimate, final_bracket, trace, method, flags_below, paths
 
 
-def _check_positive(**values: float) -> None:
-    """ArgumentError naming the first value that is not finite and positive."""
-    for name, value in values.items():
-        if not (np.isfinite(value) and value > 0.0):
-            raise ArgumentError(name, f"{name} must be finite and positive, got {value!r}")
+def _check_number(name: str, value, positive: bool = True) -> None:
+    """ArgumentError unless ``value`` is a finite number, positive or else nonnegative."""
+    try:
+        valid = bool(np.isfinite(value) and (value > 0.0 if positive else value >= 0.0))
+    except (TypeError, ValueError):  # not a number, or not one number
+        valid = False
+    if not valid:
+        sign = "positive" if positive else "nonnegative"
+        raise ArgumentError(name, f"{name} must be finite and {sign}, got {value!r}")
 
 
 def critical_theta(
@@ -655,10 +384,14 @@ def critical_theta(
                 "no default bracket available (prediction is zero); pass one explicitly"
             )
         bracket = (0.0, 2.0 * conjecture)
-    _check_positive(tol=tol, rel_tol=rel_tol)
-    if len(bracket) != 2:
-        raise ArgumentError("bracket", f"bracket must be a pair (lo, hi), got {bracket!r}")
-    lo, hi = float(bracket[0]), float(bracket[1])
+    _check_number("tol", tol)
+    _check_number("rel_tol", rel_tol)
+    try:
+        lo, hi = (float(end) for end in bracket)
+    except (TypeError, ValueError):  # not a pair, or not of numbers
+        raise ArgumentError(
+            "bracket", f"bracket must be a pair (lo, hi) of numbers, got {bracket!r}"
+        ) from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ArgumentError("bracket", f"bracket ends must be finite, got {bracket!r}")
     if not lo < hi:
@@ -716,10 +449,10 @@ class SweepBase:
     def __post_init__(self):
         if not 0.0 < self.coupling < 1.0:
             raise ArgumentError("coupling", f"coupling must lie in (0, 1), got {self.coupling!r}")
-        _check_positive(horizon=self.horizon, rel_tol=self.rel_tol, flip_tol=self.flip_tol)
-        for name, value in (("gamma", self.gamma), ("beta", self.beta)):
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ArgumentError(name, f"{name} must be finite and nonnegative")
+        for name in ("horizon", "rel_tol", "flip_tol"):
+            _check_number(name, getattr(self, name))
+        for name in ("gamma", "beta"):
+            _check_number(name, getattr(self, name), positive=False)
         if np.ndim(self.sigma) == 0:  # a matrix sigma is checked against each row's size
             price_covariance(self.sigma, np.eye(1))
 

@@ -12,6 +12,7 @@ from impact_games import equilibrium as equilibrium_module
 from impact_games import (
     GameSpec,
     NumericError,
+    TimeGrid,
     aggregate_flow_is_zero,
     arbitrageur_is_idle,
     block_matrix,
@@ -351,12 +352,13 @@ def test_closed_form_solves_run_on_one_blas_thread(monkeypatch):
     if not controls:
         pytest.skip("no bundled OpenBLAS")
     counts = []
+    solve = _linalg._PreparedSystem.solve
 
     def recording(*args, **kwargs):
         counts.append([get() for get, _ in controls])
-        return guarded_solve(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(equilibrium_module, "guarded_solve", recording)
+    monkeypatch.setattr(_linalg._PreparedSystem, "solve", recording)
     equilibrium_module._market_fundamentals.cache_clear()
     original = [get() for get, _ in controls]
     try:
@@ -493,7 +495,7 @@ def test_shifted_condition_cap_is_the_dense_cap_over_n_squared():
     hessenberg_form = scipy.linalg.hessenberg(matrix)
     ones = np.ones(6)
     solver = _linalg._ShiftedSolver(matrix)
-    cap = _linalg._ShiftedSolver.MAX_CONDITION
+    cap = _linalg.MAX_CONDITION
     for gap, accepted in ((1e-9, True), (8e-11, False)):
         shift = -3.0 + gap  # near the eigenvalue 3
         shifted = np.linalg.cond(hessenberg_form + shift * np.eye(6), 1)
@@ -538,20 +540,21 @@ def scale_law_game(kind, n_assets=12):
 
 
 @pytest.mark.parametrize(
-    "kind, per_group", [("risk_neutral", 0), ("equal_to_Q", 0), ("two_classes", 3)]
+    "kind, dense_groups", [("risk_neutral", 0), ("equal_to_Q", 0), ("two_classes", 3)]
 )
-def test_large_scale_law_class_matches_per_asset_solves(kind, per_group, monkeypatch):
+def test_large_scale_law_class_matches_per_asset_solves(kind, dense_groups):
     spec = scale_law_game(kind)
-    calls = []
-
-    def counted(bundle, n_agents):
-        calls.append(bundle.kernel_at_zero)
-        return fundamental_solutions(bundle, n_agents)
-
-    monkeypatch.setattr(equilibrium_module, "fundamental_solutions", counted)
-    _, pairs = principal_fundamentals(spec)
-    # the class of at least _REDUCE_MIN_GROUPS groups is reduced, the rest solved per group
-    assert len(calls) == per_group
+    systems = equilibrium_module.prepare_profile_systems(spec)
+    pairs = systems.profiles(spec.theta)
+    # with a floor, the Levinson and triangular paths serve every class;
+    # without one, a class of at least _REDUCE_MIN_GROUPS groups is reduced
+    # and the groups of a smaller one are solved densely
+    expected = dict.fromkeys(systems.paths, 0)
+    if kind == "risk_neutral":
+        expected.update(levinson=spec.n_assets, triangular=spec.n_assets)
+    else:
+        expected.update(shifted=2 * (spec.n_assets - dense_groups), dense=2 * dense_groups)
+    assert systems.paths == expected
     assert len({id(pair) for pair in pairs}) == spec.n_assets
     for pair, ref in zip(pairs, per_asset_fundamentals(spec)):
         assert np.allclose(pair.mean_profile, ref.mean_profile, rtol=0, atol=1e-12)
@@ -570,18 +573,97 @@ def test_rejected_shifted_solves_fall_back_to_guarded_solve_bit_for_bit(monkeypa
         results.append(guarded_solve(matrix, rhs, *args))
         return results[-1]
 
-    monkeypatch.setattr(equilibrium_module, "guarded_solve", recording)
-    monkeypatch.setattr(_linalg._ShiftedSolver, "BACKWARD_TOL", -1.0)  # every solve fails it
-    _, pairs = principal_fundamentals(spec)
-    # one class: the mean system's solves for every group, then the deviation system's
+    monkeypatch.setattr(_linalg, "guarded_solve", recording)
+    monkeypatch.setattr(_linalg, "BACKWARD_TOL", -1.0)  # every solve fails it
+    systems = equilibrium_module.prepare_profile_systems(spec)
+    pairs = systems.profiles(spec.theta)
+    # one class, one group per principal asset: the mean and deviation solves of each group
     n = spec.n_assets
-    assert len(results) == 2 * n
+    assert len(results) == 2 * n and systems.paths["dense"] == 2 * n
     for k, pair in enumerate(pairs):
-        mean, deviation = results[k], results[n + k]
+        mean, deviation = results[2 * k], results[2 * k + 1]
         assert np.array_equal(pair.mean_profile, mean / (np.ones(len(mean)) @ mean))
         assert np.array_equal(pair.deviation_profile, deviation / (np.ones(len(mean)) @ deviation))
     for pair, ref in zip(pairs, per_asset_fundamentals(spec)):
         assert np.allclose(pair.mean_profile, ref.mean_profile, rtol=0, atol=1e-12)
+
+
+def closed_form_game(kind):
+    """A game for each mix of solve paths the closed form takes."""
+    if kind == "risk_averse_class":
+        return scale_law_game("equal_to_Q")
+    points = make_equidistant_grid(60, 1.0).points
+    kernel = power_law_kernel(0.5, 0.1) if kind == "toeplitz_power_law" else KERNEL
+    if kind == "uneven":
+        points = np.sort(np.r_[0.0, np.random.default_rng(3).uniform(0.0, 1.0, 60)])
+    return GameSpec(
+        grid=TimeGrid(points),
+        kernel=kernel,
+        cross_impact=one_factor_matrix(3, 0.5),
+        inventories=np.random.default_rng(8).normal(size=(3, 4)),
+        theta=0.3,
+        beta=0.5,
+    )
+
+
+def relative_gap(pairs, reference):
+    """Largest difference of two sequences of profile pairs, relative to the reference."""
+    return max(
+        np.abs(a - b).max() / np.abs(b).max()
+        for pair, ref in zip(pairs, reference)
+        for a, b in (
+            (pair.mean_profile, ref.mean_profile),
+            (pair.deviation_profile, ref.deviation_profile),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, paths",
+    [
+        # two distinct eigenvalues of a one-factor Q, one scale-law class
+        ("toeplitz_exponential", {"levinson": 2, "triangular": 2}),
+        ("toeplitz_power_law", {"levinson": 2, "triangular": 2}),
+        # twelve groups of one class with a variance term, reduced when prepared
+        ("risk_averse_class", {"shifted": 24}),
+        # the mean system is Toeplitz only on an equidistant grid
+        ("uneven", {"triangular": 2, "dense": 2}),
+    ],
+)
+def test_closed_form_matches_the_dense_reference(kind, paths):
+    spec = closed_form_game(kind)
+    systems = equilibrium_module.prepare_profile_systems(spec)
+    prepared = systems.profiles(spec.theta)
+    expected = dict.fromkeys(systems.paths, 0)
+    expected.update(paths)
+    assert systems.paths == expected
+    equilibrium_module._market_fundamentals.cache_clear()
+    closed = closed_form_equilibrium(spec)
+    for pair, same in zip(closed.fundamentals, prepared):
+        assert np.array_equal(pair.mean_profile, same.mean_profile)
+        assert np.array_equal(pair.deviation_profile, same.deviation_profile)
+    _, reference = principal_fundamentals(spec)
+    assert relative_gap(closed.fundamentals, reference) <= 1e-12
+    assert np.allclose(closed.totals(), spec.inventories, rtol=0, atol=1e-12)
+
+
+def test_closed_form_falls_back_to_the_dense_solve_on_a_failed_levinson_residual(monkeypatch):
+    spec = closed_form_game("toeplitz_exponential")
+    dense_solves = []
+
+    def recording(matrix, rhs, *args):
+        dense_solves.append(len(matrix))
+        return guarded_solve(matrix, rhs, *args)
+
+    monkeypatch.setattr(_linalg, "solve_toeplitz", lambda cr, b, **kw: 2.0 * b)
+    monkeypatch.setattr(_linalg, "guarded_solve", recording)
+    equilibrium_module._market_fundamentals.cache_clear()
+    closed = closed_form_equilibrium(spec)
+    equilibrium_module._market_fundamentals.cache_clear()
+    # the mean system of each of the two groups
+    assert dense_solves == [spec.grid.n_points] * 2
+    _, reference = principal_fundamentals(spec)
+    assert relative_gap(closed.fundamentals, reference) <= 1e-12
 
 
 def market_spec(inventories=None, n_agents=3, **fields):
@@ -601,15 +683,15 @@ def market_spec(inventories=None, n_agents=3, **fields):
     return GameSpec(inventories=inventories, **market)
 
 
-def count_principal_fundamentals(monkeypatch):
+def count_prepared_systems(monkeypatch):
     calls = []
-    solve = principal_fundamentals
+    prepare = equilibrium_module.prepare_profile_systems
 
-    def counted(spec, *args):
+    def counted(spec):
         calls.append(spec)
-        return solve(spec, *args)
+        return prepare(spec)
 
-    monkeypatch.setattr(equilibrium_module, "principal_fundamentals", counted)
+    monkeypatch.setattr(equilibrium_module, "prepare_profile_systems", counted)
     return calls
 
 
@@ -620,7 +702,7 @@ def fresh_strategies(spec):
 
 
 def test_one_market_solves_its_profiles_once_across_inventories(monkeypatch, rng):
-    calls = count_principal_fundamentals(monkeypatch)
+    calls = count_prepared_systems(monkeypatch)
     specs = [market_spec(rng.normal(size=(3, 3))) for _ in range(2)]
     equilibrium_module._market_fundamentals.cache_clear()
     solved = [closed_form_equilibrium(spec).strategies for spec in specs]
@@ -632,7 +714,7 @@ def test_one_market_solves_its_profiles_once_across_inventories(monkeypatch, rng
 
 
 def test_changed_markets_do_not_reuse_stale_profiles(monkeypatch):
-    calls = count_principal_fundamentals(monkeypatch)
+    calls = count_prepared_systems(monkeypatch)
     base = market_spec()
     variants = {
         "theta": dataclasses.replace(base, theta=0.06),

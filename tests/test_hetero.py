@@ -20,7 +20,6 @@ from impact_games import (
     critical_theta,
     expected_cost,
     exponential_kernel,
-    fundamental_solutions,
     guarded_solve,
     hetero,
     impact_drift,
@@ -65,19 +64,21 @@ def hetero_spec(inventories, thetas, n_steps=15, scales=None, priority=0.5, cros
 def test_homogeneous_inputs_match_the_closed_form(cross, rng, monkeypatch):
     inventories = rng.normal(size=(len(cross), 3))
     spec = hetero_spec(inventories, [0.7, 0.7, 0.7], n_steps=12, cross=cross)
-    fundamental_calls = []
+    closed_groups = []
+    prepare = equilibrium_module.prepare_profile_systems
 
-    def counted(*args, **kwargs):
-        fundamental_calls.append(1)
-        return fundamental_solutions(*args, **kwargs)
+    def counted(spec):
+        systems = prepare(spec)
+        closed_groups.extend(systems.groups)
+        return systems
 
-    monkeypatch.setattr(equilibrium_module, "fundamental_solutions", counted)
+    monkeypatch.setattr(equilibrium_module, "prepare_profile_systems", counted)
     equilibrium_module._market_fundamentals.cache_clear()
     closed = closed_form_equilibrium(spec)
     split, dims = solve_recording_dims(spec, monkeypatch)
     assert np.abs(split - closed.strategies).max() <= 1e-12
     # both agent models group the principal assets alike
-    assert dims == [principal_dim(spec)] * len(fundamental_calls)
+    assert dims == [principal_dim(spec)] * len(closed_groups)
 
 
 @pytest.mark.parametrize(

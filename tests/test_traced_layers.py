@@ -97,6 +97,13 @@ def test_a_traced_small_op_of_each_workload_passes(name, tmp_path):
         assert sum(counts[f"stability.{kind}_probes"] for kind in ("bisect", "guard", "scan")) == (
             counts["stability.probes"]
         )
+        # the dense reference check of the critical fee is traced
+        for layer in (
+            "linalg.guarded_solve",
+            "equilibrium.fundamental_solutions",
+            "equilibrium.principal_fundamentals",
+        ):
+            assert metrics[layer + ".calls"] > 0, layer
     aggregated = tracing.aggregate([metrics], probe_s)
     listed = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     computed = set(aggregated) | set(tracing.OUTPUT_COUNTS) | {"trace.overhead_s"}
