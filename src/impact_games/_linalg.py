@@ -158,10 +158,8 @@ def single_blas_thread():
                     put(count)
 
 
-def guarded_solve(
-    matrix: np.ndarray, rhs: np.ndarray, max_condition: float = MAX_CONDITION
-) -> np.ndarray:
-    """Solve ``matrix @ x = rhs``, rejecting systems with condition above the cap.
+def guarded_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ x = rhs``, rejecting systems with condition above ``MAX_CONDITION``.
 
     Uses one LU factorization plus a LAPACK reciprocal-condition estimate, so the
     guard costs O(n^2) on top of the factorization.
@@ -184,7 +182,7 @@ def guarded_solve(
     if info != 0 or not np.isfinite(rcond) or rcond <= 0.0:
         raise NumericError("matrix is numerically singular")
     condition = 1.0 / rcond
-    if condition > max_condition:
+    if condition > MAX_CONDITION:
         raise NumericError("matrix too ill-conditioned for a trustworthy solve", condition)
     return lu_solve((lu, piv), rhs)
 
@@ -302,7 +300,7 @@ class _PreparedSystem:
             x, path = self.shifted.solve(shift, ones), "shifted"
         if x is None:
             path = "dense"
-            x = guarded_solve(self.matrix + shift * np.eye(len(ones)), ones, MAX_CONDITION)
+            x = guarded_solve(self.matrix + shift * np.eye(len(ones)), ones)
         paths[path] += 1
         total = ones @ x
         if not (np.isfinite(total) and total != 0.0):

@@ -6,6 +6,9 @@ kernel times the eigenvalue, and every agent's strategy is a combination of
 two normalized profiles per principal asset: one carried by the average
 inventory, one by the deviation from it.
 
+The two profile systems of a principal asset are formed here alone
+(:func:`profile_systems`), from its kernel bundle (:func:`kernels.build_matrices`).
+
 :func:`principal_groups` makes that split for every consumer: the closed form
 here, the critical-fee probes of :mod:`stability`, and the heterogeneous
 split of :mod:`hetero` (on the tradable block of Q). It returns the spectrum,
@@ -53,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +69,7 @@ from ._linalg import (
     guarded_solve,
     single_blas_thread,
 )
+from .costs import _earlier, priority_cross
 from .cross_impact import SpectralReport, analyze_cross_impact
 from .kernels import DecayKernel, MatrixBundle, TimeGrid, build_matrices
 
@@ -76,7 +80,6 @@ __all__ = [
     "profile_systems",
     "fundamental_solutions",
     "principal_groups",
-    "principal_bundles",
     "principal_fundamentals",
     "ProfileSystems",
     "prepare_profile_systems",
@@ -282,28 +285,37 @@ class FundamentalSolutions:
     deviation_profile: np.ndarray
 
 
-def profile_systems(bundle: MatrixBundle, n_agents: int) -> Tuple[np.ndarray, np.ndarray]:
+def profile_systems(
+    spec: GameSpec, bundle: MatrixBundle, theta: float, var_rate: float
+) -> Tuple[np.ndarray, np.ndarray]:
     """Matrices of the mean-profile and the deviation-profile systems of one asset.
 
-    The mean system is the risk-adjusted self-cost matrix plus
-    ``n_agents - 1`` fair-priority cross-cost matrices, the deviation system
-    is self-cost minus one cross-cost matrix; both are solved against the
-    all-ones vector.
+    ``bundle`` holds the asset's kernel matrix K, strict lower part L and
+    lag-zero value G(0), ``theta`` is the fee and ``var_rate`` the variance
+    rate v; the agent count J, the risk aversion gamma and the trading times
+    come from ``spec``. The self-cost ``S = K + 2 theta I + gamma v min(t_i, t_j)``
+    (a zero variance term is not added) and the fair-priority cross cost
+    ``F = L + G(0) / 2 I`` (:func:`costs.priority_cross` at one half) give
+    the mean system ``S + (J - 1) F`` and the deviation system ``S - F``,
+    both solved against the all-ones vector.
     """
-    if n_agents < 1:
-        raise ValueError("need at least one agent")
-    mean_sys = bundle.mv_self_cost + (n_agents - 1) * bundle.fair_priority
-    dev_sys = bundle.mv_self_cost - bundle.fair_priority
-    return mean_sys, dev_sys
+    self_cost = bundle.kernel_matrix.copy()
+    self_cost.flat[:: len(self_cost) + 1] += 2.0 * theta
+    if spec.gamma > 0.0 and var_rate > 0.0:
+        self_cost += spec.gamma * (var_rate * _earlier(spec))
+    fair = priority_cross(bundle, 0.5)
+    return self_cost + (spec.n_agents - 1) * fair, self_cost - fair
 
 
-def fundamental_solutions(bundle: MatrixBundle, n_agents: int) -> FundamentalSolutions:
+def fundamental_solutions(
+    spec: GameSpec, bundle: MatrixBundle, theta: float, var_rate: float
+) -> FundamentalSolutions:
     """Solve the two normalized linear systems of one single-asset game.
 
     The systems are those of :func:`profile_systems`. Each solution is
     divided by its sum, so both sum to exactly one.
     """
-    mean_sys, dev_sys = profile_systems(bundle, n_agents)
+    mean_sys, dev_sys = profile_systems(spec, bundle, theta, var_rate)
     ones = np.ones(mean_sys.shape[0])
     v = guarded_solve(mean_sys, ones)
     w = guarded_solve(dev_sys, ones)
@@ -435,58 +447,31 @@ def _principal_split(spec: GameSpec) -> Tuple[SpectralReport, np.ndarray, Tuple[
     return spectrum, np.maximum(var_rates, 0.0), groups
 
 
-def _bundle(spec: GameSpec, eigenvalue: float, var_rate: float, theta: float) -> MatrixBundle:
-    """Matrix bundle of a principal asset with this eigenvalue and variance rate."""
-    return build_matrices(
-        spec.grid,
-        spec.effective_kernel.scaled(eigenvalue),
-        theta=theta,
-        gamma=spec.gamma,
-        var_rate=var_rate,
-    )
-
-
-def principal_bundles(
-    spec: GameSpec,
-) -> Tuple[SpectralReport, Tuple[np.ndarray, ...], Iterator[MatrixBundle]]:
-    """Spectrum, shared-solve groups and one matrix bundle per group of principal assets.
-
-    The agents of ``spec`` must be identical and the cross-impact matrix
-    positive definite (ValueError otherwise). The spectrum and groups are
-    those of :func:`principal_groups`. A group's bundle uses the effective
-    kernel scaled by its first member's eigenvalue and that member's
-    variance rate, at the fee stored in ``spec``; each is built when the
-    iterator reaches it.
-    """
-    spectrum, var_rates, groups = _principal_split(spec)
-    bundles = (
-        _bundle(
-            spec,
-            float(spectrum.eigenvalues[members[0]]),
-            float(var_rates[members[0]]),
-            spec.thetas[0],
-        )
-        for members in groups
-    )
-    return spectrum, groups, bundles
-
-
 def principal_fundamentals(
     spec: GameSpec, paths: Optional[Dict[str, int]] = None
 ) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
     """Profile pair of every principal asset of the game, by dense solves.
 
-    The reference the prepared systems are checked against: one bundle per
-    group (see :func:`principal_bundles`) and one :func:`fundamental_solutions`
-    each, on one BLAS thread (see :func:`single_blas_thread`). The principal
-    assets of a group share one profile-pair object. When given, ``paths``
-    counts the solves under "dense".
+    The reference the prepared systems are checked against. The agents of
+    ``spec`` must be identical and the cross-impact matrix positive definite
+    (ValueError otherwise); the spectrum and groups are those of
+    :func:`principal_groups`. Each group gets one bundle, of the effective
+    kernel scaled by its first member's eigenvalue, and one
+    :func:`fundamental_solutions` at that member's variance rate and the fee
+    stored in ``spec``, on one BLAS thread (see :func:`single_blas_thread`).
+    The principal assets of a group share one profile-pair object. When
+    given, ``paths`` counts the solves under "dense".
     """
-    spectrum, groups, bundles = principal_bundles(spec)
+    spectrum, var_rates, groups = _principal_split(spec)
     pairs = []
     with single_blas_thread():
-        for bundle in bundles:
-            pairs.append(fundamental_solutions(bundle, spec.n_agents))
+        for members in groups:
+            first = members[0]
+            eigenvalue = float(spectrum.eigenvalues[first])
+            bundle = build_matrices(spec.grid, spec.effective_kernel.scaled(eigenvalue))
+            pairs.append(
+                fundamental_solutions(spec, bundle, spec.thetas[0], float(var_rates[first]))
+            )
             del bundle  # free before the next bundle is built
     if paths is not None:
         paths["dense"] += 2 * len(pairs)
@@ -573,12 +558,13 @@ def _unit_floor(kernel: DecayKernel, min_step: float) -> float:
 def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     """Build the zero-fee unit-eigenvalue profile systems of every scale-law class once.
 
-    Runs the split and its checks of :func:`principal_bundles`; the fee
-    stored in ``spec`` is ignored. A class's systems are built from its
-    first group's ratio of variance term to eigenvalue. Without a variance
-    term, the deviation system gets a floor on any grid and the mean system
-    on an equidistant grid (see the module docstring); both come from one
-    floor under the smallest eigenvalue of the kernel matrix K
+    Runs the split and its checks of :func:`principal_fundamentals`; the fee
+    stored in ``spec`` is ignored. Every class's systems are formed from one
+    bundle of the effective kernel at unit eigenvalue, at its first group's
+    ratio of variance rate to eigenvalue. Without a variance term, the
+    deviation system gets a floor on any grid and the mean system on an
+    equidistant grid (see the module docstring); both come from one floor
+    under the smallest eigenvalue of that bundle's kernel matrix K
     (:func:`_unit_floor`), lowered by ``n eps ||K||_1`` to cover rounding. A
     variance term ``gamma v Gamma``, with ``Gamma = min(t_i, t_j)``, counts
     as absent when its 1-norm is within that rounding allowance, as when v
@@ -595,13 +581,14 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     uniform, min_step = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon, float(steps.min())
     n, n_agents = spec.grid.n_points, spec.n_agents
     earlier_norm = float(np.sum(spec.grid.points))  # ||min(t_i, t_j)||_1, the last column
+    unit = build_matrices(spec.grid, spec.effective_kernel)
+    rounding = n * np.finfo(float).eps * np.linalg.norm(unit.kernel_matrix, 1)
     pairs = [None] * len(groups)
     for members in _scale_law_classes(eigenvalues, variance_terms):
         first = members[0]
-        unit = _bundle(spec, 1.0, float(var_rates[first] / eigenvalues[first]), 0.0)
-        mean, deviation = profile_systems(unit, n_agents)
-        rounding = n * np.finfo(float).eps * np.linalg.norm(unit.kernel_matrix, 1)
-        if unit.gamma * unit.var_rate * earlier_norm <= rounding:
+        var_rate = float(var_rates[first] / eigenvalues[first])
+        mean, deviation = profile_systems(spec, unit, 0.0, var_rate)
+        if spec.gamma * var_rate * earlier_norm <= rounding:
             floor = unit.kernel_at_zero * _unit_floor(spec.kernel, min_step) - rounding
             pair = (
                 _PreparedSystem(mean, 0.5 * (n_agents + 1) * floor if uniform else None),
@@ -609,7 +596,6 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
             )
         else:
             pair = (_PreparedSystem(mean, None), _PreparedSystem(deviation, None))
-        del unit  # free before the next bundle is built
         if len(members) >= _REDUCE_MIN_GROUPS:
             for system in pair:
                 system.reduce()

@@ -97,7 +97,7 @@ def assemble_equilibrium_system(spec: GameSpec) -> KktSystem:
         for l, assets_l in enumerate(active):
             if l == j:
                 block = s_j**2 * np.kron(q[np.ix_(assets_j, assets_j)], bundle.kernel_matrix)
-                block += 2.0 * spec.thetas[j] * s_j**2 * np.eye(len(block))
+                block.flat[:: len(block) + 1] += 2.0 * spec.thetas[j] * s_j**2
             else:
                 cross = priority_cross(bundle, spec.priority[j, l])
                 block = s_j * spec.scales[l] * np.kron(q[np.ix_(assets_j, assets_l)], cross)

@@ -1,8 +1,10 @@
 """Trading grids, decay kernels, and the dense matrices built from them.
 
-The solvers' quadratic forms are assembled here: the symmetric kernel
-matrix, its strict lower part, the fair-priority cross-cost matrix, and the
-self-cost matrix with the quadratic fee and the Bachelier variance term.
+A single-asset game is built from the decay kernel alone: the symmetric
+kernel matrix K and its strict lower part L (:func:`build_matrices`). The
+fee, the variance term and the priority weights are added by their
+consumers: :mod:`equilibrium` forms the profile systems, :mod:`costs` and
+:mod:`hetero` the costs and the stacked system.
 """
 
 from __future__ import annotations
@@ -137,27 +139,18 @@ def power_law_kernel(exponent: float, offset: float, scale: float = 1.0) -> Deca
 
 @dataclass(frozen=True)
 class MatrixBundle:
-    """The ``(N+1) x (N+1)`` matrices the solvers need from one grid/kernel pair.
+    """The ``(N+1) x (N+1)`` kernel matrices of one grid/kernel pair.
 
     Attributes
     ----------
     kernel_matrix : symmetric matrix of kernel values at absolute time lags.
     strict_lower : kernel values at positive lags, zero on and above the diagonal.
-    fair_priority : strict_lower plus half the lag-zero value on the diagonal;
-        the cross-cost matrix when simultaneous execution order is a fair coin.
-    mv_self_cost : kernel_matrix plus twice the quadratic fee on the diagonal,
-        plus risk aversion times the Bachelier variance matrix
-        ``var_rate * min(t_i, t_j)``; the system matrix of the mean-variance
-        first-order conditions.
+    kernel_at_zero : the kernel's value at lag zero, the diagonal of ``kernel_matrix``.
     """
 
     kernel_matrix: np.ndarray
     strict_lower: np.ndarray
-    fair_priority: np.ndarray
-    mv_self_cost: np.ndarray
     kernel_at_zero: float
-    gamma: float
-    var_rate: float
 
 
 def _validate_kernel_values(values: np.ndarray) -> None:
@@ -169,71 +162,32 @@ def _validate_kernel_values(values: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _unit_parts(points: bytes, family: str, rate: float, exponent: float, offset: float):
-    """Scale-, fee- and risk-free parts of a bundle, for one grid and kernel shape.
+def _unit_lower(points: bytes, family: str, rate: float, exponent: float, offset: float):
+    """Strict lower triangle of the unit-scale kernel matrix, for one grid and kernel shape.
 
     The kernel is checked on every distinct lag of the grid, then evaluated at
-    unit scale on the strict lower triangle; ``min(t_i, t_j)`` completes the
-    pair. Both arrays are read-only, since repeated calls return the same ones.
+    unit scale on the strict lower triangle. The array is read-only, since
+    repeated calls return the same one.
     """
     shape = functools.partial(_unit_kernel, family, rate, exponent, offset)
     t = np.frombuffer(points)
     lag = t[:, None] - t[None, :]
     _validate_kernel_values(shape(np.unique(np.abs(lag))))
-    unit_lower = np.where(lag > 0.0, shape(np.where(lag > 0.0, lag, 0.0)), 0.0)
-    min_times = np.minimum.outer(t, t)
-    unit_lower.flags.writeable = False
-    min_times.flags.writeable = False
-    return unit_lower, min_times
+    lower = np.where(lag > 0.0, shape(np.where(lag > 0.0, lag, 0.0)), 0.0)
+    lower.flags.writeable = False
+    return lower
 
 
-def build_matrices(
-    grid: TimeGrid,
-    kernel: DecayKernel,
-    theta: float = 0.0,
-    gamma: float = 0.0,
-    var_rate: float = 0.0,
-) -> MatrixBundle:
-    """Assemble the matrix bundle for one asset.
-
-    Parameters
-    ----------
-    grid, kernel : trading grid and decay kernel.
-    theta : quadratic transaction-cost parameter, >= 0.
-    gamma : risk-aversion parameter, >= 0.
-    var_rate : variance per unit time of the unaffected price, >= 0.
-    """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
-    if var_rate < 0.0:
-        raise ValueError("var_rate must be nonnegative")
-
+def build_matrices(grid: TimeGrid, kernel: DecayKernel) -> MatrixBundle:
+    """Assemble the kernel matrices of one asset on a trading grid."""
     if not kernel.scale > 0.0:
         raise ValueError("kernel scale must be positive")
-    unit_lower, min_times = _unit_parts(
+    g0 = kernel.at_zero
+    strict_lower = kernel.scale * _unit_lower(
         grid.points.tobytes(), kernel.family, kernel.rate, kernel.exponent, kernel.offset
     )
-
-    g0 = kernel.at_zero
-    diagonal = slice(None, None, grid.n_points + 1)  # of the flattened matrix
-    strict_lower = kernel.scale * unit_lower
     # symmetric matrix from the exact same kernel evaluations; strict_lower's
     # diagonal is exactly zero, so writing a value there adds it
     kernel_matrix = strict_lower + strict_lower.T
-    kernel_matrix.flat[diagonal] = g0
-    fair_priority = strict_lower.copy()
-    fair_priority.flat[diagonal] = 0.5 * g0
-    mv_self_cost = kernel_matrix.copy()
-    mv_self_cost.flat[diagonal] += 2.0 * theta
-    mv_self_cost += gamma * (var_rate * min_times)
-    return MatrixBundle(
-        kernel_matrix=kernel_matrix,
-        strict_lower=strict_lower,
-        fair_priority=fair_priority,
-        mv_self_cost=mv_self_cost,
-        kernel_at_zero=g0,
-        gamma=float(gamma),
-        var_rate=float(var_rate),
-    )
+    kernel_matrix.flat[:: grid.n_points + 1] = g0
+    return MatrixBundle(kernel_matrix=kernel_matrix, strict_lower=strict_lower, kernel_at_zero=g0)

@@ -96,8 +96,19 @@ def _drift_weights(times: bytes, points: bytes, kernel: DecayKernel) -> np.ndarr
     return weights
 
 
-# (weights, flow bytes, drift) of the last product formed by impact_drift
-_last_drift: list = [None]
+@functools.lru_cache(maxsize=1)
+def _drift(times: bytes, points: bytes, kernel: DecayKernel, flow: bytes) -> np.ndarray:
+    """Drift of the (M, N+1) aggregate flow given by its bytes, at the fine times.
+
+    The weights come from :func:`_drift_weights`. Only the last (times,
+    trading grid, kernel, flow) is kept, so the paths of one strategy profile
+    form the matrix product once. The array is read-only, since repeated
+    calls return the same one.
+    """
+    weights = _drift_weights(times, points, kernel)
+    drift = -(weights @ np.frombuffer(flow).reshape(-1, weights.shape[1]).T)
+    drift.flags.writeable = False
+    return drift
 
 
 def impact_drift(spec, strategies: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -109,19 +120,19 @@ def impact_drift(spec, strategies: np.ndarray, times: np.ndarray) -> np.ndarray:
     before: the trade at t contributes nothing at t itself. The kernel
     weights are evaluated once per (times, trading grid, effective kernel);
     only the last such set is kept, read-only. The drift itself is kept for
-    the last (weights, aggregate flow) pair, so the paths of one strategy
-    profile form the matrix product once. The returned array is new.
+    the last such set and aggregate flow (:func:`_drift`), so the paths of
+    one strategy profile form the matrix product once. The returned array
+    is new.
     """
     volume = spec.scales[:, None] * np.asarray(strategies, dtype=float)
     flow = spec.cross_impact @ volume.sum(axis=1)
-    weights = _drift_weights(
-        np.asarray(times, dtype=float).tobytes(), spec.grid.points.tobytes(), spec.effective_kernel
+    drift = _drift(
+        np.asarray(times, dtype=float).tobytes(),
+        spec.grid.points.tobytes(),
+        spec.effective_kernel,
+        flow.tobytes(),
     )
-    key = flow.tobytes()
-    last = _last_drift[0]
-    if last is None or last[0] is not weights or last[1] != key:
-        last = _last_drift[0] = (weights, key, -(weights @ flow.T))
-    return last[2].copy()
+    return drift.copy()
 
 
 def simulate_price(

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ._linalg import ArgumentError, NumericError, single_blas_thread
+from ._linalg import ArgumentError, NumericError, _finite, _symmetric, single_blas_thread
 from .cross_impact import one_factor_matrix, price_covariance
 from .equilibrium import (
     FundamentalSolutions,
@@ -96,7 +96,10 @@ def oscillation_flags(u: np.ndarray, rel_tol: float = DEFAULT_FLIP_TOL) -> Oscil
     the relative floor suppresses solver noise around zero entries. One flip
     already counts as unstable. The zero vector is stable by convention. A
     profile with a NaN or infinite entry has no verdict: NumericError.
+    ``ArgumentError`` unless ``rel_tol`` is finite and nonnegative; zero
+    counts every strict sign change.
     """
+    _check_number("rel_tol", rel_tol, positive=False)
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise NumericError("trading profile has non-finite entries")
@@ -139,9 +142,10 @@ def is_unstable_at(
     ``systems`` the profiles come from :func:`principal_fundamentals`; with
     systems prepared from ``spec`` by :func:`prepare_profile_systems` they
     are solved from those. ``ArgumentError`` unless ``theta`` is finite and
-    nonnegative.
+    nonnegative and ``rel_tol`` finite and positive.
     """
     _check_number("theta", theta, positive=False)
+    _check_number("rel_tol", rel_tol)
     if systems is None:
         _, pairs = principal_fundamentals(replace(spec, theta=float(theta)))
     else:
@@ -181,16 +185,25 @@ def predicted_theta_star(
     the top eigenvalue times the lag-zero kernel value over four.
     ``mode="conjecture"`` extrapolates to J agents with kernel crowding:
     ``kernel_at_zero * J**-beta * (J - 1) * top_eigenvalue / 4``, for
-    ``n_agents`` of at least one (an ``ArgumentError`` otherwise). The
-    eigenvalues are computed on one BLAS thread (see :func:`single_blas_thread`).
+    ``n_agents`` of at least one. ``ArgumentError`` unless the cross-impact
+    matrix is square, finite and symmetric, ``kernel_at_zero`` finite and
+    positive and ``beta`` finite and nonnegative. The eigenvalues are
+    computed on one BLAS thread (see :func:`single_blas_thread`).
     """
+    cross_impact = np.asarray(cross_impact, dtype=float)
+    if cross_impact.ndim != 2 or cross_impact.shape[0] != cross_impact.shape[1]:
+        raise ArgumentError("cross_impact", "cross_impact must be a square matrix")
+    _finite("cross_impact", cross_impact)
+    _symmetric("cross_impact", cross_impact)
+    _check_number("kernel_at_zero", kernel_at_zero)
+    _check_number("beta", beta, positive=False)
     return _prediction(_top_eigenvalue(cross_impact), kernel_at_zero, n_agents, beta, mode)
 
 
 def _top_eigenvalue(cross_impact: np.ndarray) -> float:
     """Largest eigenvalue of the cross-impact matrix, by ``eigvalsh`` on one BLAS thread."""
     with single_blas_thread():
-        return float(np.linalg.eigvalsh(np.asarray(cross_impact, dtype=float))[-1])
+        return float(np.linalg.eigvalsh(cross_impact)[-1])
 
 
 def _prediction(top: float, kernel_at_zero: float, n_agents: int, beta: float, mode: str) -> float:

@@ -50,10 +50,21 @@ def test_single_trader_optimal_cost_matches_closed_form(n_steps, theta):
     inventory = 1.7
     spec = make_spec([[inventory]], n_steps=n_steps, theta=theta)
     eq = closed_form_equilibrium(spec)
-    bundle = build_matrices(spec.grid, KERNEL, theta=theta)
+    kernel_matrix = build_matrices(spec.grid, KERNEL).kernel_matrix
     ones = np.ones(spec.grid.n_points)
-    oracle = 0.5 * inventory**2 / (ones @ guarded_solve(bundle.mv_self_cost, ones))
+    self_cost = kernel_matrix + 2.0 * theta * np.eye(len(ones))
+    oracle = 0.5 * inventory**2 / (ones @ guarded_solve(self_cost, ones))
     assert expected_cost(spec, eq.strategies, 0) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("agent", [-1, 2, 1.0, None])
+def test_an_agent_outside_the_game_is_named(agent):
+    spec = make_spec([[1.0, 0.0]], theta=0.1)
+    strategies = closed_form_equilibrium(spec).strategies
+    for call in (expected_cost, variance_and_mv, stationarity_residual):
+        with pytest.raises(ValueError) as excinfo:
+            call(spec, strategies, agent)
+        assert excinfo.value.argument == "agent"
 
 
 def test_seller_versus_idle_agent_costs():

@@ -46,18 +46,27 @@ def two_agent_spec(inventories, n_steps=25, theta=1.5, cross=None, **kw):
     )
 
 
+def one_asset_spec(grid, n_agents, gamma=0.0, kernel=KERNEL):
+    """A single-asset game with Q = 1; its fee and variance rate are passed to the systems."""
+    return GameSpec(
+        grid=grid, kernel=kernel, cross_impact=np.eye(1), n_agents=n_agents, gamma=gamma
+    )
+
+
 def test_two_point_fundamentals_against_explicit_inverse():
     # oracle: 2x2 inverse by adjugate, computed independently of the solver
-    bundle = build_matrices(make_equidistant_grid(1, 1.0), KERNEL)
+    grid = make_equidistant_grid(1, 1.0)
+    bundle = build_matrices(grid, KERNEL)
 
     def inverse_times_ones(a):
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         raw = np.array([a[1, 1] - a[0, 1], a[0, 0] - a[1, 0]]) / det
         return raw / raw.sum()
 
-    pair = fundamental_solutions(bundle, n_agents=2)
-    mean_sys = bundle.mv_self_cost + bundle.fair_priority
-    dev_sys = bundle.mv_self_cost - bundle.fair_priority
+    pair = fundamental_solutions(one_asset_spec(grid, 2), bundle, 0.0, 0.0)
+    fair = bundle.strict_lower + 0.5 * bundle.kernel_at_zero * np.eye(2)
+    mean_sys = bundle.kernel_matrix + fair
+    dev_sys = bundle.kernel_matrix - fair
     assert np.allclose(pair.mean_profile, inverse_times_ones(mean_sys), atol=1e-14)
     assert np.allclose(pair.deviation_profile, inverse_times_ones(dev_sys), atol=1e-14)
     # frozen values from the oracle above
@@ -65,19 +74,38 @@ def test_two_point_fundamentals_against_explicit_inverse():
     assert np.allclose(pair.deviation_profile, [0.2090, 0.7910], atol=5e-5)
 
 
+@pytest.mark.parametrize("n_agents", [2, 5])
+@pytest.mark.parametrize(
+    "kernel", [exponential_kernel(rate=0.8, scale=1.7), power_law_kernel(0.5, 0.1)]
+)
+def test_profile_systems_are_the_explicit_expressions_bit_for_bit(kernel, n_agents, rng):
+    points = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, size=23))])
+    grid = TimeGrid(points)
+    theta, gamma, var_rate = 0.3, 2.0, 0.7
+    bundle = build_matrices(grid, kernel)
+    mean, deviation = equilibrium_module.profile_systems(
+        one_asset_spec(grid, n_agents, gamma=gamma, kernel=kernel), bundle, theta, var_rate
+    )
+    eye = np.eye(points.size)
+    self_cost = bundle.kernel_matrix + 2.0 * theta * eye
+    self_cost = self_cost + gamma * (var_rate * np.minimum.outer(points, points))
+    fair = bundle.strict_lower + kernel.at_zero / 2.0 * eye
+    assert mean.tobytes() == (self_cost + (n_agents - 1) * fair).tobytes()
+    assert deviation.tobytes() == (self_cost - fair).tobytes()
+
+
 def test_huge_fee_flattens_the_mean_profile():
     grid = make_equidistant_grid(12, 1.0)
-    bundle = build_matrices(grid, KERNEL, theta=1e6)
-    pair = fundamental_solutions(bundle, n_agents=2)
+    pair = fundamental_solutions(one_asset_spec(grid, 2), build_matrices(grid, KERNEL), 1e6, 0.0)
     assert np.abs(pair.mean_profile - 1.0 / grid.n_points).max() <= 1e-3
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, 3.0])
 @pytest.mark.parametrize("n_agents", [1, 2, 5])
 def test_profiles_sum_to_one(theta, n_agents):
-    bundle = build_matrices(make_equidistant_grid(17, 1.0), KERNEL, theta=theta, gamma=2.0,
-                            var_rate=1.0)
-    pair = fundamental_solutions(bundle, n_agents)
+    grid = make_equidistant_grid(17, 1.0)
+    spec = one_asset_spec(grid, n_agents, gamma=2.0)
+    pair = fundamental_solutions(spec, build_matrices(grid, KERNEL), theta, 1.0)
     assert pair.mean_profile.sum() == pytest.approx(1.0, abs=1e-12)
     assert pair.deviation_profile.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -90,9 +118,9 @@ def test_zero_inventories_trade_nothing():
 def test_single_trader_reduces_to_transient_impact_optimum():
     spec = two_agent_spec([[2.0]], theta=0.7)
     eq = closed_form_equilibrium(spec)
-    bundle = build_matrices(spec.grid, KERNEL, theta=0.7)
     ones = np.ones(spec.grid.n_points)
-    raw = guarded_solve(bundle.mv_self_cost, ones)
+    self_cost = build_matrices(spec.grid, KERNEL).kernel_matrix + 1.4 * np.eye(len(ones))
+    raw = guarded_solve(self_cost, ones)
     tim = 2.0 * raw / (ones @ raw)
     assert np.allclose(eq.strategies[0, 0], tim, atol=1e-12)
 
@@ -383,14 +411,10 @@ def per_asset_fundamentals(spec):
         var_rates = np.diag(vec.T @ spec.covariance @ vec)
     return [
         fundamental_solutions(
-            build_matrices(
-                spec.grid,
-                spec.effective_kernel.scaled(float(value)),
-                theta=spec.theta,
-                gamma=spec.gamma,
-                var_rate=max(float(var_rate), 0.0),
-            ),
-            spec.n_agents,
+            spec,
+            build_matrices(spec.grid, spec.effective_kernel.scaled(float(value))),
+            spec.theta,
+            max(float(var_rate), 0.0),
         )
         for value, var_rate in zip(lam, var_rates)
     ]
@@ -443,9 +467,9 @@ def test_one_solve_per_distinct_principal_asset(kind, monkeypatch):
     spec, distinct = principal_game(kind)
     calls = []
 
-    def counted(bundle, n_agents):
+    def counted(spec, bundle, theta, var_rate):
         calls.append(bundle.kernel_at_zero)
-        return fundamental_solutions(bundle, n_agents)
+        return fundamental_solutions(spec, bundle, theta, var_rate)
 
     monkeypatch.setattr(equilibrium_module, "fundamental_solutions", counted)
     _, pairs = principal_fundamentals(spec)
@@ -455,13 +479,9 @@ def test_one_solve_per_distinct_principal_asset(kind, monkeypatch):
 
 def risk_averse_systems(n_steps=80):
     """The (mean, deviation) profile systems of a risk-averse power-law game; not symmetric."""
-    bundle = build_matrices(
-        make_equidistant_grid(n_steps, 1.0),
-        power_law_kernel(0.5, 0.1),
-        gamma=2.0,
-        var_rate=0.7,
-    )
-    return equilibrium_module.profile_systems(bundle, 4)
+    grid = make_equidistant_grid(n_steps, 1.0)
+    bundle = build_matrices(grid, power_law_kernel(0.5, 0.1))
+    return equilibrium_module.profile_systems(one_asset_spec(grid, 4, gamma=2.0), bundle, 0.0, 0.7)
 
 
 @pytest.mark.parametrize("system", [0, 1], ids=["mean", "deviation"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from impact_games import (
     DecayKernel,
+    GameSpec,
     build_matrices,
     exponential_kernel,
     guarded_solve,
@@ -12,7 +13,19 @@ from impact_games import (
     power_law_kernel,
 )
 from impact_games.costs import priority_cross
+from impact_games.equilibrium import profile_systems
 from impact_games.kernels import TimeGrid
+
+
+def self_cost(bundle, grid, theta=0.0, gamma=0.0, var_rate=0.0):
+    """The self-cost matrix K + 2 theta I + gamma v min(t_i, t_j): the mean system of one agent.
+
+    The spec supplies the trading times, the agent count and gamma alone; K comes from ``bundle``.
+    """
+    spec = GameSpec(
+        grid=grid, kernel=exponential_kernel(), cross_impact=np.eye(1), n_agents=1, gamma=gamma
+    )
+    return profile_systems(spec, bundle, theta, var_rate)[0]
 
 
 def test_equidistant_two_points():
@@ -72,16 +85,15 @@ def test_two_point_exponential_bundle():
     e1 = np.exp(-1.0)
     assert np.array_equal(bundle.kernel_matrix, [[1.0, e1], [e1, 1.0]])
     assert np.array_equal(bundle.strict_lower, [[0.0, 0.0], [e1, 0.0]])
-    assert np.array_equal(bundle.fair_priority, [[0.5, 0.0], [e1, 0.5]])
-    # priority one half coincides with the fair matrix by definition
-    assert np.array_equal(priority_cross(bundle, 0.5), bundle.fair_priority)
+    assert bundle.kernel_at_zero == 1.0
+    # priority one half is the fair cross-cost matrix
+    assert np.array_equal(priority_cross(bundle, 0.5), [[0.5, 0.0], [e1, 0.5]])
 
 
 def test_two_point_variance_matrix():
-    bundle = build_matrices(
-        make_equidistant_grid(1, 1.0), exponential_kernel(), gamma=1.0, var_rate=1.0
-    )
-    variance = bundle.mv_self_cost - bundle.kernel_matrix
+    grid = make_equidistant_grid(1, 1.0)
+    bundle = build_matrices(grid, exponential_kernel())
+    variance = self_cost(bundle, grid, gamma=1.0, var_rate=1.0) - bundle.kernel_matrix
     assert np.array_equal(variance, [[0.0, 0.0], [0.0, 1.0]])
 
 
@@ -102,7 +114,8 @@ def test_kernel_matrix_decomposition_is_exact(rng):
 )
 def test_bundle_bytes_equal_the_scaled_identity_expressions(kernel, theta, gamma, var_rate, rng):
     points = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, size=17))])
-    bundle = build_matrices(TimeGrid(points), kernel, theta=theta, gamma=gamma, var_rate=var_rate)
+    grid = TimeGrid(points)
+    bundle = build_matrices(grid, kernel)
     eye = np.eye(points.size)
     g0 = kernel.at_zero
     lower = bundle.strict_lower
@@ -112,10 +125,16 @@ def test_bundle_bytes_equal_the_scaled_identity_expressions(kernel, theta, gamma
         "mv_self_cost": lower + lower.T + g0 * eye + 2.0 * theta * eye
         + gamma * (var_rate * np.minimum.outer(points, points)),
     }
+    formed = {
+        "kernel_matrix": bundle.kernel_matrix,
+        "fair_priority": priority_cross(bundle, 0.5),
+        "mv_self_cost": self_cost(bundle, grid, theta, gamma, var_rate),
+    }
     lag = points[:, None] - points[None, :]
     assert lower.tobytes() == np.where(lag > 0.0, kernel(np.where(lag > 0.0, lag, 0.0)), 0.0).tobytes()
+    assert bundle.kernel_at_zero == g0
     for name, expected in reference.items():
-        assert getattr(bundle, name).tobytes() == expected.tobytes(), name
+        assert formed[name].tobytes() == expected.tobytes(), name
 
 
 @given(prob=st.floats(min_value=0.0, max_value=1.0))
@@ -134,11 +153,13 @@ def test_priority_complement_recovers_kernel_matrix(prob):
 @pytest.mark.parametrize("theta", [0.0, 0.1, 1.0, 10.0])
 def test_fee_systems_are_solvable_and_kernel_matrix_definite(kernel, theta):
     grid = make_equidistant_grid(20, 1.0)
-    bundle = build_matrices(grid, kernel, theta=theta)
+    bundle = build_matrices(grid, kernel)
     ones = np.ones(grid.n_points)
     for n_agents in (1, 2, 5):
-        guarded_solve(bundle.mv_self_cost + (n_agents - 1) * bundle.fair_priority, ones)
-    guarded_solve(bundle.mv_self_cost - bundle.fair_priority, ones)
+        spec = GameSpec(grid=grid, kernel=kernel, cross_impact=np.eye(1), n_agents=n_agents)
+        mean, deviation = profile_systems(spec, bundle, theta, 0.0)
+        guarded_solve(mean, ones)
+    guarded_solve(deviation, ones)
     assert np.linalg.eigvalsh(bundle.kernel_matrix).min() > 0.0
 
 
@@ -146,16 +167,19 @@ def test_fee_systems_are_solvable_and_kernel_matrix_definite(kernel, theta):
 def test_kernel_scaling_hits_only_kernel_terms(factor):
     grid = make_equidistant_grid(5, 1.0)
     kernel = exponential_kernel()
-    base = build_matrices(grid, kernel, theta=0.7, gamma=2.0, var_rate=1.5)
-    scaled = build_matrices(grid, kernel.scaled(factor), theta=0.7, gamma=2.0, var_rate=1.5)
-    for name in ("kernel_matrix", "strict_lower", "fair_priority"):
+    base = build_matrices(grid, kernel)
+    scaled = build_matrices(grid, kernel.scaled(factor))
+    for name in ("kernel_matrix", "strict_lower"):
         assert np.allclose(
             getattr(scaled, name), factor * getattr(base, name), rtol=1e-14, atol=0
         )
+    assert np.allclose(
+        priority_cross(scaled, 0.5), factor * priority_cross(base, 0.5), rtol=1e-14, atol=0
+    )
     # the fee and risk additions are untouched by the kernel scale
     assert np.allclose(
-        scaled.mv_self_cost - scaled.kernel_matrix,
-        base.mv_self_cost - base.kernel_matrix,
+        self_cost(scaled, grid, 0.7, 2.0, 1.5) - scaled.kernel_matrix,
+        self_cost(base, grid, 0.7, 2.0, 1.5) - base.kernel_matrix,
         rtol=0,
         atol=1e-12,
     )
@@ -164,12 +188,13 @@ def test_kernel_scaling_hits_only_kernel_terms(factor):
 def test_build_matrices_rejects_bad_parameters():
     grid = make_equidistant_grid(3, 1.0)
     kernel = exponential_kernel()
-    with pytest.raises(ValueError):
-        build_matrices(grid, kernel, theta=-0.1)
-    with pytest.raises(ValueError):
-        build_matrices(grid, kernel, gamma=-1.0)
-    with pytest.raises(ValueError):
-        build_matrices(grid, kernel, var_rate=-2.0)
+    # the bundle holds the kernel alone; the game spec checks the fee and risk parameters
+    with pytest.raises(TypeError):
+        build_matrices(grid, kernel, theta=0.1)
+    for name, value in (("theta", -0.1), ("gamma", -1.0), ("covariance", [[-2.0]])):
+        with pytest.raises(ValueError) as excinfo:
+            GameSpec(grid=grid, kernel=kernel, cross_impact=np.eye(1), n_agents=2, **{name: value})
+        assert excinfo.value.argument == name
 
 
 def test_build_matrices_rejects_increasing_kernel():
@@ -192,24 +217,33 @@ def test_scaled_requires_positive_factor():
         exponential_kernel().scaled(0.0)
 
 
-BUNDLE_FIELDS = ("kernel_matrix", "strict_lower", "fair_priority", "mv_self_cost")
+BUNDLE_FIELDS = ("kernel_matrix", "strict_lower")
+SYSTEM_FIELDS = ("fair_priority", "mv_self_cost")
+
+
+def formed_systems(bundle, grid, theta, gamma, var_rate):
+    """The fair-priority and self-cost matrices formed from a bundle."""
+    return {
+        "fair_priority": priority_cross(bundle, 0.5),
+        "mv_self_cost": self_cost(bundle, grid, theta, gamma, var_rate),
+    }
 
 
 def direct_bundle(grid, kernel, theta, gamma, var_rate):
-    """Every bundle matrix evaluated from scratch, without the build cache."""
+    """Every bundle matrix and formed system evaluated from scratch, without the build cache."""
     t = grid.points
     lag = t[:, None] - t[None, :]
     eye = np.eye(t.size)
     g0 = kernel.at_zero
     strict_lower = np.where(lag > 0.0, kernel(np.where(lag > 0.0, lag, 0.0)), 0.0)
     kernel_matrix = strict_lower + strict_lower.T + g0 * eye
-    self_cost = kernel_matrix + 2.0 * theta * eye
+    own_cost = kernel_matrix + 2.0 * theta * eye
     price_variance = var_rate * np.minimum.outer(t, t)
     return {
         "kernel_matrix": kernel_matrix,
         "strict_lower": strict_lower,
         "fair_priority": strict_lower + 0.5 * g0 * eye,
-        "mv_self_cost": self_cost + gamma * price_variance,
+        "mv_self_cost": own_cost + gamma * price_variance,
     }
 
 
@@ -219,22 +253,33 @@ def direct_bundle(grid, kernel, theta, gamma, var_rate):
 def test_build_matrices_is_bit_identical_after_a_warm_cache(kernel, rng):
     points = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, size=30))])
     grid = TimeGrid(points)
-    # warm the cache on the same grid and kernel shape with other parameters
-    build_matrices(grid, kernel.scaled(3.0), theta=2.0, gamma=1.0, var_rate=0.4)
+    # warm the cache on the same grid and kernel shape with another scale
+    formed_systems(build_matrices(grid, kernel.scaled(3.0)), grid, 2.0, 1.0, 0.4)
     params = dict(theta=0.3, gamma=0.2, var_rate=1.7)
-    bundle = build_matrices(grid, kernel.scaled(0.5), **params)
+    bundle = build_matrices(grid, kernel.scaled(0.5))
+    built = {name: getattr(bundle, name) for name in BUNDLE_FIELDS}
+    built.update(formed_systems(bundle, grid, **params))
     expected = direct_bundle(grid, kernel.scaled(0.5), **params)
-    for name in BUNDLE_FIELDS:
-        assert np.array_equal(getattr(bundle, name), expected[name]), name
+    for name in BUNDLE_FIELDS + SYSTEM_FIELDS:
+        assert np.array_equal(built[name], expected[name]), name
 
 
 def test_mutating_a_bundle_does_not_change_the_next_build():
     grid = make_equidistant_grid(8, 1.0)
     kernel = exponential_kernel(rate=0.8)
-    first = build_matrices(grid, kernel, theta=0.1, gamma=0.5, var_rate=1.0)
+    params = dict(theta=0.1, gamma=0.5, var_rate=1.0)
+    first = build_matrices(grid, kernel)
     reference = {name: getattr(first, name).copy() for name in BUNDLE_FIELDS}
+    reference.update(formed_systems(first, grid, **params))
     for name in BUNDLE_FIELDS:
         getattr(first, name)[...] = -1.0
-    second = build_matrices(grid, kernel, theta=0.1, gamma=0.5, var_rate=1.0)
+    second = build_matrices(grid, kernel)
+    for name in BUNDLE_FIELDS:
+        assert np.array_equal(getattr(second, name), reference[name]), name
+    # the formed systems do not share memory with the bundle they come from
+    systems = formed_systems(second, grid, **params)
+    for name in SYSTEM_FIELDS:
+        assert np.array_equal(systems[name], reference[name]), name
+        systems[name][...] = -1.0
     for name in BUNDLE_FIELDS:
         assert np.array_equal(getattr(second, name), reference[name]), name

@@ -18,8 +18,7 @@ from impact_games import (
     simulate_price,
     write_price_csv,
 )
-from impact_games import simulate
-from impact_games.simulate import _covariance_root, _drift_weights, _fine_grid
+from impact_games.simulate import _covariance_root, _drift, _drift_weights, _fine_grid
 
 KERNEL = exponential_kernel()
 
@@ -285,10 +284,16 @@ def test_eight_paths_of_one_game_evaluate_the_kernel_once():
     spec = sellers_spec(theta=0.3, n_steps=40, covariance=np.eye(1))
     eq = closed_form_equilibrium(spec)
     _drift_weights.cache_clear()
+    _drift.cache_clear()
     for seed in range(8):
         simulate_price(spec, eq.strategies, initial_prices=1.0, horizon=1.2, seed=seed)
+    # the weights are read only when the drift is formed, on the first path
     info = _drift_weights.cache_info()
-    assert (info.misses, info.hits) == (1, 7)
+    assert (info.misses, info.hits) == (1, 0)
+    # a new strategy profile on the same grid forms a new drift from the kept weights
+    simulate_price(spec, 0.5 * eq.strategies, initial_prices=1.0, horizon=1.2, seed=0)
+    info = _drift_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_eight_paths_of_one_game_take_one_covariance_root():
@@ -332,13 +337,14 @@ def test_a_covariance_that_is_not_semidefinite_raises_on_every_call():
 def test_paths_of_one_equilibrium_form_the_drift_once():
     spec = drift_game(power_law_kernel(exponent=0.5, offset=0.1), np.linspace(0.0, 1.0, 31))
     strategies = closed_form_equilibrium(spec).strategies
-    simulate._last_drift[0] = None
-    paths, kept = [], []
-    for seed in range(8):
-        paths.append(simulate_price(spec, strategies, initial_prices=1.0, horizon=1.2, seed=seed))
-        kept.append(simulate._last_drift[0])
+    _drift.cache_clear()
+    paths = [
+        simulate_price(spec, strategies, initial_prices=1.0, horizon=1.2, seed=seed)
+        for seed in range(8)
+    ]
     # the product is formed on the first path and reused by the other seven
-    assert all(entry is kept[0] for entry in kept)
+    info = _drift.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
     dense = dense_drift(spec, strategies, paths[0].times).tobytes()
     for k, path in enumerate(paths):
         assert path.drift.tobytes() == dense

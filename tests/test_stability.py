@@ -161,6 +161,31 @@ def probe_with(theta, prepared):
             "rel_tol",
             id="rel_tol=None",
         ),
+        pytest.param(
+            lambda: is_unstable_at(stability_game(n_steps=20), 0.1, rel_tol=float("nan")),
+            "rel_tol",
+            id="is_unstable_at-rel_tol=nan",
+        ),
+        pytest.param(
+            lambda: oscillation_flags(np.array([1.0, 2.0, 3.0]), -1.0),
+            "rel_tol",
+            id="oscillation_flags-rel_tol=-1",
+        ),
+        pytest.param(
+            lambda: predicted_theta_star(np.array([[np.nan]]), 1.0, 2),
+            "cross_impact",
+            id="prediction-nan-Q",
+        ),
+        pytest.param(
+            lambda: predicted_theta_star(np.array([[1.0, 0.9], [0.0, 1.0]]), 1.0, 2),
+            "cross_impact",
+            id="prediction-asymmetric-Q",
+        ),
+        pytest.param(
+            lambda: predicted_theta_star(np.eye(1), -1.0, 2),
+            "kernel_at_zero",
+            id="prediction-kernel_at_zero=-1",
+        ),
     ]
     + [
         pytest.param(
@@ -743,7 +768,7 @@ def test_profile_solution_without_a_normalization_raises(monkeypatch):
     with pytest.raises(NumericError, match="sums to 0.0"):
         system.solve(0.0, paths_of())
     infinite = np.array([np.inf, 1.0])
-    monkeypatch.setattr(_linalg, "guarded_solve", lambda a, b, cap: infinite)
+    monkeypatch.setattr(_linalg, "guarded_solve", lambda a, b: infinite)
     with pytest.raises(NumericError, match="sums to inf"):
         system.solve(0.0, paths_of())
 
