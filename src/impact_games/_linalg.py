@@ -6,8 +6,13 @@ LAPACK's 1-norm condition estimate exceeds ``MAX_CONDITION``.
 :class:`_PreparedSystem` is a matrix A prepared once and solved against the
 all-ones vector at many shifts s, ``(A + s I) x = 1``; the profile systems of
 :mod:`equilibrium` are such matrices, with the fee in s. A solve takes the
-first of four paths that returns a solution, and counts it by name:
+first of five paths that returns a solution, and counts it by name:
 
+- "banded": A is ``w L + L^T + c I`` for the strict lower part L of an
+  exponential kernel's matrix, held without a matrix (:class:`_BandedSystem`).
+  Since ``L = g0 B^-1 R``, the substitution ``x = B^T y`` makes the system
+  tridiagonal (``lapack.dgtsv``), or upper bidiagonal when w = 0
+  (``blas.dtbsv``): O(n).
 - "triangular": A is upper triangular, with entries below the diagonal that
   are exactly zero. One back substitution in O(n^2), with the shift written
   onto the diagonal in place and the diagonal restored after.
@@ -18,15 +23,17 @@ first of four paths that returns a solution, and counts it by name:
   1981), kept only when its condition estimate is within
   ``MAX_CONDITION / n**2``.
 - "dense": :func:`guarded_solve` on ``A + s I``, which has the final say on
-  conditioning.
+  conditioning; a banded system forms A for it.
 
-The first two paths need a floor, a lower bound mu on the smallest
+The first three paths need a floor, a lower bound mu on the smallest
 eigenvalue of the symmetric part of A, and run only when
 ``sqrt(n) (||A||_1 + s) / (mu + s)``, a bound on the 1-norm condition number
 (a symmetric part >= mu I gives ``||(A + s I)^-1||_2 <= 1 / (mu + s)``), is
-within ``MAX_CONDITION``. A solution of the first three paths is kept only
-when its normwise backward error against the dense matrix is at most
-``BACKWARD_TOL`` (:func:`_backward_stable`); otherwise the next path runs.
+within ``MAX_CONDITION``. A solution of the first four paths is kept only
+when its normwise backward error against A is at most ``BACKWARD_TOL``
+(:func:`_backward_stable`); otherwise the next path runs. The norms of A
+are taken only for a system with a floor: in O(n) for a banded or a
+Toeplitz system.
 """
 
 from __future__ import annotations
@@ -37,12 +44,13 @@ import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy
 from scipy.linalg import (
     LinAlgWarning,
+    blas,
     hessenberg,
     lapack,
     lu_factor,
@@ -57,7 +65,7 @@ _OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openbl
 
 # cap on the 1-norm condition number of a system any solve path accepts
 MAX_CONDITION = 1e12
-# largest normwise backward error accepted from a triangular, Levinson or shifted solve
+# largest normwise backward error accepted from a banded, triangular, Levinson or shifted solve
 BACKWARD_TOL = 1e-12
 
 # blocks of single_blas_thread open in any thread, and the thread counts the
@@ -258,26 +266,49 @@ class _ShiftedSolver:
         return x
 
 
+def _toeplitz_norms(matrix: np.ndarray) -> Tuple[float, float]:
+    """(1-norm, infinity norm) of a Toeplitz matrix, in O(n) from its first column and row.
+
+    Row i holds the first column's entries 0..i and the first row's 1..n-1-i;
+    column j the first row's 0..j and the first column's 1..n-1-j.
+    """
+    column, row = np.abs(matrix[:, 0]), np.abs(matrix[0])
+    down, right = np.cumsum(column), np.cumsum(row)
+    row_sums = down + (right[::-1] - row[0])
+    column_sums = right + (down[::-1] - column[0])
+    return float(column_sums.max()), float(row_sums.max())
+
+
 class _PreparedSystem:
     """A matrix A solved against the all-ones vector at many shifts; see the module docstring.
 
     ``floor`` is a lower bound on the smallest eigenvalue of the symmetric
     part of A, or None; a matrix with a floor is upper triangular or
-    Toeplitz. ``triangular`` is True when it is upper triangular, its
-    entries below the diagonal exactly zero; a solve then writes the shift
-    onto the diagonal of ``matrix`` in place and restores it after, so a
-    system must not be solved from two threads at once. ``shifted`` is the
-    Hessenberg reduction :meth:`reduce` made, or None.
+    Toeplitz, and ``toeplitz`` says it is Toeplitz (its norms then come from
+    its first column and row). ``triangular`` is True when it is upper
+    triangular, its entries below the diagonal exactly zero; a solve then
+    writes the shift onto the diagonal of ``matrix`` in place and restores it
+    after, so a system must not be solved from two threads at once.
+    ``shifted`` is the Hessenberg reduction :meth:`reduce` made, or None.
     """
 
-    def __init__(self, matrix: np.ndarray, floor: Optional[float]):
+    def __init__(self, matrix: np.ndarray, floor: Optional[float], toeplitz: bool = False):
         self.matrix = matrix
+        self.n = len(matrix)
         self.floor = floor
         self.shifted: Optional[_ShiftedSolver] = None
-        self.norm_1 = float(np.linalg.norm(matrix, 1))
-        self.norm_inf = float(np.linalg.norm(matrix, np.inf))
         self.triangular = floor is not None and not np.tril(matrix, -1).any()
+        if floor is not None:  # read by the condition bound and the backward-error tests
+            if toeplitz:
+                self.norm_1, self.norm_inf = _toeplitz_norms(matrix)
+            else:
+                self.norm_1 = float(np.linalg.norm(matrix, 1))
+                self.norm_inf = float(np.linalg.norm(matrix, np.inf))
         self._diagonal = matrix.diagonal().copy()
+
+    def dense(self) -> np.ndarray:
+        """The matrix A, for the dense solve."""
+        return self.matrix
 
     def reduce(self) -> None:
         """Reduce a matrix without a floor to Hessenberg form, once, for shifted solves."""
@@ -289,18 +320,15 @@ class _PreparedSystem:
 
         NumericError when the solution sums to zero or to a non-finite value.
         """
-        ones = np.ones(len(self.matrix))
+        ones = np.ones(self.n)
         x = None
         if self._bounded(shift):
-            if self.triangular:
-                x, path = self._back_substitution(shift, ones), "triangular"
-            else:
-                x, path = self._levinson(shift, ones), "levinson"
+            x, path = self._structured(shift, ones)
         if x is None and self.shifted is not None:
             x, path = self.shifted.solve(shift, ones), "shifted"
         if x is None:
             path = "dense"
-            x = guarded_solve(self.matrix + shift * np.eye(len(ones)), ones)
+            x = guarded_solve(self.dense() + shift * np.eye(self.n), ones)
         paths[path] += 1
         total = ones @ x
         if not (np.isfinite(total) and total != 0.0):
@@ -313,8 +341,14 @@ class _PreparedSystem:
         """Whether the floor bounds the condition number within ``MAX_CONDITION``."""
         if self.floor is None or not self.floor + shift > 0.0:
             return False
-        bound = np.sqrt(len(self.matrix)) * (self.norm_1 + shift) / (self.floor + shift)
+        bound = np.sqrt(self.n) * (self.norm_1 + shift) / (self.floor + shift)
         return bool(bound <= MAX_CONDITION)
+
+    def _structured(self, shift: float, ones: np.ndarray):
+        """(solution or None, path name) of the path the floor admits."""
+        if self.triangular:
+            return self._back_substitution(shift, ones), "triangular"
+        return self._levinson(shift, ones), "levinson"
 
     def _levinson(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
         """Levinson solution from the first column and row, or None when it is rejected."""
@@ -344,4 +378,123 @@ class _PreparedSystem:
             return None
         finally:
             self.matrix.flat[diagonal] = self._diagonal
+        return x if _backward_stable(residual, x, ones, self.norm_inf, shift) else None
+
+
+class _ExponentialLower:
+    """The strict lower part L of an exponential kernel's matrix, held in O(n).
+
+    ``decay[i - 1]`` is ``rho_i = exp(-rate (t_i - t_(i-1)))`` and ``g0`` the
+    kernel's value at lag zero. With B lower bidiagonal (ones on the
+    diagonal, ``-rho_i`` below it) and R holding ``rho_i`` below the
+    diagonal, ``L = g0 B^-1 R``: ``L x`` is the recurrence
+    ``p_i = rho_i (p_(i-1) + g0 x_(i-1))`` and ``L^T x`` the reverse one, each
+    one ``dtbsv`` on B. ``row_sums`` and ``column_sums`` are ``L 1`` and
+    ``L^T 1``.
+    """
+
+    def __init__(self, decay: np.ndarray, g0: float):
+        self.decay = decay
+        self.g0 = g0
+        n = len(decay) + 1
+        self._band = np.ones((2, n))  # B in lower band storage; its unit diagonal is implied
+        self._band[1, :-1] = -decay
+        ones = np.ones(n)
+        self.row_sums = self.dot(ones)
+        self.column_sums = self.dot_transposed(ones)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """``L @ x``."""
+        lagged = np.zeros(len(x))
+        np.multiply(self.decay, x[:-1], out=lagged[1:])
+        lagged *= self.g0
+        return blas.dtbsv(1, self._band, lagged, lower=1, diag=1, overwrite_x=1)
+
+    def dot_transposed(self, x: np.ndarray) -> np.ndarray:
+        """``L.T @ x``."""
+        lagged = np.zeros(len(x))
+        np.multiply(self.decay, x[1:], out=lagged[:-1])
+        lagged *= self.g0
+        return blas.dtbsv(1, self._band, lagged, lower=1, trans=1, diag=1, overwrite_x=1)
+
+
+class _BandedSystem(_PreparedSystem):
+    """The system ``A = weight L + L^T + offset I`` of an exponential kernel, with no matrix.
+
+    ``lower`` is L (:class:`_ExponentialLower`); every entry of A is
+    positive, so its norms are its largest column and row sums, from
+    ``lower``'s. ``form`` returns A as a dense matrix; it is called only by
+    the dense solve, when a banded solve is rejected. A banded solve at shift
+    s, with ``c = offset + s``, substitutes ``x = B^T y``:
+
+    - ``weight = 0``: ``(g0 R^T + c B^T) y = 1`` is upper bidiagonal, with
+      diagonal c and superdiagonal ``(g0 - c) rho_(i+1)`` (``blas.dtbsv``).
+    - ``weight > 0``: ``B A B^T y = B 1`` is tridiagonal, with subdiagonal
+      ``(weight g0 - c) rho_i``, diagonal
+      ``c (1 + rho_i^2) - (weight + 1) g0 rho_i^2`` and superdiagonal
+      ``(g0 - c) rho_i`` (``lapack.dgtsv``), for ``rho_0 = 0``.
+
+    Its residual is taken against A through ``lower``'s recurrences.
+    """
+
+    def __init__(
+        self,
+        lower: _ExponentialLower,
+        weight: float,
+        offset: float,
+        floor: float,
+        form: Callable[[], np.ndarray],
+    ):
+        self.lower = lower
+        self.weight = weight
+        self.offset = offset
+        self.floor = floor
+        self.form = form
+        self.n = len(lower.row_sums)
+        self.shifted = None
+        self.norm_1 = float(np.max(weight * lower.column_sums + lower.row_sums)) + offset
+        self.norm_inf = float(np.max(weight * lower.row_sums + lower.column_sums)) + offset
+
+    def dense(self) -> np.ndarray:
+        return self.form()
+
+    def _structured(self, shift: float, ones: np.ndarray):
+        return self._banded(shift, ones), "banded"
+
+    def _banded(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
+        """Solution of the banded form, or None when it is rejected."""
+        lower, rho, c = self.lower, self.lower.decay, self.offset + shift
+        g0, n = lower.g0, self.n
+        if self.weight == 0.0:
+            band = np.empty((2, n))  # upper band storage
+            np.multiply(g0 - c, rho, out=band[0, 1:])
+            band[1] = c
+            y = blas.dtbsv(1, band, ones)
+        else:
+            squares = rho * rho
+            diagonal = np.empty(n)
+            diagonal[0] = c
+            np.multiply(c - (self.weight + 1.0) * g0, squares, out=diagonal[1:])
+            diagonal[1:] += c
+            rhs = np.empty((n, 1))
+            rhs[0] = 1.0
+            np.subtract(1.0, rho, out=rhs[1:, 0])
+            *_, y, info = lapack.dgtsv(
+                (self.weight * g0 - c) * rho,
+                diagonal,
+                (g0 - c) * rho,
+                rhs,
+                overwrite_dl=1,
+                overwrite_d=1,
+                overwrite_du=1,
+                overwrite_b=1,
+            )
+            if info != 0:
+                return None
+            y = y[:, 0]
+        x = y.copy()
+        x[:-1] -= rho * y[1:]
+        residual = lower.dot_transposed(x) + c * x - ones
+        if self.weight != 0.0:
+            residual += self.weight * lower.dot(x)
         return x if _backward_stable(residual, x, ones, self.norm_inf, shift) else None

@@ -7,7 +7,9 @@ two normalized profiles per principal asset: one carried by the average
 inventory, one by the deviation from it.
 
 The two profile systems of a principal asset are formed here alone
-(:func:`profile_systems`), from its kernel bundle (:func:`kernels.build_matrices`).
+(:func:`profile_systems`), from its kernel bundle (:func:`kernels.build_matrices`),
+or, for an exponential kernel without a variance term, held in banded form
+with no matrix (see below).
 
 :func:`principal_groups` makes that split for every consumer: the closed form
 here, the critical-fee probes of :mod:`stability`, and the heterogeneous
@@ -30,8 +32,23 @@ Without a variance term, B's systems are ``J L + L^T + (J + 1) G(0) / 2 I``
 (mean) and ``L^T + G(0) / 2 I`` (deviation), for the strict lower triangle L
 of the kernel matrix K and the lag-zero value G(0). The deviation system is
 upper triangular on any grid, the mean system Toeplitz on an equidistant one.
-Their symmetric parts are ``K / 2`` and ``(J + 1) / 2 K``, so a floor under
-the smallest eigenvalue of K gives both floors. For an exponential kernel
+For an exponential kernel ``G(t) = g0 exp(-r t)``, L factors on any grid as
+``L = g0 B^-1 R``, with B lower bidiagonal (ones on the diagonal,
+``-rho_i`` below it), R holding ``rho_i`` below the diagonal, and
+``rho_i = exp(-r (t_i - t_(i-1)))``. At shift s the substitution
+``x = B^T y`` makes both systems banded, with ``rho_0 = 0``:
+
+- mean, ``c = (J + 1) g0 / 2 + s``: ``B A B^T y = B 1``, tridiagonal, with
+  subdiagonal ``(J g0 - c) rho_i``, diagonal
+  ``c (1 + rho_i^2) - (J + 1) g0 rho_i^2``, superdiagonal ``(g0 - c) rho_i``
+  and right-hand side ``(1, 1 - rho_1, ..., 1 - rho_N)``;
+- deviation, ``c = g0 / 2 + s``: ``(g0 R^T + c B^T) y = 1``, upper
+  bidiagonal, with diagonal c and superdiagonal ``(g0 - c) rho_(i+1)``.
+
+Such a class is solved in O(N) on the "banded" path of :mod:`_linalg`, and
+no kernel matrix is built for it. The symmetric parts of the two systems
+are ``K / 2`` and ``(J + 1) / 2 K`` on any grid, so a floor under the
+smallest eigenvalue of K gives both floors. For an exponential kernel
 with rate r, K is the covariance of an Ornstein-Uhlenbeck process at the
 grid times, so its inverse is tridiagonal, and Gershgorin's theorem on the
 inverse gives ``lambda_min(K) >= G(0) tanh(r h / 2)`` for the smallest step
@@ -62,6 +79,8 @@ import numpy as np
 
 from ._linalg import (
     ArgumentError,
+    _BandedSystem,
+    _ExponentialLower,
     _PreparedSystem,
     _boolean_mask,
     _finite,
@@ -488,8 +507,8 @@ class ProfileSystems:
     ``groups[k]``, has the eigenvalue ``eigenvalues[k]`` and the variance
     term ``variance_terms[k]`` (risk aversion times variance rate), and is
     solved at fee theta with the shift ``2 theta / eigenvalues[k]``.
-    ``paths`` counts the profile solves by path ("levinson", "triangular",
-    "dense", "shifted"), and the re-bisections of
+    ``paths`` counts the profile solves by path ("banded", "levinson",
+    "triangular", "dense", "shifted"), and the re-bisections of
     :func:`stability.critical_theta` on all groups ("all_groups") and on the
     reference path ("rebisect").
     """
@@ -555,23 +574,33 @@ def _unit_floor(kernel: DecayKernel, min_step: float) -> float:
     return float(np.tanh(1.0) * (below + gammaincc(a, c * cut)))
 
 
+def _dense_system(spec: GameSpec, var_rate: float, index: int) -> np.ndarray:
+    """Zero-fee unit-eigenvalue profile system ``index`` (0 mean, 1 deviation), from a fresh bundle."""
+    unit = build_matrices(spec.grid, spec.effective_kernel)
+    return profile_systems(spec, unit, 0.0, var_rate)[index]
+
+
 def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     """Build the zero-fee unit-eigenvalue profile systems of every scale-law class once.
 
     Runs the split and its checks of :func:`principal_fundamentals`; the fee
-    stored in ``spec`` is ignored. Every class's systems are formed from one
-    bundle of the effective kernel at unit eigenvalue, at its first group's
-    ratio of variance rate to eigenvalue. Without a variance term, the
-    deviation system gets a floor on any grid and the mean system on an
-    equidistant grid (see the module docstring); both come from one floor
-    under the smallest eigenvalue of that bundle's kernel matrix K
-    (:func:`_unit_floor`), lowered by ``n eps ||K||_1`` to cover rounding. A
-    variance term ``gamma v Gamma``, with ``Gamma = min(t_i, t_j)``, counts
-    as absent when its 1-norm is within that rounding allowance, as when v
-    is rounding noise of the split: the term is positive semi-definite, so
-    the floor still holds, and its first row and column are zero, so the
-    Levinson generators are K's. A class without a floor of at least
-    ``_REDUCE_MIN_GROUPS`` groups is reduced (:meth:`_PreparedSystem.reduce`).
+    stored in ``spec`` is ignored. Without a variance term, both systems of
+    a class get a floor (see the module docstring): with an exponential
+    kernel they are banded systems on any grid, held without a matrix
+    (:class:`_linalg._BandedSystem`, whose dense solve forms the system by
+    :func:`_dense_system`); otherwise the deviation system gets its floor on
+    any grid and the mean system on an equidistant one. Both floors come from
+    one floor under the smallest eigenvalue of the unit kernel matrix K
+    (:func:`_unit_floor`), lowered by ``n eps ||K||_1`` to cover rounding.
+    The other systems are formed from one bundle of the effective kernel at
+    unit eigenvalue, at the first group's ratio of variance rate to
+    eigenvalue. A variance term ``gamma v Gamma``, with
+    ``Gamma = min(t_i, t_j)``, counts as absent when its 1-norm is within
+    that rounding allowance, as when v is rounding noise of the split: the
+    term is positive semi-definite, so the floor still holds, and its first
+    row and column are zero, so the Levinson generators are K's. A class
+    without a floor of at least ``_REDUCE_MIN_GROUPS`` groups is reduced
+    (:meth:`_PreparedSystem.reduce`).
     """
     spectrum, var_rates, groups = _principal_split(spec)
     firsts = [members[0] for members in groups]
@@ -581,21 +610,44 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     uniform, min_step = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon, float(steps.min())
     n, n_agents = spec.grid.n_points, spec.n_agents
     earlier_norm = float(np.sum(spec.grid.points))  # ||min(t_i, t_j)||_1, the last column
-    unit = build_matrices(spec.grid, spec.effective_kernel)
-    rounding = n * np.finfo(float).eps * np.linalg.norm(unit.kernel_matrix, 1)
+    g0 = spec.effective_kernel.at_zero
+    unit = lower = None
+    if spec.kernel.family == "exponential":
+        lower = _ExponentialLower(np.exp(-spec.kernel.rate * steps), g0)
+        kernel_norm = float(np.max(lower.row_sums + lower.column_sums)) + g0
+    else:
+        unit = build_matrices(spec.grid, spec.effective_kernel)
+        kernel_norm = np.linalg.norm(unit.kernel_matrix, 1)
+    rounding = n * np.finfo(float).eps * kernel_norm
     pairs = [None] * len(groups)
     for members in _scale_law_classes(eigenvalues, variance_terms):
         first = members[0]
         var_rate = float(var_rates[first] / eigenvalues[first])
-        mean, deviation = profile_systems(spec, unit, 0.0, var_rate)
+        floor = None
         if spec.gamma * var_rate * earlier_norm <= rounding:
-            floor = unit.kernel_at_zero * _unit_floor(spec.kernel, min_step) - rounding
+            floor = g0 * _unit_floor(spec.kernel, min_step) - rounding
+        if floor is not None and lower is not None:
             pair = (
-                _PreparedSystem(mean, 0.5 * (n_agents + 1) * floor if uniform else None),
-                _PreparedSystem(deviation, 0.5 * floor),
+                _BandedSystem(
+                    lower, n_agents, 0.5 * (n_agents + 1) * g0, 0.5 * (n_agents + 1) * floor,
+                    functools.partial(_dense_system, spec, var_rate, 0),
+                ),
+                _BandedSystem(
+                    lower, 0.0, 0.5 * g0, 0.5 * floor,
+                    functools.partial(_dense_system, spec, var_rate, 1),
+                ),
             )
         else:
-            pair = (_PreparedSystem(mean, None), _PreparedSystem(deviation, None))
+            if unit is None:
+                unit = build_matrices(spec.grid, spec.effective_kernel)
+            mean, deviation = profile_systems(spec, unit, 0.0, var_rate)
+            pair = (
+                _PreparedSystem(
+                    mean, 0.5 * (n_agents + 1) * floor if uniform and floor is not None else None,
+                    uniform,
+                ),
+                _PreparedSystem(deviation, None if floor is None else 0.5 * floor, uniform),
+            )
         if len(members) >= _REDUCE_MIN_GROUPS:
             for system in pair:
                 system.reduce()
@@ -606,7 +658,7 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
         groups=groups,
         pairs=tuple(pairs),
         paths=dict.fromkeys(
-            ("levinson", "triangular", "dense", "shifted", "all_groups", "rebisect"), 0
+            ("banded", "levinson", "triangular", "dense", "shifted", "all_groups", "rebisect"), 0
         ),
         eigenvalues=eigenvalues,
         variance_terms=variance_terms,

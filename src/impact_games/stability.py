@@ -283,14 +283,15 @@ class StabilityReport:
     path (:func:`principal_fundamentals`). Predictions carry the theorem
     value and the many-agent extrapolation for this game. ``solve_paths``
     counts the profile solves by path, the final check and any re-bisection
-    on the reference path included: "levinson" (a Toeplitz mean system),
-    "triangular" (an upper triangular deviation system), "shifted" (on the
-    reduced systems of a bisected or a large scale-law class) and "dense"
-    (the reference and every other solve; see :mod:`_linalg`);
-    "all_groups" is 1 when a group left out of the bisection
-    was unstable at the final upper bracket end and the bisection ran again
-    on all groups, and "rebisect" is 1 when the final reference check failed
-    and the bisection ran again on the reference path.
+    on the reference path included: "banded" (an exponential kernel's
+    system without a variance term, on any grid), "levinson" (a Toeplitz
+    mean system), "triangular" (an upper triangular deviation system),
+    "shifted" (on the reduced systems of a bisected or a large scale-law
+    class) and "dense" (the reference and every other solve; see
+    :mod:`_linalg`); "all_groups" is 1 when a group left out of the
+    bisection was unstable at the final upper bracket end and the bisection
+    ran again on all groups, and "rebisect" is 1 when the final reference
+    check failed and the bisection ran again on the reference path.
     """
 
     estimate: float

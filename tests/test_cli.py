@@ -558,14 +558,15 @@ def test_shipped_configs_run(path, tmp_path):
         assert all(row["error"] is None for row in results["rows"])
 
 
-def test_theta_critical_base_probes_by_levinson(tmp_path):
+def test_theta_critical_base_probes_by_the_banded_path(tmp_path):
     path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "theta_critical_base.json"
     results = run_experiment(json.loads(path.read_text()), tmp_path)["results"]
-    # one principal asset: a Levinson and a triangular solve per probe and
-    # for the final check, whose two dense solves are the only ones
+    # one principal asset with an exponential kernel: two banded solves per
+    # probe and for the final check, whose two dense solves are the only ones
     assert results["solve_paths"] == {
-        "levinson": results["n_probes"] + 1,
-        "triangular": results["n_probes"] + 1,
+        "banded": 2 * (results["n_probes"] + 1),
+        "levinson": 0,
+        "triangular": 0,
         "dense": 2,
         "shifted": 0,
         "all_groups": 0,

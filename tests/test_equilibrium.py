@@ -534,13 +534,14 @@ def test_shifted_condition_cap_is_the_dense_cap_over_n_squared():
 def scale_law_game(kind, n_assets=12):
     """Rank-one game whose principal assets are distinct groups, at least eight in one class.
 
-    ``"risk_neutral"`` has gamma = 0, ``"equal_to_Q"`` a covariance equal to
-    Q, and ``"two_classes"`` a covariance with variance rate lambda_k on the
-    nine largest eigenvalues and 3 lambda_k on the other three.
+    ``"risk_neutral"`` has gamma = 0 (and ``"risk_neutral_power_law"`` a
+    power-law kernel), ``"equal_to_Q"`` a covariance equal to Q, and
+    ``"two_classes"`` a covariance with variance rate lambda_k on the nine
+    largest eigenvalues and 3 lambda_k on the other three.
     """
     cross = rank_one_matrix(np.linspace(0.1, 0.9, n_assets))
     gamma, covariance = 1.5, cross
-    if kind == "risk_neutral":
+    if kind.startswith("risk_neutral"):
         gamma, covariance = 0.0, None
     elif kind == "two_classes":
         lam, vec = np.linalg.eigh(cross)
@@ -548,7 +549,7 @@ def scale_law_game(kind, n_assets=12):
         covariance = (vec * rates) @ vec.T
     spec = GameSpec(
         grid=make_equidistant_grid(60, 1.0),
-        kernel=KERNEL,
+        kernel=power_law_kernel(0.5, 0.1) if kind.endswith("power_law") else KERNEL,
         cross_impact=cross,
         inventories=np.random.default_rng(9).normal(size=(n_assets, 4)),
         theta=0.05,
@@ -560,17 +561,21 @@ def scale_law_game(kind, n_assets=12):
 
 
 @pytest.mark.parametrize(
-    "kind, dense_groups", [("risk_neutral", 0), ("equal_to_Q", 0), ("two_classes", 3)]
+    "kind, dense_groups",
+    [("risk_neutral", 0), ("risk_neutral_power_law", 0), ("equal_to_Q", 0), ("two_classes", 3)],
 )
 def test_large_scale_law_class_matches_per_asset_solves(kind, dense_groups):
     spec = scale_law_game(kind)
     systems = equilibrium_module.prepare_profile_systems(spec)
     pairs = systems.profiles(spec.theta)
-    # with a floor, the Levinson and triangular paths serve every class;
-    # without one, a class of at least _REDUCE_MIN_GROUPS groups is reduced
-    # and the groups of a smaller one are solved densely
+    # with a floor, the banded path serves every class of an exponential
+    # kernel, and the Levinson and triangular paths every class of a power
+    # law; without one, a class of at least _REDUCE_MIN_GROUPS groups is
+    # reduced and the groups of a smaller one are solved densely
     expected = dict.fromkeys(systems.paths, 0)
     if kind == "risk_neutral":
+        expected.update(banded=2 * spec.n_assets)
+    elif kind == "risk_neutral_power_law":
         expected.update(levinson=spec.n_assets, triangular=spec.n_assets)
     else:
         expected.update(shifted=2 * (spec.n_assets - dense_groups), dense=2 * dense_groups)
@@ -613,8 +618,8 @@ def closed_form_game(kind):
     if kind == "risk_averse_class":
         return scale_law_game("equal_to_Q")
     points = make_equidistant_grid(60, 1.0).points
-    kernel = power_law_kernel(0.5, 0.1) if kind == "toeplitz_power_law" else KERNEL
-    if kind == "uneven":
+    kernel = power_law_kernel(0.5, 0.1) if kind.endswith("power_law") else KERNEL
+    if kind.startswith("uneven"):
         points = np.sort(np.r_[0.0, np.random.default_rng(3).uniform(0.0, 1.0, 60)])
     return GameSpec(
         grid=TimeGrid(points),
@@ -642,12 +647,14 @@ def relative_gap(pairs, reference):
     "kind, paths",
     [
         # two distinct eigenvalues of a one-factor Q, one scale-law class
-        ("toeplitz_exponential", {"levinson": 2, "triangular": 2}),
+        ("toeplitz_exponential", {"banded": 4}),
         ("toeplitz_power_law", {"levinson": 2, "triangular": 2}),
         # twelve groups of one class with a variance term, reduced when prepared
         ("risk_averse_class", {"shifted": 24}),
+        # the banded forms hold on any grid
+        ("uneven", {"banded": 4}),
         # the mean system is Toeplitz only on an equidistant grid
-        ("uneven", {"triangular": 2, "dense": 2}),
+        ("uneven_power_law", {"triangular": 2, "dense": 2}),
     ],
 )
 def test_closed_form_matches_the_dense_reference(kind, paths):
@@ -668,7 +675,7 @@ def test_closed_form_matches_the_dense_reference(kind, paths):
 
 
 def test_closed_form_falls_back_to_the_dense_solve_on_a_failed_levinson_residual(monkeypatch):
-    spec = closed_form_game("toeplitz_exponential")
+    spec = closed_form_game("toeplitz_power_law")
     dense_solves = []
 
     def recording(matrix, rhs, *args):

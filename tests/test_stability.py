@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impact_games import (
     BracketError,
@@ -28,6 +30,7 @@ from impact_games import _linalg
 from impact_games import equilibrium as equilibrium_module
 from impact_games import stability as stability_module
 from impact_games.stability import (
+    _CROSS_CHECK_TOL,
     SweepBase,
     _bisect_threshold,
     _top_groups,
@@ -35,6 +38,8 @@ from impact_games.stability import (
 )
 
 KERNEL = exponential_kernel()
+# a kernel whose profile systems take the Levinson and triangular paths
+POWER_LAW = power_law_kernel(0.5, 0.1)
 
 
 def stability_game(n_assets=1, coupling=0.9, n_agents=2, n_steps=50, gamma=0.0, beta=0.0,
@@ -359,7 +364,10 @@ def prepared_against_dense(spec, theta):
 
 
 def count_solves(monkeypatch):
-    """Count the Levinson, triangular and dense solves of the prepared systems."""
+    """Count the Levinson, triangular and dense solves of the prepared systems.
+
+    A banded solve makes none of these calls.
+    """
     calls = {"toeplitz": 0, "triangular": 0, "guarded": 0}
     toeplitz = _linalg.solve_toeplitz
     triangular = _linalg.solve_triangular
@@ -382,9 +390,10 @@ def count_solves(monkeypatch):
     return calls
 
 
-def paths_of(levinson=0, triangular=0, dense=0, shifted=0, all_groups=0, rebisect=0):
+def paths_of(banded=0, levinson=0, triangular=0, dense=0, shifted=0, all_groups=0, rebisect=0):
     """A ``solve_paths`` dict with these counts."""
     return {
+        "banded": banded,
         "levinson": levinson,
         "triangular": triangular,
         "dense": dense,
@@ -394,45 +403,68 @@ def paths_of(levinson=0, triangular=0, dense=0, shifted=0, all_groups=0, rebisec
     }
 
 
-@pytest.mark.parametrize("kernel", [KERNEL, power_law_kernel(0.5, 0.1)], ids=["exp", "power"])
+@pytest.mark.parametrize("kernel", [KERNEL, POWER_LAW], ids=["exp", "power"])
 @pytest.mark.parametrize("n_agents", [2, 10])
 @pytest.mark.parametrize("fraction", [0.0, 0.5, 2.0])
 def test_levinson_profiles_match_the_dense_path(kernel, n_agents, fraction, monkeypatch):
+    """Prepared profiles match the dense ones: Levinson for the power law, banded for "exp"."""
     spec = stability_game(n_assets=3, coupling=0.5, n_agents=n_agents, n_steps=60, kernel=kernel)
     theta = fraction * predicted_theta_star(spec.cross_impact, kernel.at_zero, n_agents)
     calls = count_solves(monkeypatch)
     worst, paths = prepared_against_dense(spec, theta)
     assert worst <= 1e-11
-    # two distinct eigenvalues: each mean system solved by Levinson, each
-    # upper triangular deviation system by back substitution
-    assert paths == paths_of(levinson=2, triangular=2)
-    assert calls == {"toeplitz": 2, "triangular": 2, "guarded": 0}
+    if kernel is KERNEL:
+        # two distinct eigenvalues: both systems of each solved on the banded path
+        assert paths == paths_of(banded=4)
+        assert calls == {"toeplitz": 0, "triangular": 0, "guarded": 0}
+    else:
+        # each mean system solved by Levinson, each upper triangular deviation
+        # system by back substitution
+        assert paths == paths_of(levinson=2, triangular=2)
+        assert calls == {"toeplitz": 2, "triangular": 2, "guarded": 0}
 
 
-def test_risk_aversion_and_uneven_grids_take_the_dense_path(monkeypatch):
-    calls = count_solves(monkeypatch)
-    risk_averse = stability_game(n_assets=2, coupling=0.5, n_agents=3, gamma=5.0)
-    uneven = GameSpec(
+def uneven_game(kernel):
+    return GameSpec(
         grid=TimeGrid(np.sort(np.r_[0.0, np.random.default_rng(3).uniform(0.0, 1.0, 40)])),
-        kernel=KERNEL,
+        kernel=kernel,
         cross_impact=one_factor_matrix(2, 0.5),
         n_agents=3,
     )
+
+
+def test_risk_aversion_takes_the_dense_path(monkeypatch):
+    calls = count_solves(monkeypatch)
+    risk_averse = stability_game(n_assets=2, coupling=0.5, n_agents=3, gamma=5.0)
     worst, paths = prepared_against_dense(risk_averse, 0.3)
     assert worst <= 1e-12
     assert paths == paths_of(dense=4)
+    assert calls == {"toeplitz": 0, "triangular": 0, "guarded": 4}
+
+
+def test_uneven_exponential_grid_takes_the_banded_path(monkeypatch):
+    calls = count_solves(monkeypatch)
+    # the banded forms hold on any grid
+    worst, paths = prepared_against_dense(uneven_game(KERNEL), 0.3)
+    assert worst <= 1e-12
+    assert paths == paths_of(banded=4)
+    assert calls == {"toeplitz": 0, "triangular": 0, "guarded": 0}
+
+
+def test_uneven_power_law_grid_takes_the_dense_mean_and_triangular_deviation_path(monkeypatch):
+    calls = count_solves(monkeypatch)
     # without a variance term the deviation system is triangular on any grid;
     # only Levinson needs an equidistant one
-    worst, paths = prepared_against_dense(uneven, 0.3)
+    worst, paths = prepared_against_dense(uneven_game(POWER_LAW), 0.3)
     assert worst <= 1e-12
     assert paths == paths_of(dense=2, triangular=2)
-    assert calls == {"toeplitz": 0, "triangular": 2, "guarded": 6}
+    assert calls == {"toeplitz": 0, "triangular": 2, "guarded": 2}
 
 
 def test_failed_levinson_residual_falls_back_to_the_dense_solve(monkeypatch):
     calls = count_solves(monkeypatch)
     monkeypatch.setattr(_linalg, "solve_toeplitz", lambda cr, b, **kw: 2.0 * b)
-    worst, paths = prepared_against_dense(stability_game(n_agents=3), 0.1)
+    worst, paths = prepared_against_dense(stability_game(n_agents=3, kernel=POWER_LAW), 0.1)
     assert worst <= 1e-12
     # the mean system falls back; the deviation system is triangular
     assert paths == paths_of(triangular=1, dense=1)
@@ -442,7 +474,7 @@ def test_failed_levinson_residual_falls_back_to_the_dense_solve(monkeypatch):
 def test_failed_triangular_residual_falls_back_to_the_dense_solve(monkeypatch):
     calls = count_solves(monkeypatch)
     monkeypatch.setattr(_linalg, "solve_triangular", lambda a, b, **kw: 2.0 * b)
-    spec = stability_game(n_agents=3)
+    spec = stability_game(n_agents=3, kernel=POWER_LAW)
     systems = prepare_profile_systems(spec)
     deviation = systems.pairs[0][1]
     zero_fee = deviation.matrix.copy()
@@ -461,7 +493,7 @@ def test_failed_triangular_residual_falls_back_to_the_dense_solve(monkeypatch):
 
 
 def test_deviation_system_without_a_variance_term_is_solved_by_back_substitution():
-    spec = stability_game(n_assets=3, coupling=0.5, n_agents=3, n_steps=40)
+    spec = stability_game(n_assets=3, coupling=0.5, n_agents=3, n_steps=40, kernel=POWER_LAW)
     systems = prepare_profile_systems(spec)
     for mean, deviation in systems.pairs:
         assert not mean.triangular and deviation.triangular
@@ -475,6 +507,83 @@ def test_deviation_system_without_a_variance_term_is_solved_by_back_substitution
     # a variance term fills the lower triangle
     risk_averse = prepare_profile_systems(stability_game(n_agents=3, n_steps=40, gamma=5.0))
     assert not any(system.triangular for pair in risk_averse.pairs for system in pair)
+
+
+@settings(max_examples=40, derandomize=True)
+@given(
+    n_steps=st.integers(min_value=1, max_value=200),
+    jittered=st.booleans(),
+    rate=st.floats(min_value=0.1, max_value=20.0),
+    n_agents=st.integers(min_value=1, max_value=10),
+    shift=st.floats(min_value=0.0, max_value=5.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_banded_path_matches_the_dense_reference(n_steps, jittered, rate, n_agents, shift, seed):
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.5, 1.5, n_steps) if jittered else np.ones(n_steps)
+    spec = GameSpec(
+        grid=TimeGrid(np.r_[0.0, np.cumsum(steps) / steps.sum()]),
+        kernel=exponential_kernel(rate),
+        cross_impact=np.eye(1),
+        n_agents=n_agents,
+    )
+    systems = prepare_profile_systems(spec)
+    mean, deviation = systems.pairs[0]
+    _, (reference,) = principal_fundamentals(dataclasses.replace(spec, theta=0.5 * shift))
+    for system, dense in ((mean, reference.mean_profile), (deviation, reference.deviation_profile)):
+        profile = system.solve(shift, systems.paths)
+        assert np.abs(profile - dense).max() <= _CROSS_CHECK_TOL * np.abs(dense).max()
+        matrix = system.dense()
+        eps_n = spec.grid.n_points * np.finfo(float).eps
+        for norm, order in ((system.norm_1, 1), (system.norm_inf, np.inf)):
+            exact = np.linalg.norm(matrix, order)
+            assert abs(norm - exact) <= eps_n * exact
+    assert systems.paths == paths_of(banded=2)
+    lower = build_matrices(spec.grid, spec.kernel).strict_lower
+    x = rng.normal(size=spec.grid.n_points)
+    for product, exact, norm in (
+        (mean.lower.dot(x), lower @ x, np.linalg.norm(lower, np.inf)),
+        (mean.lower.dot_transposed(x), lower.T @ x, np.linalg.norm(lower, 1)),
+    ):
+        assert np.abs(product - exact).max() <= eps_n * norm * np.abs(x).max()
+
+
+def test_rejected_banded_probe_falls_back_to_guarded_solve_bit_for_bit(monkeypatch):
+    spec = stability_game(n_agents=3, n_steps=40)
+    systems = prepare_profile_systems(spec)
+    ones = np.ones(spec.grid.n_points)
+    dense_systems = equilibrium_module.profile_systems(spec, build_matrices(spec.grid, spec.kernel), 0.0, 0.0)
+    banded = [system.solve(0.4, systems.paths) for system in systems.pairs[0]]
+    assert systems.paths == paths_of(banded=2)
+    monkeypatch.setattr(_linalg, "BACKWARD_TOL", -1.0)  # every solve fails it
+    for system, matrix, kept in zip(systems.pairs[0], dense_systems, banded):
+        paths = paths_of()
+        fallback = system.solve(0.4, paths)
+        assert paths == paths_of(dense=1)
+        dense = guarded_solve(matrix + 0.4 * np.eye(len(ones)), ones)
+        assert np.array_equal(fallback, dense / (ones @ dense))
+        assert np.abs(kept - fallback).max() <= 1e-12 * np.abs(fallback).max()
+
+
+def test_exponential_game_without_a_variance_term_forms_no_matrix(monkeypatch):
+    builds = []
+    build = equilibrium_module.build_matrices
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium_module, "build_matrices", counted_build)
+    calls = count_solves(monkeypatch)
+    spec = stability_game(n_assets=3, coupling=0.5, n_agents=10, n_steps=300)
+    systems = prepare_profile_systems(spec)
+    assert builds == []
+    predicted = predicted_theta_star(spec.cross_impact, KERNEL.at_zero, spec.n_agents)
+    verdicts = [is_unstable_at(spec, f * predicted, systems=systems) for f in (0.0, 0.5, 2.0)]
+    assert verdicts == [True, True, False]
+    assert builds == []
+    assert calls == {"toeplitz": 0, "triangular": 0, "guarded": 0}
+    assert systems.paths == paths_of(banded=12)
 
 
 def test_condition_bound_above_the_cap_reaches_the_guarded_solve(monkeypatch):
@@ -512,9 +621,7 @@ def test_cross_check_mismatch_bisects_again_on_the_dense_path(monkeypatch):
     # prepared probes and the failed reference check, then the same probes
     # again on the reference path and its final check
     assert probes == [False] * n + [True] * (n + 2)
-    assert report.solve_paths == paths_of(
-        levinson=n + 1, triangular=n + 1, dense=2 * (n + 2), rebisect=1
-    )
+    assert report.solve_paths == paths_of(banded=2 * (n + 1), dense=2 * (n + 2), rebisect=1)
     assert report.trace == fast.trace and report.estimate == fast.estimate
 
 
@@ -545,7 +652,7 @@ def test_one_factor_game_bisects_its_top_principal_asset_only():
     )
     # the top group per probe, then both groups at each final bracket end
     n = len(full.trace)
-    assert full.solve_paths == paths_of(levinson=n + 4, triangular=n + 4, dense=4)
+    assert full.solve_paths == paths_of(banded=2 * (n + 4), dense=4)
     # every verdict of the trace is the dense all-groups verdict
     assert [(theta, is_unstable_at(spec, theta)) for theta, _ in full.trace] == list(full.trace)
 
@@ -581,7 +688,7 @@ def test_large_scale_law_class_checks_its_reference_solves_densely(gamma, monkey
     # the top group per probe, all nine at both final bracket ends, then the
     # dense reference check
     if gamma == 0.0:
-        assert report.solve_paths == paths_of(levinson=n + 18, triangular=n + 18, dense=18)
+        assert report.solve_paths == paths_of(banded=2 * (n + 18), dense=18)
         assert reductions == []
     else:
         assert report.solve_paths == paths_of(shifted=2 * n + 36, dense=18)
@@ -598,7 +705,7 @@ def test_large_scale_law_class_checks_its_reference_solves_densely(gamma, monkey
     )
 
 
-def two_class_game(top_variance=0.0):
+def two_class_game(top_variance=0.0, kernel=KERNEL):
     """Risk-averse game whose covariance commutes with Q but is not proportional to it.
 
     The two larger eigenvalues have no variance term (the top one
@@ -609,7 +716,7 @@ def two_class_game(top_variance=0.0):
     rotation = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))[0]
     return GameSpec(
         grid=make_equidistant_grid(40, 1.0),
-        kernel=KERNEL,
+        kernel=kernel,
         cross_impact=rotation @ np.diag([1.02, 1.01, 1.0]) @ rotation.T,
         n_agents=3,
         gamma=1.0,
@@ -642,12 +749,12 @@ def test_two_ratio_classes_bisect_the_top_group_of_each(monkeypatch):
     )
     assert report.estimate > alone.estimate + 1e-3
     # two groups per probe, then all three at both ends and in the dense check;
-    # the bisected group without a Levinson floor is reduced once and solved
-    # by shifted solves, so only the dense check's six solves are dense
+    # the bisected group without a floor is reduced once and solved by
+    # shifted solves, so only the dense check's six solves are dense
     paths = report.solve_paths
-    solves = paths["levinson"] + paths["triangular"] + paths["dense"] + paths["shifted"]
+    solves = paths["banded"] + paths["dense"] + paths["shifted"]
     assert solves == 4 * len(report.trace) + 18
-    assert paths["levinson"] == paths["triangular"] == len(report.trace) + 4
+    assert paths["banded"] == 2 * (len(report.trace) + 4)
     assert paths["shifted"] == 2 * len(report.trace) + 4 and paths["dense"] == 6
     assert paths["all_groups"] == 0 and paths["rebisect"] == 0
 
@@ -657,13 +764,13 @@ def test_variance_term_of_rounding_noise_keeps_the_levinson_path(monkeypatch):
     assert 0.0 < prepare_profile_systems(two_class_game()).variance_terms[1] < 1e-15
     # a variance rate of 1e-15 on the top group puts noise into the
     # unit-eigenvalue systems of their class, which are built from the top group
-    spec = two_class_game(top_variance=1e-15)
+    spec = two_class_game(top_variance=1e-15, kernel=POWER_LAW)
     systems = prepare_profile_systems(spec)
     assert 0.0 < systems.variance_terms[0] < 1e-14
     assert systems.pairs[0] is systems.pairs[1]
     floors = [[system.floor for system in pair] for pair in systems.pairs]
     assert None not in floors[0] and floors[2] == [None, None]
-    report = critical_theta(spec, bracket=(0.0, 1.0), tol=1e-4)
+    report = critical_theta(spec, bracket=(0.0, 4.0), tol=1e-4)
 
     prepare = stability_module.prepare_profile_systems
 
@@ -677,7 +784,7 @@ def test_variance_term_of_rounding_noise_keeps_the_levinson_path(monkeypatch):
         return dataclasses.replace(systems, pairs=pairs)
 
     monkeypatch.setattr(stability_module, "prepare_profile_systems", exact_zero_only)
-    dense = critical_theta(spec, bracket=(0.0, 1.0), tol=1e-4)
+    dense = critical_theta(spec, bracket=(0.0, 4.0), tol=1e-4)
     assert (report.estimate, report.bracket, report.trace) == (
         dense.estimate, dense.bracket, dense.trace
     )
