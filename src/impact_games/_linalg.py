@@ -10,7 +10,7 @@ first of five paths that returns a solution, and counts it by name:
 
 - "banded": A is ``w L + L^T + c I`` for the strict lower part L of an
   exponential kernel's matrix, held without a matrix (:class:`_BandedSystem`).
-  Since ``L = g0 B^-1 R``, the substitution ``x = B^T y`` makes the system
+  Since ``L = g0 D^-1 R``, the substitution ``x = D^T y`` makes the system
   tridiagonal (``lapack.dgtsv``), or upper bidiagonal when w = 0
   (``blas.dtbsv``): O(n).
 - "triangular": A is upper triangular, with entries below the diagonal that
@@ -385,11 +385,11 @@ class _ExponentialLower:
     """The strict lower part L of an exponential kernel's matrix, held in O(n).
 
     ``decay[i - 1]`` is ``rho_i = exp(-rate (t_i - t_(i-1)))`` and ``g0`` the
-    kernel's value at lag zero. With B lower bidiagonal (ones on the
+    kernel's value at lag zero. With D lower bidiagonal (ones on the
     diagonal, ``-rho_i`` below it) and R holding ``rho_i`` below the
-    diagonal, ``L = g0 B^-1 R``: ``L x`` is the recurrence
+    diagonal, ``L = g0 D^-1 R``: ``L x`` is the recurrence
     ``p_i = rho_i (p_(i-1) + g0 x_(i-1))`` and ``L^T x`` the reverse one, each
-    one ``dtbsv`` on B. ``row_sums`` and ``column_sums`` are ``L 1`` and
+    one ``dtbsv`` on D. ``row_sums`` and ``column_sums`` are ``L 1`` and
     ``L^T 1``.
     """
 
@@ -397,7 +397,7 @@ class _ExponentialLower:
         self.decay = decay
         self.g0 = g0
         n = len(decay) + 1
-        self._band = np.ones((2, n))  # B in lower band storage; its unit diagonal is implied
+        self._band = np.ones((2, n))  # D in lower band storage; its unit diagonal is implied
         self._band[1, :-1] = -decay
         ones = np.ones(n)
         self.row_sums = self.dot(ones)
@@ -425,14 +425,14 @@ class _BandedSystem(_PreparedSystem):
     positive, so its norms are its largest column and row sums, from
     ``lower``'s. ``form`` returns A as a dense matrix; it is called only by
     the dense solve, when a banded solve is rejected. A banded solve at shift
-    s, with ``c = offset + s``, substitutes ``x = B^T y``:
+    s, with ``c = offset + s``, substitutes ``x = D^T y``:
 
-    - ``weight = 0``: ``(g0 R^T + c B^T) y = 1`` is upper bidiagonal, with
+    - ``weight = 0``: ``(g0 R^T + c D^T) y = 1`` is upper bidiagonal, with
       diagonal c and superdiagonal ``(g0 - c) rho_(i+1)`` (``blas.dtbsv``).
-    - ``weight > 0``: ``B A B^T y = B 1`` is tridiagonal, with subdiagonal
-      ``(weight g0 - c) rho_i``, diagonal
-      ``c (1 + rho_i^2) - (weight + 1) g0 rho_i^2`` and superdiagonal
-      ``(g0 - c) rho_i`` (``lapack.dgtsv``), for ``rho_0 = 0``.
+    - ``weight > 0``: ``D A D^T y = D 1`` is tridiagonal; row i holds
+      ``(weight g0 - c) rho_i`` below the diagonal,
+      ``c (1 + rho_i^2) - (weight + 1) g0 rho_i^2`` on it (``rho_0 = 0``)
+      and ``(g0 - c) rho_(i+1)`` above it (``lapack.dgtsv``).
 
     Its residual is taken against A through ``lower``'s recurrences.
     """
@@ -445,6 +445,7 @@ class _BandedSystem(_PreparedSystem):
         floor: float,
         form: Callable[[], np.ndarray],
     ):
+        # no matrix: the inherited solve reads n, floor, shifted and the norms
         self.lower = lower
         self.weight = weight
         self.offset = offset
@@ -466,7 +467,7 @@ class _BandedSystem(_PreparedSystem):
         lower, rho, c = self.lower, self.lower.decay, self.offset + shift
         g0, n = lower.g0, self.n
         if self.weight == 0.0:
-            band = np.empty((2, n))  # upper band storage
+            band = np.zeros((2, n))  # upper band storage
             np.multiply(g0 - c, rho, out=band[0, 1:])
             band[1] = c
             y = blas.dtbsv(1, band, ones)

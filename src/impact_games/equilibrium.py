@@ -33,16 +33,16 @@ Without a variance term, B's systems are ``J L + L^T + (J + 1) G(0) / 2 I``
 of the kernel matrix K and the lag-zero value G(0). The deviation system is
 upper triangular on any grid, the mean system Toeplitz on an equidistant one.
 For an exponential kernel ``G(t) = g0 exp(-r t)``, L factors on any grid as
-``L = g0 B^-1 R``, with B lower bidiagonal (ones on the diagonal,
+``L = g0 D^-1 R``, with D lower bidiagonal (ones on the diagonal,
 ``-rho_i`` below it), R holding ``rho_i`` below the diagonal, and
 ``rho_i = exp(-r (t_i - t_(i-1)))``. At shift s the substitution
-``x = B^T y`` makes both systems banded, with ``rho_0 = 0``:
+``x = D^T y`` makes both systems ``A x = 1`` banded, with ``rho_0 = 0``:
 
-- mean, ``c = (J + 1) g0 / 2 + s``: ``B A B^T y = B 1``, tridiagonal, with
-  subdiagonal ``(J g0 - c) rho_i``, diagonal
-  ``c (1 + rho_i^2) - (J + 1) g0 rho_i^2``, superdiagonal ``(g0 - c) rho_i``
-  and right-hand side ``(1, 1 - rho_1, ..., 1 - rho_N)``;
-- deviation, ``c = g0 / 2 + s``: ``(g0 R^T + c B^T) y = 1``, upper
+- mean, ``c = (J + 1) g0 / 2 + s``: ``D A D^T y = D 1``, tridiagonal; row
+  i holds ``(J g0 - c) rho_i`` below the diagonal,
+  ``c (1 + rho_i^2) - (J + 1) g0 rho_i^2`` on it and ``(g0 - c) rho_(i+1)``
+  above it, and the right-hand side is ``(1, 1 - rho_1, ..., 1 - rho_N)``;
+- deviation, ``c = g0 / 2 + s``: ``(g0 R^T + c D^T) y = 1``, upper
   bidiagonal, with diagonal c and superdiagonal ``(g0 - c) rho_(i+1)``.
 
 Such a class is solved in O(N) on the "banded" path of :mod:`_linalg`, and
@@ -575,7 +575,7 @@ def _unit_floor(kernel: DecayKernel, min_step: float) -> float:
 
 
 def _dense_system(spec: GameSpec, var_rate: float, index: int) -> np.ndarray:
-    """Zero-fee unit-eigenvalue profile system ``index`` (0 mean, 1 deviation), from a fresh bundle."""
+    """Zero-fee unit-eigenvalue profile system ``index`` (0 mean, 1 deviation), freshly built."""
     unit = build_matrices(spec.grid, spec.effective_kernel)
     return profile_systems(spec, unit, 0.0, var_rate)[index]
 

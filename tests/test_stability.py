@@ -509,6 +509,15 @@ def test_deviation_system_without_a_variance_term_is_solved_by_back_substitution
     assert not any(system.triangular for pair in risk_averse.pairs for system in pair)
 
 
+def test_toeplitz_systems_take_their_norms_from_the_first_column_and_row():
+    spec = stability_game(n_assets=3, coupling=0.5, n_agents=3, n_steps=40, kernel=POWER_LAW)
+    for mean, deviation in prepare_profile_systems(spec).pairs:
+        for system in (mean, deviation):
+            for norm, order in ((system.norm_1, 1), (system.norm_inf, np.inf)):
+                exact = np.linalg.norm(system.matrix, order)
+                assert abs(norm - exact) <= system.n * np.finfo(float).eps * exact
+
+
 @settings(max_examples=40, derandomize=True)
 @given(
     n_steps=st.integers(min_value=1, max_value=200),
