@@ -5,8 +5,9 @@ LAPACK's 1-norm condition estimate exceeds ``MAX_CONDITION``.
 
 :class:`_PreparedSystem` is a matrix A prepared once and solved against the
 all-ones vector at many shifts s, ``(A + s I) x = 1``; the profile systems of
-:mod:`equilibrium` are such matrices, with the fee in s. A solve takes the
-first of five paths that returns a solution, and counts it by name:
+:mod:`equilibrium` are such matrices, with the fee in s. The preparer, which
+built A, names the structured path it may take, one of the first three below;
+a solve takes the first path that returns a solution, and counts it by name:
 
 - "banded": A is ``w L + L^T + c I`` for the strict lower part L of an
   exponential kernel's matrix, held without a matrix (:class:`_BandedSystem`).
@@ -23,17 +24,17 @@ first of five paths that returns a solution, and counts it by name:
   1981), kept only when its condition estimate is within
   ``MAX_CONDITION / n**2``.
 - "dense": :func:`guarded_solve` on ``A + s I``, which has the final say on
-  conditioning; a banded system forms A for it.
+  conditioning; a banded system forms A for it, up to ``MAX_FORMED_BYTES``.
 
-The first three paths need a floor, a lower bound mu on the smallest
-eigenvalue of the symmetric part of A, and run only when
+A structured path comes with a floor, a lower bound mu on the smallest
+eigenvalue of the symmetric part of A, and runs only when
 ``sqrt(n) (||A||_1 + s) / (mu + s)``, a bound on the 1-norm condition number
 (a symmetric part >= mu I gives ``||(A + s I)^-1||_2 <= 1 / (mu + s)``), is
 within ``MAX_CONDITION``. A solution of the first four paths is kept only
 when its normwise backward error against A is at most ``BACKWARD_TOL``
 (:func:`_backward_stable`); otherwise the next path runs. The norms of A
-are taken only for a system with a floor: in O(n) for a banded or a
-Toeplitz system.
+are taken once, for a system with a structured path: in O(n) for a banded
+or a Toeplitz system, densely for a triangular one.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ _OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openbl
 MAX_CONDITION = 1e12
 # largest normwise backward error accepted from a banded, triangular, Levinson or shifted solve
 BACKWARD_TOL = 1e-12
+# largest matrix formed for a banded system's dense fallback, which holds about three at once
+MAX_FORMED_BYTES = 2**30
 
 # blocks of single_blas_thread open in any thread, and the thread counts the
 # first of them saw on entry; guarded by the lock
@@ -195,6 +198,12 @@ def guarded_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lu_solve((lu, piv), rhs)
 
 
+def _normalized(x: np.ndarray) -> np.ndarray:
+    """A profile solution divided by its sum; NumericError when the sum is zero or not finite."""
+    total = np.ones(len(x)) @ x
+    if not (np.isfinite(total) and total != 0.0):
+        raise NumericError(f"profile solution sums to {float(total)}, so it has no normalization")
+    return x / total
 
 
 def _backward_stable(
@@ -282,28 +291,29 @@ def _toeplitz_norms(matrix: np.ndarray) -> Tuple[float, float]:
 class _PreparedSystem:
     """A matrix A solved against the all-ones vector at many shifts; see the module docstring.
 
-    ``floor`` is a lower bound on the smallest eigenvalue of the symmetric
-    part of A, or None; a matrix with a floor is upper triangular or
-    Toeplitz, and ``toeplitz`` says it is Toeplitz (its norms then come from
-    its first column and row). ``triangular`` is True when it is upper
-    triangular, its entries below the diagonal exactly zero; a solve then
-    writes the shift onto the diagonal of ``matrix`` in place and restores it
-    after, so a system must not be solved from two threads at once.
-    ``shifted`` is the Hessenberg reduction :meth:`reduce` made, or None.
+    ``path`` names the structured path of the module docstring that A was
+    built for, "triangular" or "levinson", or is None; a solve on it calls
+    the method ``_<path>``. ``floor`` is a lower bound on the smallest
+    eigenvalue of the symmetric part of A, given exactly when ``path`` is.
+    A triangular solve writes the shift onto the diagonal of ``matrix`` in
+    place and restores it after, so a system must not be solved from two
+    threads at once. ``shifted`` is the Hessenberg reduction :meth:`reduce`
+    made, or None.
     """
 
-    def __init__(self, matrix: np.ndarray, floor: Optional[float], toeplitz: bool = False):
+    def __init__(
+        self, matrix: np.ndarray, path: Optional[str] = None, floor: Optional[float] = None
+    ):
         self.matrix = matrix
         self.n = len(matrix)
+        self.path = path
         self.floor = floor
         self.shifted: Optional[_ShiftedSolver] = None
-        self.triangular = floor is not None and not np.tril(matrix, -1).any()
-        if floor is not None:  # read by the condition bound and the backward-error tests
-            if toeplitz:
-                self.norm_1, self.norm_inf = _toeplitz_norms(matrix)
-            else:
-                self.norm_1 = float(np.linalg.norm(matrix, 1))
-                self.norm_inf = float(np.linalg.norm(matrix, np.inf))
+        if path == "levinson":  # the norms are read by the condition bound and the backward tests
+            self.norm_1, self.norm_inf = _toeplitz_norms(matrix)
+        elif path is not None:
+            self.norm_1 = float(np.linalg.norm(matrix, 1))
+            self.norm_inf = float(np.linalg.norm(matrix, np.inf))
         self._diagonal = matrix.diagonal().copy()
 
     def dense(self) -> np.ndarray:
@@ -323,19 +333,14 @@ class _PreparedSystem:
         ones = np.ones(self.n)
         x = None
         if self._bounded(shift):
-            x, path = self._structured(shift, ones)
+            x, path = getattr(self, "_" + self.path)(shift, ones), self.path
         if x is None and self.shifted is not None:
             x, path = self.shifted.solve(shift, ones), "shifted"
         if x is None:
             path = "dense"
             x = guarded_solve(self.dense() + shift * np.eye(self.n), ones)
         paths[path] += 1
-        total = ones @ x
-        if not (np.isfinite(total) and total != 0.0):
-            raise NumericError(
-                f"profile solution sums to {float(total)}, so it has no normalization"
-            )
-        return x / total
+        return _normalized(x)
 
     def _bounded(self, shift: float) -> bool:
         """Whether the floor bounds the condition number within ``MAX_CONDITION``."""
@@ -343,12 +348,6 @@ class _PreparedSystem:
             return False
         bound = np.sqrt(self.n) * (self.norm_1 + shift) / (self.floor + shift)
         return bool(bound <= MAX_CONDITION)
-
-    def _structured(self, shift: float, ones: np.ndarray):
-        """(solution or None, path name) of the path the floor admits."""
-        if self.triangular:
-            return self._back_substitution(shift, ones), "triangular"
-        return self._levinson(shift, ones), "levinson"
 
     def _levinson(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
         """Levinson solution from the first column and row, or None when it is rejected."""
@@ -363,7 +362,7 @@ class _PreparedSystem:
         residual = self.matrix @ x + shift * x - ones
         return x if _backward_stable(residual, x, ones, self.norm_inf, shift) else None
 
-    def _back_substitution(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
+    def _triangular(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
         """Back-substitution solution, or None when it is rejected.
 
         The residual is taken against the shifted matrix before the diagonal
@@ -424,8 +423,9 @@ class _BandedSystem(_PreparedSystem):
     ``lower`` is L (:class:`_ExponentialLower`); every entry of A is
     positive, so its norms are its largest column and row sums, from
     ``lower``'s. ``form`` returns A as a dense matrix; it is called only by
-    the dense solve, when a banded solve is rejected. A banded solve at shift
-    s, with ``c = offset + s``, substitutes ``x = D^T y``:
+    the dense solve, when a banded solve is rejected, and only within
+    ``MAX_FORMED_BYTES`` (NumericError above it). A banded solve at shift s,
+    with ``c = offset + s``, substitutes ``x = D^T y``:
 
     - ``weight = 0``: ``(g0 R^T + c D^T) y = 1`` is upper bidiagonal, with
       diagonal c and superdiagonal ``(g0 - c) rho_(i+1)`` (``blas.dtbsv``).
@@ -445,22 +445,23 @@ class _BandedSystem(_PreparedSystem):
         floor: float,
         form: Callable[[], np.ndarray],
     ):
-        # no matrix: the inherited solve reads n, floor, shifted and the norms
+        # no matrix: the inherited solve reads n, path, floor, shifted and the norms
         self.lower = lower
         self.weight = weight
         self.offset = offset
         self.floor = floor
         self.form = form
         self.n = len(lower.row_sums)
+        self.path = "banded"
         self.shifted = None
         self.norm_1 = float(np.max(weight * lower.column_sums + lower.row_sums)) + offset
         self.norm_inf = float(np.max(weight * lower.row_sums + lower.column_sums)) + offset
 
     def dense(self) -> np.ndarray:
+        if 8 * self.n**2 > MAX_FORMED_BYTES:
+            need = f"n = {self.n} would need {8 * self.n**2 / 2**30:.1f} GiB"
+            raise NumericError(f"banded solve rejected; its dense form at {need}, above the cap")
         return self.form()
-
-    def _structured(self, shift: float, ones: np.ndarray):
-        return self._banded(shift, ones), "banded"
 
     def _banded(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
         """Solution of the banded form, or None when it is rejected."""

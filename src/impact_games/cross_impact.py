@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import ArgumentError, _symmetric
+from ._linalg import ArgumentError, _finite, _symmetric
 
 __all__ = [
     "one_factor_matrix",
@@ -80,11 +80,16 @@ def block_matrix(sizes: Sequence[int], intra: Sequence[float], inter: float) -> 
 
 
 def explicit_matrix(matrix) -> np.ndarray:
-    """Validate a user-supplied symmetric cross-impact matrix."""
+    """Symmetric part of a user-supplied cross-impact matrix.
+
+    The one check of a cross-impact matrix: ArgumentError naming
+    ``cross_impact`` unless it is square, finite and symmetric.
+    """
     q = np.asarray(matrix, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"cross-impact matrix must be square, got shape {q.shape}")
-    _symmetric("cross-impact matrix", q)
+        raise ArgumentError("cross_impact", f"cross_impact must be square, got shape {q.shape}")
+    _finite("cross_impact", q)
+    _symmetric("cross_impact", q)
     return 0.5 * (q + q.T)
 
 
@@ -146,7 +151,7 @@ class SpectralReport:
 
 
 def analyze_cross_impact(cross_impact: np.ndarray) -> SpectralReport:
-    """Spectral report for a symmetric (M, M) cross-impact matrix."""
+    """Spectral report for a symmetric (M, M) cross-impact matrix; see :func:`explicit_matrix`."""
     q = explicit_matrix(cross_impact)
     try:
         lam, vec = np.linalg.eigh(q)

@@ -71,7 +71,6 @@ inventories in one market then cost one rotation each.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -84,12 +83,13 @@ from ._linalg import (
     _PreparedSystem,
     _boolean_mask,
     _finite,
+    _normalized,
     _symmetric,
     guarded_solve,
     single_blas_thread,
 )
 from .costs import _earlier, priority_cross
-from .cross_impact import SpectralReport, analyze_cross_impact
+from .cross_impact import SpectralReport, analyze_cross_impact, explicit_matrix
 from .kernels import DecayKernel, MatrixBundle, TimeGrid, build_matrices
 
 __all__ = [
@@ -171,11 +171,8 @@ class GameSpec:
     mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        explicit_matrix(self.cross_impact)  # the checks; the matrix is kept as given
         q = np.asarray(self.cross_impact, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ArgumentError("cross_impact", "cross_impact must be a square matrix")
-        _finite("cross_impact", q)
-        _symmetric("cross_impact", q)
         object.__setattr__(self, "cross_impact", q)
 
         m = q.shape[0]
@@ -304,6 +301,11 @@ class FundamentalSolutions:
     deviation_profile: np.ndarray
 
 
+def _adds_variance_term(spec: GameSpec, var_rate: float) -> bool:
+    """Whether :func:`profile_systems` adds a variance term at this variance rate."""
+    return spec.gamma > 0.0 and var_rate > 0.0
+
+
 def profile_systems(
     spec: GameSpec, bundle: MatrixBundle, theta: float, var_rate: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -320,7 +322,7 @@ def profile_systems(
     """
     self_cost = bundle.kernel_matrix.copy()
     self_cost.flat[:: len(self_cost) + 1] += 2.0 * theta
-    if spec.gamma > 0.0 and var_rate > 0.0:
+    if _adds_variance_term(spec, var_rate):
         self_cost += spec.gamma * (var_rate * _earlier(spec))
     fair = priority_cross(bundle, 0.5)
     return self_cost + (spec.n_agents - 1) * fair, self_cost - fair
@@ -332,13 +334,11 @@ def fundamental_solutions(
     """Solve the two normalized linear systems of one single-asset game.
 
     The systems are those of :func:`profile_systems`. Each solution is
-    divided by its sum, so both sum to exactly one.
+    divided by its sum, so both sum to exactly one (NumericError if it cannot).
     """
-    mean_sys, dev_sys = profile_systems(spec, bundle, theta, var_rate)
-    ones = np.ones(mean_sys.shape[0])
-    v = guarded_solve(mean_sys, ones)
-    w = guarded_solve(dev_sys, ones)
-    return FundamentalSolutions(mean_profile=v / (ones @ v), deviation_profile=w / (ones @ w))
+    systems = profile_systems(spec, bundle, theta, var_rate)
+    ones = np.ones(spec.grid.n_points)
+    return FundamentalSolutions(*(_normalized(guarded_solve(system, ones)) for system in systems))
 
 
 @dataclass(frozen=True)
@@ -584,21 +584,23 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     """Build the zero-fee unit-eigenvalue profile systems of every scale-law class once.
 
     Runs the split and its checks of :func:`principal_fundamentals`; the fee
-    stored in ``spec`` is ignored. Without a variance term, both systems of
-    a class get a floor (see the module docstring): with an exponential
-    kernel they are banded systems on any grid, held without a matrix
-    (:class:`_linalg._BandedSystem`, whose dense solve forms the system by
-    :func:`_dense_system`); otherwise the deviation system gets its floor on
-    any grid and the mean system on an equidistant one. Both floors come from
-    one floor under the smallest eigenvalue of the unit kernel matrix K
-    (:func:`_unit_floor`), lowered by ``n eps ||K||_1`` to cover rounding.
-    The other systems are formed from one bundle of the effective kernel at
-    unit eigenvalue, at the first group's ratio of variance rate to
-    eigenvalue. A variance term ``gamma v Gamma``, with
-    ``Gamma = min(t_i, t_j)``, counts as absent when its 1-norm is within
-    that rounding allowance, as when v is rounding noise of the split: the
-    term is positive semi-definite, so the floor still holds, and its first
-    row and column are zero, so the Levinson generators are K's. A class
+    stored in ``spec`` is ignored. Each system gets its floor and structured
+    solve path here (:class:`_linalg._PreparedSystem`). Without a variance
+    term, both systems of a class get a floor (see the module docstring):
+    with an exponential kernel they are "banded" on any grid, held without a
+    matrix (:class:`_linalg._BandedSystem`, whose dense solve forms the
+    system by :func:`_dense_system`); otherwise the deviation system is
+    "triangular" on any grid and the mean system "levinson" on an equidistant
+    one. Both floors come from one floor under the smallest eigenvalue of the
+    unit kernel matrix K (:func:`_unit_floor`), lowered by ``n eps ||K||_1``
+    to cover rounding. The other systems are formed from one bundle of the
+    effective kernel at unit eigenvalue, at the first group's ratio of
+    variance rate to eigenvalue. A variance term ``gamma v Gamma``, with
+    ``Gamma = min(t_i, t_j)``, counts as absent for the floor when its 1-norm
+    is within that rounding allowance, as when v is rounding noise of the
+    split: the term is positive semi-definite, so the floor still holds, and
+    its first row and column are zero, so the Levinson generators are K's
+    (the deviation system then takes the mean system's path). A class
     without a floor of at least ``_REDUCE_MIN_GROUPS`` groups is reduced
     (:meth:`_PreparedSystem.reduce`).
     """
@@ -641,12 +643,12 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
             if unit is None:
                 unit = build_matrices(spec.grid, spec.effective_kernel)
             mean, deviation = profile_systems(spec, unit, 0.0, var_rate)
-            pair = (
-                _PreparedSystem(
-                    mean, 0.5 * (n_agents + 1) * floor if uniform and floor is not None else None,
-                    uniform,
-                ),
-                _PreparedSystem(deviation, None if floor is None else 0.5 * floor, uniform),
+            mean_path = "levinson" if uniform and floor is not None else None
+            # without a variance term the deviation system is L^T + G(0) / 2 I
+            deviation_path = mean_path if _adds_variance_term(spec, var_rate) else "triangular"
+            pair = (  # a floor only with a path: "path and floor" is None without one
+                _PreparedSystem(mean, mean_path, mean_path and 0.5 * (n_agents + 1) * floor),
+                _PreparedSystem(deviation, deviation_path, deviation_path and 0.5 * floor),
             )
         if len(members) >= _REDUCE_MIN_GROUPS:
             for system in pair:
@@ -665,40 +667,42 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     )
 
 
+class _Market(tuple):
+    """Memo key of a game: the tuple of what its solve reads, and the game itself as ``spec``.
+
+    The tuple holds the trading times, the effective kernel, Q, the covariance
+    (None without one), the fee, the risk aversion and the agent count, arrays
+    as bytes; games that differ only in their inventories share a key.
+    """
+
+    def __new__(cls, spec: GameSpec):
+        market = super().__new__(cls, (
+            spec.grid.points.tobytes(),
+            spec.effective_kernel,
+            spec.cross_impact.tobytes(),
+            None if spec.covariance is None else spec.covariance.tobytes(),
+            float(spec.thetas[0]),
+            spec.gamma,
+            spec.n_agents,
+        ))
+        market.spec = spec
+        return market
+
+
 @functools.lru_cache(maxsize=1)
 def _market_fundamentals(
-    points: bytes,
-    kernel: DecayKernel,
-    cross_impact: bytes,
-    covariance: Optional[bytes],
-    theta: float,
-    gamma: float,
-    n_agents: int,
+    market: _Market,
 ) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
     """Spectrum and profile pairs of the identical-agent game of one market.
 
-    Solved on the prepared systems (:func:`prepare_profile_systems`), on one
-    BLAS thread. The key is everything the solve reads, arrays as bytes: the
-    trading times, the effective kernel, Q, the covariance (None without
-    one), the fee, the risk aversion and the agent count; inventories are not
-    part of it. Only the last market is kept, so the draws of one market
-    share one solve. Its arrays are read-only, since repeated calls return
-    the same ones.
+    Solved on the prepared systems (:func:`prepare_profile_systems`) of
+    ``market.spec``, on one BLAS thread. Only the last market is kept, so the
+    draws of one market share one solve. Its arrays are read-only, since
+    repeated calls return the same ones.
     """
-    q = np.frombuffer(cross_impact)
-    q = q.reshape(math.isqrt(q.size), -1)
-    spec = GameSpec(
-        grid=TimeGrid(np.frombuffer(points)),
-        kernel=kernel,
-        cross_impact=q,
-        n_agents=n_agents,
-        theta=theta,
-        gamma=gamma,
-        covariance=None if covariance is None else np.frombuffer(covariance).reshape(q.shape),
-    )
     with single_blas_thread():
-        systems = prepare_profile_systems(spec)
-        fundamentals = systems.profiles(theta)
+        systems = prepare_profile_systems(market.spec)
+        fundamentals = systems.profiles(market.spec.thetas[0])
     spectrum = systems.spectrum
     arrays = [spectrum.eigenvalues, spectrum.eigenvectors]
     for pair in fundamentals:
@@ -724,15 +728,7 @@ def closed_form_equilibrium(spec: GameSpec) -> Equilibrium:
     and ``principal_strategies`` are new arrays.
     """
     _require_identical_agents(spec)
-    spectrum, fundamentals = _market_fundamentals(
-        spec.grid.points.tobytes(),
-        spec.effective_kernel,
-        spec.cross_impact.tobytes(),
-        None if spec.covariance is None else spec.covariance.tobytes(),
-        float(spec.thetas[0]),
-        spec.gamma,
-        spec.n_agents,
-    )
+    spectrum, fundamentals = _market_fundamentals(_Market(spec))
     vec = spectrum.eigenvectors
     principal_inv = vec.T @ spec.inventories
     n_times = spec.grid.n_points

@@ -9,8 +9,9 @@ and compared against two closed-form predictions: the two-agent theorem value
 extrapolation.
 
 :func:`critical_theta` prepares the profile systems once
-(:func:`equilibrium.prepare_profile_systems`, as the closed form does), and a
-probe solves them for the groups it needs. The bisection probes only the
+(:func:`equilibrium.prepare_profile_systems`, as the closed form does), takes
+its predictions from their spectrum, and a probe solves them for the groups
+it needs. The bisection probes only the
 group of largest eigenvalue in each scale-law class, the groups with equal
 ``gamma * v_k / lambda_k`` (variance rate v_k, eigenvalue lambda_k). Group k
 at fee theta has the unit-eigenvalue profiles at ``theta / lambda_k``, so it
@@ -40,13 +41,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ._linalg import ArgumentError, NumericError, _finite, _symmetric, single_blas_thread
-from .cross_impact import one_factor_matrix, price_covariance
+from ._linalg import ArgumentError, NumericError, single_blas_thread
+from .cross_impact import analyze_cross_impact, one_factor_matrix, price_covariance
 from .equilibrium import (
     FundamentalSolutions,
     GameSpec,
     ProfileSystems,
-    _require_identical_agents,
     _scale_law_classes,
     prepare_profile_systems,
     principal_fundamentals,
@@ -187,23 +187,14 @@ def predicted_theta_star(
     ``kernel_at_zero * J**-beta * (J - 1) * top_eigenvalue / 4``, for
     ``n_agents`` of at least one. ``ArgumentError`` unless the cross-impact
     matrix is square, finite and symmetric, ``kernel_at_zero`` finite and
-    positive and ``beta`` finite and nonnegative. The eigenvalues are
-    computed on one BLAS thread (see :func:`single_blas_thread`).
+    positive and ``beta`` finite and nonnegative. The top eigenvalue is that
+    of :func:`analyze_cross_impact`, on one BLAS thread, as in :func:`critical_theta`.
     """
-    cross_impact = np.asarray(cross_impact, dtype=float)
-    if cross_impact.ndim != 2 or cross_impact.shape[0] != cross_impact.shape[1]:
-        raise ArgumentError("cross_impact", "cross_impact must be a square matrix")
-    _finite("cross_impact", cross_impact)
-    _symmetric("cross_impact", cross_impact)
     _check_number("kernel_at_zero", kernel_at_zero)
     _check_number("beta", beta, positive=False)
-    return _prediction(_top_eigenvalue(cross_impact), kernel_at_zero, n_agents, beta, mode)
-
-
-def _top_eigenvalue(cross_impact: np.ndarray) -> float:
-    """Largest eigenvalue of the cross-impact matrix, by ``eigvalsh`` on one BLAS thread."""
     with single_blas_thread():
-        return float(np.linalg.eigvalsh(cross_impact)[-1])
+        top = analyze_cross_impact(cross_impact).top_eigenvalue
+    return _prediction(top, kernel_at_zero, n_agents, beta, mode)
 
 
 def _prediction(top: float, kernel_at_zero: float, n_agents: int, beta: float, mode: str) -> float:
@@ -315,13 +306,16 @@ def _top_groups(systems: ProfileSystems) -> Tuple[int, ...]:
     return tuple(int(members[np.argmax(eigenvalues[members])]) for members in classes)
 
 
-def _checked_bisection(spec: GameSpec, lo: float, hi: float, tol: float, rel_tol: float):
+def _checked_bisection(
+    spec: GameSpec, holder: List[ProfileSystems], lo: float, hi: float, tol: float, rel_tol: float
+):
     """Bisection of the top groups on prepared systems, checked at the end on all groups.
 
-    See the module docstring. Returns (estimate, bracket, trace, method,
-    flags_below, solve_paths).
+    See the module docstring. The systems prepared from ``spec`` are popped
+    from the list ``holder``, so they are freed before the dense check.
+    Returns (estimate, bracket, trace, method, flags_below, solve_paths).
     """
-    systems = prepare_profile_systems(spec)
+    systems = holder.pop()
     paths = systems.paths
     top = systems.subset(_top_groups(systems))
     for pair in top.pairs:
@@ -385,11 +379,15 @@ def critical_theta(
     rel_tol : relative flip-detection tolerance, finite and positive.
 
     The probes solve systems prepared once (see the module docstring), on
-    one BLAS thread (see :func:`single_blas_thread`). ValueError for a game
-    whose agents differ.
+    one BLAS thread (see :func:`single_blas_thread`); the predictions and the
+    default bracket read the top eigenvalue of their spectrum. ValueError for
+    a game whose agents differ.
     """
-    _require_identical_agents(spec)
-    top = _top_eigenvalue(spec.cross_impact)
+    _check_number("tol", tol)
+    _check_number("rel_tol", rel_tol)
+    with single_blas_thread():
+        holder = [prepare_profile_systems(spec)]  # emptied by _checked_bisection
+    top = holder[0].spectrum.top_eigenvalue
     conjecture = _prediction(top, spec.kernel.at_zero, spec.n_agents, spec.beta, "conjecture")
     theorem = _prediction(top, spec.kernel.at_zero, spec.n_agents, spec.beta, "theorem")
     if bracket is None:
@@ -398,8 +396,6 @@ def critical_theta(
                 "no default bracket available (prediction is zero); pass one explicitly"
             )
         bracket = (0.0, 2.0 * conjecture)
-    _check_number("tol", tol)
-    _check_number("rel_tol", rel_tol)
     try:
         lo, hi = (float(end) for end in bracket)
     except (TypeError, ValueError):  # not a pair, or not of numbers
@@ -413,7 +409,7 @@ def critical_theta(
 
     with single_blas_thread():
         estimate, final_bracket, trace, method, flags_below, paths = _checked_bisection(
-            spec, lo, hi, tol, rel_tol
+            spec, holder, lo, hi, tol, rel_tol
         )
     params = {
         "n_assets": float(spec.n_assets),

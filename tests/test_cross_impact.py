@@ -10,9 +10,11 @@ from impact_games import (
     block_matrix,
     build_cross_impact,
     closed_form_equilibrium,
+    explicit_matrix,
     exponential_kernel,
     make_equidistant_grid,
     one_factor_matrix,
+    predicted_theta_star,
     rank_one_matrix,
     stationarity_residual,
 )
@@ -68,6 +70,26 @@ def test_block_definition():
 def test_constructor_bounds(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "check",
+    [
+        explicit_matrix,
+        analyze_cross_impact,
+        lambda q: GameSpec(
+            grid=make_equidistant_grid(3), kernel=exponential_kernel(), cross_impact=q, n_agents=2
+        ),
+        lambda q: predicted_theta_star(q, 1.0, 2),
+    ],
+    ids=["explicit_matrix", "analyze_cross_impact", "GameSpec", "predicted_theta_star"],
+)
+def test_non_finite_cross_impact_is_rejected(check, entry):
+    # a NaN pair is symmetric to no comparison, so only the finiteness check sees it
+    with pytest.raises(ValueError, match="cross_impact must be finite") as excinfo:
+        check(np.array([[1.0, entry], [entry, 1.0]]))
+    assert excinfo.value.argument == "cross_impact"
 
 
 def test_build_cross_impact_dispatch():

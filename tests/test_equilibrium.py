@@ -304,7 +304,7 @@ def test_asymmetric_matrices_are_rejected():
         two_agent_spec(np.ones((2, 2)), cross=skewed)
     with pytest.raises(ValueError, match="covariance must be symmetric"):
         two_agent_spec(np.ones((2, 2)), covariance=skewed)
-    with pytest.raises(ValueError, match="cross-impact matrix must be symmetric"):
+    with pytest.raises(ValueError, match="cross_impact must be symmetric"):
         explicit_matrix(skewed)
     # asymmetry within 1e-10 of the largest entry is float noise
     assert explicit_matrix([[1.0, 1e-11], [0.0, 1.0]]).shape == (2, 2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from impact_games import (
     BracketError,
@@ -224,45 +225,55 @@ def test_predictions():
         predicted_theta_star(np.eye(1), 1.0, 2, mode="oracle")
 
 
+def record_decompositions(monkeypatch, shape, controls):
+    """Thread counts seen by each ``eigh`` and ``eigvalsh`` call on a matrix of ``shape``."""
+    calls = {"eigh": [], "eigvalsh": []}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def recording(matrix, *args, _name=name, _original=original, **kwargs):
+            if np.shape(matrix) == shape:
+                calls[_name].append([get() for get, _ in controls])
+            return _original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
 def test_predictions_run_on_one_blas_thread(monkeypatch):
     controls = _linalg._openblas_thread_controls()
     if not controls:
         pytest.skip("no bundled OpenBLAS")
-    counts = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def recording(*args, **kwargs):
-        counts.append([get() for get, _ in controls])
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    cross = one_factor_matrix(3, 0.5)
+    calls = record_decompositions(monkeypatch, cross.shape, controls)
     original = [get() for get, _ in controls]
     try:
         for _, put in controls:
             put(2)
-        predicted_theta_star(one_factor_matrix(3, 0.5), 1.0, n_agents=2)
+        predicted_theta_star(cross, 1.0, n_agents=2)
         assert [get() for get, _ in controls] == [2] * len(controls)
     finally:
         for (_, put), count in zip(controls, original):
             put(count)
-    assert counts == [[1] * len(controls)]
+    # the top eigenvalue of the spectral report
+    assert calls == {"eigh": [[1] * len(controls)], "eigvalsh": []}
 
 
-def test_critical_fee_decomposes_the_cross_impact_once_on_one_blas_thread(monkeypatch):
+def test_critical_fee_decomposes_the_cross_impact_twice_on_one_blas_thread(monkeypatch):
     controls = _linalg._openblas_thread_controls()
     spec = stability_game(n_assets=3, coupling=0.5, n_steps=30)
-    counts = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def recording(matrix, *args, **kwargs):
-        if np.shape(matrix) == spec.cross_impact.shape:
-            counts.append([get() for get, _ in controls])
-        return eigvalsh(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    report = critical_theta(spec, tol=1e-3)
-    assert counts == [[1] * len(controls)]
-    assert report.params["top_eigenvalue"] == eigvalsh(spec.cross_impact)[-1]
+    calls = record_decompositions(monkeypatch, spec.cross_impact.shape, controls)
+    original = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        report = critical_theta(spec, tol=1e-3)
+    finally:
+        for (_, put), count in zip(controls, original):
+            put(count)
+    # the preparation, whose spectrum the predictions read, and the dense reference
+    assert calls == {"eigh": [[1] * len(controls)] * 2, "eigvalsh": []}
+    assert report.params["top_eigenvalue"] == analyze_cross_impact(spec.cross_impact).top_eigenvalue
     assert report.predicted_conjecture == predicted_theta_star(spec.cross_impact, 1.0, 2)
 
 
@@ -492,21 +503,30 @@ def test_failed_triangular_residual_falls_back_to_the_dense_solve(monkeypatch):
     assert np.array_equal(fallback, dense / (ones @ dense))
 
 
-def test_deviation_system_without_a_variance_term_is_solved_by_back_substitution():
+def test_deviation_system_without_a_variance_term_is_solved_by_back_substitution(monkeypatch):
+    scans = []
+    tril = np.tril
+    monkeypatch.setattr(np, "tril", lambda *args: scans.append(args) or tril(*args))
     spec = stability_game(n_assets=3, coupling=0.5, n_agents=3, n_steps=40, kernel=POWER_LAW)
-    systems = prepare_profile_systems(spec)
-    for mean, deviation in systems.pairs:
-        assert not mean.triangular and deviation.triangular
-        assert np.array_equal(np.tril(deviation.matrix, -1), np.zeros_like(deviation.matrix))
-        zero_fee = deviation.matrix.copy()
-        paths = paths_of()
-        deviation.solve(0.3, paths)
-        assert paths == paths_of(triangular=1)
-        # the probe restores the diagonal it shifted
-        assert np.array_equal(deviation.matrix, zero_fee)
-    # a variance term fills the lower triangle
+    # a covariance without risk aversion adds no variance term either
+    for spec in (spec, dataclasses.replace(spec, covariance=spec.cross_impact)):
+        systems = prepare_profile_systems(spec)
+        # the preparer names the paths; no matrix is scanned for its structure
+        assert scans == []
+        for mean, deviation in systems.pairs:
+            assert (mean.path, deviation.path) == ("levinson", "triangular")
+            assert np.array_equal(np.triu(deviation.matrix), deviation.matrix)
+            zero_fee = deviation.matrix.copy()
+            paths = paths_of()
+            deviation.solve(0.3, paths)
+            assert paths == paths_of(triangular=1)
+            # the probe restores the diagonal it shifted
+            assert np.array_equal(deviation.matrix, zero_fee)
+        report = critical_theta(spec, tol=1e-3)
+        assert report.solve_paths["triangular"] == report.solve_paths["levinson"] > 0
+    # a variance term fills the lower triangle: no structured path
     risk_averse = prepare_profile_systems(stability_game(n_agents=3, n_steps=40, gamma=5.0))
-    assert not any(system.triangular for pair in risk_averse.pairs for system in pair)
+    assert all(system.path is None for pair in risk_averse.pairs for system in pair)
 
 
 def test_toeplitz_systems_take_their_norms_from_the_first_column_and_row():
@@ -557,6 +577,94 @@ def test_banded_path_matches_the_dense_reference(n_steps, jittered, rate, n_agen
         assert np.abs(product - exact).max() <= eps_n * norm * np.abs(x).max()
 
 
+def backward_error(matrix, shift, x):
+    """Normwise backward error of ``x`` solving ``(matrix + shift I) x = 1``, as in ``_linalg``."""
+    scale = (np.linalg.norm(matrix, np.inf) + shift) * np.abs(x).max() + 1.0
+    return np.abs(matrix @ x + shift * x - 1.0).max() / scale
+
+
+def lacks(structure, matrix):
+    """Whether ``matrix`` is far from upper triangular ("triangular") or Toeplitz ("levinson")."""
+    if structure == "triangular":
+        gap = np.tril(matrix, -1)
+    else:
+        gap = matrix - toeplitz(matrix[:, 0], matrix[0])
+    return np.abs(gap).max() > 1e-6 * np.abs(matrix).max()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    power_law=st.booleans(),
+    rate=st.floats(min_value=0.1, max_value=20.0),
+    exponent=st.floats(min_value=0.1, max_value=3.0),
+    offset=st.floats(min_value=0.01, max_value=2.0),
+    n_steps=st.integers(min_value=1, max_value=120),
+    jittered=st.booleans(),
+    n_agents=st.integers(min_value=1, max_value=10),
+    gamma=st.sampled_from([0.0, 5.0]),
+    log_variance=st.one_of(st.none(), st.floats(min_value=-18.0, max_value=1.0)),
+    shift=st.floats(min_value=0.0, max_value=5.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_every_solve_path_is_backward_stable_or_declines(
+    power_law, rate, exponent, offset, n_steps, jittered, n_agents, gamma, log_variance, shift, seed
+):
+    """Each path forced on each prepared system, against the system's dense matrix.
+
+    A returned solution passes the backward-error test and matches the dense
+    solve within a bound from the condition number; a path forced on a
+    matrix far from its structure declines; the prepared path of a banded or
+    triangular system within its condition bound solves; each floor is below
+    the smallest eigenvalue of the symmetric part. With a covariance and
+    ``gamma = 0`` the variance rate is positive but no variance term is added.
+    """
+    steps = np.random.default_rng(seed).uniform(0.5, 1.5, n_steps) if jittered else np.ones(n_steps)
+    spec = GameSpec(
+        grid=TimeGrid(np.r_[0.0, np.cumsum(steps) / steps.sum()]),
+        kernel=power_law_kernel(exponent, offset) if power_law else exponential_kernel(rate),
+        cross_impact=np.eye(1),
+        n_agents=n_agents,
+        gamma=gamma,
+        covariance=None if log_variance is None else np.array([[10.0**log_variance]]),
+    )
+    systems = prepare_profile_systems(spec)
+    if gamma == 0.0 or log_variance is None:  # no variance term: named on any grid but Levinson's
+        uniform = not jittered or n_steps == 1
+        expected = ("levinson" if uniform else None, "triangular") if power_law else ("banded",) * 2
+        assert tuple(system.path for system in systems.pairs[0]) == expected
+    eps_n = spec.grid.n_points * np.finfo(float).eps
+    for system in systems.pairs[0]:
+        matrix = system.dense().copy()
+        shifted = matrix + shift * np.eye(len(matrix))
+        if system.floor is not None:
+            assert system.floor <= np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0]
+        ones = np.ones(len(matrix))
+        reduced = _linalg._PreparedSystem(matrix.copy())
+        reduced.reduce()
+        solutions = {
+            "shifted": reduced.shifted.solve(shift, ones),
+            "dense": guarded_solve(shifted, ones),
+        }
+        # a structured path is the method named after it, on a system prepared for it
+        for path in ("triangular", "levinson"):
+            forced = _linalg._PreparedSystem(matrix.copy(), path, system.floor)
+            solutions[path] = getattr(forced, "_" + path)(shift, ones)
+            if lacks(path, matrix):
+                assert solutions[path] is None, path
+        if system.path == "banded":
+            solutions["banded"] = system._banded(shift, ones)
+        if system.path in ("banded", "triangular") and system._bounded(shift):
+            assert solutions[system.path] is not None, system.path
+        condition = np.linalg.cond(shifted, np.inf)
+        reference = solutions["dense"]
+        for path, x in solutions.items():
+            if x is None:
+                continue
+            assert backward_error(matrix, shift, x) <= _linalg.BACKWARD_TOL + 4 * eps_n, path
+            gap = np.abs(x - reference).max() / np.abs(reference).max()
+            assert gap <= 4 * condition * (_linalg.BACKWARD_TOL + eps_n), path
+
+
 def test_rejected_banded_probe_falls_back_to_guarded_solve_bit_for_bit(monkeypatch):
     spec = stability_game(n_agents=3, n_steps=40)
     systems = prepare_profile_systems(spec)
@@ -572,6 +680,26 @@ def test_rejected_banded_probe_falls_back_to_guarded_solve_bit_for_bit(monkeypat
         dense = guarded_solve(matrix + 0.4 * np.eye(len(ones)), ones)
         assert np.array_equal(fallback, dense / (ones @ dense))
         assert np.abs(kept - fallback).max() <= 1e-12 * np.abs(fallback).max()
+
+
+def test_banded_fallback_above_the_size_cap_raises_before_forming_the_matrix(monkeypatch):
+    builds = []
+    build = equilibrium_module.build_matrices
+    monkeypatch.setattr(
+        equilibrium_module, "build_matrices", lambda *args: builds.append(args) or build(*args)
+    )
+    systems = prepare_profile_systems(stability_game(n_agents=3, n_steps=40))
+    monkeypatch.setattr(_linalg, "BACKWARD_TOL", -1.0)  # every banded solve fails it
+    monkeypatch.setattr(_linalg, "MAX_FORMED_BYTES", 8 * 41**2 - 1)
+    for system in systems.pairs[0]:
+        with pytest.raises(NumericError, match="n = 41 would need"):
+            system.solve(0.4, paths_of())
+    assert builds == []
+    # a matrix of exactly the cap is formed
+    monkeypatch.setattr(_linalg, "MAX_FORMED_BYTES", 8 * 41**2)
+    paths = paths_of()
+    systems.pairs[0][1].solve(0.4, paths)
+    assert paths == paths_of(dense=1) and len(builds) == 1
 
 
 def test_exponential_game_without_a_variance_term_forms_no_matrix(monkeypatch):
@@ -887,6 +1015,10 @@ def test_profile_solution_without_a_normalization_raises(monkeypatch):
     monkeypatch.setattr(_linalg, "guarded_solve", lambda a, b: infinite)
     with pytest.raises(NumericError, match="sums to inf"):
         system.solve(0.0, paths_of())
+    # the dense reference normalizes through the same check
+    monkeypatch.setattr(equilibrium_module, "guarded_solve", lambda a, b: np.array([1.0, -1.0]))
+    with pytest.raises(NumericError, match="sums to 0.0"):
+        principal_fundamentals(stability_game(n_steps=1))
 
 
 def kernel_matrix_and_floor(kernel, points):

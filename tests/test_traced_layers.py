@@ -66,9 +66,19 @@ def test_assembled_system_has_the_traced_matrix():
 
 @pytest.mark.parametrize("name", ["theta_desk", "venue_hetero", "scenario_risk"])
 def test_a_traced_small_op_of_each_workload_passes(name, tmp_path):
+    check_traced_op(name, True, tmp_path)
+
+
+def test_a_traced_full_size_theta_desk_op_passes(tmp_path):
+    # the benchmark's own size (M = 50, J = 10, N = 300), whose traced run gates a change
+    check_traced_op("theta_desk", False, tmp_path)
+
+
+def check_traced_op(name, small, tmp_path):
+    """Trace one op of workload ``name``, at reduced sizes when ``small``, and check its spans."""
     workloads = load("bench_workloads", BENCH / "workloads.py")
     tracing = load("bench_tracing", TRACING)
-    workload = workloads.WORKLOADS[name](5, True, tmp_path)
+    workload = workloads.WORKLOADS[name](5, small, tmp_path)
     op_input = workload.prepare(0)
     tracer = tracing.Tracer()
     with tracer.installed(), tracer.op(0):
