@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -275,6 +276,27 @@ def test_critical_fee_decomposes_the_cross_impact_twice_on_one_blas_thread(monke
     assert calls == {"eigh": [[1] * len(controls)] * 2, "eigvalsh": []}
     assert report.params["top_eigenvalue"] == analyze_cross_impact(spec.cross_impact).top_eigenvalue
     assert report.predicted_conjecture == predicted_theta_star(spec.cross_impact, 1.0, 2)
+
+
+def test_prepared_systems_are_freed_before_the_dense_check(monkeypatch):
+    prepared, alive = [], []
+    prepare = stability_module.prepare_profile_systems
+    reference = stability_module.principal_fundamentals
+
+    def recording_prepare(spec):
+        systems = prepare(spec)
+        prepared.append(weakref.ref(systems))
+        return systems
+
+    def recording_reference(*args, **kwargs):
+        alive.append(prepared[0]() is not None)
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(stability_module, "prepare_profile_systems", recording_prepare)
+    monkeypatch.setattr(stability_module, "principal_fundamentals", recording_reference)
+    # power-law systems hold their matrices, which the dense check can reuse
+    critical_theta(stability_game(n_assets=3, coupling=0.5, kernel=POWER_LAW), tol=1e-3)
+    assert alive == [False]
 
 
 def test_estimate_scales_with_the_kernel():

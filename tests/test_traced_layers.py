@@ -3,7 +3,8 @@
 A traced benchmark run fails when a wrapped call's annotation cannot read the
 argument it names, when spans of one op overlap as threads would make them,
 or when the per-layer metrics cannot be read from the spans and from what the
-op wrote; one small op of each workload is traced here to catch all three.
+op wrote; one small op of each workload, and one theta_desk op at the
+benchmark's own size, are traced here to catch all three.
 """
 
 import importlib
