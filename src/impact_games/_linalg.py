@@ -81,11 +81,14 @@ _blas_saved: list = []
 class NumericError(RuntimeError):
     """Raised when a linear system is singular or too ill-conditioned to trust.
 
-    Carries ``condition``, the estimated 1-norm condition number (may be inf).
+    Carries ``condition``, the estimated 1-norm condition number (may be inf),
+    and ``reason``, the message without the condition number, for a caller
+    that re-raises it with context.
     """
 
     def __init__(self, message: str, condition: float = float("inf")):
         super().__init__(f"{message} (estimated condition number {condition:.3e})")
+        self.reason = message
         self.condition = condition
 
 

@@ -157,6 +157,11 @@ def stationarity_residual(spec, strategies, agent: int) -> float:
     strategies = _check_strategies(spec, strategies)
     _check_agent(spec, agent)
     bundle = build_matrices(spec.grid, spec.effective_kernel)
+    return _stationarity_residual(spec, strategies, agent, bundle)
+
+
+def _stationarity_residual(spec, strategies: np.ndarray, agent: int, bundle) -> float:
+    """:func:`stationarity_residual` from the bundle of the spec's grid and effective kernel."""
     scale = spec.scales[agent]
     volumes = spec.scales[:, None] * strategies
     own, others = volumes[:, agent], np.arange(spec.n_agents) != agent

@@ -14,9 +14,14 @@ trading time, then by (agent, tradable asset), and the multipliers last (see
 block of that system is a Kronecker product with the tradable block of the
 cross-impact matrix Q, so it splits exactly into one single-asset system per
 distinct eigenvalue of that block; the split is
-:func:`equilibrium.principal_groups`, the one the closed form uses. Other
-games solve the stacked system as one dense solve, whose result is checked
-against the game's conditions as well.
+:func:`equilibrium.principal_groups`, the one the closed form uses. Each
+single-asset system is solved in structured form, by block back substitution
+over the times and an (N + 1)-dimensional correction, without forming its
+matrix (:class:`_PrincipalSystem`); the assembled system and a dense solve
+are the reference, and the fallback when the structured solve cannot vouch
+for its condition or its backward error. Other games solve the stacked system
+as one dense solve, whose result is checked against the game's conditions as
+well.
 """
 
 from __future__ import annotations
@@ -24,23 +29,31 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import NumericError, _boolean_mask, guarded_solve, single_blas_thread
+from ._linalg import (
+    BACKWARD_TOL,
+    MAX_CONDITION,
+    NumericError,
+    _boolean_mask,
+    guarded_solve,
+    single_blas_thread,
+)
 from .costs import (
+    _stationarity_residual,
     cross_cost_term,
     expected_cost,
     own_cost_term,
     priority_cross,
-    stationarity_residual,
 )
 from .cross_impact import SpectralReport, analyze_cross_impact
 from .equilibrium import (
     _SHARE_TOL,
     Equilibrium,
     GameSpec,
+    _unit_floor,
     closed_form_equilibrium,
     principal_groups,
 )
@@ -121,7 +134,7 @@ def _solve_kkt(matrix: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
         return guarded_solve(matrix, rhs)
     except NumericError as exc:
         raise NumericError(
-            f"no unique equilibrium: {name} is singular or near-singular ({exc})",
+            f"no unique equilibrium: {name} is singular or near-singular ({exc.reason})",
             exc.condition,
         ) from exc
 
@@ -179,7 +192,9 @@ def _unit_responses(spec: GameSpec, eigenvalue: float) -> np.ndarray:
 
     The system is that of the single-asset game with cross impact
     ``eigenvalue`` and the grid, kernel, fees, scales and priority of
-    ``spec``; column j has agent j's inventory 1 and the others 0. Inside
+    ``spec``; column j has agent j's inventory 1 and the others 0. It is
+    solved in structured form (:class:`_PrincipalSystem`) and, when that
+    declines, assembled and solved densely (:func:`_dense_responses`). Inside
     :func:`_shared_responses`, a system whose eigenvalue agrees with an
     earlier one's within ``_SHARE_TOL`` of the larger magnitude is not solved
     again: its earlier responses are returned.
@@ -188,6 +203,16 @@ def _unit_responses(spec: GameSpec, eigenvalue: float) -> np.ndarray:
     for known, response in shared or ():
         if abs(known - eigenvalue) <= _SHARE_TOL * max(abs(known), abs(eigenvalue)):
             return response
+    response = _PrincipalSystem(spec, eigenvalue).solve()
+    if response is None:
+        response = _dense_responses(spec, eigenvalue)
+    if shared is not None:
+        shared.append((eigenvalue, response))
+    return response
+
+
+def _dense_responses(spec: GameSpec, eigenvalue: float) -> np.ndarray:
+    """:func:`_unit_responses` from the assembled system and :func:`guarded_solve`."""
     single = replace(
         spec, cross_impact=np.array([[eigenvalue]]), inventories=None, covariance=None, mask=None
     )
@@ -195,12 +220,122 @@ def _unit_responses(spec: GameSpec, eigenvalue: float) -> np.ndarray:
     n_agents = spec.n_agents
     rhs = np.zeros((len(system.matrix), n_agents))
     rhs[-n_agents:] = np.eye(n_agents)  # one multiplier row per agent, last
-    response = _solve_kkt(
-        system.matrix, rhs, f"principal-asset system (eigenvalue {eigenvalue:.6e})"
-    )
-    if shared is not None:
-        shared.append((eigenvalue, response))
-    return response
+    return _solve_kkt(system.matrix, rhs, f"principal-asset system (eigenvalue {eigenvalue:.6e})")
+
+
+class _PrincipalSystem:
+    """One principal-asset system of :func:`_unit_responses`, solved without its matrix.
+
+    With n = N + 1 times, L the strict lower kernel part, s the scales, Pb
+    the priority with a unit diagonal and ``kron(time, agent)`` products in
+    time-major order, the strategy block at eigenvalue lam is
+    ``A = kron(I, T0) + lam kron(L^T, diag(s^2)) + lam kron(L, s s^T)``
+    with ``T0 = lam g0 (s s^T * Pb) + diag(2 theta s^2)``, and the system is
+    ``[[A, -E], [E^T, 0]]`` with ``E = kron(1, I)``. U, the first two terms
+    of A, is block upper triangular: U^-1 is a back substitution over the
+    times with T0's inverse, one column of L per step. With
+    ``P = kron(I, s)``, ``A = U + lam P L P^T``, so ``A^-1 E`` follows from
+    ``U^-1 [P | E]`` and one n-dimensional system
+    ``(I + lam W L) z = P^T U^-1 E`` with ``W = P^T U^-1 P`` (Hager, SIAM
+    Review 1989). The multipliers are ``S^-1`` for ``S = E^T A^-1 E``, from
+    :func:`guarded_solve`, and the strategies ``A^-1 E S^-1``: O(n^2 J (n + J))
+    flops, and no matrix of the system's size.
+
+    The symmetric part of A is
+    ``lam D kron(K, (1 1^T + I) / 2) D + kron(I, diag(2 theta s^2))`` with
+    ``D = kron(I, diag(s))`` and K the kernel matrix, so ``floor``, from
+    :func:`equilibrium._unit_floor` and lowered by ``dim eps ||A||`` for
+    rounding, bounds its smallest eigenvalue from below (lam >= 0), and
+    ``||A^-1||_2 <= 1 / floor``. That, ``||E||_2 = sqrt(n)`` and
+    ``||S^-1||_2`` bound the 2-norms of the blocks of the system's inverse,
+    whose 2x2 matrix of norms bounds its 2-norm through the Frobenius norm;
+    times ``sqrt(dim)`` and the system's 1-norm ``norm_1``, in closed form
+    from the column sums of L, that bounds its 1-norm condition number.
+    :meth:`solve` keeps a solution only when that bound is within
+    ``MAX_CONDITION`` and its normwise backward error, from structured
+    products, is within ``BACKWARD_TOL`` in every column. The bound is at
+    least the condition number, which is at least LAPACK's estimate, so the
+    path declines wherever :func:`guarded_solve` would raise.
+    """
+
+    def __init__(self, spec: GameSpec, eigenvalue: float):
+        bundle = build_matrices(spec.grid, spec.effective_kernel)
+        g0, lower, scales = bundle.kernel_at_zero, bundle.strict_lower, spec.scales
+        n, n_agents = spec.grid.n_points, spec.n_agents
+        fees = 2.0 * spec.thetas * scales**2
+        priority = spec.priority.copy()
+        np.fill_diagonal(priority, 1.0)
+        self.eigenvalue, self.lower, self.scales = eigenvalue, lower, scales
+        self.t0 = eigenvalue * g0 * np.outer(scales, scales) * priority + np.diag(fees)
+        # the strategy block's absolute column and row sums, [time, agent]
+        column_sums, row_sums = np.abs(lower).sum(axis=0), np.abs(lower).sum(axis=1)
+        weights = eigenvalue * scales * scales.sum(), eigenvalue * scales**2
+        block_1 = np.outer(column_sums, weights[0]) + np.outer(row_sums, weights[1])
+        block_inf = np.outer(row_sums, weights[0]) + np.outer(column_sums, weights[1])
+        block_1 += np.abs(self.t0).sum(axis=0)
+        block_inf += np.abs(self.t0).sum(axis=1)
+        self.dim = (n + 1) * n_agents
+        # each strategy row and column also holds one entry of E; E's hold n
+        self.norm_1 = max(float(block_1.max()) + 1.0, float(n))
+        self.norm_inf = max(float(block_inf.max()) + 1.0, float(n))
+        rounding = self.dim * np.finfo(float).eps * max(block_1.max(), block_inf.max())
+        unit_floor = _unit_floor(spec.kernel, float(np.diff(spec.grid.points).min()))
+        self.floor = (
+            0.5 * eigenvalue * (scales**2).min() * g0 * unit_floor + fees.min() - rounding
+        )
+
+    def solve(self) -> Optional[np.ndarray]:
+        """Unit responses in the layout of the assembled system, or None when declined."""
+        lam, lower, s, n_agents = self.eigenvalue, self.lower, self.scales, len(self.scales)
+        n = len(lower)
+        if not (lam >= 0.0 and self.floor > 0.0):
+            return None
+        # at most the condition bound below, which it spares the solve
+        if self.norm_1 * np.sqrt(self.dim) / self.floor > MAX_CONDITION:
+            return None
+        # U^-1 [P | E] by back substitution over the times, [time, agent, column]:
+        # block t is T0^-1 [P | E]_t - lam T0^-1 diag(s^2) sum_(u > t) L[u, t] block u
+        inverse = np.linalg.inv(self.t0)  # regular: its symmetric part is above the floor
+        coupling = inverse * (lam * s**2)
+        solved = np.zeros((n, n_agents, n + n_agents))
+        solved[np.arange(n), :, np.arange(n)] = inverse @ s
+        solved[:, :, n:] = inverse
+        flat = solved.reshape(n, -1)
+        for t in range(n - 2, -1, -1):
+            solved[t] -= coupling @ (lower[t + 1 :, t] @ flat[t + 1 :]).reshape(solved[t].shape)
+        on_p, on_e = solved[:, :, :n], solved[:, :, n:]
+        w = np.einsum("j,tju->tu", s, on_p)
+        # regular, as A and U are: det(A) = det(U) det(I + lam W L)
+        z = np.linalg.solve(np.eye(n) + lam * (w @ lower), np.einsum("j,tjk->tk", s, on_e))
+        strategies = on_e - lam * (on_p.reshape(-1, n) @ (lower @ z)).reshape(on_e.shape)
+        try:
+            multipliers = guarded_solve(strategies.sum(axis=0), np.eye(n_agents))
+        except NumericError:
+            return None
+        # ||A^-1|| <= a, ||E|| = sqrt(n) and ||S^-1|| = sigma bound the inverse's blocks
+        a, sigma = 1.0 / self.floor, float(np.linalg.norm(multipliers, 2))
+        corner, side = a + a * a * n * sigma, a * np.sqrt(n) * sigma
+        inverse_2 = np.sqrt(corner**2 + 2.0 * side**2 + sigma**2)
+        if not self.norm_1 * np.sqrt(self.dim) * inverse_2 <= MAX_CONDITION:
+            return None
+        strategies = strategies @ multipliers
+        residual = self._strategy_product(strategies) - multipliers
+        constraint = strategies.sum(axis=0) - np.eye(n_agents)
+        response = np.concatenate([strategies.reshape(-1, n_agents), multipliers])
+        worst = np.maximum(np.abs(residual).max(axis=(0, 1)), np.abs(constraint).max(axis=0))
+        scale = self.norm_inf * np.abs(response).max(axis=0) + 1.0  # the right side's column is e_j
+        return response if np.all(worst <= BACKWARD_TOL * scale) else None
+
+    def _strategy_product(self, strategies: np.ndarray) -> np.ndarray:
+        """``A x`` for columns x in [time, agent, column] layout."""
+        lam, lower, s = self.eigenvalue, self.lower, self.scales
+        n = len(lower)
+        product = np.matmul(self.t0, strategies)
+        later = (lower.T @ strategies.reshape(n, -1)).reshape(strategies.shape)
+        product += (lam * s**2)[:, None] * later
+        earlier = lower @ np.einsum("j,tjc->tc", s, strategies)
+        product += lam * s[:, None] * earlier[:, None, :]
+        return product
 
 
 @contextmanager
@@ -220,11 +355,18 @@ def _shared_responses():
 
 
 def _is_equilibrium(spec: GameSpec, strategies: np.ndarray) -> bool:
-    """Whether strategies meet every inventory and first-order condition of ``spec``."""
+    """Whether strategies meet every inventory and first-order condition of ``spec``.
+
+    Every agent's residual is taken from one matrix bundle.
+    """
     scale = max(float(np.abs(spec.inventories).max()), 1.0)
     conservation = np.abs(strategies.sum(axis=2) - spec.inventories).max()
-    return bool(conservation <= 1e-11 * scale) and all(
-        stationarity_residual(spec, strategies, j) <= 1e-9 * scale for j in range(spec.n_agents)
+    if not conservation <= 1e-11 * scale:
+        return False
+    bundle = build_matrices(spec.grid, spec.effective_kernel)
+    return all(
+        _stationarity_residual(spec, strategies, j, bundle) <= 1e-9 * scale
+        for j in range(spec.n_agents)
     )
 
 
@@ -245,7 +387,8 @@ def solve_hetero_nash(spec: GameSpec) -> Equilibrium:
     When there are several assets and every agent trades the same nonempty
     set of them, the game is solved one principal asset of that set's
     cross-impact block at a time (see :func:`_solve_principal`), with one
-    ``J (N + 2)``-dimensional solve per distinct eigenvalue. The rotated-back
+    ``J (N + 2)``-dimensional system per distinct eigenvalue, solved in
+    structured form (see :func:`_unit_responses`). The rotated-back
     strategies must conserve the inventories within 1e-11 and leave every
     agent's stationarity residual within 1e-9 (both relative to the largest
     inventory, or 1); otherwise the stacked system is solved densely, as it
@@ -311,7 +454,7 @@ def payoff_matrix(
     Each distinct mask's uniform game is solved once by
     :func:`solve_hetero_nash`. Those games differ only in their masks, so
     their principal-asset systems are fixed by the eigenvalue: each distinct
-    one is factored once per table, and the games that share it use its
+    one is solved once per table, and the games that share it use its
     responses to unit inventories (see :func:`_unit_responses`). Nothing of
     that outlives the call.
 

@@ -4,14 +4,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import impact_games.equilibrium as equilibrium_module
+from impact_games import _linalg
 from conftest import VENUE_CHOICE_COSTS, assert_matches_printed
 from impact_games import (
     GameSpec,
     NumericError,
+    TimeGrid,
     analyze_cross_impact,
     assemble_equilibrium_system,
     block_matrix,
@@ -75,10 +77,10 @@ def test_homogeneous_inputs_match_the_closed_form(cross, rng, monkeypatch):
     monkeypatch.setattr(equilibrium_module, "prepare_profile_systems", counted)
     equilibrium_module._market_fundamentals.cache_clear()
     closed = closed_form_equilibrium(spec)
-    split, dims = solve_recording_dims(spec, monkeypatch)
+    split, solves = solve_recording_solves(spec, monkeypatch)
     assert np.abs(split - closed.strategies).max() <= 1e-12
     # both agent models group the principal assets alike
-    assert dims == [principal_dim(spec)] * len(closed_groups)
+    assert solves == [("structured", principal_dim(spec))] * len(closed_groups)
 
 
 @pytest.mark.parametrize(
@@ -232,8 +234,10 @@ def test_priority_pairs_must_sum_to_one():
 def test_singular_game_reports_no_unique_equilibrium():
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
     spec = hetero_spec([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], cross=singular)
-    with pytest.raises(NumericError, match="no unique equilibrium"):
+    with pytest.raises(NumericError, match="no unique equilibrium") as raised:
         solve_hetero_nash(spec)
+    # the re-raised error quotes the solve's reason, and its condition once
+    assert str(raised.value).count("estimated condition number") == 1
 
 
 def test_venue_choice_payoff_table():
@@ -262,22 +266,36 @@ def dense_reference(spec):
     return strategies
 
 
-def recorded_dims(monkeypatch):
-    """List that receives the dimension of every later linear solve of hetero."""
-    dims = []
+def recorded_solves(monkeypatch):
+    """List that receives (path, dimension) of every later KKT solve of hetero.
 
-    def recording(matrix, rhs, *args, **kwargs):
-        dims.append(len(matrix))
-        return guarded_solve(matrix, rhs, *args, **kwargs)
+    A principal-asset system solved in structured form is ("structured", its
+    dimension); a system solved densely by guarded_solve, a principal one
+    whose structured path declined or the stacked one, is ("dense", its
+    dimension).
+    """
+    solves = []
+    structured, dense = hetero._PrincipalSystem.solve, hetero._solve_kkt
 
-    monkeypatch.setattr(hetero, "guarded_solve", recording)
-    return dims
+    def recording_structured(system):
+        response = structured(system)
+        if response is not None:
+            solves.append(("structured", system.dim))
+        return response
+
+    def recording_dense(matrix, rhs, name):
+        solves.append(("dense", len(matrix)))
+        return dense(matrix, rhs, name)
+
+    monkeypatch.setattr(hetero._PrincipalSystem, "solve", recording_structured)
+    monkeypatch.setattr(hetero, "_solve_kkt", recording_dense)
+    return solves
 
 
-def solve_recording_dims(spec, monkeypatch):
-    """Solve the game, recording the dimension of every linear solve it makes."""
-    dims = recorded_dims(monkeypatch)
-    return solve_hetero_nash(spec).strategies, dims
+def solve_recording_solves(spec, monkeypatch):
+    """Solve the game, recording the path and dimension of every KKT solve it makes."""
+    solves = recorded_solves(monkeypatch)
+    return solve_hetero_nash(spec).strategies, solves
 
 
 def principal_dim(spec):
@@ -329,9 +347,9 @@ def test_principal_split_matches_the_dense_solve(case, solves, rng, monkeypatch)
     else:
         spec = uniform_game(rng, rank_one_matrix([0.2, 0.5, 0.7]))
     reference = dense_reference(spec)
-    strategies, dims = solve_recording_dims(spec, monkeypatch)
-    # one single-asset solve per distinct eigenvalue, no dense fallback
-    assert dims == [principal_dim(spec)] * solves
+    strategies, recorded = solve_recording_solves(spec, monkeypatch)
+    # one structured single-asset solve per distinct eigenvalue, no dense fallback
+    assert recorded == [("structured", principal_dim(spec))] * solves
     assert np.abs(strategies - reference).max() <= 1e-12
     assert np.all(strategies[~spec.mask] == 0.0)
 
@@ -365,8 +383,8 @@ def test_non_uniform_masks_take_the_stacked_solve(rng, monkeypatch):
     mask = spec.mask.copy()
     mask[2, 0] = False
     spec = dataclasses.replace(spec, inventories=spec.inventories * mask, mask=mask)
-    strategies, dims = solve_recording_dims(spec, monkeypatch)
-    assert dims == [len(assemble_equilibrium_system(spec).matrix)]
+    strategies, solves = solve_recording_solves(spec, monkeypatch)
+    assert solves == [("dense", len(assemble_equilibrium_system(spec).matrix))]
     assert np.array_equal(strategies, dense_reference(spec))
 
 
@@ -398,13 +416,105 @@ def venue_game(seed, n_assets):
 @pytest.mark.parametrize("seed, n_assets", [([54, 49], 4), ([91, 106], 8)])
 def test_time_major_principal_solves_avoid_the_dense_fallback(seed, n_assets, monkeypatch):
     spec = venue_game(seed, n_assets)
-    strategies, dims = solve_recording_dims(spec, monkeypatch)
-    # eigenvalues 0.4 (n_assets - 1 times) and 1 + (n_assets - 1) * 0.6
-    assert dims == [principal_dim(spec)] * 2
-    assert np.abs(strategies.sum(axis=2) - spec.inventories).max() <= 1e-13
-    residual = max(stationarity_residual(spec, strategies, j) for j in range(spec.n_agents))
-    assert residual <= 1e-12
+    for path in ("structured", "dense"):
+        with monkeypatch.context() as patch:
+            if path == "dense":  # the structured path declines; the assembled systems are solved
+                patch.setattr(hetero._PrincipalSystem, "solve", lambda system: None)
+            strategies, solves = solve_recording_solves(spec, patch)
+        # eigenvalues 0.4 (n_assets - 1 times) and 1 + (n_assets - 1) * 0.6
+        assert solves == [(path, principal_dim(spec))] * 2
+        assert np.abs(strategies.sum(axis=2) - spec.inventories).max() <= 1e-13
+        residual = max(stationarity_residual(spec, strategies, j) for j in range(spec.n_agents))
+        assert residual <= 1e-12
 
+
+
+def test_structured_path_declines_where_the_dense_solve_raises():
+    # without fees the systems of tiny eigenvalues are near-singular; at 2e-9
+    # guarded_solve rejects the assembled system, at 1e-6 it solves it
+    spec = dataclasses.replace(venue_game([1, 2], 4), theta=0.0)
+    for eigenvalue in (2e-9, 1e-6):
+        assert hetero._PrincipalSystem(spec, eigenvalue).solve() is None
+    with pytest.raises(NumericError, match="principal-asset system") as raised:
+        hetero._unit_responses(spec, 2e-9)
+    assert raised.value.condition > _linalg.MAX_CONDITION
+    assert np.array_equal(hetero._unit_responses(spec, 1e-6), hetero._dense_responses(spec, 1e-6))
+
+def test_structured_solve_failing_its_backward_test_declines(monkeypatch):
+    spec = venue_game([54, 49], 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(hetero._PrincipalSystem, "solve", lambda system: None)
+        dense = solve_hetero_nash(spec).strategies
+    monkeypatch.setattr(hetero, "BACKWARD_TOL", -1.0)  # no solution passes the test
+    strategies, solves = solve_recording_solves(spec, monkeypatch)
+    assert solves == [("dense", principal_dim(spec))] * 2
+    assert np.array_equal(strategies, dense)
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    power_law=st.booleans(),
+    rate=st.floats(min_value=0.1, max_value=20.0),
+    exponent=st.floats(min_value=0.1, max_value=3.0),
+    offset=st.floats(min_value=0.01, max_value=2.0),
+    n_steps=st.integers(min_value=1, max_value=60),
+    jittered=st.booleans(),
+    n_agents=st.integers(min_value=2, max_value=5),
+    zero_fees=st.integers(min_value=0, max_value=5),
+    log_eigenvalue=st.floats(min_value=-9.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# no fee and a tiny eigenvalue: guarded_solve raises (condition estimate 1.6e12)
+@example(
+    power_law=True, rate=1.0, exponent=0.5, offset=0.1, n_steps=60, jittered=False,
+    n_agents=5, zero_fees=5, log_eigenvalue=-9.0, seed=0,
+)
+def test_structured_principal_solve_is_backward_stable_or_declines(
+    power_law, rate, exponent, offset, n_steps, jittered, n_agents, zero_fees, log_eigenvalue, seed
+):
+    """The structured path against the assembled principal-asset system.
+
+    A returned solution passes the backward-error test against the assembled
+    matrix and matches guarded_solve within a bound from the condition
+    number; the path declines wherever guarded_solve raises; the floor is
+    below the smallest eigenvalue of the strategy block's symmetric part, and
+    the closed-form 1-norm and infinity norm are the matrix's.
+    """
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.5, 1.5, n_steps) if jittered else np.ones(n_steps)
+    eigenvalue = 10.0**log_eigenvalue
+    spec = GameSpec(
+        grid=TimeGrid(np.r_[0.0, np.cumsum(steps) / steps.sum()]),
+        kernel=power_law_kernel(exponent, offset) if power_law else exponential_kernel(rate),
+        cross_impact=np.array([[eigenvalue]]),
+        n_agents=n_agents,
+        theta=np.where(rng.permutation(n_agents) < zero_fees, 0.0, rng.uniform(0.0, 2.0, n_agents)),
+        scales=rng.uniform(0.5, 2.0, n_agents),
+        priority=asymmetric_priority(n_agents, rng),
+    )
+    system = hetero._PrincipalSystem(spec, eigenvalue)
+    response = system.solve()
+    matrix = assemble_equilibrium_system(spec).matrix
+    eps_n = len(matrix) * np.finfo(float).eps
+    strategy_block = matrix[:-n_agents, :-n_agents]
+    assert system.floor <= np.linalg.eigvalsh(0.5 * (strategy_block + strategy_block.T))[0]
+    for norm, order in ((system.norm_1, 1), (system.norm_inf, np.inf)):
+        exact = np.linalg.norm(matrix, order)
+        assert abs(norm - exact) <= eps_n * exact
+    rhs = np.zeros((len(matrix), n_agents))
+    rhs[-n_agents:] = np.eye(n_agents)
+    try:
+        reference = guarded_solve(matrix, rhs)
+    except NumericError:
+        assert response is None
+        return
+    if response is None:
+        return
+    scale = np.linalg.norm(matrix, np.inf) * np.abs(response).max(axis=0) + 1.0
+    residual = np.abs(matrix @ response - rhs).max(axis=0)
+    assert np.all(residual <= (_linalg.BACKWARD_TOL + 4 * eps_n) * scale)
+    condition = np.linalg.cond(matrix, np.inf)
+    gap = np.abs(response - reference).max() / np.abs(reference).max()
+    assert gap <= 4 * condition * (_linalg.BACKWARD_TOL + eps_n)
 
 def test_stacked_solve_meets_the_conditions_in_one_time_major_solve(monkeypatch):
     # the top-eigenvalue system of the [91, 106] venue game as a one-asset game;
@@ -413,8 +523,8 @@ def test_stacked_solve_meets_the_conditions_in_one_time_major_solve(monkeypatch)
     spec = dataclasses.replace(
         game, cross_impact=np.array([[5.2]]), inventories=game.inventories[:1], mask=None
     )
-    strategies, dims = solve_recording_dims(spec, monkeypatch)
-    assert dims == [principal_dim(spec)]
+    strategies, solves = solve_recording_solves(spec, monkeypatch)
+    assert solves == [("dense", principal_dim(spec))]
     assert np.abs(strategies.sum(axis=2) - spec.inventories).max() <= 1e-13
     residual = max(stationarity_residual(spec, strategies, j) for j in range(spec.n_agents))
     assert residual <= 1e-12
@@ -422,7 +532,7 @@ def test_stacked_solve_meets_the_conditions_in_one_time_major_solve(monkeypatch)
 
 def test_stacked_solve_failing_its_check_raises(rng, monkeypatch):
     spec = hetero_spec([[1.0, -0.5]], [0.1, 0.3])
-    monkeypatch.setattr(hetero, "stationarity_residual", lambda *args: 1.0)
+    monkeypatch.setattr(hetero, "_stationarity_residual", lambda *args: 1.0)
     with pytest.raises(NumericError, match="stacked solve misses the inventory or first-order"):
         solve_hetero_nash(spec)
 
@@ -434,11 +544,13 @@ def test_failed_equilibrium_check_falls_back_to_the_dense_solve(rng, monkeypatch
     def fails_first_check(*args):
         # the split's check fails; the stacked result is checked for real
         checked.append(args)
-        return 1.0 if len(checked) == 1 else stationarity_residual(*args)
+        return 1.0 if len(checked) == 1 else residual(*args)
 
-    monkeypatch.setattr(hetero, "stationarity_residual", fails_first_check)
-    strategies, dims = solve_recording_dims(spec, monkeypatch)
-    assert dims == [principal_dim(spec)] * 2 + [len(assemble_equilibrium_system(spec).matrix)]
+    residual = hetero._stationarity_residual
+    monkeypatch.setattr(hetero, "_stationarity_residual", fails_first_check)
+    strategies, solves = solve_recording_solves(spec, monkeypatch)
+    stacked = len(assemble_equilibrium_system(spec).matrix)
+    assert solves == [("structured", principal_dim(spec))] * 2 + [("dense", stacked)]
     assert np.array_equal(strategies, dense_reference(spec))
 
 
@@ -526,37 +638,37 @@ def test_payoff_cell_mismatch_prices_every_cell(rng, monkeypatch):
     assert len(calls) == (1 + reference[..., 0].size) * base.n_agents
 
 
-def venue_table_recording_dims(monkeypatch):
+def venue_table_recording_solves(monkeypatch):
     """The 8-asset venue game with the options asset 0, the first half and all for every agent.
 
-    Returns the game, its payoff table and the dimension of every linear
-    solve the table made.
+    Returns the game, its payoff table and the path and dimension of every
+    KKT solve the table made.
     """
     spec = venue_game([91, 106], 8)
     masks = [np.arange(8) < size for size in (1, 4, 8)]
     with monkeypatch.context() as patch:
-        dims = recorded_dims(patch)
+        solves = recorded_solves(patch)
         table = payoff_matrix(spec, [masks] * spec.n_agents)
-    return spec, table, dims
+    return spec, table, solves
 
 
 def test_payoff_table_factors_each_distinct_principal_system_once(monkeypatch):
     # eigenvalues 1; 0.4 and 2.8; 0.4 and 5.2: 0.4 is solved once for two masks
-    spec, table, dims = venue_table_recording_dims(monkeypatch)
-    assert dims == [principal_dim(spec)] * 4
+    spec, table, solves = venue_table_recording_solves(monkeypatch)
+    assert solves == [("structured", principal_dim(spec))] * 4
     monkeypatch.setattr(hetero, "_shared_responses", contextlib.nullcontext)
-    _, alone, dims = venue_table_recording_dims(monkeypatch)
-    assert dims == [principal_dim(spec)] * 5
+    _, alone, solves = venue_table_recording_solves(monkeypatch)
+    assert solves == [("structured", principal_dim(spec))] * 5
     assert np.allclose(table.costs, alone.costs, rtol=1e-12, atol=0.0)
     assert np.array_equal(table.equilibrium, alone.equilibrium)
 
 
 def test_no_shared_response_outlives_a_payoff_table(monkeypatch):
-    spec, _, _ = venue_table_recording_dims(monkeypatch)
+    spec, _, _ = venue_table_recording_solves(monkeypatch)
     assert hetero._RESPONSES.get() is None
-    # eigenvalues 0.4 and 5.2, each factored again
-    _, dims = solve_recording_dims(spec, monkeypatch)
-    assert dims == [principal_dim(spec)] * 2
+    # eigenvalues 0.4 and 5.2, each solved again
+    _, solves = solve_recording_solves(spec, monkeypatch)
+    assert solves == [("structured", principal_dim(spec))] * 2
     singular = hetero_spec([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], cross=np.ones((2, 2)))
     with pytest.raises(NumericError, match="no unique equilibrium"):
         payoff_matrix(singular, [[np.array([True, True])]] * 2)
@@ -565,14 +677,14 @@ def test_no_shared_response_outlives_a_payoff_table(monkeypatch):
 
 def test_only_eigenvalues_within_the_share_tolerance_share_responses(monkeypatch):
     spec = venue_game([54, 49], 4)
-    dims = recorded_dims(monkeypatch)
+    solves = recorded_solves(monkeypatch)
     tol = equilibrium_module._SHARE_TOL
     with hetero._shared_responses():
         first = hetero._unit_responses(spec, 0.4)
         assert hetero._unit_responses(spec, 0.4 * (1.0 + 0.5 * tol)) is first
         assert hetero._unit_responses(spec, 0.4 * (1.0 - 0.5 * tol)) is first
         apart = hetero._unit_responses(spec, 0.4 * (1.0 + 2.0 * tol))
-    assert apart is not first and len(dims) == 2
+    assert apart is not first and solves == [("structured", principal_dim(spec))] * 2
     # each agent's unit inventory: the strategy rows of column j sum to 1 for agent j only
     n = spec.grid.n_points
     totals = first[: n * spec.n_agents].reshape(n, spec.n_agents, -1).sum(axis=0)
