@@ -267,13 +267,12 @@ class _PrincipalSystem:
         np.fill_diagonal(priority, 1.0)
         self.eigenvalue, self.lower, self.scales = eigenvalue, lower, scales
         self.t0 = eigenvalue * g0 * np.outer(scales, scales) * priority + np.diag(fees)
-        # the strategy block's absolute column and row sums, [time, agent]
-        column_sums, row_sums = np.abs(lower).sum(axis=0), np.abs(lower).sum(axis=1)
-        weights = eigenvalue * scales * scales.sum(), eigenvalue * scales**2
-        block_1 = np.outer(column_sums, weights[0]) + np.outer(row_sums, weights[1])
-        block_inf = np.outer(row_sums, weights[0]) + np.outer(column_sums, weights[1])
-        block_1 += np.abs(self.t0).sum(axis=0)
-        block_inf += np.abs(self.t0).sum(axis=1)
+        # the strategy block's column and row sums, [time, agent]; its entries
+        # are nonnegative for lam >= 0, the only eigenvalues solve() takes
+        column_sums, row_sums = lower.sum(axis=0), lower.sum(axis=1)
+        cross, own = eigenvalue * scales * scales.sum(), eigenvalue * scales**2
+        block_1 = np.outer(column_sums, cross) + np.outer(row_sums, own) + self.t0.sum(axis=0)
+        block_inf = np.outer(row_sums, cross) + np.outer(column_sums, own) + self.t0.sum(axis=1)
         self.dim = (n + 1) * n_agents
         # each strategy row and column also holds one entry of E; E's hold n
         self.norm_1 = max(float(block_1.max()) + 1.0, float(n))
@@ -290,7 +289,7 @@ class _PrincipalSystem:
         n = len(lower)
         if not (lam >= 0.0 and self.floor > 0.0):
             return None
-        # at most the condition bound below, which it spares the solve
+        # a lower bound on the condition bound below: past the cap, skip the solve
         if self.norm_1 * np.sqrt(self.dim) / self.floor > MAX_CONDITION:
             return None
         # U^-1 [P | E] by back substitution over the times, [time, agent, column]:
