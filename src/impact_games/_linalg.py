@@ -6,8 +6,7 @@ LAPACK's 1-norm condition estimate exceeds ``MAX_CONDITION``.
 :class:`_PreparedSystem` is a matrix A prepared once and solved against the
 all-ones vector at many shifts s, ``(A + s I) x = 1``; the profile systems of
 :mod:`equilibrium` are such matrices, with the fee in s. The preparer, which
-built A, names the structured path it may take, one of the first three below;
-a solve takes the first path that returns a solution, and counts it by name:
+built A, names the structured path it may take, one of the first three below:
 
 - "banded": A is ``w L + L^T + c I`` for the strict lower part L of an
   exponential kernel's matrix, held without a matrix (:class:`_BandedSystem`).
@@ -26,26 +25,27 @@ a solve takes the first path that returns a solution, and counts it by name:
 - "dense": :func:`guarded_solve` on ``A + s I``, which has the final say on
   conditioning; a banded system forms A for it, up to ``MAX_FORMED_BYTES``.
 
-A structured path comes with a floor, a lower bound mu on the smallest
-eigenvalue of the symmetric part of A, and runs only when
-``sqrt(n) (||A||_1 + s) / (mu + s)``, a bound on the 1-norm condition number
-(a symmetric part >= mu I gives ``||(A + s I)^-1||_2 <= 1 / (mu + s)``), is
-within ``MAX_CONDITION``. A solution of the first four paths is kept only
-when its normwise backward error against A is at most ``BACKWARD_TOL``
-(:func:`_backward_stable`); otherwise the next path runs. The norms of A
-are taken once, for a system with a structured path: in O(n) for a banded
-or a Toeplitz system, densely for a triangular one.
+A structured path comes with a floor, a lower bound on the smallest
+eigenvalue of the symmetric part of A, and runs only when the floor bounds
+the condition number within ``MAX_CONDITION`` (:func:`_floor_bounded`).
+Each of the first four paths returns its raw solution, or None when its own
+factorization fails. :meth:`_PreparedSystem.solve` alone keeps or declines
+a raw solution, by its normwise backward error against A
+(:func:`_backward_stable`), and counts the path of the one it keeps; the
+dense solve runs when none is kept. A system that holds A takes its norms
+densely when it is prepared, a banded system in O(n).
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 import scipy
@@ -104,6 +104,13 @@ def _finite(name: str, values: np.ndarray) -> None:
     """Reject arrays holding NaN or infinite entries."""
     if not np.all(np.isfinite(values)):
         raise ArgumentError(name, f"{name} must be finite")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ArgumentError unless it is a whole number, never truncated."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ArgumentError(name, f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _boolean_mask(values) -> np.ndarray:
@@ -212,15 +219,28 @@ def _normalized(x: np.ndarray) -> np.ndarray:
 def _backward_stable(
     residual: np.ndarray, x: np.ndarray, rhs: np.ndarray, norm_inf: float, shift: float
 ) -> bool:
-    """Whether ``x`` solves ``(A + shift I) x = rhs`` within ``BACKWARD_TOL``.
+    """Whether ``x`` solves ``(A + shift I) x = rhs`` within ``BACKWARD_TOL``, column by column.
 
     ``residual`` is ``(A + shift I) x - rhs`` and ``norm_inf`` is the
-    infinity norm of A; the test is
-    ``||r|| <= BACKWARD_TOL ((||A|| + |shift|) ||x|| + ||rhs||)``, in the
-    infinity norm. A NaN anywhere fails it.
+    infinity norm of A; the test is Rigal and Gaches' normwise backward error
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 7.1),
+    ``||r|| <= BACKWARD_TOL ((||A|| + |shift|) ||x|| + ||rhs||)`` in the
+    infinity norm, for each column of a 2-D ``x``. A NaN anywhere fails it.
     """
-    scale = (norm_inf + abs(shift)) * np.abs(x).max() + np.abs(rhs).max()
-    return bool(np.abs(residual).max() <= BACKWARD_TOL * scale)
+    scale = (norm_inf + abs(shift)) * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
+    return bool(np.all(np.abs(residual).max(axis=0) <= BACKWARD_TOL * scale))
+
+
+def _floor_bounded(n: int, norm_1: float, floor: float, shift: float) -> bool:
+    """Whether ``sqrt(n) (norm_1 + shift) / (floor + shift)`` is within ``MAX_CONDITION``.
+
+    For ``floor`` under the smallest eigenvalue of the symmetric part of the
+    n x n matrix A, ``||(A + shift I)^-1||_2 <= 1 / (floor + shift)``, so
+    that bounds the 1-norm condition number of ``A + shift I``.
+    """
+    if not floor + shift > 0.0:
+        return False
+    return bool(np.sqrt(n) * (norm_1 + shift) / (floor + shift) <= MAX_CONDITION)
 
 
 class _ShiftedSolver:
@@ -230,19 +250,18 @@ class _ShiftedSolver:
     (``scipy.linalg.hessenberg``), so a shifted system is
     ``(H + s I) y = Z^T b`` with ``x = Z y``: a banded LU with one
     subdiagonal, O(n^2) per shift after the O(n^3) reduction (Laub, IEEE
-    TAC 1981). A solve is returned only when the LU is regular, its
-    1-norm condition estimate (``dgbcon``) is within ``MAX_CONDITION / n**2``
-    and it passes :func:`_backward_stable`; otherwise :meth:`solve` returns
-    None. The 2-norm condition numbers of ``A + s I`` and ``H + s I``
+    TAC 1981). :meth:`solve` returns the raw solution when the LU is regular
+    and its 1-norm condition estimate (``dgbcon``) is within
+    ``MAX_CONDITION / n**2``, and None otherwise; the backward test is the
+    caller's. The 2-norm condition numbers of ``A + s I`` and ``H + s I``
     agree, and a 1-norm condition number is within a factor n of the 2-norm
     one either way, so ``kappa_1(A + s I) <= n**2 kappa_1(H + s I)``: the cap
     keeps ``A + s I`` within ``MAX_CONDITION``.
     """
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=float)
-        n = len(self.matrix)
-        h, self._z = hessenberg(self.matrix, calc_q=True, check_finite=False)
+        n = len(matrix)
+        h, self._z = hessenberg(matrix, calc_q=True, check_finite=False)
         self._diagonal = h.diagonal().copy()
         self._off_diagonal_sums = np.abs(h).sum(axis=0) - np.abs(self._diagonal)
         # LAPACK band storage with kl = 1, ku = n - 1, in Fortran order: H[i, j]
@@ -255,11 +274,10 @@ class _ShiftedSolver:
             flat[n:], shape=(n, n), strides=(flat.itemsize, (n + 1) * flat.itemsize)
         )[...] = h
         self._band = flat.reshape((n + 2, n), order="F")
-        self._norm_inf = float(np.linalg.norm(self.matrix, np.inf))
 
     def solve(self, shift: float, rhs: np.ndarray) -> Optional[np.ndarray]:
-        """Solution of ``(A + shift I) x = rhs``, or None when a guard fails."""
-        n = len(self.matrix)
+        """Raw solution of ``(A + shift I) x = rhs``, or None when a guard fails."""
+        n = len(self._diagonal)
         band = self._band.copy(order="F")
         band[n] += shift
         lu, ipiv, info = lapack.dgbtrf(band, 1, n - 1, overwrite_ab=True)
@@ -272,23 +290,7 @@ class _ShiftedSolver:
         y, info = lapack.dgbtrs(lu, 1, n - 1, self._z.T @ rhs, ipiv)
         if info != 0:
             return None
-        x = self._z @ y
-        if not _backward_stable(self.matrix @ x + shift * x - rhs, x, rhs, self._norm_inf, shift):
-            return None
-        return x
-
-
-def _toeplitz_norms(matrix: np.ndarray) -> Tuple[float, float]:
-    """(1-norm, infinity norm) of a Toeplitz matrix, in O(n) from its first column and row.
-
-    Row i holds the first column's entries 0..i and the first row's 1..n-1-i;
-    column j the first row's 0..j and the first column's 1..n-1-j.
-    """
-    column, row = np.abs(matrix[:, 0]), np.abs(matrix[0])
-    down, right = np.cumsum(column), np.cumsum(row)
-    row_sums = down + (right[::-1] - row[0])
-    column_sums = right + (down[::-1] - column[0])
-    return float(column_sums.max()), float(row_sums.max())
+        return self._z @ y
 
 
 class _PreparedSystem:
@@ -296,8 +298,10 @@ class _PreparedSystem:
 
     ``path`` names the structured path of the module docstring that A was
     built for, "triangular" or "levinson", or is None; a solve on it calls
-    the method ``_<path>``. ``floor`` is a lower bound on the smallest
-    eigenvalue of the symmetric part of A, given exactly when ``path`` is.
+    the method ``_<path>`` for a raw solution, which :meth:`solve` keeps only
+    when it passes :func:`_backward_stable` on :meth:`_residual`. ``floor``
+    is a lower bound on the smallest eigenvalue of the symmetric part of A,
+    given exactly when ``path`` is; ``norm_1`` and ``norm_inf`` are A's norms.
     A triangular solve writes the shift onto the diagonal of ``matrix`` in
     place and restores it after, so a system must not be solved from two
     threads at once. ``shifted`` is the Hessenberg reduction :meth:`reduce`
@@ -312,11 +316,8 @@ class _PreparedSystem:
         self.path = path
         self.floor = floor
         self.shifted: Optional[_ShiftedSolver] = None
-        if path == "levinson":  # the norms are read by the condition bound and the backward tests
-            self.norm_1, self.norm_inf = _toeplitz_norms(matrix)
-        elif path is not None:
-            self.norm_1 = float(np.linalg.norm(matrix, 1))
-            self.norm_inf = float(np.linalg.norm(matrix, np.inf))
+        self.norm_1 = float(np.linalg.norm(matrix, 1))
+        self.norm_inf = float(np.linalg.norm(matrix, np.inf))
         self._diagonal = matrix.diagonal().copy()
 
     def dense(self) -> np.ndarray:
@@ -334,53 +335,48 @@ class _PreparedSystem:
         NumericError when the solution sums to zero or to a non-finite value.
         """
         ones = np.ones(self.n)
-        x = None
-        if self._bounded(shift):
-            x, path = getattr(self, "_" + self.path)(shift, ones), self.path
-        if x is None and self.shifted is not None:
-            x, path = self.shifted.solve(shift, ones), "shifted"
-        if x is None:
+        structured = []
+        if self.floor is not None and _floor_bounded(self.n, self.norm_1, self.floor, shift):
+            structured.append((self.path, getattr(self, "_" + self.path)))
+        if self.shifted is not None:
+            structured.append(("shifted", self.shifted.solve))
+        for path, method in structured:
+            x = method(shift, ones)
+            if x is not None and _backward_stable(
+                self._residual(x, shift), x, ones, self.norm_inf, shift
+            ):
+                break
+        else:
             path = "dense"
             x = guarded_solve(self.dense() + shift * np.eye(self.n), ones)
         paths[path] += 1
         return _normalized(x)
 
-    def _bounded(self, shift: float) -> bool:
-        """Whether the floor bounds the condition number within ``MAX_CONDITION``."""
-        if self.floor is None or not self.floor + shift > 0.0:
-            return False
-        bound = np.sqrt(self.n) * (self.norm_1 + shift) / (self.floor + shift)
-        return bool(bound <= MAX_CONDITION)
+    def _residual(self, x: np.ndarray, shift: float) -> np.ndarray:
+        """``(A + shift I) x - 1``."""
+        return self.matrix @ x + shift * x - 1.0
 
     def _levinson(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
-        """Levinson solution from the first column and row, or None when it is rejected."""
+        """Levinson solution from the first column and row; None at a singular leading block."""
         column = self.matrix[:, 0].copy()
         row = self.matrix[0].copy()
         column[0] += shift
         row[0] += shift
         try:
-            x = solve_toeplitz((column, row), ones, check_finite=False)
+            return solve_toeplitz((column, row), ones, check_finite=False)
         except np.linalg.LinAlgError:  # a singular leading block
             return None
-        residual = self.matrix @ x + shift * x - ones
-        return x if _backward_stable(residual, x, ones, self.norm_inf, shift) else None
 
     def _triangular(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
-        """Back-substitution solution, or None when it is rejected.
-
-        The residual is taken against the shifted matrix before the diagonal
-        is restored.
-        """
+        """Back-substitution solution, or None at a zero on the shifted diagonal."""
         diagonal = slice(None, None, len(ones) + 1)  # of the flattened matrix
         self.matrix.flat[diagonal] = self._diagonal + shift
         try:
-            x = solve_triangular(self.matrix, ones, check_finite=False)
-            residual = self.matrix @ x - ones
+            return solve_triangular(self.matrix, ones, check_finite=False)
         except np.linalg.LinAlgError:  # a zero on the diagonal
             return None
         finally:
             self.matrix.flat[diagonal] = self._diagonal
-        return x if _backward_stable(residual, x, ones, self.norm_inf, shift) else None
 
 
 class _ExponentialLower:
@@ -467,7 +463,7 @@ class _BandedSystem(_PreparedSystem):
         return self.form()
 
     def _banded(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
-        """Solution of the banded form, or None when it is rejected."""
+        """Raw solution of the banded form, or None when the tridiagonal form is singular."""
         lower, rho, c = self.lower, self.lower.decay, self.offset + shift
         g0, n = lower.g0, self.n
         if self.weight == 0.0:
@@ -499,7 +495,11 @@ class _BandedSystem(_PreparedSystem):
             y = y[:, 0]
         x = y.copy()
         x[:-1] -= rho * y[1:]
-        residual = lower.dot_transposed(x) + c * x - ones
+        return x
+
+    def _residual(self, x: np.ndarray, shift: float) -> np.ndarray:
+        """``(A + shift I) x - 1``, through ``lower``'s recurrences."""
+        residual = self.lower.dot_transposed(x) + (self.offset + shift) * x - 1.0
         if self.weight != 0.0:
-            residual += self.weight * lower.dot(x)
-        return x if _backward_stable(residual, x, ones, self.norm_inf, shift) else None
+            residual += self.weight * self.lower.dot(x)
+        return residual

@@ -559,19 +559,14 @@ def _unit_floor(kernel: DecayKernel, min_step: float) -> float:
     ``tanh(rate * min_step / 2)``. A power-law kernel ``(t + c)^-a`` is
     ``c^-a E[exp(-rho t)]`` for ``rho ~ Gamma(a, rate c)``, a mixture of
     exponential kernels; the smallest eigenvalue of a sum of symmetric
-    matrices is at least the sum of theirs, and ``tanh(x) >= tanh(1) min(x, 1)``
-    for ``x >= 0``, so the bound is ``tanh(1) E[min(rho * min_step / 2, 1)]``,
-    in closed form through regularized incomplete gamma functions.
+    matrices is at least the sum of theirs, so the bound is
+    ``E[tanh(rho * min_step / 2)]``. Since ``tanh(x) >= 1 - exp(-x)`` for
+    ``x >= 0`` and ``E[exp(-rho s)] = (1 + s / c)^-a``, that is at least
+    ``1 - (1 + min_step / (2 c))^-a``.
     """
     if kernel.family == "exponential":
         return float(np.tanh(0.5 * kernel.rate * min_step))
-    # imported here: scipy.special adds about 50 ms and 4 MB to every process's start
-    from scipy.special import gammainc, gammaincc
-
-    a, c, cut = kernel.exponent, kernel.offset, 2.0 / min_step
-    # E[min(rho / cut, 1)] = E[rho; rho < cut] / cut + P(rho >= cut)
-    below = a / (c * cut) * gammainc(a + 1.0, c * cut)
-    return float(np.tanh(1.0) * (below + gammaincc(a, c * cut)))
+    return float(-np.expm1(-kernel.exponent * np.log1p(0.5 * min_step / kernel.offset)))
 
 
 def _dense_system(spec: GameSpec, var_rate: float, index: int) -> np.ndarray:

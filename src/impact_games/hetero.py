@@ -34,10 +34,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._linalg import (
-    BACKWARD_TOL,
     MAX_CONDITION,
     NumericError,
+    _backward_stable,
     _boolean_mask,
+    _floor_bounded,
     guarded_solve,
     single_blas_thread,
 )
@@ -252,10 +253,10 @@ class _PrincipalSystem:
     times ``sqrt(dim)`` and the system's 1-norm ``norm_1``, in closed form
     from the column sums of L, that bounds its 1-norm condition number.
     :meth:`solve` keeps a solution only when that bound is within
-    ``MAX_CONDITION`` and its normwise backward error, from structured
-    products, is within ``BACKWARD_TOL`` in every column. The bound is at
-    least the condition number, which is at least LAPACK's estimate, so the
-    path declines wherever :func:`guarded_solve` would raise.
+    ``MAX_CONDITION`` (checked first from the floor alone, by ``_floor_bounded``)
+    and ``_backward_stable`` passes in every column. The bound is at least the
+    condition number, which is at least LAPACK's estimate, so the path
+    declines wherever :func:`guarded_solve` would raise.
     """
 
     def __init__(self, spec: GameSpec, eigenvalue: float):
@@ -287,10 +288,8 @@ class _PrincipalSystem:
         """Unit responses in the layout of the assembled system, or None when declined."""
         lam, lower, s, n_agents = self.eigenvalue, self.lower, self.scales, len(self.scales)
         n = len(lower)
-        if not (lam >= 0.0 and self.floor > 0.0):
-            return None
-        # a lower bound on the condition bound below: past the cap, skip the solve
-        if self.norm_1 * np.sqrt(self.dim) / self.floor > MAX_CONDITION:
+        # the floor alone bounds the condition bound below: past the cap, skip the solve
+        if not (lam >= 0.0 and _floor_bounded(self.dim, self.norm_1, self.floor, 0.0)):
             return None
         # U^-1 [P | E] by back substitution over the times, [time, agent, column]:
         # block t is T0^-1 [P | E]_t - lam T0^-1 diag(s^2) sum_(u > t) L[u, t] block u
@@ -318,12 +317,13 @@ class _PrincipalSystem:
         if not self.norm_1 * np.sqrt(self.dim) * inverse_2 <= MAX_CONDITION:
             return None
         strategies = strategies @ multipliers
-        residual = self._strategy_product(strategies) - multipliers
+        stationarity = self._strategy_product(strategies) - multipliers
         constraint = strategies.sum(axis=0) - np.eye(n_agents)
+        residual = np.concatenate([stationarity.reshape(-1, n_agents), constraint])
         response = np.concatenate([strategies.reshape(-1, n_agents), multipliers])
-        worst = np.maximum(np.abs(residual).max(axis=(0, 1)), np.abs(constraint).max(axis=0))
-        scale = self.norm_inf * np.abs(response).max(axis=0) + 1.0  # the right side's column is e_j
-        return response if np.all(worst <= BACKWARD_TOL * scale) else None
+        # the right side: zero on the strategy rows, the identity on the multiplier rows
+        stable = _backward_stable(residual, response, np.eye(n_agents), self.norm_inf, 0.0)
+        return response if stable else None
 
     def _strategy_product(self, strategies: np.ndarray) -> np.ndarray:
         """``A x`` for columns x in [time, agent, column] layout."""

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ._csv import write_csv
-from ._linalg import ArgumentError, _finite
+from ._linalg import ArgumentError, _finite, _integer
 from .kernels import DecayKernel
 
 GENERATOR_ID = "numpy-default_rng(PCG64)-standard_normal"
@@ -150,8 +150,8 @@ def simulate_price(
     spec : the game.
     strategies : (M, J, N+1) strategy array (typically an equilibrium).
     initial_prices : scalar or length-M vector of finite starting prices.
-    fine_steps : sub-intervals per trading interval (the fine grid always
-        contains every trading time by construction).
+    fine_steps : whole number of sub-intervals per trading interval, at least
+        1 (the fine grid always contains every trading time by construction).
     horizon : final simulation time, at least the trading horizon; the grid
         is extended past the session with the mean fine step and its last
         time is ``horizon`` exactly.
@@ -173,9 +173,9 @@ def simulate_price(
     _finite("initial_prices", start)
     if horizon is None:
         horizon = spec.grid.horizon
-    times = _fine_grid(spec.grid.points, int(fine_steps), float(horizon))
+    times = _fine_grid(spec.grid.points, _integer("fine_steps", fine_steps), float(horizon))
 
-    if int(seed) != seed or seed < 0:
+    if _integer("seed", seed) < 0:
         raise ArgumentError("seed", f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((times.size - 1, n_assets))

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ._linalg import ArgumentError, NumericError, single_blas_thread
+from ._linalg import ArgumentError, NumericError, _integer, single_blas_thread
 from .cross_impact import analyze_cross_impact, one_factor_matrix, price_covariance
 from .equilibrium import (
     FundamentalSolutions,
@@ -483,19 +483,22 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
     Every point may set ``n_assets``, ``n_agents``, ``n_steps``, ``gamma``,
     and ``beta``; missing keys fall back to the base configuration (with
     n_assets=1, n_agents=2, n_steps=100 as final defaults). Failures are
-    recorded per row and do not stop the sweep.
+    recorded per row and do not stop the sweep; a count that is not a whole
+    number is such a failure (ArgumentError), not truncated.
     """
     rows: List[SweepRow] = []
     for point in points:
         params = {
-            "n_assets": int(point.get("n_assets", 1)),
-            "n_agents": int(point.get("n_agents", 2)),
-            "n_steps": int(point.get("n_steps", 100)),
+            "n_assets": point.get("n_assets", 1),
+            "n_agents": point.get("n_agents", 2),
+            "n_steps": point.get("n_steps", 100),
             "gamma": float(point.get("gamma", base.gamma)),
             "beta": float(point.get("beta", base.beta)),
         }
         predicted = float("nan")
         try:
+            for name in ("n_assets", "n_agents", "n_steps"):
+                params[name] = _integer(name, params[name])
             cross = one_factor_matrix(params["n_assets"], base.coupling)
             predicted = predicted_theta_star(
                 cross, base.kernel.at_zero, params["n_agents"], params["beta"], "conjecture"

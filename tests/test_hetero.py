@@ -445,7 +445,7 @@ def test_structured_solve_failing_its_backward_test_declines(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(hetero._PrincipalSystem, "solve", lambda system: None)
         dense = solve_hetero_nash(spec).strategies
-    monkeypatch.setattr(hetero, "BACKWARD_TOL", -1.0)  # no solution passes the test
+    monkeypatch.setattr(_linalg, "BACKWARD_TOL", -1.0)  # no solution passes the test
     strategies, solves = solve_recording_solves(spec, monkeypatch)
     assert solves == [("dense", principal_dim(spec))] * 2
     assert np.array_equal(strategies, dense)

@@ -97,6 +97,18 @@ def test_horizon_must_cover_the_session():
         simulate_price(spec, eq.strategies, initial_prices=0.0, horizon=0.5, seed=0)
 
 
+@pytest.mark.parametrize("bad", [2.7, np.nan, "3"])
+def test_a_fine_step_count_that_is_not_a_whole_number_is_rejected(bad):
+    spec = sellers_spec(theta=1.5, n_steps=5)
+    eq = closed_form_equilibrium(spec)
+    with pytest.raises(ValueError, match="fine_steps must be an integer") as raised:
+        simulate_price(spec, eq.strategies, initial_prices=0.0, fine_steps=bad, seed=0)
+    assert raised.value.argument == "fine_steps"
+    # a whole number of another type is taken as it is
+    path = simulate_price(spec, eq.strategies, initial_prices=0.0, fine_steps=2.0, seed=0)
+    assert path.times.size == 2 * 5 + 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_initial_prices_must_be_finite(bad):
     spec = sellers_spec(theta=1.5, n_steps=5)

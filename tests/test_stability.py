@@ -1,6 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from impact_games import (
     rank_one_matrix,
     stability_sweep,
 )
-from impact_games import _linalg
+from impact_games import _linalg, hetero
 from impact_games import equilibrium as equilibrium_module
 from impact_games import stability as stability_module
 from impact_games.stability import (
@@ -353,6 +357,17 @@ def test_sweep_records_a_row_without_agents_as_failed():
     assert row.error.startswith("ArgumentError: need at least one agent")
 
 
+@pytest.mark.parametrize("name", ["n_assets", "n_agents", "n_steps"])
+def test_sweep_records_a_count_that_is_not_a_whole_number_as_failed(name):
+    point = {"n_assets": 1, "n_agents": 2, "n_steps": 20}
+    row, whole = stability_sweep(
+        [{**point, name: 2.9}, {**point, name: 2.0}], SweepBase(kernel=KERNEL)
+    )
+    assert row.estimate is None
+    assert row.error == f"ArgumentError: {name} must be an integer, got 2.9"
+    assert whole.error is None and type(whole.params[name]) is int
+
+
 def test_sweep_propagates_unexpected_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("programming error, not a failed row")
@@ -551,7 +566,7 @@ def test_deviation_system_without_a_variance_term_is_solved_by_back_substitution
     assert all(system.path is None for pair in risk_averse.pairs for system in pair)
 
 
-def test_toeplitz_systems_take_their_norms_from_the_first_column_and_row():
+def test_levinson_and_triangular_systems_hold_their_matrix_norms():
     spec = stability_game(n_assets=3, coupling=0.5, n_agents=3, n_steps=40, kernel=POWER_LAW)
     for mean, deviation in prepare_profile_systems(spec).pairs:
         for system in (mean, deviation):
@@ -605,6 +620,14 @@ def backward_error(matrix, shift, x):
     return np.abs(matrix @ x + shift * x - 1.0).max() / scale
 
 
+def kept(system, shift, x):
+    """``x`` when it passes the backward test that ``_PreparedSystem.solve`` applies, else None."""
+    if x is None:
+        return None
+    residual, ones = system._residual(x, shift), np.ones(system.n)
+    return x if _linalg._backward_stable(residual, x, ones, system.norm_inf, shift) else None
+
+
 def lacks(structure, matrix):
     """Whether ``matrix`` is far from upper triangular ("triangular") or Toeplitz ("levinson")."""
     if structure == "triangular":
@@ -633,12 +656,14 @@ def test_every_solve_path_is_backward_stable_or_declines(
 ):
     """Each path forced on each prepared system, against the system's dense matrix.
 
-    A returned solution passes the backward-error test and matches the dense
-    solve within a bound from the condition number; a path forced on a
-    matrix far from its structure declines; the prepared path of a banded or
-    triangular system within its condition bound solves; each floor is below
-    the smallest eigenvalue of the symmetric part. With a covariance and
-    ``gamma = 0`` the variance rate is positive but no variance term is added.
+    Each raw solution goes through the backward test that
+    ``_PreparedSystem.solve`` applies. A kept solution passes the
+    backward-error test and matches the dense solve within a bound from the
+    condition number; a path forced on a matrix far from its structure
+    declines; the prepared path of a banded or triangular system within its
+    condition bound solves; each floor is below the smallest eigenvalue of
+    the symmetric part. With a covariance and ``gamma = 0`` the variance
+    rate is positive but no variance term is added.
     """
     steps = np.random.default_rng(seed).uniform(0.5, 1.5, n_steps) if jittered else np.ones(n_steps)
     spec = GameSpec(
@@ -664,18 +689,21 @@ def test_every_solve_path_is_backward_stable_or_declines(
         reduced = _linalg._PreparedSystem(matrix.copy())
         reduced.reduce()
         solutions = {
-            "shifted": reduced.shifted.solve(shift, ones),
+            "shifted": kept(reduced, shift, reduced.shifted.solve(shift, ones)),
             "dense": guarded_solve(shifted, ones),
         }
         # a structured path is the method named after it, on a system prepared for it
         for path in ("triangular", "levinson"):
             forced = _linalg._PreparedSystem(matrix.copy(), path, system.floor)
-            solutions[path] = getattr(forced, "_" + path)(shift, ones)
+            solutions[path] = kept(forced, shift, getattr(forced, "_" + path)(shift, ones))
             if lacks(path, matrix):
                 assert solutions[path] is None, path
         if system.path == "banded":
-            solutions["banded"] = system._banded(shift, ones)
-        if system.path in ("banded", "triangular") and system._bounded(shift):
+            solutions["banded"] = kept(system, shift, system._banded(shift, ones))
+        bounded = system.floor is not None and _linalg._floor_bounded(
+            system.n, system.norm_1, system.floor, shift
+        )
+        if system.path in ("banded", "triangular") and bounded:
             assert solutions[system.path] is not None, system.path
         condition = np.linalg.cond(shifted, np.inf)
         reference = solutions["dense"]
@@ -1022,6 +1050,83 @@ def test_singular_shifted_probe_raises_numeric_error():
         system.solve(-eigenvalue, {"levinson": 0, "dense": 0, "shifted": 0})
 
 
+def perturbing(monkeypatch, owner, name, applies=lambda *args: True):
+    """Wrap ``owner.name`` to move the largest entry of its result by 1e-6 relative.
+
+    Only calls for which ``applies(*args)`` holds are perturbed; their
+    unperturbed results are collected in the returned list.
+    """
+    method, raw = getattr(owner, name), []
+
+    def perturbed(*args):
+        x = method(*args)
+        if not applies(*args):
+            return x
+        raw.append(x)
+        x = x.copy()
+        x.flat[np.argmax(np.abs(x))] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(owner, name, perturbed)
+    return raw
+
+
+def prepared_for(path):
+    """A prepared system whose solve at shift 0.4 takes ``path``, and the path's method."""
+    if path == "shifted":
+        system = risk_averse_system()
+        return system, system.shifted, "solve"
+    kernel = KERNEL if path == "banded" else POWER_LAW
+    spec = stability_game(n_agents=3, n_steps=40, kernel=kernel)
+    mean, deviation = prepare_profile_systems(spec).pairs[0]
+    system = deviation if path == "triangular" else mean
+    return system, system, "_" + path
+
+
+@pytest.mark.parametrize("path", ["banded", "triangular", "levinson", "shifted"])
+def test_a_prepared_solution_off_by_1e_6_in_one_entry_is_declined(path, monkeypatch):
+    """The one backward test of ``_PreparedSystem.solve`` declines each path's raw solution."""
+    system, owner, name = prepared_for(path)
+    paths = paths_of()
+    system.solve(0.4, paths)
+    assert paths == paths_of(**{path: 1})
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, lambda *args: None)  # the path disabled
+        disabled = system.solve(0.4, paths_of())
+    raw = perturbing(monkeypatch, owner, name)
+    paths = paths_of()
+    declined = system.solve(0.4, paths)
+    assert len(raw) == 1 and paths == paths_of(dense=1)
+    assert np.array_equal(declined, disabled)
+
+
+def test_a_principal_solution_off_by_1e_6_in_one_entry_is_declined(monkeypatch):
+    """hetero's structured solve declines multipliers moved in one entry, by the same test."""
+    spec = GameSpec(
+        grid=make_equidistant_grid(30, 1.0),
+        kernel=KERNEL,
+        cross_impact=np.eye(1),
+        n_agents=3,
+        theta=[0.3, 0.6, 0.9],
+        scales=[1.0, 1.5, 0.8],
+        priority=np.array([[0.5, 0.7, 0.4], [0.3, 0.5, 0.8], [0.6, 0.2, 0.5]]),
+    )
+    assert hetero._PrincipalSystem(spec, 1.0).solve() is not None
+    with monkeypatch.context() as patch:
+        patch.setattr(hetero._PrincipalSystem, "solve", lambda system: None)  # the path disabled
+        disabled = hetero._unit_responses(spec, 1.0)
+    dense_solves = []
+    dense = hetero._dense_responses
+    monkeypatch.setattr(
+        hetero, "_dense_responses", lambda *args: dense_solves.append(args) or dense(*args)
+    )
+    # the J x J solve for the multipliers
+    raw = perturbing(monkeypatch, hetero, "guarded_solve", lambda matrix, rhs: len(matrix) == 3)
+    declined = hetero._unit_responses(spec, 1.0)
+    assert len(raw) == 1 and len(dense_solves) == 1
+    assert np.array_equal(declined, disabled)
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_profile_has_no_verdict(entry):
     with pytest.raises(NumericError, match="non-finite"):
@@ -1083,6 +1188,45 @@ def test_power_law_floor_is_below_the_smallest_eigenvalue(exponent, offset, n_st
     assert 0.0 < floor <= smallest
     # the mixture of exponential floors stays within a small factor
     assert floor >= smallest / 3.0
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    exponent=st.floats(min_value=0.05, max_value=3.0),
+    log_offset=st.floats(min_value=-3.0, max_value=1.0),
+    n_steps=st.integers(min_value=1, max_value=200),
+    jittered=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_power_law_floor_is_below_the_smallest_eigenvalue_on_drawn_grids(
+    exponent, log_offset, n_steps, jittered, seed
+):
+    steps = np.random.default_rng(seed).uniform(0.5, 1.5, n_steps) if jittered else np.ones(n_steps)
+    kernel = power_law_kernel(exponent, 10.0**log_offset)
+    matrix, floor = kernel_matrix_and_floor(kernel, np.r_[0.0, np.cumsum(steps) / steps.sum()])
+    assert 0.0 < floor <= np.linalg.eigvalsh(matrix)[0] / kernel.at_zero
+
+
+def test_a_power_law_hetero_solve_leaves_scipy_special_unloaded():
+    # the power-law floor is in closed form; scipy.special costs a process about 50 ms
+    script = """
+import sys
+import numpy as np
+from impact_games import GameSpec, make_equidistant_grid, one_factor_matrix, power_law_kernel, solve
+spec = GameSpec(
+    grid=make_equidistant_grid(20, 1.0), kernel=power_law_kernel(0.5, 0.1),
+    cross_impact=one_factor_matrix(3, 0.5), inventories=np.ones((3, 2)), theta=[0.3, 0.6],
+)
+solve(spec)
+print(sorted(name for name in sys.modules if name.startswith("scipy.special")))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def count_kernel_eigvalsh(monkeypatch, n_points):

@@ -3,9 +3,8 @@
 A traced benchmark run fails when a wrapped call's annotation cannot read the
 argument it names, when spans of one op overlap as threads would make them,
 or when the per-layer metrics cannot be read from the spans and from what the
-op wrote; one small op of each workload, and one theta_desk and one
-venue_hetero op at the benchmark's own size, are traced here to catch all
-three.
+op wrote; one small op of each workload, and one op of each workload at the
+benchmark's own size, are traced here to catch all three.
 """
 
 import importlib
@@ -79,6 +78,11 @@ def test_a_traced_full_size_theta_desk_op_passes(tmp_path):
 def test_a_traced_full_size_venue_hetero_op_passes(tmp_path):
     # the benchmark's own size (M = 8, J = 6, N = 120), whose traced run gates a change
     check_traced_op("venue_hetero", False, tmp_path)
+
+
+def test_a_traced_full_size_scenario_risk_op_passes(tmp_path):
+    # the benchmark's own size (M = 20, J = 5, N = 200), whose traced run gates a change
+    check_traced_op("scenario_risk", False, tmp_path)
 
 
 def check_traced_op(name, small, tmp_path):
