@@ -1,4 +1,10 @@
-"""Guarded linear solves, the prepared profile systems' solve paths, and input checks.
+"""Argument checks, guarded linear solves, and the prepared profile systems' solve paths.
+
+The package checks a caller's number (:func:`_number`) or count
+(:func:`_integer`) here alone, and every rejected argument raises an
+:class:`ArgumentError` naming it. A plain ValueError is left for domain
+errors: arguments that pass their checks but not the computation, such as a
+cross-impact matrix that is not positive definite.
 
 :func:`guarded_solve` is the dense solve: one LU factorization, rejected when
 LAPACK's 1-norm condition estimate exceeds ``MAX_CONDITION``.
@@ -106,15 +112,30 @@ def _finite(name: str, values: np.ndarray) -> None:
         raise ArgumentError(name, f"{name} must be finite")
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; ArgumentError unless it is a whole number, never truncated."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ArgumentError(name, f"{name} must be an integer, got {value!r}")
+def _number(name: str, value, positive: bool = True) -> float:
+    """``value`` as a float; ArgumentError unless it is one finite number, > 0 or else >= 0."""
+    try:
+        signed = value > 0.0 if positive else value >= 0.0
+        valid = np.ndim(value) == 0 and bool(np.isfinite(value) and signed)
+    except (TypeError, ValueError):  # not a number, or not one number
+        valid = False
+    if not valid:
+        sign = "positive" if positive else "nonnegative"
+        raise ArgumentError(name, f"{name} must be finite and {sign}, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value, minimum: Optional[int] = None) -> int:
+    """``value`` as an int, never truncated; ArgumentError unless a whole number >= ``minimum``."""
+    whole = isinstance(value, numbers.Real) and float(value).is_integer()
+    if not (whole and (minimum is None or value >= minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ArgumentError(name, f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
 def _boolean_mask(values) -> np.ndarray:
-    """``values`` as a bool array; ValueError unless every entry is a bool, 0 or 1."""
+    """``values`` as a bool array; ArgumentError unless every entry is a bool, 0 or 1."""
     mask = np.asarray(values)
     if mask.dtype != bool and not np.all((mask == 0) | (mask == 1)):
         raise ArgumentError("mask", "mask entries must be booleans, 0 or 1")
@@ -188,7 +209,7 @@ def guarded_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+        raise ArgumentError("matrix", f"expected a square matrix, got shape {matrix.shape}")
     anorm = np.linalg.norm(matrix, 1)
     if anorm == 0.0:
         raise NumericError("cannot solve against the zero matrix")

@@ -27,11 +27,12 @@ __all__ = [
 
 
 def _check_strategies(spec, strategies) -> np.ndarray:
-    strategies = np.asarray(strategies, dtype=float)
-    expected = (spec.n_assets, spec.n_agents, spec.grid.n_points)
-    if strategies.shape != expected:
-        raise ValueError(f"strategies have shape {strategies.shape}, expected {expected}")
-    return strategies
+    """``strategies`` as a float array; ArgumentError unless of the spec's (M, J, N+1) shape."""
+    array = np.asarray(strategies, dtype=float)
+    shape = (spec.n_assets, spec.n_agents, spec.grid.n_points)
+    if array.shape != shape:
+        raise ArgumentError("strategies", f"strategies have shape {array.shape}, expected {shape}")
+    return array
 
 
 def _check_agent(spec, agent) -> None:

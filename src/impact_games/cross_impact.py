@@ -3,7 +3,8 @@
 The structured families (one-factor, rank-one, block) all have unit diagonal;
 the spectrum of the cross-impact matrix determines the kernels of the
 principal (eigenvector-rotated) assets and, through its top eigenvalue, the
-stability threshold of the market.
+stability threshold of the market. A builder rejects a bad count or coupling
+with the checks of :mod:`_linalg`, a given matrix with :func:`explicit_matrix`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import ArgumentError, _finite, _symmetric
+from ._linalg import ArgumentError, _finite, _integer, _number, _symmetric
 
 __all__ = [
     "one_factor_matrix",
@@ -30,12 +31,11 @@ __all__ = [
 def one_factor_matrix(n_assets: int, coupling: float) -> np.ndarray:
     """Unit diagonal with constant off-diagonal ``coupling`` in (0, 1).
 
-    The bounds keep the matrix positive definite for any size.
+    The bounds keep the matrix positive definite for any size ``n_assets >= 1``.
     """
-    if n_assets < 1:
-        raise ValueError("n_assets must be at least 1")
-    if not 0.0 < coupling < 1.0:
-        raise ValueError(f"one-factor coupling must lie in (0, 1), got {coupling!r}")
+    n_assets = _integer("n_assets", n_assets, 1)
+    if not 0.0 < _number("coupling", coupling) < 1.0:
+        raise ArgumentError("coupling", f"coupling must lie in (0, 1), got {coupling!r}")
     q = np.full((n_assets, n_assets), float(coupling))
     np.fill_diagonal(q, 1.0)
     return q
@@ -48,29 +48,29 @@ def rank_one_matrix(loadings: Sequence[float]) -> np.ndarray:
     """
     b = np.asarray(loadings, dtype=float)
     if b.ndim != 1 or b.size < 1:
-        raise ValueError("loadings must be a nonempty vector")
+        raise ArgumentError("loadings", "loadings must be a nonempty vector")
     if np.any(np.abs(b) >= 1.0):
-        raise ValueError("all factor loadings must satisfy |b_i| < 1")
+        raise ArgumentError("loadings", "all factor loadings must satisfy |b_i| < 1")
     return np.diag(1.0 - b**2) + np.outer(b, b)
 
 
 def block_matrix(sizes: Sequence[int], intra: Sequence[float], inter: float) -> np.ndarray:
     """Sector-block matrix: coupling ``intra[i]`` inside block i, ``inter`` across.
 
-    Requires ``0 <= inter < intra[i] < 1`` for every block.
+    Requires at least one block, whole sizes of at least 1 and
+    ``0 <= inter < intra[i] < 1`` for every block.
     """
-    sizes = [int(s) for s in sizes]
-    intra = [float(q) for q in intra]
+    sizes = [_integer("sizes", s, 1) for s in sizes]
+    intra = [_number("intra", q, positive=False) for q in intra]
+    inter = _number("inter", inter, positive=False)
+    if not sizes:
+        raise ArgumentError("sizes", "need at least one block")
     if len(sizes) != len(intra):
-        raise ValueError("need one intra-block coupling per block")
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("block sizes must be positive integers")
-    if not 0.0 <= inter:
-        raise ValueError("inter-block coupling must be nonnegative")
+        raise ArgumentError("intra", "need one intra-block coupling per block")
     if any(not inter < qi < 1.0 for qi in intra):
-        raise ValueError("couplings must satisfy 0 <= inter < intra_i < 1")
+        raise ArgumentError("intra", "couplings must satisfy 0 <= inter < intra_i < 1")
     total = sum(sizes)
-    q = np.full((total, total), float(inter))
+    q = np.full((total, total), inter)
     start = 0
     for size, qi in zip(sizes, intra):
         q[start : start + size, start : start + size] = qi
@@ -101,14 +101,14 @@ def build_cross_impact(family: str, **params) -> np.ndarray:
     ``explicit`` (matrix).
     """
     builders = {
-        "identity": lambda size: np.eye(int(size)),
+        "identity": lambda size: np.eye(_integer("size", size)),
         "one_factor": one_factor_matrix,
         "rank_one": rank_one_matrix,
         "block": block_matrix,
         "explicit": explicit_matrix,
     }
     if family not in builders:
-        raise ValueError(f"unknown cross-impact family {family!r}")
+        raise ArgumentError("family", f"unknown cross-impact family {family!r}")
     return builders[family](**params)
 
 
@@ -125,9 +125,7 @@ def price_covariance(sigma, cross_impact: np.ndarray) -> np.ndarray:
         return cross_impact
     matrix = np.asarray(sigma, dtype=float)
     if matrix.ndim == 0:
-        if not (np.isfinite(matrix) and matrix >= 0.0):
-            raise ArgumentError("sigma", f"a scalar sigma must be finite and >= 0, got {sigma!r}")
-        return float(matrix) * np.eye(len(cross_impact))
+        return _number("sigma", sigma, positive=False) * np.eye(len(cross_impact))
     if matrix.shape != np.shape(cross_impact):
         raise ArgumentError("sigma", "explicit sigma must match the cross-impact shape")
     return matrix

@@ -83,7 +83,9 @@ from ._linalg import (
     _PreparedSystem,
     _boolean_mask,
     _finite,
+    _integer,
     _normalized,
+    _number,
     _symmetric,
     guarded_solve,
     single_blas_thread,
@@ -180,7 +182,7 @@ class GameSpec:
         if inv is None:
             if self.n_agents is None:
                 raise ArgumentError("n_agents", "provide inventories or n_agents")
-            inv = np.zeros((m, int(self.n_agents)))
+            inv = np.zeros((m, _integer("n_agents", self.n_agents, 1)))
         inv = np.atleast_2d(np.asarray(inv, dtype=float))
         _finite("inventories", inv)
         if inv.shape[0] != m:
@@ -191,29 +193,22 @@ class GameSpec:
         if self.n_agents is not None and inv.shape[1] != self.n_agents:
             raise ArgumentError("n_agents", "n_agents disagrees with the inventory column count")
         object.__setattr__(self, "inventories", inv)
-        n_agents = inv.shape[1]
+        n_agents = _integer("n_agents", inv.shape[1], 1)
         object.__setattr__(self, "n_agents", n_agents)
-        if n_agents < 1:
-            raise ArgumentError("n_agents", "need at least one agent")
 
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim and theta.shape != (n_agents,):
             raise ArgumentError("theta", "theta must be a scalar or one fee per agent")
-        for name, value in (("theta", theta), ("gamma", self.gamma), ("beta", self.beta)):
-            value = np.asarray(value, dtype=float)
-            if value.ndim and name != "theta":
-                raise ArgumentError(name, f"{name} must be a scalar")
-            if not (np.all(np.isfinite(value)) and np.all(value >= 0.0)):
-                raise ArgumentError(name, f"{name} must be finite and nonnegative")
+        for fee in theta.ravel().tolist():
+            _number("theta", fee, positive=False)
         object.__setattr__(self, "theta", theta.copy() if theta.ndim else float(theta))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "gamma", _number("gamma", self.gamma, positive=False))
+        object.__setattr__(self, "beta", _number("beta", self.beta, positive=False))
 
         scales = np.ones(n_agents) if self.scales is None else self.scales
         scales = np.broadcast_to(np.asarray(scales, dtype=float), (n_agents,)).copy()
-        _finite("scales", scales)
-        if np.any(scales <= 0.0):
-            raise ArgumentError("scales", "per-agent impact scales must be positive")
+        for scale in scales.tolist():
+            _number("scales", scale)
         object.__setattr__(self, "scales", scales)
 
         prio = np.asarray(self.priority, dtype=float)

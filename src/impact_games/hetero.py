@@ -35,6 +35,7 @@ import numpy as np
 
 from ._linalg import (
     MAX_CONDITION,
+    ArgumentError,
     NumericError,
     _backward_stable,
     _boolean_mask,
@@ -469,16 +470,16 @@ def payoff_matrix(
     """
     n_agents = base.n_agents
     if len(mask_options) != n_agents:
-        raise ValueError("need one mask-option list per agent")
+        raise ArgumentError("mask_options", "need one mask-option list per agent")
     options = tuple(
         tuple(_boolean_mask(mask) for mask in per_agent) for per_agent in mask_options
     )
     for per_agent in options:
         if not per_agent:
-            raise ValueError("each agent needs at least one mask option")
+            raise ArgumentError("mask_options", "each agent needs at least one mask option")
         for mask in per_agent:
             if mask.shape != (base.n_assets,):
-                raise ValueError("each mask option must be a length-M vector")
+                raise ArgumentError("mask_options", "each mask option must be a length-M vector")
 
     distinct = {mask.tobytes(): mask for per_agent in options for mask in per_agent}
     with _shared_responses():  # the uniform games differ in their masks alone

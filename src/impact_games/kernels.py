@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import _finite
+from ._linalg import ArgumentError, _finite, _integer, _number
 
 __all__ = [
     "TimeGrid",
@@ -36,12 +36,12 @@ class TimeGrid:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("a trading grid needs at least two time points")
+            raise ArgumentError("points", "a trading grid needs at least two time points")
         _finite("points", pts)
         if pts[0] != 0.0:
-            raise ValueError("trading grids must start at t = 0")
+            raise ArgumentError("points", "trading grids must start at t = 0")
         if np.any(np.diff(pts) <= 0.0):
-            raise ValueError("trading times must be strictly increasing")
+            raise ArgumentError("points", "trading times must be strictly increasing")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -66,15 +66,12 @@ def make_equidistant_grid(n_steps: int, horizon: float = 1.0) -> TimeGrid:
     Parameters
     ----------
     n_steps : int
-        Number of trading intervals, at least 1.
+        Number of trading intervals, a whole number of at least 1.
     horizon : float
-        Length of the trading session, strictly positive.
+        Length of the trading session, finite and positive.
     """
-    if int(n_steps) != n_steps or n_steps < 1:
-        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
-    return TimeGrid(np.linspace(0.0, float(horizon), int(n_steps) + 1))
+    n_steps = _integer("n_steps", n_steps, 1)
+    return TimeGrid(np.linspace(0.0, _number("horizon", horizon), n_steps + 1))
 
 
 def _unit_kernel(family: str, rate: float, exponent: float, offset: float, lag: np.ndarray):
@@ -107,11 +104,9 @@ class DecayKernel:
 
     def __post_init__(self):
         if self.family not in ("exponential", "power_law"):
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        _finite("kernel parameters", np.array([self.rate, self.exponent, self.offset, self.scale]))
+            raise ArgumentError("family", f"unknown kernel family {self.family!r}")
         for name in ("rate", "exponent", "offset", "scale"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"kernel {name} must be positive, got {getattr(self, name)!r}")
+            _number(name, getattr(self, name))
 
     def __call__(self, lag):
         lag = np.asarray(lag, dtype=float)
@@ -124,9 +119,7 @@ class DecayKernel:
 
     def scaled(self, factor: float) -> "DecayKernel":
         """Same kernel with the uniform scale multiplied by ``factor > 0``."""
-        if not factor > 0.0:
-            raise ValueError("kernel scale factor must be positive")
-        return replace(self, scale=self.scale * factor)
+        return replace(self, scale=self.scale * _number("factor", factor))
 
 
 def exponential_kernel(rate: float = 1.0, scale: float = 1.0) -> DecayKernel:
@@ -180,8 +173,6 @@ def _unit_lower(points: bytes, family: str, rate: float, exponent: float, offset
 
 def build_matrices(grid: TimeGrid, kernel: DecayKernel) -> MatrixBundle:
     """Assemble the kernel matrices of one asset on a trading grid."""
-    if not kernel.scale > 0.0:
-        raise ValueError("kernel scale must be positive")
     g0 = kernel.at_zero
     strict_lower = kernel.scale * _unit_lower(
         grid.points.tobytes(), kernel.family, kernel.rate, kernel.exponent, kernel.offset

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._csv import write_csv
 from ._linalg import ArgumentError, _finite, _integer
+from .costs import _check_strategies
 from .kernels import DecayKernel
 
 GENERATOR_ID = "numpy-default_rng(PCG64)-standard_normal"
@@ -48,8 +49,7 @@ def _fine_grid(trading_times: np.ndarray, fine_steps: int, horizon: float) -> np
     session the mean fine step is kept; the point nearest the horizon is
     replaced by the horizon itself, so the grid ends exactly there.
     """
-    if fine_steps < 1:
-        raise ArgumentError("fine_steps", "fine_steps must be at least 1")
+    fine_steps = _integer("fine_steps", fine_steps, 1)
     if not (np.isfinite(horizon) and horizon >= trading_times[-1]):
         raise ArgumentError("horizon", "horizon must be finite and cover the whole trading session")
     left, right = trading_times[:-1, None], trading_times[1:, None]
@@ -164,20 +164,16 @@ def simulate_price(
     :func:`impact_drift`, which evaluates the kernel weights and forms the
     drift on the first path and reuses both on the others.
     """
-    strategies = np.asarray(strategies, dtype=float)
+    strategies = _check_strategies(spec, strategies)
     n_assets = spec.n_assets
-    if strategies.shape != (n_assets, spec.n_agents, spec.grid.n_points):
-        raise ValueError("strategies do not match the spec dimensions")
 
     start = np.broadcast_to(np.asarray(initial_prices, dtype=float), (n_assets,))
     _finite("initial_prices", start)
     if horizon is None:
         horizon = spec.grid.horizon
-    times = _fine_grid(spec.grid.points, _integer("fine_steps", fine_steps), float(horizon))
+    times = _fine_grid(spec.grid.points, fine_steps, float(horizon))
 
-    if _integer("seed", seed) < 0:
-        raise ArgumentError("seed", f"seed must be a nonnegative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     draws = rng.standard_normal((times.size - 1, n_assets))
     root = np.zeros((n_assets, n_assets))
     if spec.covariance is not None:

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ._linalg import ArgumentError, NumericError, _integer, single_blas_thread
+from ._linalg import ArgumentError, NumericError, _integer, _number, single_blas_thread
 from .cross_impact import analyze_cross_impact, one_factor_matrix, price_covariance
 from .equilibrium import (
     FundamentalSolutions,
@@ -99,7 +99,7 @@ def oscillation_flags(u: np.ndarray, rel_tol: float = DEFAULT_FLIP_TOL) -> Oscil
     ``ArgumentError`` unless ``rel_tol`` is finite and nonnegative; zero
     counts every strict sign change.
     """
-    _check_number("rel_tol", rel_tol, positive=False)
+    _number("rel_tol", rel_tol, positive=False)
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise NumericError("trading profile has non-finite entries")
@@ -144,10 +144,10 @@ def is_unstable_at(
     are solved from those. ``ArgumentError`` unless ``theta`` is finite and
     nonnegative and ``rel_tol`` finite and positive.
     """
-    _check_number("theta", theta, positive=False)
-    _check_number("rel_tol", rel_tol)
+    theta = _number("theta", theta, positive=False)
+    _number("rel_tol", rel_tol)
     if systems is None:
-        _, pairs = principal_fundamentals(replace(spec, theta=float(theta)))
+        _, pairs = principal_fundamentals(replace(spec, theta=theta))
     else:
         pairs = systems.profiles(theta)
     return _any_unstable(_pair_flags(pairs, rel_tol))
@@ -185,13 +185,14 @@ def predicted_theta_star(
     the top eigenvalue times the lag-zero kernel value over four.
     ``mode="conjecture"`` extrapolates to J agents with kernel crowding:
     ``kernel_at_zero * J**-beta * (J - 1) * top_eigenvalue / 4``, for
-    ``n_agents`` of at least one. ``ArgumentError`` unless the cross-impact
-    matrix is square, finite and symmetric, ``kernel_at_zero`` finite and
-    positive and ``beta`` finite and nonnegative. The top eigenvalue is that
-    of :func:`analyze_cross_impact`, on one BLAS thread, as in :func:`critical_theta`.
+    a whole ``n_agents`` of at least one. ``ArgumentError`` unless the
+    cross-impact matrix is square, finite and symmetric, ``kernel_at_zero``
+    finite and positive, ``beta`` finite and nonnegative and ``mode`` one of
+    the two. The top eigenvalue is that of :func:`analyze_cross_impact`, on
+    one BLAS thread, as in :func:`critical_theta`.
     """
-    _check_number("kernel_at_zero", kernel_at_zero)
-    _check_number("beta", beta, positive=False)
+    _number("kernel_at_zero", kernel_at_zero)
+    _number("beta", beta, positive=False)
     with single_blas_thread():
         top = analyze_cross_impact(cross_impact).top_eigenvalue
     return _prediction(top, kernel_at_zero, n_agents, beta, mode)
@@ -202,10 +203,9 @@ def _prediction(top: float, kernel_at_zero: float, n_agents: int, beta: float, m
     if mode == "theorem":
         return kernel_at_zero * top / 4.0
     if mode == "conjecture":
-        if n_agents < 1:
-            raise ArgumentError("n_agents", f"need at least one agent, got {n_agents!r}")
+        n_agents = _integer("n_agents", n_agents, 1)
         return kernel_at_zero * float(n_agents) ** (-beta) * (n_agents - 1) * top / 4.0
-    raise ValueError(f"unknown prediction mode {mode!r}")
+    raise ArgumentError("mode", f"unknown prediction mode {mode!r}")
 
 
 def _bisect_threshold(
@@ -350,17 +350,6 @@ def _checked_bisection(
     return estimate, final_bracket, trace, method, flags_below, paths
 
 
-def _check_number(name: str, value, positive: bool = True) -> None:
-    """ArgumentError unless ``value`` is a finite number, positive or else nonnegative."""
-    try:
-        valid = bool(np.isfinite(value) and (value > 0.0 if positive else value >= 0.0))
-    except (TypeError, ValueError):  # not a number, or not one number
-        valid = False
-    if not valid:
-        sign = "positive" if positive else "nonnegative"
-        raise ArgumentError(name, f"{name} must be finite and {sign}, got {value!r}")
-
-
 def critical_theta(
     spec: GameSpec,
     bracket: Optional[Tuple[float, float]] = None,
@@ -374,7 +363,8 @@ def critical_theta(
     spec : game with identical agents; the stored fee and inventories are
         ignored.
     bracket : (lo, hi) with an unstable verdict at lo and a stable one at hi,
-        both finite. Defaults to (0, 2x the many-agent prediction).
+        both finite and nonnegative fees. Defaults to (0, 2x the many-agent
+        prediction).
     tol : final bracket width for the bisection, finite and positive.
     rel_tol : relative flip-detection tolerance, finite and positive.
 
@@ -383,8 +373,8 @@ def critical_theta(
     default bracket read the top eigenvalue of their spectrum. ValueError for
     a game whose agents differ.
     """
-    _check_number("tol", tol)
-    _check_number("rel_tol", rel_tol)
+    _number("tol", tol)
+    _number("rel_tol", rel_tol)
     with single_blas_thread():
         holder = [prepare_profile_systems(spec)]  # emptied by _checked_bisection
     top = holder[0].spectrum.top_eigenvalue
@@ -397,13 +387,10 @@ def critical_theta(
             )
         bracket = (0.0, 2.0 * conjecture)
     try:
-        lo, hi = (float(end) for end in bracket)
-    except (TypeError, ValueError):  # not a pair, or not of numbers
-        raise ArgumentError(
-            "bracket", f"bracket must be a pair (lo, hi) of numbers, got {bracket!r}"
-        ) from None
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ArgumentError("bracket", f"bracket ends must be finite, got {bracket!r}")
+        lo, hi = bracket
+    except (TypeError, ValueError):  # not a pair
+        raise ArgumentError("bracket", f"bracket must be a pair, got {bracket!r}") from None
+    lo, hi = (_number("bracket", end, positive=False) for end in (lo, hi))
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got {bracket!r}")
 
@@ -457,12 +444,11 @@ class SweepBase:
     flip_tol: float = DEFAULT_FLIP_TOL
 
     def __post_init__(self):
-        if not 0.0 < self.coupling < 1.0:
-            raise ArgumentError("coupling", f"coupling must lie in (0, 1), got {self.coupling!r}")
+        one_factor_matrix(1, self.coupling)  # the coupling check, as sigma's is price_covariance
         for name in ("horizon", "rel_tol", "flip_tol"):
-            _check_number(name, getattr(self, name))
+            _number(name, getattr(self, name))
         for name in ("gamma", "beta"):
-            _check_number(name, getattr(self, name), positive=False)
+            _number(name, getattr(self, name), positive=False)
         if np.ndim(self.sigma) == 0:  # a matrix sigma is checked against each row's size
             price_covariance(self.sigma, np.eye(1))
 
@@ -484,7 +470,8 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
     and ``beta``; missing keys fall back to the base configuration (with
     n_assets=1, n_agents=2, n_steps=100 as final defaults). Failures are
     recorded per row and do not stop the sweep; a count that is not a whole
-    number is such a failure (ArgumentError), not truncated.
+    number, or a ``gamma`` or ``beta`` that is not a finite nonnegative
+    number, is such a failure (ArgumentError), not truncated or converted.
     """
     rows: List[SweepRow] = []
     for point in points:
@@ -492,13 +479,15 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
             "n_assets": point.get("n_assets", 1),
             "n_agents": point.get("n_agents", 2),
             "n_steps": point.get("n_steps", 100),
-            "gamma": float(point.get("gamma", base.gamma)),
-            "beta": float(point.get("beta", base.beta)),
+            "gamma": point.get("gamma", base.gamma),
+            "beta": point.get("beta", base.beta),
         }
         predicted = float("nan")
         try:
             for name in ("n_assets", "n_agents", "n_steps"):
                 params[name] = _integer(name, params[name])
+            for name in ("gamma", "beta"):
+                params[name] = _number(name, params[name], positive=False)
             cross = one_factor_matrix(params["n_assets"], base.coupling)
             predicted = predicted_theta_star(
                 cross, base.kernel.at_zero, params["n_agents"], params["beta"], "conjecture"

@@ -349,6 +349,34 @@ def test_simulate_experiment_is_seed_deterministic(tmp_path):
     assert "generator" in report["results"]
 
 
+def test_seed_flag_overrides_the_config_seed(tmp_path, capsys):
+    config = SCRIPTS / "configs" / "price_simulation.json"
+    assert json.loads(config.read_text())["seed"] == 1
+    for seed, out in ((None, "own"), (3, "flag")):
+        flag = [] if seed is None else ["--seed", str(seed)]
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / out)]
+        assert main(argv + flag) == 0
+    report = json.loads((tmp_path / "flag/report.json").read_text())
+    assert report["config"]["seed"] == 3 and report["results"]["seed"] == 3
+    assert (tmp_path / "flag/path.csv").read_bytes() != (tmp_path / "own/path.csv").read_bytes()
+
+
+def test_negative_bracket_is_a_config_error(tmp_path, capsys):
+    config = with_value(THETA_CRITICAL, "theta_critical.bracket", [-1, 1])
+    argv = ["theta-critical", "--config", str(write_config(tmp_path, config))]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "config" and error["field"] == "theta_critical.bracket"
+
+
+def test_one_agent_without_a_bracket_is_a_bracket_error(tmp_path, capsys):
+    config = dict(THETA_CRITICAL, n_agents=1)
+    argv = ["theta-critical", "--config", str(write_config(tmp_path, config))]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "bracket" and "no default bracket" in error["message"]
+
+
 def test_payoff_matrix_experiment(tmp_path):
     config = {
         "experiment": "payoff-matrix",

@@ -35,6 +35,7 @@ from impact_games import (
 from impact_games import _linalg, hetero
 from impact_games import equilibrium as equilibrium_module
 from impact_games import stability as stability_module
+from impact_games._linalg import ArgumentError
 from impact_games.stability import (
     _CROSS_CHECK_TOL,
     SweepBase,
@@ -116,6 +117,19 @@ def test_bad_brackets_are_rejected():
         critical_theta(spec, bracket=(0.0, 0.1))  # unstable at both ends
     with pytest.raises(BracketError):
         critical_theta(spec, bracket=(0.3, 0.2))
+
+
+def test_a_negative_bracket_end_is_blamed_on_the_bracket():
+    with pytest.raises(ArgumentError) as raised:
+        critical_theta(stability_game(n_assets=1), bracket=(-1.0, 1.0))
+    assert raised.value.argument == "bracket"
+    assert str(raised.value) == "bracket must be finite and nonnegative, got -1.0"
+
+
+def test_one_agent_without_a_bracket_has_no_default_bracket():
+    # one agent never oscillates: the many-agent prediction is zero
+    with pytest.raises(BracketError, match="no default bracket"):
+        critical_theta(stability_game(n_assets=1, n_agents=1))
 
 
 @pytest.mark.parametrize(
@@ -354,7 +368,7 @@ def test_sweep_records_a_row_without_agents_as_failed():
         [{"n_assets": 1, "n_agents": 0, "n_steps": 20, "beta": 0.5}], SweepBase(kernel=KERNEL)
     )
     assert row.estimate is None
-    assert row.error.startswith("ArgumentError: need at least one agent")
+    assert row.error.startswith("ArgumentError: n_agents must be an integer >= 1")
 
 
 @pytest.mark.parametrize("name", ["n_assets", "n_agents", "n_steps"])
@@ -366,6 +380,15 @@ def test_sweep_records_a_count_that_is_not_a_whole_number_as_failed(name):
     assert row.estimate is None
     assert row.error == f"ArgumentError: {name} must be an integer, got 2.9"
     assert whole.error is None and type(whole.params[name]) is int
+
+
+def test_sweep_records_a_point_with_a_bad_number_as_failed_and_goes_on():
+    bad, good = stability_sweep(
+        [{"gamma": "x"}, {"n_agents": 2, "n_steps": 20}], SweepBase(kernel=KERNEL)
+    )
+    assert bad.estimate is None
+    assert bad.error == "ArgumentError: gamma must be finite and nonnegative, got 'x'"
+    assert good.error is None and good.estimate is not None
 
 
 def test_sweep_propagates_unexpected_errors(monkeypatch):
