@@ -1,7 +1,7 @@
 """Argument checks, guarded linear solves, and the prepared profile systems' solve paths.
 
-The package checks a caller's number (:func:`_number`) or count
-(:func:`_integer`) here alone, and every rejected argument raises an
+The package checks a caller's number (:func:`_number`), count (:func:`_integer`)
+or array (:func:`_array`) here alone, and every rejected argument raises an
 :class:`ArgumentError` naming it. A plain ValueError is left for domain
 errors: arguments that pass their checks but not the computation, such as a
 cross-impact matrix that is not positive definite.
@@ -106,12 +106,6 @@ class ArgumentError(ValueError):
         self.argument = argument
 
 
-def _finite(name: str, values: np.ndarray) -> None:
-    """Reject arrays holding NaN or infinite entries."""
-    if not np.all(np.isfinite(values)):
-        raise ArgumentError(name, f"{name} must be finite")
-
-
 def _number(name: str, value, positive: bool = True) -> float:
     """``value`` as a float; ArgumentError unless it is one finite number, > 0 or else >= 0."""
     try:
@@ -134,11 +128,31 @@ def _integer(name: str, value, minimum: Optional[int] = None) -> int:
     return int(value)
 
 
-def _boolean_mask(values) -> np.ndarray:
+def _array(name: str, value, shape=None, positive: Optional[bool] = None) -> np.ndarray:
+    """``value`` as a float array (a float64 array is not copied), broadcast to ``shape`` if given.
+
+    ArgumentError naming ``name``, never numpy's own error, unless every entry
+    is a finite number; with ``positive`` set, each entry must pass :func:`_number`.
+    """
+    try:
+        array = np.asarray(value, dtype=float)
+        array = array if shape is None else np.broadcast_to(array, shape)
+    except (TypeError, ValueError):  # an entry not a number, ragged nesting or the wrong shape
+        expected = "numbers" if shape is None else f"numbers that broadcast to shape {shape}"
+        raise ArgumentError(name, f"{name} must be {expected}, got {value!r:.60}") from None
+    if positive is not None:
+        for entry in array.ravel().tolist():
+            _number(name, entry, positive)
+    elif not np.all(np.isfinite(array)):
+        raise ArgumentError(name, f"{name} must be finite")
+    return array
+
+
+def _boolean_mask(name: str, values) -> np.ndarray:
     """``values`` as a bool array; ArgumentError unless every entry is a bool, 0 or 1."""
     mask = np.asarray(values)
     if mask.dtype != bool and not np.all((mask == 0) | (mask == 1)):
-        raise ArgumentError("mask", "mask entries must be booleans, 0 or 1")
+        raise ArgumentError(name, "mask entries must be booleans, 0 or 1")
     return mask.astype(bool)
 
 

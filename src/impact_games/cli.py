@@ -437,7 +437,8 @@ def _run_simulate(cfg: dict, out: Path) -> dict:
     spec = _game_spec_from_config(cfg)
     eq = solve(spec)
     sim_cfg = cfg.get("simulate", {})
-    with _errors_at("simulate", seed="seed"):
+    keys = {key: f"simulate.{key}" for key in ("initial_prices", "fine_steps", "horizon")}
+    with _errors_at("simulate", seed="seed", **keys):
         path = simulate_price(
             spec,
             eq.strategies,

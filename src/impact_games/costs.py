@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ArgumentError
+from ._linalg import ArgumentError, _array
 from .kernels import build_matrices
 
 __all__ = [
@@ -27,8 +27,8 @@ __all__ = [
 
 
 def _check_strategies(spec, strategies) -> np.ndarray:
-    """``strategies`` as a float array; ArgumentError unless of the spec's (M, J, N+1) shape."""
-    array = np.asarray(strategies, dtype=float)
+    """``strategies`` as a float array, not copied; ArgumentError unless finite and (M, J, N+1)."""
+    array = _array("strategies", strategies)
     shape = (spec.n_assets, spec.n_agents, spec.grid.n_points)
     if array.shape != shape:
         raise ArgumentError("strategies", f"strategies have shape {array.shape}, expected {shape}")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import ArgumentError, _finite, _integer, _number, _symmetric
+from ._linalg import ArgumentError, _array, _integer, _number, _symmetric
 
 __all__ = [
     "one_factor_matrix",
@@ -46,7 +46,7 @@ def rank_one_matrix(loadings: Sequence[float]) -> np.ndarray:
 
     The diagonal compensation keeps every self-impact coefficient equal to 1.
     """
-    b = np.asarray(loadings, dtype=float)
+    b = _array("loadings", loadings)
     if b.ndim != 1 or b.size < 1:
         raise ArgumentError("loadings", "loadings must be a nonempty vector")
     if np.any(np.abs(b) >= 1.0):
@@ -85,10 +85,9 @@ def explicit_matrix(matrix) -> np.ndarray:
     The one check of a cross-impact matrix: ArgumentError naming
     ``cross_impact`` unless it is square, finite and symmetric.
     """
-    q = np.asarray(matrix, dtype=float)
+    q = _array("cross_impact", matrix)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ArgumentError("cross_impact", f"cross_impact must be square, got shape {q.shape}")
-    _finite("cross_impact", q)
     _symmetric("cross_impact", q)
     return 0.5 * (q + q.T)
 
@@ -123,7 +122,7 @@ def price_covariance(sigma, cross_impact: np.ndarray) -> np.ndarray:
         if sigma != "equal_to_Q":
             raise ArgumentError("sigma", f"sigma must be 'equal_to_Q' if a string, got {sigma!r}")
         return cross_impact
-    matrix = np.asarray(sigma, dtype=float)
+    matrix = _array("sigma", sigma)
     if matrix.ndim == 0:
         return _number("sigma", sigma, positive=False) * np.eye(len(cross_impact))
     if matrix.shape != np.shape(cross_impact):

@@ -71,7 +71,7 @@ inventories in one market then cost one rotation each.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -81,8 +81,8 @@ from ._linalg import (
     _BandedSystem,
     _ExponentialLower,
     _PreparedSystem,
+    _array,
     _boolean_mask,
-    _finite,
     _integer,
     _normalized,
     _number,
@@ -157,6 +157,8 @@ class GameSpec:
         inventories must vanish on masked entries. Full when omitted.
 
     An invalid argument raises an ``ArgumentError``, a ValueError naming it.
+    The spec holds read-only copies of the arrays it is given, so changing a
+    caller's array afterwards leaves the checked spec as it was.
     """
 
     grid: TimeGrid
@@ -173,8 +175,8 @@ class GameSpec:
     mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        explicit_matrix(self.cross_impact)  # the checks; the matrix is kept as given
-        q = np.asarray(self.cross_impact, dtype=float)
+        q = _array("cross_impact", self.cross_impact)
+        explicit_matrix(q)  # the checks; the matrix is kept as given
         object.__setattr__(self, "cross_impact", q)
 
         m = q.shape[0]
@@ -183,8 +185,7 @@ class GameSpec:
             if self.n_agents is None:
                 raise ArgumentError("n_agents", "provide inventories or n_agents")
             inv = np.zeros((m, _integer("n_agents", self.n_agents, 1)))
-        inv = np.atleast_2d(np.asarray(inv, dtype=float))
-        _finite("inventories", inv)
+        inv = np.atleast_2d(_array("inventories", inv))
         if inv.shape[0] != m:
             raise ArgumentError(
                 "inventories",
@@ -196,23 +197,17 @@ class GameSpec:
         n_agents = _integer("n_agents", inv.shape[1], 1)
         object.__setattr__(self, "n_agents", n_agents)
 
-        theta = np.asarray(self.theta, dtype=float)
+        theta = _array("theta", self.theta, positive=False)
         if theta.ndim and theta.shape != (n_agents,):
             raise ArgumentError("theta", "theta must be a scalar or one fee per agent")
-        for fee in theta.ravel().tolist():
-            _number("theta", fee, positive=False)
-        object.__setattr__(self, "theta", theta.copy() if theta.ndim else float(theta))
+        object.__setattr__(self, "theta", theta if theta.ndim else float(theta))
         object.__setattr__(self, "gamma", _number("gamma", self.gamma, positive=False))
         object.__setattr__(self, "beta", _number("beta", self.beta, positive=False))
 
-        scales = np.ones(n_agents) if self.scales is None else self.scales
-        scales = np.broadcast_to(np.asarray(scales, dtype=float), (n_agents,)).copy()
-        for scale in scales.tolist():
-            _number("scales", scale)
-        object.__setattr__(self, "scales", scales)
+        scales = 1.0 if self.scales is None else self.scales
+        object.__setattr__(self, "scales", _array("scales", scales, (n_agents,), positive=True))
 
-        prio = np.asarray(self.priority, dtype=float)
-        _finite("priority", prio)
+        prio = _array("priority", self.priority)
         if prio.ndim == 0:
             prio = np.full((n_agents, n_agents), float(prio))
             np.fill_diagonal(prio, 0.0)
@@ -227,7 +222,7 @@ class GameSpec:
             )
         object.__setattr__(self, "priority", prio)
 
-        mask = np.ones(inv.shape, dtype=bool) if self.mask is None else _boolean_mask(self.mask)
+        mask = _boolean_mask("mask", np.ones(inv.shape) if self.mask is None else self.mask)
         if mask.shape != inv.shape:
             raise ArgumentError("mask", "mask must have the same shape as the inventories")
         if np.any((inv != 0.0) & ~mask):
@@ -237,10 +232,9 @@ class GameSpec:
         if self.gamma > 0.0 and not self.identical_agents:
             raise ArgumentError("gamma", "risk aversion is only supported with identical agents")
         if self.covariance is not None:
-            sigma = np.asarray(self.covariance, dtype=float)
+            sigma = _array("covariance", self.covariance)
             if sigma.shape != q.shape:
                 raise ArgumentError("covariance", "covariance must match the cross-impact shape")
-            _finite("covariance", sigma)
             _symmetric("covariance", sigma)
             if np.min(np.linalg.eigvalsh(sigma)) < -1e-10 * max(np.abs(sigma).max(), 1.0):
                 raise ArgumentError("covariance", "covariance must be positive semidefinite")
@@ -254,6 +248,12 @@ class GameSpec:
                         "cross-impact and covariance matrices must commute when "
                         "risk aversion is positive (their eigenbases must agree)"
                     )
+        for attribute in fields(self):
+            value = getattr(self, attribute.name)
+            if isinstance(value, np.ndarray):  # a copy, so the caller cannot change a checked spec
+                value = value.copy()
+                value.flags.writeable = False
+                object.__setattr__(self, attribute.name, value)
 
     @property
     def n_assets(self) -> int:

@@ -472,7 +472,7 @@ def payoff_matrix(
     if len(mask_options) != n_agents:
         raise ArgumentError("mask_options", "need one mask-option list per agent")
     options = tuple(
-        tuple(_boolean_mask(mask) for mask in per_agent) for per_agent in mask_options
+        tuple(_boolean_mask("mask_options", mask) for mask in masks) for masks in mask_options
     )
     for per_agent in options:
         if not per_agent:

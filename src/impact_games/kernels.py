@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import ArgumentError, _finite, _integer, _number
+from ._linalg import ArgumentError, _array, _integer, _number
 
 __all__ = [
     "TimeGrid",
@@ -34,10 +34,9 @@ class TimeGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _array("points", self.points)
         if pts.ndim != 1 or pts.size < 2:
             raise ArgumentError("points", "a trading grid needs at least two time points")
-        _finite("points", pts)
         if pts[0] != 0.0:
             raise ArgumentError("points", "trading grids must start at t = 0")
         if np.any(np.diff(pts) <= 0.0):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ._csv import write_csv
-from ._linalg import ArgumentError, _finite, _integer
+from ._linalg import ArgumentError, _array, _integer
 from .costs import _check_strategies
 from .kernels import DecayKernel
 
@@ -120,14 +120,17 @@ def impact_drift(spec, strategies: np.ndarray, times: np.ndarray) -> np.ndarray:
     before: the trade at t contributes nothing at t itself. The kernel
     weights are evaluated once per (times, trading grid, effective kernel);
     only the last such set is kept, read-only. The drift itself is kept for
-    the last such set and aggregate flow (:func:`_drift`), so the paths of
-    one strategy profile form the matrix product once. The returned array
-    is new.
+    the last such set and aggregate flow (:func:`_drift`), so the paths of one
+    strategy profile form the matrix product once. The returned array is new.
+    The strategies and ``times``, a vector, must be finite.
     """
-    volume = spec.scales[:, None] * np.asarray(strategies, dtype=float)
+    volume = spec.scales[:, None] * _check_strategies(spec, strategies)
+    times = _array("times", times)
+    if times.ndim != 1:
+        raise ArgumentError("times", f"times must be a vector, got shape {times.shape}")
     flow = spec.cross_impact @ volume.sum(axis=1)
     drift = _drift(
-        np.asarray(times, dtype=float).tobytes(),
+        times.tobytes(),
         spec.grid.points.tobytes(),
         spec.effective_kernel,
         flow.tobytes(),
@@ -148,7 +151,7 @@ def simulate_price(
     Parameters
     ----------
     spec : the game.
-    strategies : (M, J, N+1) strategy array (typically an equilibrium).
+    strategies : finite (M, J, N+1) strategy array (typically an equilibrium).
     initial_prices : scalar or length-M vector of finite starting prices.
     fine_steps : whole number of sub-intervals per trading interval, at least
         1 (the fine grid always contains every trading time by construction).
@@ -164,11 +167,8 @@ def simulate_price(
     :func:`impact_drift`, which evaluates the kernel weights and forms the
     drift on the first path and reuses both on the others.
     """
-    strategies = _check_strategies(spec, strategies)
     n_assets = spec.n_assets
-
-    start = np.broadcast_to(np.asarray(initial_prices, dtype=float), (n_assets,))
-    _finite("initial_prices", start)
+    start = _array("initial_prices", initial_prices, (n_assets,))
     if horizon is None:
         horizon = spec.grid.horizon
     times = _fine_grid(spec.grid.points, fine_steps, float(horizon))

@@ -1,8 +1,9 @@
-"""One argument-check policy: a rejected count or number is an ArgumentError naming it.
+"""One argument-check policy: a rejected count, number or array is an ArgumentError naming it.
 
-The table holds counts and numbers that must be rejected where they enter.
-The source scan keeps a plain ValueError or TypeError to the domain errors
-of ``DOMAIN_ERRORS``.
+The table holds counts, numbers and arrays that must be rejected where they
+enter. One source scan keeps a plain ValueError or TypeError to the domain
+errors of ``DOMAIN_ERRORS``; another keeps the conversion of a caller's array
+to ``_linalg._array``, apart from the functions of ``OWN_CONVERSIONS``.
 """
 
 import ast
@@ -14,12 +15,19 @@ import pytest
 
 from impact_games import (
     GameSpec,
+    TimeGrid,
     block_matrix,
     build_cross_impact,
+    expected_cost,
+    explicit_matrix,
     exponential_kernel,
+    impact_drift,
     make_equidistant_grid,
     one_factor_matrix,
     predicted_theta_star,
+    price_covariance,
+    rank_one_matrix,
+    simulate_price,
 )
 from impact_games._linalg import ArgumentError
 
@@ -38,16 +46,15 @@ DOMAIN_ERRORS = {
 
 
 def game(**kwargs):
-    return GameSpec(
-        grid=make_equidistant_grid(4),
-        kernel=exponential_kernel(),
-        cross_impact=np.eye(1),
-        **kwargs,
-    )
+    kwargs = {"cross_impact": np.eye(1), **kwargs}
+    return GameSpec(grid=make_equidistant_grid(4), kernel=exponential_kernel(), **kwargs)
 
 
 # (call, the argument its ArgumentError must name, the message)
 INTEGER, POSITIVE = "must be an integer >= 1, got 2.5", "must be finite and positive, got"
+NUMBERS = "must be numbers, got"
+# strategies of a one-asset, one-agent game on 4 steps, and its sampling times
+STRATEGIES, TIMES = np.zeros((1, 1, 5)), np.linspace(0.0, 1.0, 6)
 BAD_INPUTS = {
     "block_matrix sizes 2.5": (lambda: block_matrix([2.5, 2], [0.5, 0.6], 0.1), "sizes", INTEGER),
     "one_factor_matrix n_assets 2.5": (lambda: one_factor_matrix(2.5, 0.3), "n_assets", INTEGER),
@@ -69,6 +76,76 @@ BAD_INPUTS = {
         lambda: build_cross_impact("identity", size=2.5),
         "size",
         "must be an integer, got 2.5",
+    ),
+    # an array entry that is not a number, a shape that does not broadcast,
+    # and a non-finite or mis-shaped array that would give an answer
+    **{
+        f"GameSpec {field} 'x'": (
+            lambda field=field: game(n_agents=1, **{field: "x"}),
+            field,
+            f"{NUMBERS} 'x'",
+        )
+        for field in ("cross_impact", "inventories", "priority", "covariance")
+    },
+    "GameSpec theta 'x'": (lambda: game(n_agents=2, theta="x"), "theta", f"{NUMBERS} 'x'"),
+    "GameSpec scales 'x'": (
+        lambda: game(n_agents=2, scales="x"),
+        "scales",
+        "must be numbers that broadcast to shape (2,), got 'x'",
+    ),
+    "GameSpec 3 scales for 2 agents": (
+        lambda: game(n_agents=2, scales=[1, 2, 3]),
+        "scales",
+        "must be numbers that broadcast to shape (2,), got [1, 2, 3]",
+    ),
+    "TimeGrid 'x'": (lambda: TimeGrid(["x", 1]), "points", f"{NUMBERS} ['x', 1]"),
+    "rank_one_matrix 'x'": (lambda: rank_one_matrix(["x"]), "loadings", f"{NUMBERS} ['x']"),
+    "rank_one_matrix nan": (lambda: rank_one_matrix([np.nan, 0.5]), "loadings", "must be finite"),
+    "explicit_matrix 'x'": (lambda: explicit_matrix([["x"]]), "cross_impact", f"{NUMBERS} [['x']]"),
+    "price_covariance 'x'": (
+        lambda: price_covariance([["x"]], np.eye(1)),
+        "sigma",
+        f"{NUMBERS} [['x']]",
+    ),
+    "price_covariance nan": (
+        lambda: price_covariance([[np.nan]], np.eye(1)),
+        "sigma",
+        "must be finite",
+    ),
+    "simulate_price initial_prices 'x'": (
+        lambda: simulate_price(game(n_agents=1), STRATEGIES, initial_prices="x"),
+        "initial_prices",
+        "must be numbers that broadcast to shape (1,), got 'x'",
+    ),
+    "simulate_price 2 prices for 1 asset": (
+        lambda: simulate_price(game(n_agents=1), STRATEGIES, initial_prices=[1, 2]),
+        "initial_prices",
+        "must be numbers that broadcast to shape (1,), got [1, 2]",
+    ),
+    "expected_cost strategies 'x'": (
+        lambda: expected_cost(game(n_agents=1), [[["x"] * 5]], 0),
+        "strategies",
+        f"{NUMBERS} [[['x', 'x', 'x', 'x', 'x']]]",
+    ),
+    "impact_drift times 'x'": (
+        lambda: impact_drift(game(n_agents=1), STRATEGIES, ["x"]),
+        "times",
+        f"{NUMBERS} ['x']",
+    ),
+    "impact_drift strategies (1, 1, 4)": (
+        lambda: impact_drift(game(n_agents=1), np.zeros((1, 1, 4)), TIMES),
+        "strategies",
+        "have shape (1, 1, 4), expected (1, 1, 5)",
+    ),
+    "impact_drift times nan": (
+        lambda: impact_drift(game(n_agents=1), STRATEGIES, [0.0, np.nan, 1.0]),
+        "times",
+        "must be finite",
+    ),
+    "impact_drift times (2, 3)": (
+        lambda: impact_drift(game(n_agents=1), STRATEGIES, TIMES.reshape(2, 3)),
+        "times",
+        "must be a vector, got shape (2, 3)",
     ),
 }
 
@@ -117,3 +194,59 @@ def test_plain_value_and_type_errors_are_only_domain_errors():
     assert stray == []
     # an entry whose function no longer raises would widen the allow-list unseen
     assert DOMAIN_ERRORS <= {(module.stem, function) for module, function, _, _ in raising}
+
+
+# the functions that may convert or broadcast an array outside ``_linalg``,
+# each for its reason; every caller's array goes through ``_linalg._array``
+OWN_CONVERSIONS = {
+    ("kernels", "DecayKernel.__call__"): "evaluates lags the package computes, not an argument",
+    ("stability", "oscillation_flags"): "reports a non-finite profile as a NumericError",
+    ("equilibrium", "GameSpec.thetas"): "broadcasts a fee the spec has already checked",
+}
+
+
+def array_conversions(module: Path):
+    """(qualified function, call, line) of each ``np.asarray`` or ``np.array`` to
+    float and each ``np.broadcast_to``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+        ):
+            to_float = any(
+                keyword.arg == "dtype" and ast.unparse(keyword.value) in ("float", "np.float64")
+                for keyword in node.keywords
+            )
+            if node.func.attr == "broadcast_to" or (
+                node.func.attr in ("asarray", "array") and to_float
+            ):
+                found.append((scope, f"np.{node.func.attr}", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(module.read_text()), None)
+    return found
+
+
+def test_arrays_are_converted_only_by_the_array_check():
+    modules = [module for module in sorted(PACKAGE.glob("*.py")) if module.stem != "_linalg"]
+    assert len(modules) > 5
+    converting = [
+        (module, function, call, line)
+        for module in modules
+        for function, call, line in array_conversions(module)
+    ]
+    stray = [
+        f"{module.name}:{line} {function} calls {call}"
+        for module, function, call, line in converting
+        if (module.stem, function) not in OWN_CONVERSIONS
+    ]
+    assert stray == []
+    # an entry whose function no longer converts would widen the allow-list unseen
+    assert set(OWN_CONVERSIONS) <= {(module.stem, function) for module, function, _, _ in converting}

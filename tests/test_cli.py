@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import VENUE_CHOICE_COSTS, assert_matches_printed
-from impact_games import cli, stability
+from impact_games import _linalg, cli, stability
 from impact_games._csv import write_csv
 from impact_games.cli import ConfigError, _round_floats, main, run_experiment
 
@@ -375,6 +375,67 @@ def test_one_agent_without_a_bracket_is_a_bracket_error(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "bracket" and "no default bracket" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("initial_prices", [1.0, 2.0]), ("fine_steps", 0), ("horizon", 0.5)]
+)
+def test_a_bad_simulate_setting_is_reported_at_its_key(tmp_path, capsys, key, value):
+    # one asset, so two initial prices do not broadcast; the trading horizon is 1
+    config = with_value(SIMULATE, f"simulate.{key}", value)
+    argv = ["simulate", "--config", str(write_config(tmp_path, config))]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "config" and error["field"] == f"simulate.{key}"
+    assert error["message"].startswith(f"simulate.{key}: {key} must ")
+
+
+def test_missing_required_key_exits_2_at_that_key(tmp_path, capsys):
+    config = {key: value for key, value in MINIMAL_EQUILIBRIUM.items() if key != "grid"}
+    argv = ["equilibrium", "--config", str(write_config(tmp_path, config))]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "config", "message": "grid: missing required key", "field": "grid"}
+
+
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    argv = ["equilibrium", "--config", str(write_config(tmp_path, [MINIMAL_EQUILIBRIUM]))]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "config", "message": "config must be a JSON object"}
+
+
+def test_run_experiment_rejects_an_unknown_experiment(tmp_path):
+    with pytest.raises(ConfigError) as excinfo:
+        run_experiment(dict(MINIMAL_EQUILIBRIUM, experiment="bogus"), tmp_path)
+    assert excinfo.value.field == "experiment"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_agents_with_different_fees_have_no_critical_fee(tmp_path, capsys):
+    config = {key: value for key, value in THETA_CRITICAL.items() if key != "n_agents"}
+    config["agents"] = [{"inventories": [1.0], "theta": 0.5}, {"inventories": [1.0], "theta": 1.0}]
+    argv = ["theta-critical", "--config", str(write_config(tmp_path, config))]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "domain" and "identical agents" in error["message"]
+
+
+def test_a_singular_stacked_system_exits_1_with_its_condition(tmp_path, capsys):
+    # a tiny impact, no fee and no variance leave the unequal agents' system singular
+    config = dict(
+        MINIMAL_EQUILIBRIUM,
+        theta=0.0,
+        sigma=0.0,
+        cross_impact={"family": "explicit", "matrix": [[1e-13]]},
+        agents=[{"inventories": [1.0]}, {"inventories": [1.0], "scale": 0.5}],
+    )
+    argv = ["equilibrium", "--config", str(write_config(tmp_path, config))]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "numeric"
+    condition = float(error["message"].rsplit("condition number ", 1)[1].rstrip(")"))
+    assert condition > _linalg.MAX_CONDITION
 
 
 def test_payoff_matrix_experiment(tmp_path):

@@ -15,6 +15,7 @@ from impact_games import (
     make_equidistant_grid,
     one_factor_matrix,
     predicted_theta_star,
+    price_covariance,
     rank_one_matrix,
     stationarity_residual,
 )
@@ -70,6 +71,26 @@ def test_block_definition():
 def test_constructor_bounds(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, argument, message",
+    [
+        (lambda: rank_one_matrix([]), "loadings", "loadings must be a nonempty vector"),
+        (lambda: block_matrix([], [], 0.1), "sizes", "need at least one block"),
+        (
+            lambda: price_covariance(np.eye(3), np.eye(2)),
+            "sigma",
+            "explicit sigma must match the cross-impact shape",
+        ),
+    ],
+    ids=["no loadings", "no blocks", "sigma of another shape"],
+)
+def test_an_empty_or_mis_shaped_argument_is_named(make, argument, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert raised.value.argument == argument
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])

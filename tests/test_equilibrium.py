@@ -291,6 +291,32 @@ def test_gamespec_shape_validation():
         two_agent_spec([[1.0, 0.0]], covariance=np.array([[np.inf]]))
 
 
+def test_gamespec_rejects_a_mask_of_another_shape():
+    with pytest.raises(ValueError, match="mask must have the same shape") as raised:
+        two_agent_spec([[1.0, 0.0]], mask=np.ones((1, 3)))
+    assert raised.value.argument == "mask"
+
+
+def test_the_spec_holds_read_only_copies_of_its_arrays():
+    arrays = {
+        "cross_impact": np.array([[1.0, 0.2], [0.2, 1.0]]),
+        "inventories": np.array([[1.0, -0.5], [0.0, 0.5]]),
+        "theta": np.array([0.5, 1.0]),
+        "scales": np.array([1.0, 0.8]),
+        "priority": np.array([[0.0, 0.3], [0.7, 0.0]]),
+        "mask": np.ones((2, 2), dtype=bool),
+        "covariance": np.array([[0.2, 0.05], [0.05, 0.1]]),
+    }
+    spec = GameSpec(grid=make_equidistant_grid(4), kernel=KERNEL, **arrays)
+    given = {name: array.copy() for name, array in arrays.items()}
+    for array in arrays.values():
+        array[...] = 0  # after the checks, a caller changes its own arrays
+    for name, array in given.items():
+        assert np.array_equal(getattr(spec, name), array), name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(spec, name)[...] = 0
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize("field", ["theta", "gamma", "beta"])
 def test_gamespec_rejects_bad_scalars(field, value):

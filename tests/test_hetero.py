@@ -736,6 +736,24 @@ def test_payoff_table_rejects_non_boolean_mask_options():
         payoff_matrix(base, [[np.array([1.0, np.nan]), options[0][1]], options[1]])
 
 
+@pytest.mark.parametrize(
+    "choose, message",
+    [
+        (lambda options: options[:1], "need one mask-option list per agent"),
+        (lambda options: [[], options[1]], "each agent needs at least one mask option"),
+        (lambda options: [[[True]], options[1]], "each mask option must be a length-M vector"),
+        (lambda options: [[[2, 0]], options[1]], "mask entries must be booleans, 0 or 1"),
+    ],
+    ids=["one list for two agents", "no option", "length 1", "entry 2"],
+)
+def test_payoff_table_names_mask_options_in_each_rejection(choose, message):
+    base, options = venue_choice_game()
+    with pytest.raises(ValueError) as raised:
+        payoff_matrix(base, choose(options))
+    assert raised.value.argument == "mask_options"
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize(
     "field",
