@@ -8,12 +8,17 @@ import numpy as np
 
 
 def write_csv(path, header: list, rows) -> None:
-    """CSV with floats written to 12 significant digits, ints and strings as they are."""
+    """CSV with floats written to 12 significant digits, ints and strings as they are.
+
+    The rows go to one ``writerows`` call, each formatted as it is written.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(f"{value:.12g}" if isinstance(value, float) else value for value in row)
+        writer.writerows(
+            [f"{value:.12g}" if isinstance(value, float) else value for value in row]
+            for row in rows
+        )
 
 
 def write_strategies_csv(path, grid_points: np.ndarray, strategies: np.ndarray) -> None:

@@ -51,7 +51,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -150,7 +150,10 @@ def _array(name: str, value, shape=None, positive: Optional[bool] = None) -> np.
 
 def _boolean_mask(name: str, values) -> np.ndarray:
     """``values`` as a bool array; ArgumentError unless every entry is a bool, 0 or 1."""
-    mask = np.asarray(values)
+    try:
+        mask = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise ArgumentError(name, f"{name} must be one array, got {values!r:.60}") from None
     if mask.dtype != bool and not np.all((mask == 0) | (mask == 1)):
         raise ArgumentError(name, "mask entries must be booleans, 0 or 1")
     return mask.astype(bool)
@@ -264,6 +267,56 @@ def _backward_stable(
     """
     scale = (norm_inf + abs(shift)) * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
     return bool(np.all(np.abs(residual).max(axis=0) <= BACKWARD_TOL * scale))
+
+
+def _profile_error_bound(
+    matrix: np.ndarray, profile: np.ndarray, floor: float, dtype=np.float64
+) -> Tuple[float, bool]:
+    """Bound on ``||profile - p||_inf`` for the exact normalized solution p of ``matrix x = 1``.
+
+    ``matrix`` has nonnegative entries and ``floor`` is a lower bound on the
+    smallest eigenvalue of its symmetric part. The candidate ``x^ = s^ profile``,
+    with ``s^ = n / (1^T matrix profile)``, has the residual ``r = matrix x^ - 1``
+    and the error ``e = x^ - x``, ``||e||_2 <= ||r||_2 / floor =: d`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, chapter 7). With
+    ``s = 1^T x`` and ``sigma = 1^T profile``, ``profile - p = (profile s^
+    (sigma - 1) - profile 1^T e + e) / s`` and ``|s| >= |s^| |sigma| - sqrt(n) d``.
+    The residual is taken in ``dtype``; its rounding, ``gamma_n |matrix| |x^|``
+    (``|matrix| = matrix``), is added to it, and the bound is widened to cover
+    the double rounding of its own evaluation. Returns the bound (inf when
+    ``floor`` or the normalization leaves none) and whether the rounding
+    allowance exceeds the computed residual, which a residual in a wider
+    ``dtype`` shrinks.
+    """
+    n = len(profile)
+    u, ud = float(np.finfo(dtype).eps) / 2, float(np.finfo(float).eps) / 2
+    applied = matrix @ np.column_stack((profile, np.abs(profile)))
+    total = float(applied[:, 0].sum())
+    scale = n / total if total != 0.0 else float("inf")
+    if not (floor > 0.0 and np.isfinite(scale)):
+        return float("inf"), False
+    if dtype is np.float64:
+        product = applied[:, 0]
+    else:  # the product of two double arrays, each entry summed in dtype
+        product = np.einsum("ij,j->i", matrix, profile.astype(dtype))
+    residual = scale * product - 1.0
+    residual = float(np.sqrt(residual @ residual))
+    rounding = abs(scale) * _gamma(n, u) * float(np.linalg.norm(applied[:, 1]))
+    rounding += 2.0 * u * (residual + np.sqrt(n))  # of the scaling and the subtraction
+    slack = 1.0 + 8.0 * (n + 20) * ud  # double rounding of the norms and the arithmetic below
+    distance = slack * (residual + rounding) / floor
+    peak = float(np.abs(profile).max())
+    sum_error = abs(float(profile.sum()) - 1.0) + _gamma(n, ud) * float(np.abs(profile).sum())
+    total = abs(scale) * (1.0 - sum_error) - np.sqrt(n) * distance
+    if not total > 0.0:
+        return float("inf"), rounding > residual
+    bound = (peak * abs(scale) * sum_error + (peak * np.sqrt(n) + 1.0) * distance) / total
+    return slack * bound, rounding > residual
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)``, the rounding bound of an n-term dot product."""
+    return n * u / (1.0 - n * u)
 
 
 def _floor_bounded(n: int, norm_1: float, floor: float, shift: float) -> bool:

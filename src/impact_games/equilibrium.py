@@ -466,7 +466,8 @@ def principal_fundamentals(
 ) -> Tuple[SpectralReport, Tuple[FundamentalSolutions, ...]]:
     """Profile pair of every principal asset of the game, by dense solves.
 
-    The reference the prepared systems are checked against. The agents of
+    The reference of :func:`stability.is_unstable_at` without prepared
+    systems and of a re-bisection of :func:`stability.critical_theta`. The agents of
     ``spec`` must be identical and the cross-impact matrix positive definite
     (ValueError otherwise); the spectrum and groups are those of
     :func:`principal_groups`. Each group gets one bundle, of the effective
@@ -503,7 +504,8 @@ class ProfileSystems:
     term ``variance_terms[k]`` (risk aversion times variance rate), and is
     solved at fee theta with the shift ``2 theta / eigenvalues[k]``.
     ``paths`` counts the profile solves by path ("banded", "levinson",
-    "triangular", "dense", "shifted"), and the re-bisections of
+    "triangular", "dense", "shifted"), the profiles certified by the final
+    check of :func:`stability.critical_theta` ("certified"), and the re-bisections of
     :func:`stability.critical_theta` on all groups ("all_groups") and on the
     reference path ("rebisect").
     """
@@ -650,7 +652,11 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
         groups=groups,
         pairs=tuple(pairs),
         paths=dict.fromkeys(
-            ("banded", "levinson", "triangular", "dense", "shifted", "all_groups", "rebisect"), 0
+            (
+                "banded", "levinson", "triangular", "dense", "shifted", "certified", "all_groups",
+                "rebisect",
+            ),
+            0,
         ),
         eigenvalues=eigenvalues,
         variance_terms=variance_terms,

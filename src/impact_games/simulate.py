@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ._csv import write_csv
-from ._linalg import ArgumentError, _array, _integer
+from ._linalg import ArgumentError, _array, _integer, _number
 from .costs import _check_strategies
 from .kernels import DecayKernel
 
@@ -169,9 +169,8 @@ def simulate_price(
     """
     n_assets = spec.n_assets
     start = _array("initial_prices", initial_prices, (n_assets,))
-    if horizon is None:
-        horizon = spec.grid.horizon
-    times = _fine_grid(spec.grid.points, fine_steps, float(horizon))
+    horizon = spec.grid.horizon if horizon is None else _number("horizon", horizon)
+    times = _fine_grid(spec.grid.points, fine_steps, horizon)
 
     rng = np.random.default_rng(_integer("seed", seed, 0))
     draws = rng.standard_normal((times.size - 1, n_assets))

@@ -28,10 +28,15 @@ bracket ends, so checking every group there also covers rounding and a
 verdict that is not monotone. At the lower end a bisected group oscillates,
 so the game does. At the upper end every group is solved on the prepared
 systems; if one oscillates, the bisection runs again on all groups. Then the
-dense reference (:func:`equilibrium.principal_fundamentals`) recomputes
-every profile at the lower end, independently of the prepared systems; if
-its verdict or profiles disagree with theirs, the bisection runs again on the
-reference path.
+prepared profiles at the lower end are checked independently of the prepared
+systems: each group's two profile systems are built afresh, as the dense
+reference (:func:`equilibrium.principal_fundamentals`) builds them, and each
+prepared profile is certified against its system by an a-posteriori
+forward-error bound (:func:`_linalg._profile_error_bound`) that proves it
+within ``_CROSS_CHECK_TOL`` of the exact profile and proves its verdict. A
+system whose certificate declines is solved densely from the same matrix.
+If that verdict or those profiles disagree with the prepared ones, the
+bisection runs again on the reference path.
 """
 
 from __future__ import annotations
@@ -41,17 +46,30 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ._linalg import ArgumentError, NumericError, _integer, _number, single_blas_thread
+from ._linalg import (
+    ArgumentError,
+    NumericError,
+    _integer,
+    _normalized,
+    _number,
+    _profile_error_bound,
+    guarded_solve,
+    single_blas_thread,
+)
 from .cross_impact import analyze_cross_impact, one_factor_matrix, price_covariance
 from .equilibrium import (
     FundamentalSolutions,
     GameSpec,
     ProfileSystems,
+    _principal_split,
     _scale_law_classes,
+    _spread,
+    _unit_floor,
     prepare_profile_systems,
     principal_fundamentals,
+    profile_systems,
 )
-from .kernels import DecayKernel, make_equidistant_grid
+from .kernels import DecayKernel, build_matrices, make_equidistant_grid
 
 __all__ = [
     "OscillationFlags",
@@ -172,6 +190,90 @@ def _agrees(
     return True
 
 
+def _verdict_certain(profile: np.ndarray, bound: float, rel_tol: float) -> bool:
+    """Whether every profile within ``bound`` of ``profile`` (infinity norm) is close and agrees.
+
+    Such a profile p is within ``_CROSS_CHECK_TOL`` of p itself, and each
+    product ``p_k p_(k+1)`` lies on the same side of ``-rel_tol max|p|^2`` as
+    for ``profile``: it moves by at most ``bound (|profile_k| +
+    |profile_(k+1)|) + bound^2`` and the threshold by at most ``rel_tol (2
+    peak bound + bound^2)``; the floating-point rounding of the verdict's
+    own products and threshold is added.
+    """
+    peak = float(np.abs(profile).max())
+    if not bound <= _CROSS_CHECK_TOL * (peak - bound):
+        return False
+    products = profile[:-1] * profile[1:]
+    threshold = -rel_tol * peak**2
+    margin = bound * (np.abs(profile[:-1]) + np.abs(profile[1:])) + bound**2
+    margin += rel_tol * (2.0 * peak * bound + bound**2)
+    margin += 4.0 * np.finfo(float).eps * (np.abs(products) + abs(threshold))
+    return bool(np.all(np.abs(products - threshold) > margin))
+
+
+def _certified(matrix: np.ndarray, profile: np.ndarray, floor: float, rel_tol: float) -> bool:
+    """Whether ``profile`` provably is the normalized solution of ``matrix x = 1`` with its verdict.
+
+    The bound is :func:`_linalg._profile_error_bound`'s, with the residual in
+    double; when that fails on the rounding allowance of the residual, the
+    residual is taken again in ``np.longdouble`` (where that is plain double,
+    the bound only declines more often).
+    """
+    bound, rounding = _profile_error_bound(matrix, profile, floor)
+    if not _verdict_certain(profile, bound, rel_tol) and rounding:
+        bound, _ = _profile_error_bound(matrix, profile, floor, np.longdouble)
+    return _verdict_certain(profile, bound, rel_tol)
+
+
+def _checked_profiles(
+    spec: GameSpec,
+    theta: float,
+    fast: Sequence[FundamentalSolutions],
+    rel_tol: float,
+    paths: Dict[str, int],
+) -> Tuple[FundamentalSolutions, ...]:
+    """Profile pair of every principal asset at ``theta``: each prepared one if certified.
+
+    Each group of :func:`equilibrium._principal_split` gets its two dense
+    profile systems, built as :func:`principal_fundamentals` builds them (one
+    bundle of the effective kernel scaled by the group's eigenvalue, then
+    :func:`equilibrium.profile_systems`). The symmetric parts of the mean and
+    the deviation system are ``lambda (J + 1) / 2 K + 2 theta I + gamma v
+    Gamma`` and ``lambda / 2 K + 2 theta I + gamma v Gamma``, for the unit
+    kernel matrix K and the positive semidefinite ``Gamma = min(t_i, t_j)``,
+    so the floor of :func:`equilibrium.prepare_profile_systems` under K,
+    ``G(0) _unit_floor - n eps ||K||_1``, scaled and shifted alike, bounds
+    their smallest eigenvalues. The prepared profile ``fast`` of the group's
+    first member is kept when :func:`_certified` against its system and
+    counted under "certified"; otherwise the system is solved by
+    :func:`guarded_solve` and counted under "dense".
+    """
+    spectrum, var_rates, groups = _principal_split(spec)
+    n, n_agents = spec.grid.n_points, spec.n_agents
+    min_step = float(np.diff(spec.grid.points).min())
+    unit_floor = spec.effective_kernel.at_zero * _unit_floor(spec.kernel, min_step)
+    pairs = []
+    for members in groups:
+        first = members[0]
+        eigenvalue = float(spectrum.eigenvalues[first])
+        bundle = build_matrices(spec.grid, spec.effective_kernel.scaled(eigenvalue))
+        rounding = n * np.finfo(float).eps * np.linalg.norm(bundle.kernel_matrix, 1)
+        floor = eigenvalue * unit_floor - rounding
+        systems = profile_systems(spec, bundle, theta, float(var_rates[first]))
+        del bundle  # free before the next bundle is built
+        prepared = (fast[first].mean_profile, fast[first].deviation_profile)
+        profiles = []
+        for matrix, profile, weight in zip(systems, prepared, (0.5 * (n_agents + 1), 0.5)):
+            if _certified(matrix, profile, weight * floor + 2.0 * theta, rel_tol):
+                paths["certified"] += 1
+            else:
+                paths["dense"] += 1
+                profile = _normalized(guarded_solve(matrix, np.ones(n)))
+            profiles.append(profile)
+        pairs.append(FundamentalSolutions(*profiles))
+    return _spread(groups, pairs)
+
+
 def predicted_theta_star(
     cross_impact: np.ndarray,
     kernel_at_zero: float,
@@ -270,19 +372,24 @@ class StabilityReport:
     ``estimate`` lies inside ``bracket``; ``method`` is "bisect" unless the
     monotonicity guard tripped and a grid scan produced the estimate.
     ``flags_below`` holds the (mean, deviation) oscillation flags of every
-    principal asset probed just below the transition, from the reference
-    path (:func:`principal_fundamentals`). Predictions carry the theorem
-    value and the many-agent extrapolation for this game. ``solve_paths``
-    counts the profile solves by path, the final check and any re-bisection
-    on the reference path included: "banded" (an exponential kernel's
-    system without a variance term, on any grid), "levinson" (a Toeplitz
-    mean system), "triangular" (an upper triangular deviation system),
-    "shifted" (on the reduced systems of a bisected or a large scale-law
-    class) and "dense" (the reference and every other solve; see
-    :mod:`_linalg`); "all_groups" is 1 when a group left out of the
-    bisection was unstable at the final upper bracket end and the bisection
-    ran again on all groups, and "rebisect" is 1 when the final reference
-    check failed and the bisection ran again on the reference path.
+    principal asset probed just below the transition: those of the prepared
+    profiles the final check certified and of dense solves where it
+    declined, or those of the reference path (:func:`principal_fundamentals`)
+    after a re-bisection on it. Predictions carry the theorem value and the
+    many-agent extrapolation for this game. ``solve_paths`` counts the
+    profile solves by path, the final check and any re-bisection on the
+    reference path included: "banded" (an exponential kernel's system
+    without a variance term, on any grid), "levinson" (a Toeplitz mean
+    system), "triangular" (an upper triangular deviation system), "shifted"
+    (on the reduced systems of a bisected or a large scale-law class) and
+    "dense" (the reference, a system of the final check whose certificate
+    declined, and every other solve; see :mod:`_linalg`). "certified" counts
+    the systems of the final check whose prepared profile was certified, so
+    the final check adds ``certified + dense`` = twice the number of groups.
+    "all_groups" is 1 when a group left out of the bisection was unstable at
+    the final upper bracket end and the bisection ran again on all groups,
+    and "rebisect" is 1 when the final check disagreed with the prepared
+    profiles and the bisection ran again on the reference path.
     """
 
     estimate: float
@@ -312,7 +419,8 @@ def _checked_bisection(
     """Bisection of the top groups on prepared systems, checked at the end on all groups.
 
     See the module docstring. The systems prepared from ``spec`` are popped
-    from the list ``holder``, so they are freed before the dense check.
+    from the list ``holder``, so they are freed before the final check builds
+    its systems.
     Returns (estimate, bracket, trace, method, flags_below, solve_paths).
     """
     systems = holder.pop()
@@ -341,8 +449,9 @@ def _checked_bisection(
         paths["all_groups"] += 1
         estimate, final_bracket, trace, method = bisect(systems)
     fast = systems.profiles(final_bracket[0])
-    del systems, top  # the reference check needs the memory of the prepared matrices
-    fundamentals, flags_below = reference_at(final_bracket[0])
+    del systems, top  # the final check needs the memory of the prepared matrices
+    fundamentals = _checked_profiles(spec, final_bracket[0], fast, rel_tol, paths)
+    flags_below = _pair_flags(fundamentals, rel_tol)
     if not _agrees(fast, fundamentals, flags_below, rel_tol):
         paths["rebisect"] += 1
         estimate, final_bracket, trace, method = bisect(None)

@@ -24,6 +24,7 @@ from impact_games import (
     impact_drift,
     make_equidistant_grid,
     one_factor_matrix,
+    payoff_matrix,
     predicted_theta_star,
     price_covariance,
     rank_one_matrix,
@@ -141,6 +142,21 @@ BAD_INPUTS = {
         lambda: impact_drift(game(n_agents=1), STRATEGIES, [0.0, np.nan, 1.0]),
         "times",
         "must be finite",
+    ),
+    "simulate_price horizon 'x'": (
+        lambda: simulate_price(game(n_agents=1), STRATEGIES, 0.0, horizon="x"),
+        "horizon",
+        "must be finite and positive, got 'x'",
+    ),
+    "GameSpec ragged mask": (
+        lambda: game(n_agents=2, mask=[[1], [1, 0]]),
+        "mask",
+        "must be one array, got [[1], [1, 0]]",
+    ),
+    "payoff_matrix ragged mask option": (
+        lambda: payoff_matrix(game(n_agents=1), [[[[1], [1, 0]]]]),
+        "mask_options",
+        "must be one array, got [[1], [1, 0]]",
     ),
     "impact_drift times (2, 3)": (
         lambda: impact_drift(game(n_agents=1), STRATEGIES, TIMES.reshape(2, 3)),

@@ -651,13 +651,14 @@ def test_theta_critical_base_probes_by_the_banded_path(tmp_path):
     path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "theta_critical_base.json"
     results = run_experiment(json.loads(path.read_text()), tmp_path)["results"]
     # one principal asset with an exponential kernel: two banded solves per
-    # probe and for the final check, whose two dense solves are the only ones
+    # probe and for the final check, which certifies both profiles
     assert results["solve_paths"] == {
         "banded": 2 * (results["n_probes"] + 1),
         "levinson": 0,
         "triangular": 0,
-        "dense": 2,
+        "dense": 0,
         "shifted": 0,
+        "certified": 2,
         "all_groups": 0,
         "rebisect": 0,
     }

@@ -57,7 +57,7 @@ def test_single_trader_optimal_cost_matches_closed_form(n_steps, theta):
     assert expected_cost(spec, eq.strategies, 0) == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.parametrize("agent", [-1, 2, 1.0, None])
+@pytest.mark.parametrize("agent", [-1, 2, 1.5, None])
 def test_an_agent_outside_the_game_is_named(agent):
     spec = make_spec([[1.0, 0.0]], theta=0.1)
     strategies = closed_form_equilibrium(spec).strategies
@@ -65,6 +65,13 @@ def test_an_agent_outside_the_game_is_named(agent):
         with pytest.raises(ValueError) as excinfo:
             call(spec, strategies, agent)
         assert excinfo.value.argument == "agent"
+
+
+def test_a_whole_float_is_an_agent_index():
+    spec = make_spec([[1.0, 0.0]], theta=0.1)
+    strategies = closed_form_equilibrium(spec).strategies
+    for call in (expected_cost, variance_and_mv, stationarity_residual):
+        assert call(spec, strategies, 1.0) == call(spec, strategies, 1)
 
 
 def test_seller_versus_idle_agent_costs():

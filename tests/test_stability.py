@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import toeplitz
+from scipy.linalg import lu_factor, lu_solve, toeplitz
 
 from impact_games import (
     BracketError,
@@ -299,22 +299,23 @@ def test_critical_fee_decomposes_the_cross_impact_twice_on_one_blas_thread(monke
 def test_prepared_systems_are_freed_before_the_dense_check(monkeypatch):
     prepared, alive = [], []
     prepare = stability_module.prepare_profile_systems
-    reference = stability_module.principal_fundamentals
+    build = stability_module.build_matrices
 
     def recording_prepare(spec):
         systems = prepare(spec)
         prepared.append(weakref.ref(systems))
         return systems
 
-    def recording_reference(*args, **kwargs):
+    def recording_build(*args, **kwargs):
         alive.append(prepared[0]() is not None)
-        return reference(*args, **kwargs)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(stability_module, "prepare_profile_systems", recording_prepare)
-    monkeypatch.setattr(stability_module, "principal_fundamentals", recording_reference)
-    # power-law systems hold their matrices, which the dense check can reuse
+    monkeypatch.setattr(stability_module, "build_matrices", recording_build)
+    # power-law systems hold their matrices, which the final check's builds can reuse;
+    # it builds one bundle for each of the two groups
     critical_theta(stability_game(n_assets=3, coupling=0.5, kernel=POWER_LAW), tol=1e-3)
-    assert alive == [False]
+    assert alive == [False, False]
 
 
 def test_estimate_scales_with_the_kernel():
@@ -461,7 +462,9 @@ def count_solves(monkeypatch):
     return calls
 
 
-def paths_of(banded=0, levinson=0, triangular=0, dense=0, shifted=0, all_groups=0, rebisect=0):
+def paths_of(
+    banded=0, levinson=0, triangular=0, dense=0, shifted=0, certified=0, all_groups=0, rebisect=0
+):
     """A ``solve_paths`` dict with these counts."""
     return {
         "banded": banded,
@@ -469,6 +472,7 @@ def paths_of(banded=0, levinson=0, triangular=0, dense=0, shifted=0, all_groups=
         "triangular": triangular,
         "dense": dense,
         "shifted": shifted,
+        "certified": certified,
         "all_groups": all_groups,
         "rebisect": rebisect,
     }
@@ -738,6 +742,108 @@ def test_every_solve_path_is_backward_stable_or_declines(
             assert gap <= 4 * condition * (_linalg.BACKWARD_TOL + eps_n), path
 
 
+def refined_profile(matrix):
+    """Normalized solution of ``matrix x = 1``: LU, refined with residuals in ``np.longdouble``."""
+    lu = lu_factor(matrix)
+    x = lu_solve(lu, np.ones(len(matrix)))
+    for _ in range(5):
+        residual = np.einsum("ij,j->i", matrix, x.astype(np.longdouble)) - 1.0
+        x = x - lu_solve(lu, residual.astype(float))
+    return x / x.sum()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    power_law=st.booleans(),
+    rate=st.floats(min_value=0.1, max_value=20.0),
+    exponent=st.floats(min_value=0.1, max_value=3.0),
+    offset=st.floats(min_value=0.01, max_value=2.0),
+    n_steps=st.integers(min_value=1, max_value=120),
+    jittered=st.booleans(),
+    n_agents=st.integers(min_value=1, max_value=10),
+    gamma=st.sampled_from([0.0, 5.0]),
+    log_variance=st.one_of(st.none(), st.floats(min_value=-18.0, max_value=1.0)),
+    eigenvalue=st.floats(min_value=0.1, max_value=10.0),
+    fee=st.floats(min_value=0.0, max_value=5.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_certified_bound_covers_the_true_error(
+    power_law, rate, exponent, offset, n_steps, jittered, n_agents, gamma, log_variance,
+    eigenvalue, fee, seed,
+):
+    """The final check's forward-error certificate, against a refined dense solve.
+
+    Every bound the certificate computes, and the bound of the prepared
+    profile perturbed by 1e-8 relative, is at least the distance of the
+    profile from the exact one, whose refined LU profile is within a few
+    units of rounding; each floor is below the smallest eigenvalue of
+    the symmetric part; a certified profile has the verdict of the exact
+    one, and where every profile is certified the prepared and the dense
+    ``is_unstable_at`` agree.
+    """
+    steps = np.random.default_rng(seed).uniform(0.5, 1.5, n_steps) if jittered else np.ones(n_steps)
+    spec = GameSpec(
+        grid=TimeGrid(np.r_[0.0, np.cumsum(steps) / steps.sum()]),
+        kernel=power_law_kernel(exponent, offset) if power_law else exponential_kernel(rate),
+        cross_impact=[[eigenvalue]],
+        n_agents=n_agents,
+        gamma=gamma,
+        covariance=None if log_variance is None else np.array([[10.0**log_variance]]),
+    )
+    bounds, verdicts = [], []
+    bound_of, certified = stability_module._profile_error_bound, stability_module._certified
+
+    def recording_bound(matrix, profile, floor, dtype=np.float64):
+        bound, rounding = bound_of(matrix, profile, floor, dtype)
+        bounds.append((matrix, profile, bound))
+        return bound, rounding
+
+    def recording_certified(matrix, profile, floor, rel_tol):
+        result = certified(matrix, profile, floor, rel_tol)
+        verdicts.append((matrix, profile, floor, result))
+        return result
+
+    systems = prepare_profile_systems(spec)
+    paths = paths_of()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability_module, "_profile_error_bound", recording_bound)
+        patch.setattr(stability_module, "_certified", recording_certified)
+        stability_module._checked_profiles(spec, fee, systems.profiles(fee), 1e-9, paths)
+    assert paths["certified"] + paths["dense"] == 2 and len(verdicts) == 2
+    eps = np.finfo(float).eps
+    for matrix, profile, bound in bounds:
+        exact = refined_profile(matrix)
+        error = np.abs(profile - exact).max()
+        assert bound >= error - 4 * eps * np.abs(exact).max(), (bound, error)
+    rng = np.random.default_rng(seed)
+    for matrix, profile, floor, result in verdicts:
+        assert floor <= np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0]
+        exact = refined_profile(matrix)
+        if result:
+            assert oscillation_flags(profile) == oscillation_flags(exact)
+        # a profile with a true error well above rounding is bounded too
+        perturbed = profile * (1.0 + 1e-8 * rng.standard_normal(len(profile)))
+        perturbed /= perturbed.sum()
+        bound, _ = _linalg._profile_error_bound(matrix, perturbed, floor)
+        assert bound >= np.abs(perturbed - exact).max() - 4 * eps * np.abs(exact).max()
+    if paths["certified"] == 2:
+        assert is_unstable_at(spec, fee, systems=systems) == is_unstable_at(spec, fee)
+
+
+def test_a_perturbed_prepared_solve_is_caught_by_the_final_check(monkeypatch):
+    spec = stability_game(n_steps=50)
+    dense, *_ = _bisect_threshold(lambda theta: is_unstable_at(spec, theta), 0.0, 1.0, 1e-4)
+    profiles = equilibrium_module.ProfileSystems.profiles
+    monkeypatch.setattr(
+        equilibrium_module.ProfileSystems,
+        "profiles",
+        lambda self, theta: profiles(self, theta * (1.0 + 1e-6)),
+    )
+    report = critical_theta(spec, bracket=(0.0, 1.0), tol=1e-4)
+    assert report.solve_paths["certified"] == 0 and report.solve_paths["rebisect"] == 1
+    assert report.estimate == dense
+
+
 def test_rejected_banded_probe_falls_back_to_guarded_solve_bit_for_bit(monkeypatch):
     spec = stability_game(n_agents=3, n_steps=40)
     systems = prepare_profile_systems(spec)
@@ -828,9 +934,9 @@ def test_cross_check_mismatch_bisects_again_on_the_dense_path(monkeypatch):
     monkeypatch.setattr(stability_module, "_CROSS_CHECK_TOL", -1.0)
     report = critical_theta(spec, tol=1e-4)
     n = len(fast.trace)
-    # prepared probes and the failed reference check, then the same probes
-    # again on the reference path and its final check
-    assert probes == [False] * n + [True] * (n + 2)
+    # prepared probes, whose final check declines, then the same probes again
+    # on the reference path and its final check
+    assert probes == [False] * n + [True] * (n + 1)
     assert report.solve_paths == paths_of(banded=2 * (n + 1), dense=2 * (n + 2), rebisect=1)
     assert report.trace == fast.trace and report.estimate == fast.estimate
 
@@ -844,7 +950,8 @@ def test_high_frequency_limit_at_a_thousand_steps():
     elapsed = time.perf_counter() - started
     assert report.estimate == pytest.approx(0.2494998, abs=1e-6)
     assert report.method == "bisect"
-    assert report.solve_paths["rebisect"] == 0 and report.solve_paths["dense"] == 2
+    assert report.solve_paths["rebisect"] == 0 and report.solve_paths["dense"] == 0
+    assert report.solve_paths["certified"] == 2
     assert elapsed < 2.0
 
 
@@ -862,7 +969,7 @@ def test_one_factor_game_bisects_its_top_principal_asset_only():
     )
     # the top group per probe, then both groups at each final bracket end
     n = len(full.trace)
-    assert full.solve_paths == paths_of(banded=2 * (n + 4), dense=4)
+    assert full.solve_paths == paths_of(banded=2 * (n + 4), certified=4)
     # every verdict of the trace is the dense all-groups verdict
     assert [(theta, is_unstable_at(spec, theta)) for theta, _ in full.trace] == list(full.trace)
 
@@ -896,14 +1003,23 @@ def test_large_scale_law_class_checks_its_reference_solves_densely(gamma, monkey
     report = critical_theta(spec, tol=1e-4)
     n = len(report.trace)
     # the top group per probe, all nine at both final bracket ends, then the
-    # dense reference check
+    # final check, which certifies all 18 profiles
     if gamma == 0.0:
-        assert report.solve_paths == paths_of(banded=2 * (n + 18), dense=18)
+        assert report.solve_paths == paths_of(banded=2 * (n + 18), certified=18)
         assert reductions == []
     else:
-        assert report.solve_paths == paths_of(shifted=2 * n + 36, dense=18)
+        assert report.solve_paths == paths_of(shifted=2 * n + 36, certified=18)
         # reduced when prepared; reducing the bisected top group again is a no-op
         assert reductions == [41, 41]
+    # with every certificate declined, the 18 systems are solved densely
+    with monkeypatch.context() as patch:
+        patch.setattr(stability_module, "_certified", lambda *args: False)
+        declined = critical_theta(spec, tol=1e-4)
+    paths = dict(report.solve_paths, certified=0, dense=18)
+    assert declined.solve_paths == paths
+    assert (report.estimate, report.bracket, report.trace, report.flags_below) == (
+        declined.estimate, declined.bracket, declined.trace, declined.flags_below
+    )
     reductions.clear()
     monkeypatch.setattr(equilibrium_module, "_REDUCE_MIN_GROUPS", 10)
     small = critical_theta(spec, tol=1e-4)
@@ -958,14 +1074,15 @@ def test_two_ratio_classes_bisect_the_top_group_of_each(monkeypatch):
         tol=1e-4,
     )
     assert report.estimate > alone.estimate + 1e-3
-    # two groups per probe, then all three at both ends and in the dense check;
+    # two groups per probe, then all three at both ends and in the final check;
     # the bisected group without a floor is reduced once and solved by
-    # shifted solves, so only the dense check's six solves are dense
+    # shifted solves, and the final check certifies all six profiles
     paths = report.solve_paths
-    solves = paths["banded"] + paths["dense"] + paths["shifted"]
+    solves = paths["banded"] + paths["certified"] + paths["shifted"]
     assert solves == 4 * len(report.trace) + 18
     assert paths["banded"] == 2 * (len(report.trace) + 4)
-    assert paths["shifted"] == 2 * len(report.trace) + 4 and paths["dense"] == 6
+    assert paths["shifted"] == 2 * len(report.trace) + 4 and paths["certified"] == 6
+    assert paths["dense"] == 0
     assert paths["all_groups"] == 0 and paths["rebisect"] == 0
 
 
@@ -1032,8 +1149,8 @@ def test_risk_averse_bisection_probes_the_reduced_top_group(monkeypatch):
     report = critical_theta(spec, tol=1e-4)
     n = len(report.trace)
     # the top group's two systems for every probe, both groups at both final
-    # bracket ends on the class's reduced systems, and both groups in the dense check
-    assert report.solve_paths == paths_of(dense=4, shifted=2 * n + 8)
+    # bracket ends on the class's reduced systems, and both groups in the final check
+    assert report.solve_paths == paths_of(certified=4, shifted=2 * n + 8)
     monkeypatch.setattr(_linalg._PreparedSystem, "reduce", lambda self: None)
     dense = critical_theta(spec, tol=1e-4)
     assert dense.solve_paths["shifted"] == 0

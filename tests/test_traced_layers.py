@@ -75,6 +75,21 @@ def test_a_traced_full_size_theta_desk_op_passes(tmp_path):
     check_traced_op("theta_desk", False, tmp_path)
 
 
+def test_a_traced_theta_desk_op_whose_certificates_decline_traces_the_dense_layers(
+    tmp_path, monkeypatch
+):
+    # no profile is within a zero tolerance, so the final check solves every
+    # system densely, disagrees and bisects again on the dense reference
+    monkeypatch.setattr(importlib.import_module("impact_games.stability"), "_CROSS_CHECK_TOL", 0.0)
+    metrics = check_traced_op("theta_desk", True, tmp_path)
+    for layer in (
+        "linalg.guarded_solve",
+        "equilibrium.fundamental_solutions",
+        "equilibrium.principal_fundamentals",
+    ):
+        assert metrics[layer + ".calls"] > 0, layer
+
+
 def test_a_traced_full_size_venue_hetero_op_passes(tmp_path):
     # the benchmark's own size (M = 8, J = 6, N = 120), whose traced run gates a change
     check_traced_op("venue_hetero", False, tmp_path)
@@ -86,7 +101,10 @@ def test_a_traced_full_size_scenario_risk_op_passes(tmp_path):
 
 
 def check_traced_op(name, small, tmp_path):
-    """Trace one op of workload ``name``, at reduced sizes when ``small``, and check its spans."""
+    """Trace one op of workload ``name``, at reduced sizes when ``small``, and check its spans.
+
+    Returns the op's per-layer metrics.
+    """
     workloads = load("bench_workloads", BENCH / "workloads.py")
     tracing = load("bench_tracing", TRACING)
     workload = workloads.WORKLOADS[name](5, small, tmp_path)
@@ -118,16 +136,12 @@ def check_traced_op(name, small, tmp_path):
         assert sum(counts[f"stability.{kind}_probes"] for kind in ("bisect", "guard", "scan")) == (
             counts["stability.probes"]
         )
-        # the dense reference check of the critical fee is traced
-        for layer in (
-            "linalg.guarded_solve",
-            "equilibrium.fundamental_solutions",
-            "equilibrium.principal_fundamentals",
-        ):
-            assert metrics[layer + ".calls"] > 0, layer
+        # the builds of the critical fee's final check are traced
+        assert metrics["kernels.build_matrices.calls"] > 0
     aggregated = tracing.aggregate([metrics], probe_s)
     listed = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     computed = set(aggregated) | set(tracing.OUTPUT_COUNTS) | {"trace.overhead_s"}
     for entry in listed:
         assert entry["name"] in computed, entry["name"]
         assert tracing.unit_of(entry["name"]) == entry["unit"], entry["name"]
+    return metrics
