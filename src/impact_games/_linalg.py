@@ -128,11 +128,15 @@ def _integer(name: str, value, minimum: Optional[int] = None) -> int:
     return int(value)
 
 
-def _array(name: str, value, shape=None, positive: Optional[bool] = None) -> np.ndarray:
+def _array(
+    name: str, value, shape=None, positive: Optional[bool] = None, finite: bool = True
+) -> np.ndarray:
     """``value`` as a float array (a float64 array is not copied), broadcast to ``shape`` if given.
 
     ArgumentError naming ``name``, never numpy's own error, unless every entry
-    is a finite number; with ``positive`` set, each entry must pass :func:`_number`.
+    is a number, and a finite one unless ``finite`` is False (a caller that
+    reports a non-finite entry as a NumericError); with ``positive`` set, each
+    entry must pass :func:`_number`.
     """
     try:
         array = np.asarray(value, dtype=float)
@@ -143,7 +147,7 @@ def _array(name: str, value, shape=None, positive: Optional[bool] = None) -> np.
     if positive is not None:
         for entry in array.ravel().tolist():
             _number(name, entry, positive)
-    elif not np.all(np.isfinite(array)):
+    elif finite and not np.all(np.isfinite(array)):
         raise ArgumentError(name, f"{name} must be finite")
     return array
 
@@ -221,12 +225,19 @@ def guarded_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs``, rejecting systems with condition above ``MAX_CONDITION``.
 
     Uses one LU factorization plus a LAPACK reciprocal-condition estimate, so the
-    guard costs O(n^2) on top of the factorization.
+    guard costs O(n^2) on top of the factorization. ArgumentError naming
+    ``matrix`` or ``rhs`` unless they are numbers, the matrix square and
+    ``rhs`` one vector or matrix of as many rows; NumericError for a
+    non-finite entry.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    matrix = _array("matrix", matrix, finite=False)
+    rhs = _array("rhs", rhs, finite=False)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ArgumentError("matrix", f"expected a square matrix, got shape {matrix.shape}")
+        raise ArgumentError("matrix", f"matrix must be square, got shape {matrix.shape}")
+    if rhs.ndim not in (1, 2) or len(rhs) != len(matrix):
+        raise ArgumentError("rhs", f"rhs must have {len(matrix)} rows, got shape {rhs.shape}")
+    if not np.all(np.isfinite(rhs)):
+        raise NumericError("right-hand side has non-finite entries")
     anorm = np.linalg.norm(matrix, 1)
     if anorm == 0.0:
         raise NumericError("cannot solve against the zero matrix")

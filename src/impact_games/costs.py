@@ -35,11 +35,11 @@ def _check_strategies(spec, strategies) -> np.ndarray:
     return array
 
 
-def _check_agent(spec, agent) -> int:
-    """``agent`` as an int; ArgumentError unless it is the index of one of the spec's agents."""
+def _check_agent(n_agents: int, agent) -> int:
+    """``agent`` as an int; ArgumentError unless it is the index of one of ``n_agents`` agents."""
     index = _integer("agent", agent, 0)
-    if index >= spec.n_agents:
-        raise ArgumentError("agent", f"agent must be in range({spec.n_agents}), got {agent!r}")
+    if index >= n_agents:
+        raise ArgumentError("agent", f"agent must be in range({n_agents}), got {agent!r}")
     return index
 
 
@@ -80,7 +80,7 @@ def expected_cost(spec, strategies, agent: int) -> float:
     in agent order, starting from the own term.
     """
     strategies = _check_strategies(spec, strategies)
-    agent = _check_agent(spec, agent)
+    agent = _check_agent(spec.n_agents, agent)
     return _expected_cost(spec, strategies, agent, build_matrices(spec.grid, spec.effective_kernel))
 
 
@@ -105,7 +105,7 @@ def variance_and_mv(spec, strategies, agent: int) -> tuple[float, float]:
     times ``t_k`` and ``t_h`` through the covariance at ``min(t_k, t_h)``.
     """
     strategies = _check_strategies(spec, strategies)
-    agent = _check_agent(spec, agent)
+    agent = _check_agent(spec.n_agents, agent)
     variance = _variance(spec, strategies, agent, _earlier(spec))
     return variance, expected_cost(spec, strategies, agent) + 0.5 * spec.gamma * variance
 
@@ -158,7 +158,7 @@ def stationarity_residual(spec, strategies, agent: int) -> float:
     enter as ``(sum V_o) L^T + g0 sum p_ao V_o``: one product with ``L^T``.
     """
     strategies = _check_strategies(spec, strategies)
-    agent = _check_agent(spec, agent)
+    agent = _check_agent(spec.n_agents, agent)
     bundle = build_matrices(spec.grid, spec.effective_kernel)
     return _stationarity_residual(spec, strategies, agent, bundle)
 

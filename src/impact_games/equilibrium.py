@@ -90,7 +90,7 @@ from ._linalg import (
     guarded_solve,
     single_blas_thread,
 )
-from .costs import _earlier, priority_cross
+from .costs import _check_agent, _earlier, priority_cross
 from .cross_impact import SpectralReport, analyze_cross_impact, explicit_matrix
 from .kernels import DecayKernel, MatrixBundle, TimeGrid, build_matrices
 
@@ -745,14 +745,24 @@ def closed_form_equilibrium(spec: GameSpec) -> Equilibrium:
 
 
 def aggregate_flow_is_zero(spec: GameSpec, tol: float = 1e-12) -> bool:
-    """True when every asset's inventories sum to zero across agents."""
+    """True when every asset's inventories sum to zero across agents.
+
+    ``ArgumentError`` unless ``tol`` is finite and nonnegative.
+    """
+    tol = _number("tol", tol, positive=False)
     means = spec.inventories.mean(axis=1)
     scale = max(np.abs(spec.inventories).max(), 1.0)
     return bool(np.abs(means).max() <= tol * scale)
 
 
 def arbitrageur_is_idle(equilibrium: Equilibrium, agent: int, tol: float = 1e-10) -> bool:
-    """True when the given agent's strategy is identically zero within tol."""
+    """True when the given agent's strategy is identically zero within tol.
+
+    ``ArgumentError`` unless ``agent`` indexes one of the equilibrium's agents
+    and ``tol`` is finite and nonnegative.
+    """
     strategies = equilibrium.strategies
+    agent = _check_agent(strategies.shape[1], agent)
+    tol = _number("tol", tol, positive=False)
     scale = max(np.abs(strategies).max(), 1.0)
     return bool(np.abs(strategies[:, agent, :]).max() <= tol * scale)

@@ -384,8 +384,8 @@ def solve(spec: GameSpec) -> Equilibrium:
 def solve_hetero_nash(spec: GameSpec) -> Equilibrium:
     """Solve the risk-neutral game by its stacked conditions; zero on masked assets.
 
-    When there are several assets and every agent trades the same nonempty
-    set of them, the game is solved one principal asset of that set's
+    When every agent trades the same nonempty set of assets (one asset
+    included), the game is solved one principal asset of that set's
     cross-impact block at a time (see :func:`_solve_principal`), with one
     ``J (N + 2)``-dimensional system per distinct eigenvalue, solved in
     structured form (see :func:`_unit_responses`). The rotated-back
@@ -402,7 +402,7 @@ def solve_hetero_nash(spec: GameSpec) -> Equilibrium:
         raise ValueError("the stacked solver is risk neutral; use solve for gamma > 0")
     strategies = spectrum = None
     traded = spec.mask.all(axis=1)
-    if spec.n_assets > 1 and traded.any() and np.array_equal(traded, spec.mask.any(axis=1)):
+    if traded.any() and np.array_equal(traded, spec.mask.any(axis=1)):
         strategies, split = _solve_principal(spec, np.flatnonzero(traded))
         if traded.all():
             spectrum = split  # Q_SS is Q, and the split does not rotate it

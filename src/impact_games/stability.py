@@ -11,32 +11,31 @@ extrapolation.
 :func:`critical_theta` prepares the profile systems once
 (:func:`equilibrium.prepare_profile_systems`, as the closed form does), takes
 its predictions from their spectrum, and a probe solves them for the groups
-it needs. The bisection probes only the
-group of largest eigenvalue in each scale-law class, the groups with equal
-``gamma * v_k / lambda_k`` (variance rate v_k, eigenvalue lambda_k). Group k
-at fee theta has the unit-eigenvalue profiles at ``theta / lambda_k``, so it
-has the top group's profiles at ``theta * lambda_top / lambda_k >= theta``:
-with a verdict that is unstable below some fee and stable above it, a lower
-group oscillates only where the top group does. This scale law is behind the
-theorem value ``lambda_max G(0) / 4``; with ``gamma = 0`` or a covariance
-proportional to Q there is one class, and only the top principal asset is
-bisected. A bisected class without a floor is reduced to Hessenberg form
-once, for shifted solves.
+it needs. The bisection probes only the group of largest eigenvalue in each
+scale-law class, the groups with equal ``gamma * v_k / lambda_k`` (variance
+rate v_k, eigenvalue lambda_k). Group k at fee theta has the unit-eigenvalue
+profiles at ``theta / lambda_k``, so it has the top group's profiles at
+``theta * lambda_top / lambda_k >= theta``: with a verdict that is unstable
+below some fee and stable above it, a lower group oscillates only where the
+top group does. This scale law is behind the theorem value
+``lambda_max G(0) / 4``; with ``gamma = 0`` or a covariance proportional to Q
+there is one class, and only the top principal asset is bisected. A bisected
+class without a floor is reduced to Hessenberg form once, for shifted solves.
 
 The returned bracket and estimate rest only on the verdicts at the two final
 bracket ends, so checking every group there also covers rounding and a
 verdict that is not monotone. At the lower end a bisected group oscillates,
 so the game does. At the upper end every group is solved on the prepared
 systems; if one oscillates, the bisection runs again on all groups. Then the
-prepared profiles at the lower end are checked independently of the prepared
-systems: each group's two profile systems are built afresh, as the dense
-reference (:func:`equilibrium.principal_fundamentals`) builds them, and each
-prepared profile is certified against its system by an a-posteriori
+prepared systems are freed, and their profiles at the lower end are checked
+independently of them: each group's two profile systems are built afresh, as
+the dense reference (:func:`equilibrium.principal_fundamentals`) builds them,
+and each prepared profile is certified against its system by an a-posteriori
 forward-error bound (:func:`_linalg._profile_error_bound`) that proves it
 within ``_CROSS_CHECK_TOL`` of the exact profile and proves its verdict. A
-system whose certificate declines is solved densely from the same matrix.
-If that verdict or those profiles disagree with the prepared ones, the
-bisection runs again on the reference path.
+system whose certificate declines is solved densely from the same matrix. If
+that profile is not as close to the prepared one, or the checked verdict is
+not the prepared one, the bisection runs again on the reference path.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ import numpy as np
 from ._linalg import (
     ArgumentError,
     NumericError,
+    _array,
     _integer,
     _normalized,
     _number,
@@ -114,11 +114,13 @@ def oscillation_flags(u: np.ndarray, rel_tol: float = DEFAULT_FLIP_TOL) -> Oscil
     the relative floor suppresses solver noise around zero entries. One flip
     already counts as unstable. The zero vector is stable by convention. A
     profile with a NaN or infinite entry has no verdict: NumericError.
-    ``ArgumentError`` unless ``rel_tol`` is finite and nonnegative; zero
-    counts every strict sign change.
+    ``ArgumentError`` unless ``u`` is a vector of numbers and ``rel_tol`` is
+    finite and nonnegative; zero counts every strict sign change.
     """
     _number("rel_tol", rel_tol, positive=False)
-    u = np.asarray(u, dtype=float)
+    u = _array("u", u, finite=False)
+    if u.ndim != 1:
+        raise ArgumentError("u", f"u must be a vector, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise NumericError("trading profile has non-finite entries")
     peak = np.abs(u).max() if u.size else 0.0
@@ -171,25 +173,6 @@ def is_unstable_at(
     return _any_unstable(_pair_flags(pairs, rel_tol))
 
 
-def _agrees(
-    fast: Sequence[FundamentalSolutions],
-    fundamentals: Sequence[FundamentalSolutions],
-    flags: Sequence[Tuple[OscillationFlags, OscillationFlags]],
-    rel_tol: float,
-) -> bool:
-    """Whether prepared profiles give the reference verdict and, asset by asset, its profiles."""
-    if _any_unstable(_pair_flags(fast, rel_tol)) != _any_unstable(flags):
-        return False
-    for pair, reference in zip(fast, fundamentals):
-        for a, b in (
-            (pair.mean_profile, reference.mean_profile),
-            (pair.deviation_profile, reference.deviation_profile),
-        ):
-            if not np.abs(a - b).max() <= _CROSS_CHECK_TOL * np.abs(b).max():
-                return False
-    return True
-
-
 def _verdict_certain(profile: np.ndarray, bound: float, rel_tol: float) -> bool:
     """Whether every profile within ``bound`` of ``profile`` (infinity norm) is close and agrees.
 
@@ -231,8 +214,8 @@ def _checked_profiles(
     fast: Sequence[FundamentalSolutions],
     rel_tol: float,
     paths: Dict[str, int],
-) -> Tuple[FundamentalSolutions, ...]:
-    """Profile pair of every principal asset at ``theta``: each prepared one if certified.
+) -> Tuple[Tuple[FundamentalSolutions, ...], bool]:
+    """Each principal asset's profile pair at ``theta``, and whether the dense ones are close.
 
     Each group of :func:`equilibrium._principal_split` gets its two dense
     profile systems, built as :func:`principal_fundamentals` builds them (one
@@ -245,14 +228,17 @@ def _checked_profiles(
     ``G(0) _unit_floor - n eps ||K||_1``, scaled and shifted alike, bounds
     their smallest eigenvalues. The prepared profile ``fast`` of the group's
     first member is kept when :func:`_certified` against its system and
-    counted under "certified"; otherwise the system is solved by
-    :func:`guarded_solve` and counted under "dense".
+    counted under "certified" (:func:`_verdict_certain` proves it within
+    ``_CROSS_CHECK_TOL`` of the exact profile); otherwise the system is solved
+    by :func:`guarded_solve`, counted under "dense", and its profile is close
+    when within ``_CROSS_CHECK_TOL`` of the prepared one, relative to its
+    largest entry.
     """
     spectrum, var_rates, groups = _principal_split(spec)
     n, n_agents = spec.grid.n_points, spec.n_agents
     min_step = float(np.diff(spec.grid.points).min())
     unit_floor = spec.effective_kernel.at_zero * _unit_floor(spec.kernel, min_step)
-    pairs = []
+    pairs, close = [], True
     for members in groups:
         first = members[0]
         eigenvalue = float(spectrum.eigenvalues[first])
@@ -268,10 +254,13 @@ def _checked_profiles(
                 paths["certified"] += 1
             else:
                 paths["dense"] += 1
-                profile = _normalized(guarded_solve(matrix, np.ones(n)))
+                dense = _normalized(guarded_solve(matrix, np.ones(n)))
+                gap = np.abs(dense - profile).max()
+                close = close and bool(gap <= _CROSS_CHECK_TOL * np.abs(dense).max())
+                profile = dense
             profiles.append(profile)
         pairs.append(FundamentalSolutions(*profiles))
-    return _spread(groups, pairs)
+    return _spread(groups, pairs), close
 
 
 def predicted_theta_star(
@@ -413,52 +402,6 @@ def _top_groups(systems: ProfileSystems) -> Tuple[int, ...]:
     return tuple(int(members[np.argmax(eigenvalues[members])]) for members in classes)
 
 
-def _checked_bisection(
-    spec: GameSpec, holder: List[ProfileSystems], lo: float, hi: float, tol: float, rel_tol: float
-):
-    """Bisection of the top groups on prepared systems, checked at the end on all groups.
-
-    See the module docstring. The systems prepared from ``spec`` are popped
-    from the list ``holder``, so they are freed before the final check builds
-    its systems.
-    Returns (estimate, bracket, trace, method, flags_below, solve_paths).
-    """
-    systems = holder.pop()
-    paths = systems.paths
-    top = systems.subset(_top_groups(systems))
-    for pair in top.pairs:
-        for system in pair:
-            system.reduce()
-
-    def reference_at(theta):
-        _, fundamentals = principal_fundamentals(replace(spec, theta=theta), paths)
-        return fundamentals, _pair_flags(fundamentals, rel_tol)
-
-    def bisect(prepared):
-        def verdict(theta):
-            if prepared is None:
-                return _any_unstable(reference_at(theta)[1])
-            return is_unstable_at(spec, theta, rel_tol, systems=prepared)
-
-        return _bisect_threshold(verdict, lo, hi, tol)
-
-    estimate, final_bracket, trace, method = bisect(top)
-    if len(top.pairs) < len(systems.pairs) and _any_unstable(
-        _pair_flags(systems.profiles(final_bracket[1]), rel_tol)
-    ):
-        paths["all_groups"] += 1
-        estimate, final_bracket, trace, method = bisect(systems)
-    fast = systems.profiles(final_bracket[0])
-    del systems, top  # the final check needs the memory of the prepared matrices
-    fundamentals = _checked_profiles(spec, final_bracket[0], fast, rel_tol, paths)
-    flags_below = _pair_flags(fundamentals, rel_tol)
-    if not _agrees(fast, fundamentals, flags_below, rel_tol):
-        paths["rebisect"] += 1
-        estimate, final_bracket, trace, method = bisect(None)
-        _, flags_below = reference_at(final_bracket[0])
-    return estimate, final_bracket, trace, method, flags_below, paths
-
-
 def critical_theta(
     spec: GameSpec,
     bracket: Optional[Tuple[float, float]] = None,
@@ -477,16 +420,18 @@ def critical_theta(
     tol : final bracket width for the bisection, finite and positive.
     rel_tol : relative flip-detection tolerance, finite and positive.
 
-    The probes solve systems prepared once (see the module docstring), on
-    one BLAS thread (see :func:`single_blas_thread`); the predictions and the
-    default bracket read the top eigenvalue of their spectrum. ValueError for
-    a game whose agents differ.
+    The probes solve systems prepared once, and the final check certifies
+    their profiles (see the module docstring), on one BLAS thread (see
+    :func:`single_blas_thread`); the predictions and the default bracket read
+    the top eigenvalue of their spectrum. ValueError for a game whose agents
+    differ.
     """
     _number("tol", tol)
     _number("rel_tol", rel_tol)
     with single_blas_thread():
-        holder = [prepare_profile_systems(spec)]  # emptied by _checked_bisection
-    top = holder[0].spectrum.top_eigenvalue
+        systems = prepare_profile_systems(spec)
+    paths = systems.paths
+    top = systems.spectrum.top_eigenvalue
     conjecture = _prediction(top, spec.kernel.at_zero, spec.n_agents, spec.beta, "conjecture")
     theorem = _prediction(top, spec.kernel.at_zero, spec.n_agents, spec.beta, "theorem")
     if bracket is None:
@@ -503,10 +448,37 @@ def critical_theta(
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got {bracket!r}")
 
+    def reference_at(theta):
+        _, fundamentals = principal_fundamentals(replace(spec, theta=theta), paths)
+        return _pair_flags(fundamentals, rel_tol)
+
+    def bisect(prepared):
+        def verdict(theta):
+            if prepared is None:
+                return _any_unstable(reference_at(theta))
+            return is_unstable_at(spec, theta, rel_tol, systems=prepared)
+
+        return _bisect_threshold(verdict, lo, hi, tol)
+
     with single_blas_thread():
-        estimate, final_bracket, trace, method, flags_below, paths = _checked_bisection(
-            spec, holder, lo, hi, tol, rel_tol
-        )
+        subset = systems.subset(_top_groups(systems))
+        for pair in subset.pairs:
+            for system in pair:
+                system.reduce()
+        estimate, final_bracket, trace, method = bisect(subset)
+        if len(subset.pairs) < len(systems.pairs) and _any_unstable(
+            _pair_flags(systems.profiles(final_bracket[1]), rel_tol)
+        ):
+            paths["all_groups"] += 1
+            estimate, final_bracket, trace, method = bisect(systems)
+        fast = systems.profiles(final_bracket[0])
+        del systems, subset, pair, system  # the final check needs the prepared matrices' memory
+        checked, close = _checked_profiles(spec, final_bracket[0], fast, rel_tol, paths)
+        flags_below = _pair_flags(checked, rel_tol)
+        if not (close and _any_unstable(_pair_flags(fast, rel_tol)) == _any_unstable(flags_below)):
+            paths["rebisect"] += 1
+            estimate, final_bracket, trace, method = bisect(None)
+            flags_below = reference_at(final_bracket[0])
     params = {
         "n_assets": float(spec.n_assets),
         "n_agents": float(spec.n_agents),

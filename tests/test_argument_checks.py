@@ -16,21 +16,26 @@ import pytest
 from impact_games import (
     GameSpec,
     TimeGrid,
+    aggregate_flow_is_zero,
+    arbitrageur_is_idle,
     block_matrix,
     build_cross_impact,
     expected_cost,
     explicit_matrix,
     exponential_kernel,
+    guarded_solve,
     impact_drift,
     make_equidistant_grid,
     one_factor_matrix,
+    oscillation_flags,
     payoff_matrix,
     predicted_theta_star,
     price_covariance,
     rank_one_matrix,
     simulate_price,
+    solve,
 )
-from impact_games._linalg import ArgumentError
+from impact_games._linalg import ArgumentError, NumericError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impact_games"
 
@@ -53,7 +58,8 @@ def game(**kwargs):
 
 # (call, the argument its ArgumentError must name, the message)
 INTEGER, POSITIVE = "must be an integer >= 1, got 2.5", "must be finite and positive, got"
-NUMBERS = "must be numbers, got"
+INDEX, NONNEGATIVE = "must be an integer >= 0, got", "must be finite and nonnegative, got"
+NUMBERS, VECTOR = "must be numbers, got", "must be a vector, got shape"
 # strategies of a one-asset, one-agent game on 4 steps, and its sampling times
 STRATEGIES, TIMES = np.zeros((1, 1, 5)), np.linspace(0.0, 1.0, 6)
 BAD_INPUTS = {
@@ -163,6 +169,63 @@ BAD_INPUTS = {
         "times",
         "must be a vector, got shape (2, 3)",
     ),
+    # a profile's verdict needs a vector of numbers
+    "oscillation_flags u (2, 2)": (
+        lambda: oscillation_flags([[1, 1], [-1, -1]]),
+        "u",
+        f"{VECTOR} (2, 2)",
+    ),
+    "oscillation_flags u scalar": (lambda: oscillation_flags(1.0), "u", f"{VECTOR} ()"),
+    "oscillation_flags u 'x'": (lambda: oscillation_flags(["x"]), "u", f"{NUMBERS} ['x']"),
+    "oscillation_flags u None": (lambda: oscillation_flags(None), "u", f"{VECTOR} ()"),
+    "guarded_solve matrix 'x'": (
+        lambda: guarded_solve([["x"]], np.ones(1)),
+        "matrix",
+        f"{NUMBERS} [['x']]",
+    ),
+    "guarded_solve matrix (2, 3)": (
+        lambda: guarded_solve(np.ones((2, 3)), np.ones(2)),
+        "matrix",
+        "must be square, got shape (2, 3)",
+    ),
+    "guarded_solve rhs 'x'": (
+        lambda: guarded_solve(np.eye(2), ["x", 1]),
+        "rhs",
+        f"{NUMBERS} ['x', 1]",
+    ),
+    "guarded_solve 3 rhs rows for 2": (
+        lambda: guarded_solve(np.eye(2), np.ones(3)),
+        "rhs",
+        "must have 2 rows, got shape (3,)",
+    ),
+    "aggregate_flow_is_zero tol nan": (
+        lambda: aggregate_flow_is_zero(game(n_agents=2), tol=np.nan),
+        "tol",
+        f"{NONNEGATIVE} nan",
+    ),
+    "aggregate_flow_is_zero tol -1": (
+        lambda: aggregate_flow_is_zero(game(n_agents=2), tol=-1),
+        "tol",
+        f"{NONNEGATIVE} -1",
+    ),
+    "aggregate_flow_is_zero tol 'x'": (
+        lambda: aggregate_flow_is_zero(game(n_agents=2), tol="x"),
+        "tol",
+        f"{NONNEGATIVE} 'x'",
+    ),
+    **{
+        f"arbitrageur_is_idle agent {agent!r}": (
+            lambda agent=agent: arbitrageur_is_idle(solve(game(n_agents=2)), agent),
+            "agent",
+            f"must be in range(2), got {agent!r}" if agent == 5 else f"{INDEX} {agent!r}",
+        )
+        for agent in (-1, 5, 1.5)
+    },
+    "arbitrageur_is_idle tol nan": (
+        lambda: arbitrageur_is_idle(solve(game(n_agents=2)), 0, tol=np.nan),
+        "tol",
+        f"{NONNEGATIVE} nan",
+    ),
 }
 
 
@@ -174,6 +237,13 @@ def test_a_bad_count_or_number_raises_an_argument_error_naming_it(call, argument
             call()
     assert raised.value.argument == argument
     assert str(raised.value) == f"{argument} {message}"
+
+
+def test_a_non_finite_right_hand_side_is_a_numeric_error():
+    # like a non-finite matrix entry or profile entry: the arguments are
+    # well formed, and the solve has no answer
+    with pytest.raises(NumericError, match="right-hand side has non-finite entries"):
+        guarded_solve(np.eye(2), [np.nan, 1.0])
 
 
 def raising_functions(module: Path):
@@ -216,7 +286,6 @@ def test_plain_value_and_type_errors_are_only_domain_errors():
 # each for its reason; every caller's array goes through ``_linalg._array``
 OWN_CONVERSIONS = {
     ("kernels", "DecayKernel.__call__"): "evaluates lags the package computes, not an argument",
-    ("stability", "oscillation_flags"): "reports a non-finite profile as a NumericError",
     ("equilibrium", "GameSpec.thetas"): "broadcasts a fee the spec has already checked",
 }
 

@@ -523,11 +523,22 @@ def test_stacked_solve_meets_the_conditions_in_one_time_major_solve(monkeypatch)
     spec = dataclasses.replace(
         game, cross_impact=np.array([[5.2]]), inventories=game.inventories[:1], mask=None
     )
-    strategies, solves = solve_recording_solves(spec, monkeypatch)
+    solves = recorded_solves(monkeypatch)
+    strategies = hetero._solve_stacked(spec)
     assert solves == [("dense", principal_dim(spec))]
     assert np.abs(strategies.sum(axis=2) - spec.inventories).max() <= 1e-13
     residual = max(stationarity_residual(spec, strategies, j) for j in range(spec.n_agents))
     assert residual <= 1e-12
+
+
+def test_single_asset_game_with_per_agent_fees_takes_the_structured_solve(monkeypatch):
+    spec = hetero_spec(
+        [[1.0, -0.4, 0.7]], [0.2, 0.5, 1.1], n_steps=20, scales=[0.8, 1.0, 1.3], cross=[[2.0]]
+    )
+    strategies, solves = solve_recording_solves(spec, monkeypatch)
+    assert solves == [("structured", principal_dim(spec))]
+    stacked = hetero._solve_stacked(spec)
+    assert np.abs(strategies - stacked).max() <= 1e-12 * np.abs(stacked).max()
 
 
 def test_stacked_solve_failing_its_check_raises(rng, monkeypatch):

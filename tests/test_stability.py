@@ -941,6 +941,25 @@ def test_cross_check_mismatch_bisects_again_on_the_dense_path(monkeypatch):
     assert report.trace == fast.trace and report.estimate == fast.estimate
 
 
+def test_a_verdict_only_disagreement_bisects_again_on_the_dense_path(monkeypatch):
+    # every checked profile is close, but none oscillates where the prepared ones do
+    spec = stability_game(n_agents=3, n_steps=40)
+    dense, *_ = _bisect_threshold(lambda theta: is_unstable_at(spec, theta), 0.0, 1.0, 1e-4)
+    n = spec.grid.n_points
+    flat = equilibrium_module.FundamentalSolutions(np.full(n, 1.0 / n), np.full(n, 1.0 / n))
+    checks = []
+
+    def close_but_stable(spec, theta, fast, rel_tol, paths):
+        checks.append(theta)
+        return (flat,) * len(fast), True
+
+    monkeypatch.setattr(stability_module, "_checked_profiles", close_but_stable)
+    report = critical_theta(spec, bracket=(0.0, 1.0), tol=1e-4)
+    assert len(checks) == 1 and report.solve_paths["rebisect"] == 1
+    assert report.estimate == dense
+    assert any(flags.unstable for pair in report.flags_below for flags in pair)
+
+
 def test_high_frequency_limit_at_a_thousand_steps():
     # theta* -> lambda_max G(0) / 4 = 0.25 as the grid refines; at N = 1000 the
     # dense path gave 0.2494998, about 2 / N below the limit
