@@ -29,17 +29,17 @@ built A, names the structured path it may take, one of the first three below:
   1981), kept only when its condition estimate is within
   ``MAX_CONDITION / n**2``.
 - "dense": :func:`guarded_solve` on ``A + s I``, which has the final say on
-  conditioning; a banded system forms A for it, up to ``MAX_FORMED_BYTES``.
+  conditioning; a banded system forms A for it by :func:`kernels.build_matrices`.
 
-A structured path comes with a floor, a lower bound on the smallest
-eigenvalue of the symmetric part of A, and runs only when the floor bounds
-the condition number within ``MAX_CONDITION`` (:func:`_floor_bounded`).
-Each of the first four paths returns its raw solution, or None when its own
-factorization fails. :meth:`_PreparedSystem.solve` alone keeps or declines
-a raw solution, by its normwise backward error against A
-(:func:`_backward_stable`), and counts the path of the one it keeps; the
-dense solve runs when none is kept. A system that holds A takes its norms
-densely when it is prepared, a banded system in O(n).
+A named path comes with a floor, a lower bound on the smallest eigenvalue of
+the symmetric part of A, and runs only when the floor bounds the condition
+number within ``MAX_CONDITION`` (:func:`_floor_bounded`). Only a system
+without a floor is reduced, so a system has one structured path at most. It
+returns a raw solution, or None when its own factorization fails, and
+:meth:`_PreparedSystem.solve` alone keeps it, by its normwise backward error
+against A (:func:`_backward_stable`), or declines it for the dense solve. A
+system that holds A takes its norms densely when it is prepared, a banded
+system in O(n).
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ _OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openbl
 MAX_CONDITION = 1e12
 # largest normwise backward error accepted from a banded, triangular, Levinson or shifted solve
 BACKWARD_TOL = 1e-12
-# largest matrix formed for a banded system's dense fallback, which holds about three at once
-MAX_FORMED_BYTES = 2**30
 
 # blocks of single_blas_thread open in any thread, and the thread counts the
 # first of them saw on entry; guarded by the lock
@@ -396,15 +394,16 @@ class _PreparedSystem:
     """A matrix A solved against the all-ones vector at many shifts; see the module docstring.
 
     ``path`` names the structured path of the module docstring that A was
-    built for, "triangular" or "levinson", or is None; a solve on it calls
-    the method ``_<path>`` for a raw solution, which :meth:`solve` keeps only
-    when it passes :func:`_backward_stable` on :meth:`_residual`. ``floor``
-    is a lower bound on the smallest eigenvalue of the symmetric part of A,
-    given exactly when ``path`` is; ``norm_1`` and ``norm_inf`` are A's norms.
-    A triangular solve writes the shift onto the diagonal of ``matrix`` in
-    place and restores it after, so a system must not be solved from two
-    threads at once. ``shifted`` is the Hessenberg reduction :meth:`reduce`
-    made, or None.
+    built for, "triangular" or "levinson", or is None, and ``floor`` is a
+    lower bound on the smallest eigenvalue of the symmetric part of A, given
+    exactly when ``path`` is. ``shifted`` is the Hessenberg reduction
+    :meth:`reduce` made of a system without a floor, or None; so a system has
+    a path or a reduction, never both. :meth:`solve` tries that one (the
+    method ``_<path>`` or ``shifted``) and keeps its raw solution only when it
+    passes :func:`_backward_stable` on :meth:`_residual`. ``norm_1`` and
+    ``norm_inf`` are A's norms. A triangular solve writes the shift onto the
+    diagonal of ``matrix`` in place and restores it after, so a system must
+    not be solved from two threads at once.
     """
 
     def __init__(
@@ -434,20 +433,15 @@ class _PreparedSystem:
         NumericError when the solution sums to zero or to a non-finite value.
         """
         ones = np.ones(self.n)
-        structured = []
-        if self.floor is not None and _floor_bounded(self.n, self.norm_1, self.floor, shift):
-            structured.append((self.path, getattr(self, "_" + self.path)))
+        x = None
         if self.shifted is not None:
-            structured.append(("shifted", self.shifted.solve))
-        for path, method in structured:
-            x = method(shift, ones)
-            if x is not None and _backward_stable(
-                self._residual(x, shift), x, ones, self.norm_inf, shift
-            ):
-                break
-        else:
-            path = "dense"
-            x = guarded_solve(self.dense() + shift * np.eye(self.n), ones)
+            path, x = "shifted", self.shifted.solve(shift, ones)
+        elif self.floor is not None and _floor_bounded(self.n, self.norm_1, self.floor, shift):
+            path, x = self.path, getattr(self, "_" + self.path)(shift, ones)
+        if x is None or not _backward_stable(
+            self._residual(x, shift), x, ones, self.norm_inf, shift
+        ):
+            path, x = "dense", guarded_solve(self.dense() + shift * np.eye(self.n), ones)
         paths[path] += 1
         return _normalized(x)
 
@@ -520,10 +514,9 @@ class _BandedSystem(_PreparedSystem):
 
     ``lower`` is L (:class:`_ExponentialLower`); every entry of A is
     positive, so its norms are its largest column and row sums, from
-    ``lower``'s. ``form`` returns A as a dense matrix; it is called only by
-    the dense solve, when a banded solve is rejected, and only within
-    ``MAX_FORMED_BYTES`` (NumericError above it). A banded solve at shift s,
-    with ``c = offset + s``, substitutes ``x = D^T y``:
+    ``lower``'s. ``form`` builds A by :func:`kernels.build_matrices`; only
+    the dense solve calls it, when a banded solve is rejected. A banded solve
+    at shift s, with ``c = offset + s``, substitutes ``x = D^T y``:
 
     - ``weight = 0``: ``(g0 R^T + c D^T) y = 1`` is upper bidiagonal, with
       diagonal c and superdiagonal ``(g0 - c) rho_(i+1)`` (``blas.dtbsv``).
@@ -556,9 +549,6 @@ class _BandedSystem(_PreparedSystem):
         self.norm_inf = float(np.max(weight * lower.row_sums + lower.column_sums)) + offset
 
     def dense(self) -> np.ndarray:
-        if 8 * self.n**2 > MAX_FORMED_BYTES:
-            need = f"n = {self.n} would need {8 * self.n**2 / 2**30:.1f} GiB"
-            raise NumericError(f"banded solve rejected; its dense form at {need}, above the cap")
         return self.form()
 
     def _banded(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:

@@ -92,7 +92,7 @@ from ._linalg import (
 )
 from .costs import _check_agent, _earlier, priority_cross
 from .cross_impact import SpectralReport, analyze_cross_impact, explicit_matrix
-from .kernels import DecayKernel, MatrixBundle, TimeGrid, build_matrices
+from .kernels import DecayKernel, MatrixBundle, TimeGrid, _validate_kernel_values, build_matrices
 
 __all__ = [
     "GameSpec",
@@ -156,7 +156,10 @@ class GameSpec:
     mask : (M, J) array of tradable assets with bool or 0/1 entries;
         inventories must vanish on masked entries. Full when omitted.
 
-    An invalid argument raises an ``ArgumentError``, a ValueError naming it.
+    An invalid argument raises an ``ArgumentError``, a ValueError naming it
+    (``beta`` when the crowding factor leaves no valid kernel). A kernel not
+    positive and nonincreasing on the grid's lags gets the ValueError of
+    :func:`kernels.build_matrices` here, so every solve path takes the same games.
     The spec holds read-only copies of the arrays it is given, so changing a
     caller's array afterwards leaves the checked spec as it was.
     """
@@ -203,6 +206,15 @@ class GameSpec:
         object.__setattr__(self, "theta", theta if theta.ndim else float(theta))
         object.__setattr__(self, "gamma", _number("gamma", self.gamma, positive=False))
         object.__setattr__(self, "beta", _number("beta", self.beta, positive=False))
+        kernel = self.kernel
+        if self.beta != 0.0:
+            try:
+                kernel = kernel.scaled(float(n_agents) ** (-self.beta))
+            except ArgumentError as exc:  # the factor or the scaled kernel underflows
+                message = f"beta {self.beta!r} leaves no kernel for {n_agents} agents: {exc}"
+                raise ArgumentError("beta", message) from None
+        _validate_kernel_values(self.grid, kernel)
+        object.__setattr__(self, "_effective_kernel", kernel)
 
         scales = 1.0 if self.scales is None else self.scales
         object.__setattr__(self, "scales", _array("scales", scales, (n_agents,), positive=True))
@@ -278,10 +290,8 @@ class GameSpec:
 
     @property
     def effective_kernel(self) -> DecayKernel:
-        """Kernel with the crowding scale ``n_agents ** -beta`` folded in."""
-        if self.beta == 0.0:
-            return self.kernel
-        return self.kernel.scaled(float(self.n_agents) ** (-self.beta))
+        """Kernel with the crowding scale ``n_agents ** -beta`` folded in, formed once."""
+        return self._effective_kernel
 
 
 @dataclass(frozen=True)

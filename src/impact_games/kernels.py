@@ -4,7 +4,8 @@ A single-asset game is built from the decay kernel alone: the symmetric
 kernel matrix K and its strict lower part L (:func:`build_matrices`). The
 fee, the variance term and the priority weights are added by their
 consumers: :mod:`equilibrium` forms the profile systems, :mod:`costs` and
-:mod:`hetero` the costs and the stacked system.
+:mod:`hetero` the costs and the stacked system. Every kernel matrix of the
+package is formed here, under one size cap (``MAX_FORMED_BYTES``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import ArgumentError, _array, _integer, _number
+from ._linalg import ArgumentError, NumericError, _array, _integer, _number
 
 __all__ = [
     "TimeGrid",
@@ -92,7 +93,8 @@ class DecayKernel:
 
     ``scale`` is a uniform multiplier; crowding adjustments of the form
     ``n_agents ** -beta`` are folded into it via :meth:`scaled`. Every
-    parameter must be finite and positive, also one the family does not use.
+    parameter must be finite and positive, also one the family does not use,
+    and the value at lag zero must be finite (an ``offset`` error if not).
     """
 
     family: str
@@ -106,6 +108,12 @@ class DecayKernel:
             raise ArgumentError("family", f"unknown kernel family {self.family!r}")
         for name in ("rate", "exponent", "offset", "scale"):
             _number(name, getattr(self, name))
+        with np.errstate(over="ignore"):
+            at_zero = self.at_zero
+        if not np.isfinite(at_zero):  # only a power law's can overflow
+            raise ArgumentError(
+                "offset", f"offset {self.offset!r} gives the non-finite value {at_zero} at lag zero"
+            )
 
     def __call__(self, lag):
         lag = np.asarray(lag, dtype=float)
@@ -145,7 +153,14 @@ class MatrixBundle:
     kernel_at_zero: float
 
 
-def _validate_kernel_values(values: np.ndarray) -> None:
+def _validate_kernel_values(grid: TimeGrid, kernel: DecayKernel) -> None:
+    """Reject a kernel not strictly positive and nonincreasing on the lags of ``grid``.
+
+    Checked at unit scale on the N + 1 lags ``t - t_0``. They hold the largest
+    lag, where both families are smallest, so they catch an underflow at any lag.
+    """
+    t = grid.points
+    values = _unit_kernel(kernel.family, kernel.rate, kernel.exponent, kernel.offset, t - t[0])
     if np.any(values <= 0.0):
         raise ValueError("decay kernel must be strictly positive on the sampled lags")
     # allow for float noise on near-flat kernels
@@ -157,21 +172,30 @@ def _validate_kernel_values(values: np.ndarray) -> None:
 def _unit_lower(points: bytes, family: str, rate: float, exponent: float, offset: float):
     """Strict lower triangle of the unit-scale kernel matrix, for one grid and kernel shape.
 
-    The kernel is checked on every distinct lag of the grid, then evaluated at
-    unit scale on the strict lower triangle. The array is read-only, since
-    repeated calls return the same one.
+    The array is read-only, since repeated calls return the same one.
     """
     shape = functools.partial(_unit_kernel, family, rate, exponent, offset)
     t = np.frombuffer(points)
     lag = t[:, None] - t[None, :]
-    _validate_kernel_values(shape(np.unique(np.abs(lag))))
     lower = np.where(lag > 0.0, shape(np.where(lag > 0.0, lag, 0.0)), 0.0)
     lower.flags.writeable = False
     return lower
 
 
+# bytes of the largest kernel matrix formed; it caps every one, and a consumer holds a few
+MAX_FORMED_BYTES = 2**30
+
+
 def build_matrices(grid: TimeGrid, kernel: DecayKernel) -> MatrixBundle:
-    """Assemble the kernel matrices of one asset on a trading grid."""
+    """Assemble the kernel matrices of one asset on a trading grid.
+
+    NumericError, before any allocation, above ``MAX_FORMED_BYTES`` per matrix.
+    """
+    n = grid.n_points
+    if 8 * n**2 > MAX_FORMED_BYTES:
+        need = f"n = {n} would need {8 * n**2 / 2**30:.1f} GiB"
+        raise NumericError(f"{need} per kernel matrix, above the cap")
+    _validate_kernel_values(grid, kernel)
     g0 = kernel.at_zero
     strict_lower = kernel.scale * _unit_lower(
         grid.points.tobytes(), kernel.family, kernel.rate, kernel.exponent, kernel.offset
@@ -179,5 +203,5 @@ def build_matrices(grid: TimeGrid, kernel: DecayKernel) -> MatrixBundle:
     # symmetric matrix from the exact same kernel evaluations; strict_lower's
     # diagonal is exactly zero, so writing a value there adds it
     kernel_matrix = strict_lower + strict_lower.T
-    kernel_matrix.flat[:: grid.n_points + 1] = g0
+    kernel_matrix.flat[:: n + 1] = g0
     return MatrixBundle(kernel_matrix=kernel_matrix, strict_lower=strict_lower, kernel_at_zero=g0)

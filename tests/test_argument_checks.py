@@ -29,6 +29,7 @@ from impact_games import (
     one_factor_matrix,
     oscillation_flags,
     payoff_matrix,
+    power_law_kernel,
     predicted_theta_star,
     price_covariance,
     rank_one_matrix,
@@ -79,6 +80,17 @@ BAD_INPUTS = {
     ),
     "exponential_kernel rate -1": (lambda: exponential_kernel(rate=-1), "rate", f"{POSITIVE} -1"),
     "DecayKernel.scaled 0": (lambda: exponential_kernel().scaled(0), "factor", f"{POSITIVE} 0"),
+    # a kernel whose value at lag zero overflows, and a crowding factor that underflows
+    "power_law_kernel offset 1e-300": (
+        lambda: power_law_kernel(exponent=2, offset=1e-300),
+        "offset",
+        "1e-300 gives the non-finite value inf at lag zero",
+    ),
+    "GameSpec beta 2000": (
+        lambda: game(n_agents=2, beta=2000),
+        "beta",
+        f"2000.0 leaves no kernel for 2 agents: factor {POSITIVE} 0.0",
+    ),
     "identity size 2.5": (
         lambda: build_cross_impact("identity", size=2.5),
         "size",

@@ -152,7 +152,9 @@ SWEEP_BASE = [
 # a wrong JSON type or an unknown key is reported at its own dotted path.
 # Earlier versions accepted output.dir, ran the sweep rows past a misspelt
 # axis or a fractional or boolean count, dropped a grid given with points, and
-# wrote a header-only sweep.csv for an empty axis or point list
+# wrote a header-only sweep.csv for an empty axis or point list. They also
+# blamed a power law infinite at lag zero on the default bracket, and a
+# crowding factor that underflows on no key (exit 1)
 EXACT_FIELDS = [
     (MINIMAL_EQUILIBRIUM, "grid.steps", "15", "grid.steps"),
     (MINIMAL_EQUILIBRIUM, "grid.stpes", 15, "grid.stpes"),
@@ -165,6 +167,8 @@ EXACT_FIELDS = [
     (SWEEP, "sweep.grid", {"n_agents": [3]}, "sweep"),
     (SWEEP_GRID, "sweep.grid.n_agents", [], "sweep.grid.n_agents"),
     (SWEEP, "sweep.points", [], "sweep.points"),
+    (THETA_CRITICAL, "kernel", {"family": "power_law", "exponent": 2, "offset": 1e-300}, "kernel"),
+    (MINIMAL_EQUILIBRIUM, "kernel.beta", 2000, "kernel.beta"),
 ]
 
 
@@ -410,6 +414,21 @@ def test_run_experiment_rejects_an_unknown_experiment(tmp_path):
         run_experiment(dict(MINIMAL_EQUILIBRIUM, experiment="bogus"), tmp_path)
     assert excinfo.value.field == "experiment"
     assert not (tmp_path / "report.json").exists()
+
+
+def test_a_kernel_that_underflows_on_the_grid_fails_alike_in_equilibrium_and_costs(
+    tmp_path, capsys
+):
+    # exp(-1e5) is zero at the largest lag of 10 steps; the banded closed form forms no matrix
+    config = with_value(MINIMAL_EQUILIBRIUM, "kernel", {"family": "exponential", "rate": 1e5})
+    config = with_value(config, "grid.steps", 10)
+    errors = []
+    for experiment in ("equilibrium", "costs"):
+        path = write_config(tmp_path, dict(config, experiment=experiment), f"{experiment}.json")
+        code = main([experiment, "--config", str(path), "--out", str(tmp_path / experiment)])
+        errors.append((code, json.loads(capsys.readouterr().err)["error"]))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2 and "strictly positive on the sampled lags" in errors[0][1]["message"]
 
 
 def test_agents_with_different_fees_have_no_critical_fee(tmp_path, capsys):

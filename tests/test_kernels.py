@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,9 @@ from impact_games import (
     DecayKernel,
     GameSpec,
     build_matrices,
+    closed_form_equilibrium,
+    cost_report,
+    critical_theta,
     exponential_kernel,
     guarded_solve,
     make_equidistant_grid,
@@ -210,6 +216,38 @@ def test_build_matrices_rejects_increasing_kernel():
         object.__setattr__(bad, name, value)
     with pytest.raises(ValueError, match="nonincreasing"):
         build_matrices(make_equidistant_grid(3, 1.0), bad)
+
+
+def test_a_kernel_that_underflows_on_the_grid_is_refused_by_every_solve_path():
+    # exp(-1e5) is zero at the largest lag of 10 steps; the banded closed form forms no matrix
+    grid, kernel = make_equidistant_grid(10, 1.0), exponential_kernel(rate=1e5)
+
+    def game():
+        return GameSpec(grid, kernel, cross_impact=np.eye(1), inventories=np.ones((1, 2)))
+
+    refusals = {
+        "build_matrices": lambda: build_matrices(grid, kernel),
+        "closed form": lambda: closed_form_equilibrium(game()),
+        "critical_theta": lambda: critical_theta(game()),
+        "cost_report": lambda: cost_report(game(), closed_form_equilibrium(game()).strategies),
+    }
+    message = "decay kernel must be strictly positive on the sampled lags"
+    for name, refused in refusals.items():
+        with pytest.raises(ValueError) as raised:
+            refused()
+        assert str(raised.value) == message, name
+
+
+def test_only_kernels_names_the_size_cap():
+    # every kernel matrix is formed by build_matrices, which holds the one cap
+    package = Path(__file__).resolve().parents[1] / "src" / "impact_games"
+    naming = {
+        module.stem
+        for module in package.glob("*.py")
+        for node in ast.walk(ast.parse(module.read_text()))
+        if "MAX_FORMED_BYTES" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    }
+    assert naming == {"kernels"}
 
 
 def test_scaled_requires_positive_factor():

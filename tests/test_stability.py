@@ -32,7 +32,7 @@ from impact_games import (
     rank_one_matrix,
     stability_sweep,
 )
-from impact_games import _linalg, hetero
+from impact_games import _linalg, hetero, kernels
 from impact_games import equilibrium as equilibrium_module
 from impact_games import stability as stability_module
 from impact_games._linalg import ArgumentError
@@ -863,22 +863,50 @@ def test_rejected_banded_probe_falls_back_to_guarded_solve_bit_for_bit(monkeypat
 
 def test_banded_fallback_above_the_size_cap_raises_before_forming_the_matrix(monkeypatch):
     builds = []
-    build = equilibrium_module.build_matrices
+    build = kernels._unit_lower
     monkeypatch.setattr(
-        equilibrium_module, "build_matrices", lambda *args: builds.append(args) or build(*args)
+        kernels, "_unit_lower", lambda *args: builds.append(args) or build(*args)
     )
     systems = prepare_profile_systems(stability_game(n_agents=3, n_steps=40))
     monkeypatch.setattr(_linalg, "BACKWARD_TOL", -1.0)  # every banded solve fails it
-    monkeypatch.setattr(_linalg, "MAX_FORMED_BYTES", 8 * 41**2 - 1)
+    monkeypatch.setattr(kernels, "MAX_FORMED_BYTES", 8 * 41**2 - 1)
     for system in systems.pairs[0]:
         with pytest.raises(NumericError, match="n = 41 would need"):
             system.solve(0.4, paths_of())
     assert builds == []
     # a matrix of exactly the cap is formed
-    monkeypatch.setattr(_linalg, "MAX_FORMED_BYTES", 8 * 41**2)
+    monkeypatch.setattr(kernels, "MAX_FORMED_BYTES", 8 * 41**2)
     paths = paths_of()
     systems.pairs[0][1].solve(0.4, paths)
     assert paths == paths_of(dense=1) and len(builds) == 1
+
+
+def test_final_check_above_the_size_cap_raises_a_numeric_error_not_a_memory_error():
+    # the banded probes of a jittered N = 20000 game hold no matrix, and the
+    # final check's (N+1)^2 builds are refused; the child's address space is
+    # capped so that a build that is not refused fails without taking the machine
+    script = """
+import resource, time
+import numpy as np
+from impact_games import GameSpec, TimeGrid, critical_theta, exponential_kernel
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+steps = np.random.default_rng(0).uniform(0.5, 1.5, 20000)
+points = np.r_[0.0, np.cumsum(steps) / steps.sum()]
+spec = GameSpec(TimeGrid(points), exponential_kernel(1.0), cross_impact=np.eye(1), n_agents=2)
+start = time.perf_counter()
+try:
+    critical_theta(spec, tol=1e-6)
+except Exception as exc:
+    print(f"{time.perf_counter() - start:.3f}", type(exc).__name__, exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    seconds, kind, message = result.stdout.strip().split(" ", 2)
+    assert kind == "NumericError", result.stdout + result.stderr
+    assert message.startswith("n = 20001 would need 3.0 GiB per kernel matrix, above the cap")
+    assert float(seconds) < 1.0
 
 
 def test_exponential_game_without_a_variance_term_forms_no_matrix(monkeypatch):
