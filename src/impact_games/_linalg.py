@@ -51,7 +51,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 import scipy
@@ -111,7 +111,7 @@ def _number(name: str, value, positive: bool = True) -> float:
         valid = np.ndim(value) == 0 and bool(np.isfinite(value) and signed)
     except (TypeError, ValueError):  # not a number, or not one number
         valid = False
-    if not valid:
+    if not valid or isinstance(value, (bool, np.bool_)):  # a bool is no number
         sign = "positive" if positive else "nonnegative"
         raise ArgumentError(name, f"{name} must be finite and {sign}, got {value!r}")
     return float(value)
@@ -119,7 +119,8 @@ def _number(name: str, value, positive: bool = True) -> float:
 
 def _integer(name: str, value, minimum: Optional[int] = None) -> int:
     """``value`` as an int, never truncated; ArgumentError unless a whole number >= ``minimum``."""
-    whole = isinstance(value, numbers.Real) and float(value).is_integer()
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # a bool is no count
+    whole = real and float(value).is_integer()
     if not (whole and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ArgumentError(name, f"{name} must be an integer{bound}, got {value!r}")
@@ -134,14 +135,17 @@ def _array(
     ArgumentError naming ``name``, never numpy's own error, unless every entry
     is a number, and a finite one unless ``finite`` is False (a caller that
     reports a non-finite entry as a NumericError); with ``positive`` set, each
-    entry must pass :func:`_number`.
+    entry must pass :func:`_number`. An array of bools is no array of numbers.
     """
     try:
+        valid = np.asarray(value).dtype != bool
         array = np.asarray(value, dtype=float)
         array = array if shape is None else np.broadcast_to(array, shape)
     except (TypeError, ValueError):  # an entry not a number, ragged nesting or the wrong shape
+        valid = False
+    if not valid:
         expected = "numbers" if shape is None else f"numbers that broadcast to shape {shape}"
-        raise ArgumentError(name, f"{name} must be {expected}, got {value!r:.60}") from None
+        raise ArgumentError(name, f"{name} must be {expected}, got {value!r:.60}")
     if positive is not None:
         for entry in array.ravel().tolist():
             _number(name, entry, positive)
@@ -278,54 +282,33 @@ def _backward_stable(
     return bool(np.all(np.abs(residual).max(axis=0) <= BACKWARD_TOL * scale))
 
 
-def _profile_error_bound(
-    matrix: np.ndarray, profile: np.ndarray, floor: float, dtype=np.float64
-) -> Tuple[float, bool]:
-    """Bound on ``||profile - p||_inf`` for the exact normalized solution p of ``matrix x = 1``.
+def _profile_error_bound(matrix: np.ndarray, profile: np.ndarray, floor: float) -> float:
+    """Bound on ``||profile - x / s^||_inf`` for the exact solution x of ``matrix x = 1``.
 
     ``matrix`` has nonnegative entries and ``floor`` is a lower bound on the
     smallest eigenvalue of its symmetric part. The candidate ``x^ = s^ profile``,
-    with ``s^ = n / (1^T matrix profile)``, has the residual ``r = matrix x^ - 1``
-    and the error ``e = x^ - x``, ``||e||_2 <= ||r||_2 / floor =: d`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, chapter 7). With
-    ``s = 1^T x`` and ``sigma = 1^T profile``, ``profile - p = (profile s^
-    (sigma - 1) - profile 1^T e + e) / s`` and ``|s| >= |s^| |sigma| - sqrt(n) d``.
-    The residual is taken in ``dtype``; its rounding, ``gamma_n |matrix| |x^|``
-    (``|matrix| = matrix``), is added to it, and the bound is widened to cover
-    the double rounding of its own evaluation. Returns the bound (inf when
-    ``floor`` or the normalization leaves none) and whether the rounding
-    allowance exceeds the computed residual, which a residual in a wider
-    ``dtype`` shrinks.
+    with ``s^ = n / (1^T matrix profile)``, has the residual ``r = matrix x^ - 1``,
+    and ``x^ - x = s^ (profile - x / s^)`` has ``||x^ - x||_2 <= ||r||_2 / floor``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, chapter 7).
+    ``x / s^`` is a multiple of the exact normalized solution, as ``1^T x =
+    x^T matrix x > 0``. The residual's rounding in double, ``gamma_n |matrix|
+    |x^|`` (``|matrix| = matrix``), is added to it, and the bound is widened to
+    cover its own rounding. inf when ``floor`` or ``s^`` leaves no bound.
     """
     n = len(profile)
-    u, ud = float(np.finfo(dtype).eps) / 2, float(np.finfo(float).eps) / 2
+    u = float(np.finfo(float).eps) / 2
     applied = matrix @ np.column_stack((profile, np.abs(profile)))
     total = float(applied[:, 0].sum())
     scale = n / total if total != 0.0 else float("inf")
-    if not (floor > 0.0 and np.isfinite(scale)):
-        return float("inf"), False
-    if dtype is np.float64:
-        product = applied[:, 0]
-    else:  # the product of two double arrays, each entry summed in dtype
-        product = np.einsum("ij,j->i", matrix, profile.astype(dtype))
-    residual = scale * product - 1.0
+    if not (floor > 0.0 and 0.0 < abs(scale) < float("inf")):
+        return float("inf")
+    residual = scale * applied[:, 0] - 1.0
     residual = float(np.sqrt(residual @ residual))
-    rounding = abs(scale) * _gamma(n, u) * float(np.linalg.norm(applied[:, 1]))
+    gamma_n = n * u / (1.0 - n * u)  # Higham's bound on the rounding of an n-term dot product
+    rounding = abs(scale) * gamma_n * float(np.linalg.norm(applied[:, 1]))
     rounding += 2.0 * u * (residual + np.sqrt(n))  # of the scaling and the subtraction
-    slack = 1.0 + 8.0 * (n + 20) * ud  # double rounding of the norms and the arithmetic below
-    distance = slack * (residual + rounding) / floor
-    peak = float(np.abs(profile).max())
-    sum_error = abs(float(profile.sum()) - 1.0) + _gamma(n, ud) * float(np.abs(profile).sum())
-    total = abs(scale) * (1.0 - sum_error) - np.sqrt(n) * distance
-    if not total > 0.0:
-        return float("inf"), rounding > residual
-    bound = (peak * abs(scale) * sum_error + (peak * np.sqrt(n) + 1.0) * distance) / total
-    return slack * bound, rounding > residual
-
-
-def _gamma(n: int, u: float) -> float:
-    """Higham's ``gamma_n = n u / (1 - n u)``, the rounding bound of an n-term dot product."""
-    return n * u / (1.0 - n * u)
+    slack = 1.0 + 8.0 * (n + 20) * u  # rounding of the norms and the arithmetic here
+    return slack * (residual + rounding) / (floor * abs(scale))
 
 
 def _floor_bounded(n: int, norm_1: float, floor: float, shift: float) -> bool:

@@ -248,6 +248,7 @@ def _game_spec_from_config(cfg: dict) -> GameSpec:
     with _errors_at(
         "<root>",
         cross_impact="cross_impact",
+        kernel="kernel",
         inventories="agents",
         n_agents="n_agents",
         theta=fees,

@@ -158,8 +158,9 @@ class GameSpec:
 
     An invalid argument raises an ``ArgumentError``, a ValueError naming it
     (``beta`` when the crowding factor leaves no valid kernel). A kernel not
-    positive and nonincreasing on the grid's lags gets the ValueError of
-    :func:`kernels.build_matrices` here, so every solve path takes the same games.
+    positive and nonincreasing on the grid's lags is refused here with the
+    message of :func:`kernels.build_matrices`, naming ``kernel``, so every
+    solve path takes the same games.
     The spec holds read-only copies of the arrays it is given, so changing a
     caller's array afterwards leaves the checked spec as it was.
     """
@@ -213,7 +214,10 @@ class GameSpec:
             except ArgumentError as exc:  # the factor or the scaled kernel underflows
                 message = f"beta {self.beta!r} leaves no kernel for {n_agents} agents: {exc}"
                 raise ArgumentError("beta", message) from None
-        _validate_kernel_values(self.grid, kernel)
+        try:
+            _validate_kernel_values(self.grid, kernel)
+        except ValueError as exc:  # the kernel underflows or grows on this grid's lags
+            raise ArgumentError("kernel", str(exc)) from None
         object.__setattr__(self, "_effective_kernel", kernel)
 
         scales = 1.0 if self.scales is None else self.scales

@@ -482,11 +482,14 @@ def payoff_matrix(
                 raise ArgumentError("mask_options", "each mask option must be a length-M vector")
 
     distinct = {mask.tobytes(): mask for per_agent in options for mask in per_agent}
+    games = {}
+    for key, mask in distinct.items():
+        try:
+            games[key] = replace(base, mask=np.repeat(mask[:, None], n_agents, axis=1))
+        except ArgumentError as exc:  # base passed its checks, so the mask option is at fault
+            raise ArgumentError("mask_options", str(exc)) from None
     with _shared_responses():  # the uniform games differ in their masks alone
-        uniform = {
-            key: solve_hetero_nash(replace(base, mask=np.repeat(mask[:, None], n_agents, axis=1)))
-            for key, mask in distinct.items()
-        }
+        uniform = {key: solve_hetero_nash(game) for key, game in games.items()}
     candidates = [
         [uniform[mask.tobytes()].strategies[:, j, :] for mask in per_agent]
         for j, per_agent in enumerate(options)

@@ -30,12 +30,13 @@ systems; if one oscillates, the bisection runs again on all groups. Then the
 prepared systems are freed, and their profiles at the lower end are checked
 independently of them: each group's two profile systems are built afresh, as
 the dense reference (:func:`equilibrium.principal_fundamentals`) builds them,
-and each prepared profile is certified against its system by an a-posteriori
-forward-error bound (:func:`_linalg._profile_error_bound`) that proves it
-within ``_CROSS_CHECK_TOL`` of the exact profile and proves its verdict. A
-system whose certificate declines is solved densely from the same matrix. If
-that profile is not as close to the prepared one, or the checked verdict is
-not the prepared one, the bisection runs again on the reference path.
+and each prepared profile is certified against its system, in double, by an
+a-posteriori forward-error bound (:func:`_linalg._profile_error_bound`) that
+proves it within ``_CROSS_CHECK_TOL`` of a multiple of the exact profile and
+proves its verdict. A system whose certificate declines is solved densely
+from the same matrix. If that profile is not as close to the prepared one, or
+the checked verdict is not the prepared one, the bisection runs again on the
+reference path.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ def _verdict_certain(profile: np.ndarray, bound: float, rel_tol: float) -> bool:
     for ``profile``: it moves by at most ``bound (|profile_k| +
     |profile_(k+1)|) + bound^2`` and the threshold by at most ``rel_tol (2
     peak bound + bound^2)``; the floating-point rounding of the verdict's
-    own products and threshold is added.
+    own products and threshold is added. Both tests are scale-free, as is a
+    verdict, so the p that proves one may be any multiple of the exact profile.
     """
     peak = float(np.abs(profile).max())
     if not bound <= _CROSS_CHECK_TOL * (peak - bound):
@@ -192,20 +194,6 @@ def _verdict_certain(profile: np.ndarray, bound: float, rel_tol: float) -> bool:
     margin += rel_tol * (2.0 * peak * bound + bound**2)
     margin += 4.0 * np.finfo(float).eps * (np.abs(products) + abs(threshold))
     return bool(np.all(np.abs(products - threshold) > margin))
-
-
-def _certified(matrix: np.ndarray, profile: np.ndarray, floor: float, rel_tol: float) -> bool:
-    """Whether ``profile`` provably is the normalized solution of ``matrix x = 1`` with its verdict.
-
-    The bound is :func:`_linalg._profile_error_bound`'s, with the residual in
-    double; when that fails on the rounding allowance of the residual, the
-    residual is taken again in ``np.longdouble`` (where that is plain double,
-    the bound only declines more often).
-    """
-    bound, rounding = _profile_error_bound(matrix, profile, floor)
-    if not _verdict_certain(profile, bound, rel_tol) and rounding:
-        bound, _ = _profile_error_bound(matrix, profile, floor, np.longdouble)
-    return _verdict_certain(profile, bound, rel_tol)
 
 
 def _checked_profiles(
@@ -227,12 +215,13 @@ def _checked_profiles(
     so the floor of :func:`equilibrium.prepare_profile_systems` under K,
     ``G(0) _unit_floor - n eps ||K||_1``, scaled and shifted alike, bounds
     their smallest eigenvalues. The prepared profile ``fast`` of the group's
-    first member is kept when :func:`_certified` against its system and
-    counted under "certified" (:func:`_verdict_certain` proves it within
-    ``_CROSS_CHECK_TOL`` of the exact profile); otherwise the system is solved
-    by :func:`guarded_solve`, counted under "dense", and its profile is close
-    when within ``_CROSS_CHECK_TOL`` of the prepared one, relative to its
-    largest entry.
+    first member is kept and counted under "certified" when
+    :func:`_verdict_certain` holds for its bound against its system
+    (:func:`_linalg._profile_error_bound`, in double), which proves it within
+    ``_CROSS_CHECK_TOL`` of a multiple of the exact profile, with its verdict;
+    otherwise the system is solved by :func:`guarded_solve`, counted under
+    "dense", and its profile is close when within ``_CROSS_CHECK_TOL`` of the
+    prepared one, relative to its largest entry.
     """
     spectrum, var_rates, groups = _principal_split(spec)
     n, n_agents = spec.grid.n_points, spec.n_agents
@@ -250,7 +239,8 @@ def _checked_profiles(
         prepared = (fast[first].mean_profile, fast[first].deviation_profile)
         profiles = []
         for matrix, profile, weight in zip(systems, prepared, (0.5 * (n_agents + 1), 0.5)):
-            if _certified(matrix, profile, weight * floor + 2.0 * theta, rel_tol):
+            bound = _profile_error_bound(matrix, profile, weight * floor + 2.0 * theta)
+            if _verdict_certain(profile, bound, rel_tol):
                 paths["certified"] += 1
             else:
                 paths["dense"] += 1

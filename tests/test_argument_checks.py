@@ -20,6 +20,7 @@ from impact_games import (
     arbitrageur_is_idle,
     block_matrix,
     build_cross_impact,
+    critical_theta,
     expected_cost,
     explicit_matrix,
     exponential_kernel,
@@ -233,6 +234,28 @@ BAD_INPUTS = {
         )
         for agent in (-1, 5, 1.5)
     },
+    # a bool is no count, number or array of numbers, though Python computes with it
+    "make_equidistant_grid n_steps True": (
+        lambda: make_equidistant_grid(True),
+        "n_steps",
+        "must be an integer >= 1, got True",
+    ),
+    "critical_theta tol True": (
+        lambda: critical_theta(game(n_agents=2), tol=True),
+        "tol",
+        f"{POSITIVE} True",
+    ),
+    "predicted_theta_star beta np.True_": (
+        lambda: predicted_theta_star(np.eye(2), 1.0, 2, beta=np.True_),
+        "beta",
+        f"{NONNEGATIVE} {np.True_!r}",
+    ),
+    "GameSpec theta True": (lambda: game(n_agents=2, theta=True), "theta", f"{NUMBERS} True"),
+    "oscillation_flags u bools": (
+        lambda: oscillation_flags([True, False]),
+        "u",
+        f"{NUMBERS} [True, False]",
+    ),
     "arbitrageur_is_idle tol nan": (
         lambda: arbitrageur_is_idle(solve(game(n_agents=2)), 0, tol=np.nan),
         "tol",

@@ -153,8 +153,9 @@ SWEEP_BASE = [
 # Earlier versions accepted output.dir, ran the sweep rows past a misspelt
 # axis or a fractional or boolean count, dropped a grid given with points, and
 # wrote a header-only sweep.csv for an empty axis or point list. They also
-# blamed a power law infinite at lag zero on the default bracket, and a
-# crowding factor that underflows on no key (exit 1)
+# blamed a power law infinite at lag zero on the default bracket, a
+# crowding factor that underflows on no key (exit 1), and a kernel that
+# underflows on the grid on the config root
 EXACT_FIELDS = [
     (MINIMAL_EQUILIBRIUM, "grid.steps", "15", "grid.steps"),
     (MINIMAL_EQUILIBRIUM, "grid.stpes", 15, "grid.stpes"),
@@ -169,6 +170,7 @@ EXACT_FIELDS = [
     (SWEEP, "sweep.points", [], "sweep.points"),
     (THETA_CRITICAL, "kernel", {"family": "power_law", "exponent": 2, "offset": 1e-300}, "kernel"),
     (MINIMAL_EQUILIBRIUM, "kernel.beta", 2000, "kernel.beta"),
+    (MINIMAL_EQUILIBRIUM, "kernel", {"family": "exponential", "rate": 1e5}, "kernel"),
 ]
 
 

@@ -754,8 +754,10 @@ def test_payoff_table_rejects_non_boolean_mask_options():
         (lambda options: [[], options[1]], "each agent needs at least one mask option"),
         (lambda options: [[[True]], options[1]], "each mask option must be a length-M vector"),
         (lambda options: [[[2, 0]], options[1]], "mask entries must be booleans, 0 or 1"),
+        # agent 0 holds asset 0, which the uniform game of this option leaves untradable
+        (lambda options: [[[0, 1]], [[0, 1]]], "inventories must be zero on untradable assets"),
     ],
-    ids=["one list for two agents", "no option", "length 1", "entry 2"],
+    ids=["one list for two agents", "no option", "length 1", "entry 2", "held asset masked"],
 )
 def test_payoff_table_names_mask_options_in_each_rejection(choose, message):
     base, options = venue_choice_game()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from impact_games import _linalg, hetero, kernels
 from impact_games import equilibrium as equilibrium_module
 from impact_games import stability as stability_module
 from impact_games._linalg import ArgumentError
+from impact_games.cli import run_experiment
 from impact_games.stability import (
     _CROSS_CHECK_TOL,
     SweepBase,
@@ -742,14 +744,20 @@ def test_every_solve_path_is_backward_stable_or_declines(
             assert gap <= 4 * condition * (_linalg.BACKWARD_TOL + eps_n), path
 
 
-def refined_profile(matrix):
-    """Normalized solution of ``matrix x = 1``: LU, refined with residuals in ``np.longdouble``."""
+def refined_solution(matrix):
+    """Solution of ``matrix x = 1``: LU, refined with residuals in ``np.longdouble``."""
     lu = lu_factor(matrix)
     x = lu_solve(lu, np.ones(len(matrix)))
     for _ in range(5):
         residual = np.einsum("ij,j->i", matrix, x.astype(np.longdouble)) - 1.0
         x = x - lu_solve(lu, residual.astype(float))
-    return x / x.sum()
+    return x
+
+
+def scaled_solution(matrix, profile, x):
+    """``x / s^`` with ``s^ = n / (1^T matrix profile)``, the product taken as the bound does."""
+    total = (matrix @ np.column_stack((profile, np.abs(profile))))[:, 0].sum()
+    return x / (len(profile) / total)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -775,9 +783,10 @@ def test_certified_bound_covers_the_true_error(
 
     Every bound the certificate computes, and the bound of the prepared
     profile perturbed by 1e-8 relative, is at least the distance of the
-    profile from the exact one, whose refined LU profile is within a few
-    units of rounding; each floor is below the smallest eigenvalue of
-    the symmetric part; a certified profile has the verdict of the exact
+    profile from ``x / s^``, the multiple of the exact solution x that
+    it bounds, whose refined LU solution is within a few units of
+    rounding; each floor is below the smallest eigenvalue of the
+    symmetric part; a certified profile has the verdict of the exact
     one, and where every profile is certified the prepared and the dense
     ``is_unstable_at`` agree.
     """
@@ -790,44 +799,67 @@ def test_certified_bound_covers_the_true_error(
         gamma=gamma,
         covariance=None if log_variance is None else np.array([[10.0**log_variance]]),
     )
-    bounds, verdicts = [], []
-    bound_of, certified = stability_module._profile_error_bound, stability_module._certified
+    bounds = []
+    bound_of = stability_module._profile_error_bound
 
-    def recording_bound(matrix, profile, floor, dtype=np.float64):
-        bound, rounding = bound_of(matrix, profile, floor, dtype)
-        bounds.append((matrix, profile, bound))
-        return bound, rounding
-
-    def recording_certified(matrix, profile, floor, rel_tol):
-        result = certified(matrix, profile, floor, rel_tol)
-        verdicts.append((matrix, profile, floor, result))
-        return result
+    def recording_bound(matrix, profile, floor):
+        bound = bound_of(matrix, profile, floor)
+        bounds.append((matrix, profile, floor, bound))
+        return bound
 
     systems = prepare_profile_systems(spec)
     paths = paths_of()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stability_module, "_profile_error_bound", recording_bound)
-        patch.setattr(stability_module, "_certified", recording_certified)
         stability_module._checked_profiles(spec, fee, systems.profiles(fee), 1e-9, paths)
-    assert paths["certified"] + paths["dense"] == 2 and len(verdicts) == 2
+    assert paths["certified"] + paths["dense"] == 2 and len(bounds) == 2
     eps = np.finfo(float).eps
-    for matrix, profile, bound in bounds:
-        exact = refined_profile(matrix)
-        error = np.abs(profile - exact).max()
-        assert bound >= error - 4 * eps * np.abs(exact).max(), (bound, error)
     rng = np.random.default_rng(seed)
-    for matrix, profile, floor, result in verdicts:
+    certified = 0
+    for matrix, profile, floor, bound in bounds:
         assert floor <= np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0]
-        exact = refined_profile(matrix)
-        if result:
-            assert oscillation_flags(profile) == oscillation_flags(exact)
+        x = refined_solution(matrix)
+        target = scaled_solution(matrix, profile, x)
+        error = np.abs(profile - target).max()
+        assert bound >= error - 4 * eps * np.abs(target).max(), (bound, error)
+        if stability_module._verdict_certain(profile, bound, 1e-9):
+            certified += 1
+            assert oscillation_flags(profile) == oscillation_flags(x / x.sum())
         # a profile with a true error well above rounding is bounded too
         perturbed = profile * (1.0 + 1e-8 * rng.standard_normal(len(profile)))
         perturbed /= perturbed.sum()
-        bound, _ = _linalg._profile_error_bound(matrix, perturbed, floor)
-        assert bound >= np.abs(perturbed - exact).max() - 4 * eps * np.abs(exact).max()
+        target = scaled_solution(matrix, perturbed, x)
+        bound = _linalg._profile_error_bound(matrix, perturbed, floor)
+        assert bound >= np.abs(perturbed - target).max() - 4 * eps * np.abs(target).max()
+    assert paths["certified"] == certified
     if paths["certified"] == 2:
         assert is_unstable_at(spec, fee, systems=systems) == is_unstable_at(spec, fee)
+
+
+def test_the_desk_config_is_certified_with_one_bound_per_system(tmp_path, monkeypatch):
+    # N = 1000 and two groups of principal assets: each of the four systems of
+    # the final check is certified by its first bound, taken in double
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    config = config / "theta_critical_desk.json"
+    bounds = []
+    bound_of = stability_module._profile_error_bound
+
+    def counted(*args):
+        bounds.append(bound_of(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(stability_module, "_profile_error_bound", counted)
+    paths = run_experiment(json.loads(config.read_text()), tmp_path)["results"]["solve_paths"]
+    assert len(bounds) == 4
+    assert paths["certified"] == 4 and paths["dense"] == 0 and paths["rebisect"] == 0
+
+
+def test_the_package_computes_in_double_precision_alone():
+    # the certificate needs no wider residual, so no module names one
+    package = Path(__file__).resolve().parents[1] / "src" / "impact_games"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    assert [module.name for module in modules if "longdouble" in module.read_text()] == []
 
 
 def test_a_perturbed_prepared_solve_is_caught_by_the_final_check(monkeypatch):
@@ -1060,7 +1092,7 @@ def test_large_scale_law_class_checks_its_reference_solves_densely(gamma, monkey
         assert reductions == [41, 41]
     # with every certificate declined, the 18 systems are solved densely
     with monkeypatch.context() as patch:
-        patch.setattr(stability_module, "_certified", lambda *args: False)
+        patch.setattr(stability_module, "_verdict_certain", lambda *args: False)
         declined = critical_theta(spec, tol=1e-4)
     paths = dict(report.solve_paths, certified=0, dense=18)
     assert declined.solve_paths == paths
