@@ -12,7 +12,10 @@ LAPACK's 1-norm condition estimate exceeds ``MAX_CONDITION``.
 :class:`_PreparedSystem` is a matrix A prepared once and solved against the
 all-ones vector at many shifts s, ``(A + s I) x = 1``; the profile systems of
 :mod:`equilibrium` are such matrices, with the fee in s. The preparer, which
-built A, names the structured path it may take, one of the first three below:
+built A, gives it a floor, a lower bound on the smallest eigenvalue of the
+symmetric part of A, and names the structured path it may take, one of the
+first three below, or none; :meth:`_PreparedSystem.reduce` names the fourth
+for a system without one:
 
 - "banded": A is ``w L + L^T + c I`` for the strict lower part L of an
   exponential kernel's matrix, held without a matrix (:class:`_BandedSystem`).
@@ -24,17 +27,17 @@ built A, names the structured path it may take, one of the first three below:
   onto the diagonal in place and the diagonal restored after.
 - "levinson": A is Toeplitz. Levinson recursion from its first column and
   row in O(n^2) (``solve_toeplitz``).
-- "shifted": A was reduced to Hessenberg form once (:class:`_ShiftedSolver`);
-  a banded LU of each shifted Hessenberg matrix in O(n^2) (Laub, IEEE TAC
-  1981), kept only when its condition estimate is within
-  ``MAX_CONDITION / n**2``.
+- "shifted": ``A = Z H Z^T`` was reduced once to an upper Hessenberg H with Z
+  orthogonal (``scipy.linalg.hessenberg``), so ``(A + s I) x = 1`` is
+  ``(H + s I) y = Z^T 1`` with ``x = Z y``: a banded LU with one subdiagonal
+  (``lapack.dgbtrf``, ``dgbtrs``) in O(n^2) per shift after the O(n^3)
+  reduction (Laub, IEEE TAC 1981).
 - "dense": :func:`guarded_solve` on ``A + s I``, which has the final say on
   conditioning; a banded system forms A for it by :func:`kernels.build_matrices`.
 
-A named path comes with a floor, a lower bound on the smallest eigenvalue of
-the symmetric part of A, and runs only when the floor bounds the condition
-number within ``MAX_CONDITION`` (:func:`_floor_bounded`). Only a system
-without a floor is reduced, so a system has one structured path at most. It
+A named path runs only when the floor bounds the condition number of
+``A + s I`` within ``MAX_CONDITION`` (:func:`_floor_bounded`); a shift with
+``floor + s <= 0``, singular or not, is declined before any solve. A path
 returns a raw solution, or None when its own factorization fails, and
 :meth:`_PreparedSystem.solve` alone keeps it, by its normwise backward error
 against A (:func:`_backward_stable`), or declines it for the dense solve. A
@@ -323,80 +326,26 @@ def _floor_bounded(n: int, norm_1: float, floor: float, shift: float) -> bool:
     return bool(np.sqrt(n) * (norm_1 + shift) / (floor + shift) <= MAX_CONDITION)
 
 
-class _ShiftedSolver:
-    """Solves of ``(A + s I) x = b`` for many shifts s from one Hessenberg reduction.
-
-    ``A = Z H Z^T`` with H upper Hessenberg and Z orthogonal
-    (``scipy.linalg.hessenberg``), so a shifted system is
-    ``(H + s I) y = Z^T b`` with ``x = Z y``: a banded LU with one
-    subdiagonal, O(n^2) per shift after the O(n^3) reduction (Laub, IEEE
-    TAC 1981). :meth:`solve` returns the raw solution when the LU is regular
-    and its 1-norm condition estimate (``dgbcon``) is within
-    ``MAX_CONDITION / n**2``, and None otherwise; the backward test is the
-    caller's. The 2-norm condition numbers of ``A + s I`` and ``H + s I``
-    agree, and a 1-norm condition number is within a factor n of the 2-norm
-    one either way, so ``kappa_1(A + s I) <= n**2 kappa_1(H + s I)``: the cap
-    keeps ``A + s I`` within ``MAX_CONDITION``.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        n = len(matrix)
-        h, self._z = hessenberg(matrix, calc_q=True, check_finite=False)
-        self._diagonal = h.diagonal().copy()
-        self._off_diagonal_sums = np.abs(h).sum(axis=0) - np.abs(self._diagonal)
-        # LAPACK band storage with kl = 1, ku = n - 1, in Fortran order: H[i, j]
-        # at row n + i - j, under one row of fill-in space. That is flat offset
-        # n + i + j (n + 1), distinct for every (i, j) of the square, so all of H
-        # is written through one strided view; its zeros below the subdiagonal
-        # land on slots outside the band, which stay zero.
-        flat = np.zeros((n + 2) * n)
-        np.lib.stride_tricks.as_strided(
-            flat[n:], shape=(n, n), strides=(flat.itemsize, (n + 1) * flat.itemsize)
-        )[...] = h
-        self._band = flat.reshape((n + 2, n), order="F")
-
-    def solve(self, shift: float, rhs: np.ndarray) -> Optional[np.ndarray]:
-        """Raw solution of ``(A + shift I) x = rhs``, or None when a guard fails."""
-        n = len(self._diagonal)
-        band = self._band.copy(order="F")
-        band[n] += shift
-        lu, ipiv, info = lapack.dgbtrf(band, 1, n - 1, overwrite_ab=True)
-        if info != 0:
-            return None
-        anorm = float(np.max(self._off_diagonal_sums + np.abs(self._diagonal + shift)))
-        rcond, info = lapack.dgbcon(1, n - 1, lu, ipiv, anorm)
-        if info != 0 or not rcond * MAX_CONDITION >= n * n:
-            return None
-        y, info = lapack.dgbtrs(lu, 1, n - 1, self._z.T @ rhs, ipiv)
-        if info != 0:
-            return None
-        return self._z @ y
-
-
 class _PreparedSystem:
     """A matrix A solved against the all-ones vector at many shifts; see the module docstring.
 
     ``path`` names the structured path of the module docstring that A was
-    built for, "triangular" or "levinson", or is None, and ``floor`` is a
-    lower bound on the smallest eigenvalue of the symmetric part of A, given
-    exactly when ``path`` is. ``shifted`` is the Hessenberg reduction
-    :meth:`reduce` made of a system without a floor, or None; so a system has
-    a path or a reduction, never both. :meth:`solve` tries that one (the
-    method ``_<path>`` or ``shifted``) and keeps its raw solution only when it
+    built for, "triangular" or "levinson", or is None until :meth:`reduce`
+    names "shifted". ``floor`` is a lower bound on the smallest eigenvalue of
+    the symmetric part of A; the default, -inf, admits no path.
+    :meth:`solve` tries the path (the method ``_<path>``) when
+    :func:`_floor_bounded` admits it, and keeps its raw solution only when it
     passes :func:`_backward_stable` on :meth:`_residual`. ``norm_1`` and
     ``norm_inf`` are A's norms. A triangular solve writes the shift onto the
     diagonal of ``matrix`` in place and restores it after, so a system must
     not be solved from two threads at once.
     """
 
-    def __init__(
-        self, matrix: np.ndarray, path: Optional[str] = None, floor: Optional[float] = None
-    ):
+    def __init__(self, matrix: np.ndarray, path: Optional[str] = None, floor: float = -np.inf):
         self.matrix = matrix
         self.n = len(matrix)
         self.path = path
         self.floor = floor
-        self.shifted: Optional[_ShiftedSolver] = None
         self.norm_1 = float(np.linalg.norm(matrix, 1))
         self.norm_inf = float(np.linalg.norm(matrix, np.inf))
         self._diagonal = matrix.diagonal().copy()
@@ -406,9 +355,25 @@ class _PreparedSystem:
         return self.matrix
 
     def reduce(self) -> None:
-        """Reduce a matrix without a floor to Hessenberg form, once, for shifted solves."""
-        if self.floor is None and self.shifted is None:
-            self.shifted = _ShiftedSolver(self.matrix)
+        """Reduce A to Hessenberg form, once, and name the "shifted" path, unless a path is named.
+
+        Keeps Z and H in LAPACK band storage with kl = 1, ku = n - 1, in
+        Fortran order: H[i, j] at row n + i - j, under one row of fill-in
+        space. That is flat offset n + i + j (n + 1), distinct for every
+        (i, j) of the square, so all of H is written through one strided
+        view; its zeros below the subdiagonal land on slots outside the band,
+        which stay zero.
+        """
+        if self.path is not None:
+            return
+        n = self.n
+        h, self._z = hessenberg(self.matrix, calc_q=True, check_finite=False)
+        flat = np.zeros((n + 2) * n)
+        np.lib.stride_tricks.as_strided(
+            flat[n:], shape=(n, n), strides=(flat.itemsize, (n + 1) * flat.itemsize)
+        )[...] = h
+        self._band = flat.reshape((n + 2, n), order="F")
+        self.path = "shifted"
 
     def solve(self, shift: float, paths: Dict[str, int]) -> np.ndarray:
         """Normalized solution of ``(A + shift I) x = 1``, its path counted in ``paths``.
@@ -416,11 +381,9 @@ class _PreparedSystem:
         NumericError when the solution sums to zero or to a non-finite value.
         """
         ones = np.ones(self.n)
-        x = None
-        if self.shifted is not None:
-            path, x = "shifted", self.shifted.solve(shift, ones)
-        elif self.floor is not None and _floor_bounded(self.n, self.norm_1, self.floor, shift):
-            path, x = self.path, getattr(self, "_" + self.path)(shift, ones)
+        path, x = self.path, None
+        if path is not None and _floor_bounded(self.n, self.norm_1, self.floor, shift):
+            x = getattr(self, "_" + path)(shift, ones)
         if x is None or not _backward_stable(
             self._residual(x, shift), x, ones, self.norm_inf, shift
         ):
@@ -453,6 +416,17 @@ class _PreparedSystem:
             return None
         finally:
             self.matrix.flat[diagonal] = self._diagonal
+
+    def _shifted(self, shift: float, ones: np.ndarray) -> Optional[np.ndarray]:
+        """Banded LU solution of the shifted Hessenberg form, or None when it is singular."""
+        n = self.n
+        band = self._band.copy(order="F")
+        band[n] += shift
+        lu, ipiv, info = lapack.dgbtrf(band, 1, n - 1, overwrite_ab=True)
+        if info != 0:
+            return None
+        y, info = lapack.dgbtrs(lu, 1, n - 1, self._z.T @ ones, ipiv)
+        return None if info != 0 else self._z @ y
 
 
 class _ExponentialLower:
@@ -516,18 +490,16 @@ class _BandedSystem(_PreparedSystem):
         lower: _ExponentialLower,
         weight: float,
         offset: float,
-        floor: float,
         form: Callable[[], np.ndarray],
     ):
-        # no matrix: the inherited solve reads n, path, floor, shifted and the norms
+        # no matrix: the inherited solve reads n, path, floor and the norms
         self.lower = lower
         self.weight = weight
         self.offset = offset
-        self.floor = floor
         self.form = form
+        self.floor = -np.inf  # until the preparer sets it
         self.n = len(lower.row_sums)
         self.path = "banded"
-        self.shifted = None
         self.norm_1 = float(np.max(weight * lower.column_sums + lower.row_sums)) + offset
         self.norm_inf = float(np.max(weight * lower.row_sums + lower.column_sums)) + offset
 

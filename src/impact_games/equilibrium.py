@@ -47,16 +47,18 @@ For an exponential kernel ``G(t) = g0 exp(-r t)``, L factors on any grid as
 
 Such a class is solved in O(N) on the "banded" path of :mod:`_linalg`, and
 no kernel matrix is built for it. The symmetric parts of the two systems
-are ``K / 2`` and ``(J + 1) / 2 K`` on any grid, so a floor under the
-smallest eigenvalue of K gives both floors. For an exponential kernel
+are ``(J + 1) / 2 K`` and ``K / 2`` on any grid, plus the variance term
+``gamma v min(t_i, t_j)`` when there is one, which is positive
+semidefinite; so a floor under the smallest eigenvalue of K gives a floor of
+every profile system (:func:`_profile_floor`). For an exponential kernel
 with rate r, K is the covariance of an Ornstein-Uhlenbeck process at the
 grid times, so its inverse is tridiagonal, and Gershgorin's theorem on the
 inverse gives ``lambda_min(K) >= G(0) tanh(r h / 2)`` for the smallest step
 h, on any grid. A power-law kernel is a mixture of exponential kernels, and
 its floor a mixture of theirs (:func:`_unit_floor`); neither takes an
-eigenvalue solve. A class with a variance term has no floor; one of at least
-``_REDUCE_MIN_GROUPS`` groups is reduced to Hessenberg form when prepared,
-for shifted solves.
+eigenvalue solve. A class with a variance term has no structured path of its
+own; one of at least ``_REDUCE_MIN_GROUPS`` groups is reduced to Hessenberg
+form when prepared, for the "shifted" path.
 
 :func:`principal_fundamentals` is the dense reference: one bundle and two
 :func:`guarded_solve` calls per group, at the group's own eigenvalue and fee.
@@ -114,7 +116,7 @@ _COMMUTE_TOL = 1e-9
 # agree within this fraction of the largest one share one solve; eigh spreads
 # a repeated eigenvalue over about 1e-14 relative
 _SHARE_TOL = 1e-12
-# a floor-less scale-law class of at least this many groups is reduced to
+# a scale-law class of at least this many groups reduces its systems without a path to
 # Hessenberg form when prepared; at N = 100 to 300 the two reductions cost about
 # as much as the bundle builds and dense solves of four groups
 _REDUCE_MIN_GROUPS = 8
@@ -327,8 +329,16 @@ def profile_systems(
     (a zero variance term is not added) and the fair-priority cross cost
     ``F = L + G(0) / 2 I`` (:func:`costs.priority_cross` at one half) give
     the mean system ``S + (J - 1) F`` and the deviation system ``S - F``,
-    both solved against the all-ones vector.
+    both solved against the all-ones vector. ``ArgumentError`` unless
+    ``theta`` and ``var_rate`` are finite and nonnegative and ``bundle`` is
+    built on a grid of as many points as ``spec``'s.
     """
+    theta = _number("theta", theta, positive=False)
+    var_rate = _number("var_rate", var_rate, positive=False)
+    n = spec.grid.n_points
+    if bundle.kernel_matrix.shape != (n, n):
+        shape = bundle.kernel_matrix.shape
+        raise ArgumentError("bundle", f"bundle must be built on {n} grid points, got shape {shape}")
     self_cost = bundle.kernel_matrix.copy()
     self_cost.flat[:: len(self_cost) + 1] += 2.0 * theta
     if _adds_variance_term(spec, var_rate):
@@ -342,8 +352,9 @@ def fundamental_solutions(
 ) -> FundamentalSolutions:
     """Solve the two normalized linear systems of one single-asset game.
 
-    The systems are those of :func:`profile_systems`. Each solution is
-    divided by its sum, so both sum to exactly one (NumericError if it cannot).
+    The systems are those of :func:`profile_systems`, which checks the
+    arguments. Each solution is divided by its sum, so both sum to exactly
+    one (NumericError if it cannot).
     """
     systems = profile_systems(spec, bundle, theta, var_rate)
     ones = np.ones(spec.grid.n_points)
@@ -417,12 +428,17 @@ def principal_groups(
     returned basis, zeros without one. Principal assets whose eigenvalues
     (and, when ``risk_averse``, variance rates) agree share one solve; each
     group is an array of member indices (see :func:`_shared_solves`).
+    ``ArgumentError`` unless a given covariance is a finite matrix of Q's
+    shape.
     """
     spectrum = analyze_cross_impact(cross_impact)
     lam = spectrum.eigenvalues
     eigenspaces = _shared_solves(lam)
     if covariance is None:
         return spectrum, np.zeros_like(lam), eigenspaces
+    covariance = _array("covariance", covariance)
+    if covariance.shape != (len(lam), len(lam)):
+        raise ArgumentError("covariance", "covariance must match the cross-impact shape")
     vec = spectrum.eigenvectors.copy()
     rotated = vec.T @ covariance @ vec
     for members in eigenspaces:
@@ -517,9 +533,11 @@ class ProfileSystems:
     ``groups[k]``, has the eigenvalue ``eigenvalues[k]`` and the variance
     term ``variance_terms[k]`` (risk aversion times variance rate), and is
     solved at fee theta with the shift ``2 theta / eigenvalues[k]``.
-    ``paths`` counts the profile solves by path ("banded", "levinson",
-    "triangular", "dense", "shifted"), the profiles certified by the final
-    check of :func:`stability.critical_theta` ("certified"), and the re-bisections of
+    Every system has a floor; one without a ``path`` is solved densely until
+    :meth:`_PreparedSystem.reduce` names "shifted". ``paths`` counts the
+    profile solves by path ("banded", "levinson", "triangular", "dense",
+    "shifted"), the profiles certified by the final check of
+    :func:`stability.critical_theta` ("certified"), and the re-bisections of
     :func:`stability.critical_theta` on all groups ("all_groups") and on the
     reference path ("rebisect").
     """
@@ -580,6 +598,19 @@ def _unit_floor(kernel: DecayKernel, min_step: float) -> float:
     return float(-np.expm1(-kernel.exponent * np.log1p(0.5 * min_step / kernel.offset)))
 
 
+def _profile_floor(spec: GameSpec, weight: float, norm_1: float) -> float:
+    """Floor of a formed profile system of ``spec`` whose symmetric part is ``weight K`` and more.
+
+    The rest, a fee and a variance term, is positive semidefinite, so ``weight
+    G(0) _unit_floor`` bounds the exact system's smallest eigenvalue; lowered
+    by ``n eps norm_1``, for the formed system's 1-norm, it covers the
+    rounding of every formed entry, the variance term's included.
+    """
+    min_step = float(np.diff(spec.grid.points).min())
+    floor = weight * spec.effective_kernel.at_zero * _unit_floor(spec.kernel, min_step)
+    return float(floor - spec.grid.n_points * np.finfo(float).eps * norm_1)
+
+
 def _dense_system(spec: GameSpec, var_rate: float, index: int) -> np.ndarray:
     """Zero-fee unit-eigenvalue profile system ``index`` (0 mean, 1 deviation), freshly built."""
     unit = build_matrices(spec.grid, spec.effective_kernel)
@@ -590,24 +621,22 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     """Build the zero-fee unit-eigenvalue profile systems of every scale-law class once.
 
     Runs the split and its checks of :func:`principal_fundamentals`; the fee
-    stored in ``spec`` is ignored. Each system gets its floor and structured
-    solve path here (:class:`_linalg._PreparedSystem`). Without a variance
-    term, both systems of a class get a floor (see the module docstring):
-    with an exponential kernel they are "banded" on any grid, held without a
-    matrix (:class:`_linalg._BandedSystem`, whose dense solve forms the
-    system by :func:`_dense_system`); otherwise the deviation system is
-    "triangular" on any grid and the mean system "levinson" on an equidistant
-    one. Both floors come from one floor under the smallest eigenvalue of the
-    unit kernel matrix K (:func:`_unit_floor`), lowered by ``n eps ||K||_1``
-    to cover rounding. The other systems are formed from one bundle of the
-    effective kernel at unit eigenvalue, at the first group's ratio of
-    variance rate to eigenvalue. A variance term ``gamma v Gamma``, with
-    ``Gamma = min(t_i, t_j)``, counts as absent for the floor when its 1-norm
-    is within that rounding allowance, as when v is rounding noise of the
-    split: the term is positive semi-definite, so the floor still holds, and
-    its first row and column are zero, so the Levinson generators are K's
-    (the deviation system then takes the mean system's path). A class
-    without a floor of at least ``_REDUCE_MIN_GROUPS`` groups is reduced
+    stored in ``spec`` is ignored. Each system gets its floor here, from its
+    own 1-norm (:func:`_profile_floor`), and its structured solve path
+    (:class:`_linalg._PreparedSystem`). Without a variance term (see the
+    module docstring), with an exponential kernel, both systems of a class
+    are "banded" on any grid, held without a matrix
+    (:class:`_linalg._BandedSystem`, whose dense solve forms the system by
+    :func:`_dense_system`); otherwise the deviation system is "triangular" on
+    any grid and the mean system "levinson" on an equidistant one. The other
+    systems are formed from one bundle of the effective kernel at unit
+    eigenvalue, at the first group's ratio of variance rate to eigenvalue. A
+    variance term ``gamma v Gamma``, with ``Gamma = min(t_i, t_j)``, counts
+    as absent for the path when its 1-norm is within ``n eps ||K||_1`` of
+    the unit kernel matrix K, as when v is rounding noise of the split: its
+    first row and column are zero, so the Levinson generators are K's (the
+    deviation system then takes the mean system's path). A class of at least
+    ``_REDUCE_MIN_GROUPS`` groups reduces its systems without a path
     (:meth:`_PreparedSystem.reduce`).
     """
     spectrum, var_rates, groups = _principal_split(spec)
@@ -615,7 +644,7 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     eigenvalues, var_rates = spectrum.eigenvalues[firsts], var_rates[firsts]
     variance_terms = spec.gamma * var_rates
     steps = np.diff(spec.grid.points)
-    uniform, min_step = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon, float(steps.min())
+    uniform = np.ptp(steps) <= _UNIFORM_TOL * spec.grid.horizon
     n, n_agents = spec.grid.n_points, spec.n_agents
     earlier_norm = float(np.sum(spec.grid.points))  # ||min(t_i, t_j)||_1, the last column
     g0 = spec.effective_kernel.at_zero
@@ -626,22 +655,22 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
     else:
         unit = build_matrices(spec.grid, spec.effective_kernel)
         kernel_norm = np.linalg.norm(unit.kernel_matrix, 1)
-    rounding = n * np.finfo(float).eps * kernel_norm
+    negligible = n * np.finfo(float).eps * kernel_norm
+    # K's weights in the symmetric parts of the mean and the deviation system
+    weights = (0.5 * (n_agents + 1), 0.5)
     pairs = [None] * len(groups)
     for members in _scale_law_classes(eigenvalues, variance_terms):
         first = members[0]
         var_rate = float(var_rates[first] / eigenvalues[first])
-        floor = None
-        if spec.gamma * var_rate * earlier_norm <= rounding:
-            floor = g0 * _unit_floor(spec.kernel, min_step) - rounding
-        if floor is not None and lower is not None:
+        plain = spec.gamma * var_rate * earlier_norm <= negligible
+        if plain and lower is not None:
             pair = (
                 _BandedSystem(
-                    lower, n_agents, 0.5 * (n_agents + 1) * g0, 0.5 * (n_agents + 1) * floor,
+                    lower, n_agents, weights[0] * g0,
                     functools.partial(_dense_system, spec, var_rate, 0),
                 ),
                 _BandedSystem(
-                    lower, 0.0, 0.5 * g0, 0.5 * floor,
+                    lower, 0.0, weights[1] * g0,
                     functools.partial(_dense_system, spec, var_rate, 1),
                 ),
             )
@@ -649,15 +678,13 @@ def prepare_profile_systems(spec: GameSpec) -> ProfileSystems:
             if unit is None:
                 unit = build_matrices(spec.grid, spec.effective_kernel)
             mean, deviation = profile_systems(spec, unit, 0.0, var_rate)
-            mean_path = "levinson" if uniform and floor is not None else None
+            mean_path = "levinson" if uniform and plain else None
             # without a variance term the deviation system is L^T + G(0) / 2 I
             deviation_path = mean_path if _adds_variance_term(spec, var_rate) else "triangular"
-            pair = (  # a floor only with a path: "path and floor" is None without one
-                _PreparedSystem(mean, mean_path, mean_path and 0.5 * (n_agents + 1) * floor),
-                _PreparedSystem(deviation, deviation_path, deviation_path and 0.5 * floor),
-            )
-        if len(members) >= _REDUCE_MIN_GROUPS:
-            for system in pair:
+            pair = (_PreparedSystem(mean, mean_path), _PreparedSystem(deviation, deviation_path))
+        for system, weight in zip(pair, weights):
+            system.floor = _profile_floor(spec, weight, system.norm_1)
+            if len(members) >= _REDUCE_MIN_GROUPS:
                 system.reduce()
         for k in members:
             pairs[k] = pair

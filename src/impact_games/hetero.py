@@ -449,7 +449,8 @@ def payoff_matrix(
     base : the game every cell shares (fees, scales, priority, inventories).
     mask_options : for each agent, the list of candidate masks (length-M
         boolean vectors). Each distinct mask must admit the uniform game in
-        which every agent is restricted to it.
+        which every agent is restricted to it; other options raise an
+        ``ArgumentError`` naming ``mask_options``.
 
     Each distinct mask's uniform game is solved once by
     :func:`solve_hetero_nash`. Those games differ only in their masks, so
@@ -469,11 +470,15 @@ def payoff_matrix(
     cell is priced that way instead.
     """
     n_agents = base.n_agents
-    if len(mask_options) != n_agents:
+    try:
+        options = tuple(
+            tuple(_boolean_mask("mask_options", mask) for mask in masks) for masks in mask_options
+        )
+    except TypeError:  # not a list of lists
+        message = f"mask_options must be lists of masks, got {mask_options!r:.60}"
+        raise ArgumentError("mask_options", message) from None
+    if len(options) != n_agents:
         raise ArgumentError("mask_options", "need one mask-option list per agent")
-    options = tuple(
-        tuple(_boolean_mask("mask_options", mask) for mask in masks) for masks in mask_options
-    )
     for per_agent in options:
         if not per_agent:
             raise ArgumentError("mask_options", "each agent needs at least one mask option")

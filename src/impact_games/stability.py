@@ -20,7 +20,8 @@ below some fee and stable above it, a lower group oscillates only where the
 top group does. This scale law is behind the theorem value
 ``lambda_max G(0) / 4``; with ``gamma = 0`` or a covariance proportional to Q
 there is one class, and only the top principal asset is bisected. A bisected
-class without a floor is reduced to Hessenberg form once, for shifted solves.
+system without a structured path of its own (one with a variance term) is
+reduced to Hessenberg form once, for the "shifted" path.
 
 The returned bracket and estimate rest only on the verdicts at the two final
 bracket ends, so checking every group there also covers rounding and a
@@ -63,9 +64,9 @@ from .equilibrium import (
     GameSpec,
     ProfileSystems,
     _principal_split,
+    _profile_floor,
     _scale_law_classes,
     _spread,
-    _unit_floor,
     prepare_profile_systems,
     principal_fundamentals,
     profile_systems,
@@ -212,10 +213,10 @@ def _checked_profiles(
     the deviation system are ``lambda (J + 1) / 2 K + 2 theta I + gamma v
     Gamma`` and ``lambda / 2 K + 2 theta I + gamma v Gamma``, for the unit
     kernel matrix K and the positive semidefinite ``Gamma = min(t_i, t_j)``,
-    so the floor of :func:`equilibrium.prepare_profile_systems` under K,
-    ``G(0) _unit_floor - n eps ||K||_1``, scaled and shifted alike, bounds
-    their smallest eigenvalues. The prepared profile ``fast`` of the group's
-    first member is kept and counted under "certified" when
+    so :func:`equilibrium._profile_floor`, the prepared systems' floor, at
+    the weight ``lambda (J + 1) / 2`` or ``lambda / 2``, plus ``2 theta``,
+    bounds their smallest eigenvalues. The prepared profile ``fast`` of the
+    group's first member is kept and counted under "certified" when
     :func:`_verdict_certain` holds for its bound against its system
     (:func:`_linalg._profile_error_bound`, in double), which proves it within
     ``_CROSS_CHECK_TOL`` of a multiple of the exact profile, with its verdict;
@@ -225,21 +226,18 @@ def _checked_profiles(
     """
     spectrum, var_rates, groups = _principal_split(spec)
     n, n_agents = spec.grid.n_points, spec.n_agents
-    min_step = float(np.diff(spec.grid.points).min())
-    unit_floor = spec.effective_kernel.at_zero * _unit_floor(spec.kernel, min_step)
     pairs, close = [], True
     for members in groups:
         first = members[0]
         eigenvalue = float(spectrum.eigenvalues[first])
         bundle = build_matrices(spec.grid, spec.effective_kernel.scaled(eigenvalue))
-        rounding = n * np.finfo(float).eps * np.linalg.norm(bundle.kernel_matrix, 1)
-        floor = eigenvalue * unit_floor - rounding
         systems = profile_systems(spec, bundle, theta, float(var_rates[first]))
         del bundle  # free before the next bundle is built
         prepared = (fast[first].mean_profile, fast[first].deviation_profile)
         profiles = []
         for matrix, profile, weight in zip(systems, prepared, (0.5 * (n_agents + 1), 0.5)):
-            bound = _profile_error_bound(matrix, profile, weight * floor + 2.0 * theta)
+            floor = _profile_floor(spec, weight * eigenvalue, np.linalg.norm(matrix, 1))
+            bound = _profile_error_bound(matrix, profile, floor + 2.0 * theta)
             if _verdict_certain(profile, bound, rel_tol):
                 paths["certified"] += 1
             else:
@@ -265,12 +263,13 @@ def predicted_theta_star(
     ``mode="theorem"`` gives the proven two-agent risk-neutral threshold,
     the top eigenvalue times the lag-zero kernel value over four.
     ``mode="conjecture"`` extrapolates to J agents with kernel crowding:
-    ``kernel_at_zero * J**-beta * (J - 1) * top_eigenvalue / 4``, for
-    a whole ``n_agents`` of at least one. ``ArgumentError`` unless the
-    cross-impact matrix is square, finite and symmetric, ``kernel_at_zero``
-    finite and positive, ``beta`` finite and nonnegative and ``mode`` one of
-    the two. The top eigenvalue is that of :func:`analyze_cross_impact`, on
-    one BLAS thread, as in :func:`critical_theta`.
+    ``kernel_at_zero * J**-beta * (J - 1) * top_eigenvalue / 4``.
+    ``ArgumentError`` unless the cross-impact matrix is square, finite and
+    symmetric, ``kernel_at_zero`` finite and positive, ``n_agents`` a whole
+    number of at least one, in either mode, ``beta`` finite and nonnegative
+    and ``mode`` one of the two. The top eigenvalue is that of
+    :func:`analyze_cross_impact`, on one BLAS thread, as in
+    :func:`critical_theta`.
     """
     _number("kernel_at_zero", kernel_at_zero)
     _number("beta", beta, positive=False)
@@ -281,10 +280,10 @@ def predicted_theta_star(
 
 def _prediction(top: float, kernel_at_zero: float, n_agents: int, beta: float, mode: str) -> float:
     """The prediction of :func:`predicted_theta_star` from the top eigenvalue."""
+    n_agents = _integer("n_agents", n_agents, 1)
     if mode == "theorem":
         return kernel_at_zero * top / 4.0
     if mode == "conjecture":
-        n_agents = _integer("n_agents", n_agents, 1)
         return kernel_at_zero * float(n_agents) ** (-beta) * (n_agents - 1) * top / 4.0
     raise ArgumentError("mode", f"unknown prediction mode {mode!r}")
 
@@ -360,11 +359,12 @@ class StabilityReport:
     reference path included: "banded" (an exponential kernel's system
     without a variance term, on any grid), "levinson" (a Toeplitz mean
     system), "triangular" (an upper triangular deviation system), "shifted"
-    (on the reduced systems of a bisected or a large scale-law class) and
-    "dense" (the reference, a system of the final check whose certificate
-    declined, and every other solve; see :mod:`_linalg`). "certified" counts
-    the systems of the final check whose prepared profile was certified, so
-    the final check adds ``certified + dense`` = twice the number of groups.
+    (a reduced system with a variance term, of a bisected group or a large
+    scale-law class) and "dense" (the reference, a system of the final check
+    whose certificate declined, and every other solve; see :mod:`_linalg`).
+    "certified" counts the systems of the final check whose prepared profile
+    was certified, so the final check adds ``certified + dense`` = twice the
+    number of groups.
     "all_groups" is 1 when a group left out of the bisection was unstable at
     the final upper bracket end and the bisection ran again on all groups,
     and "rebisect" is 1 when the final check disagreed with the prepared
@@ -543,7 +543,13 @@ def stability_sweep(points: Iterable[Mapping], base: SweepBase) -> List[SweepRow
     recorded per row and do not stop the sweep; a count that is not a whole
     number, or a ``gamma`` or ``beta`` that is not a finite nonnegative
     number, is such a failure (ArgumentError), not truncated or converted.
+    A point that is not a mapping raises an ``ArgumentError`` naming
+    ``points`` before any row runs.
     """
+    points = list(points)
+    for point in points:
+        if not isinstance(point, Mapping):
+            raise ArgumentError("points", f"points must be mappings, got {point!r:.60}")
     rows: List[SweepRow] = []
     for point in points:
         params = {

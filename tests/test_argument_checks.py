@@ -15,15 +15,18 @@ import pytest
 
 from impact_games import (
     GameSpec,
+    SweepBase,
     TimeGrid,
     aggregate_flow_is_zero,
     arbitrageur_is_idle,
     block_matrix,
     build_cross_impact,
+    build_matrices,
     critical_theta,
     expected_cost,
     explicit_matrix,
     exponential_kernel,
+    fundamental_solutions,
     guarded_solve,
     impact_drift,
     make_equidistant_grid,
@@ -36,8 +39,10 @@ from impact_games import (
     rank_one_matrix,
     simulate_price,
     solve,
+    stability_sweep,
 )
 from impact_games._linalg import ArgumentError, NumericError
+from impact_games.equilibrium import principal_groups
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impact_games"
 
@@ -56,6 +61,11 @@ DOMAIN_ERRORS = {
 def game(**kwargs):
     kwargs = {"cross_impact": np.eye(1), **kwargs}
     return GameSpec(grid=make_equidistant_grid(4), kernel=exponential_kernel(), **kwargs)
+
+
+def bundle(n_steps):
+    """Kernel bundle of the exponential kernel on an equidistant grid of ``n_steps``."""
+    return build_matrices(make_equidistant_grid(n_steps), exponential_kernel())
 
 
 # (call, the argument its ArgumentError must name, the message)
@@ -260,6 +270,61 @@ BAD_INPUTS = {
         lambda: arbitrageur_is_idle(solve(game(n_agents=2)), 0, tol=np.nan),
         "tol",
         f"{NONNEGATIVE} nan",
+    ),
+    # a negative fee, a variance rate that is no rate, and a bundle of another grid
+    "fundamental_solutions theta -1": (
+        lambda: fundamental_solutions(game(n_agents=2), bundle(4), -1.0, 0.5),
+        "theta",
+        f"{NONNEGATIVE} -1.0",
+    ),
+    "fundamental_solutions theta 'x'": (
+        lambda: fundamental_solutions(game(n_agents=2), bundle(4), "x", 0.0),
+        "theta",
+        f"{NONNEGATIVE} 'x'",
+    ),
+    **{
+        f"fundamental_solutions var_rate {rate!r}": (
+            lambda rate=rate: fundamental_solutions(game(n_agents=2), bundle(4), 0.0, rate),
+            "var_rate",
+            f"{NONNEGATIVE} {rate!r}",
+        )
+        for rate in (-100.0, np.nan)
+    },
+    "fundamental_solutions bundle of 6 steps": (
+        lambda: fundamental_solutions(game(n_agents=2), bundle(6), 0.0, 0.0),
+        "bundle",
+        "must be built on 5 grid points, got shape (7, 7)",
+    ),
+    **{
+        f"stability_sweep point {point!r}": (
+            lambda point=point: stability_sweep([point], SweepBase(kernel=exponential_kernel())),
+            "points",
+            f"must be mappings, got {point!r}",
+        )
+        for point in (1, None)
+    },
+    "principal_groups covariance 'x'": (
+        lambda: principal_groups(np.eye(2), "x"),
+        "covariance",
+        f"{NUMBERS} 'x'",
+    ),
+    "principal_groups 3x3 covariance for 2x2 Q": (
+        lambda: principal_groups(np.eye(2), np.eye(3)),
+        "covariance",
+        "must match the cross-impact shape",
+    ),
+    **{
+        f"payoff_matrix mask_options {options!r}": (
+            lambda options=options: payoff_matrix(game(n_agents=2), options),
+            "mask_options",
+            f"must be lists of masks, got {options!r}",
+        )
+        for options in (5, None, [5, 5])
+    },
+    "predicted_theta_star theorem n_agents 'x'": (
+        lambda: predicted_theta_star(np.eye(1), 1.0, "x", mode="theorem"),
+        "n_agents",
+        "must be an integer >= 1, got 'x'",
     ),
 }
 

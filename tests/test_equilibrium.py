@@ -3,7 +3,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -513,11 +512,13 @@ def risk_averse_systems(n_steps=80):
 @pytest.mark.parametrize("system", [0, 1], ids=["mean", "deviation"])
 def test_shifted_solver_matches_guarded_solve_at_several_shifts(system):
     matrix = risk_averse_systems()[system]
-    solver = _linalg._ShiftedSolver(matrix)
+    reduced = _linalg._PreparedSystem(matrix)
+    reduced.reduce()
+    assert reduced.path == "shifted"
     rhs = np.random.default_rng(2).normal(size=len(matrix))
     for shift in (0.0, 1e-3, 0.1, 1.0, 10.0, 1e3):
         dense = guarded_solve(matrix + shift * np.eye(len(matrix)), rhs)
-        shifted = solver.solve(shift, rhs)
+        shifted = reduced._shifted(shift, rhs)
         assert np.abs(shifted - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -526,35 +527,19 @@ def test_singular_shifted_system_is_rejected_and_the_dense_guard_raises():
     # not symmetric, with eigenvalues 1, ..., 6
     triangular = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) + np.triu(np.full((6, 6), 0.3), 1)
     matrix = rotation @ triangular @ rotation.T
-    ones = np.ones(6)
-    solver = _linalg._ShiftedSolver(matrix)
-    assert solver.solve(0.5, ones) is not None
-    assert solver.solve(-3.0, ones) is None
+    floor = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0]
+    assert 0.0 < floor < 1.0
+    system = _linalg._PreparedSystem(matrix, None, floor)
+    system.reduce()
+    paths = {"shifted": 0, "dense": 0}
+    system.solve(0.5, paths)
+    assert paths == {"shifted": 1, "dense": 0}
+    # every eigenvalue has real part >= floor: floor + shift <= 0 is declined
+    # before any solve, and the dense guard raises at the eigenvalue 3
+    assert not _linalg._floor_bounded(6, system.norm_1, floor, -3.0)
     with pytest.raises(NumericError):
-        guarded_solve(matrix - 3.0 * np.eye(6), ones)
-
-
-def test_shifted_condition_cap_is_the_dense_cap_over_n_squared():
-    rotation = np.linalg.qr(np.random.default_rng(4).normal(size=(6, 6)))[0]
-    triangular = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) + np.triu(np.full((6, 6), 0.3), 1)
-    matrix = rotation @ triangular @ rotation.T
-    hessenberg_form = scipy.linalg.hessenberg(matrix)
-    ones = np.ones(6)
-    solver = _linalg._ShiftedSolver(matrix)
-    cap = _linalg.MAX_CONDITION
-    for gap, accepted in ((1e-9, True), (8e-11, False)):
-        shift = -3.0 + gap  # near the eigenvalue 3
-        shifted = np.linalg.cond(hessenberg_form + shift * np.eye(6), 1)
-        dense = np.linalg.cond(matrix + shift * np.eye(6), 1)
-        # kappa_1(A + sI) <= n^2 kappa_1(H + sI), as the cap assumes
-        assert dense <= 36.0 * shifted
-        if accepted:
-            assert shifted <= 0.25 * cap / 36.0
-            assert solver.solve(shift, ones) is not None
-        else:
-            # within cap / n, which does not keep kappa_1(A + sI) within the cap
-            assert 2.0 * cap / 36.0 <= shifted <= 0.5 * cap / 6.0
-            assert solver.solve(shift, ones) is None
+        system.solve(-3.0, paths)
+    assert paths == {"shifted": 1, "dense": 0}
 
 
 def scale_law_game(kind, n_assets=12):

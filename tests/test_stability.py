@@ -676,7 +676,7 @@ def lacks(structure, matrix):
     jittered=st.booleans(),
     n_agents=st.integers(min_value=1, max_value=10),
     gamma=st.sampled_from([0.0, 5.0]),
-    log_variance=st.one_of(st.none(), st.floats(min_value=-18.0, max_value=1.0)),
+    log_variance=st.one_of(st.none(), st.floats(min_value=-18.0, max_value=5.3)),
     shift=st.floats(min_value=0.0, max_value=5.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -689,10 +689,12 @@ def test_every_solve_path_is_backward_stable_or_declines(
     ``_PreparedSystem.solve`` applies. A kept solution passes the
     backward-error test and matches the dense solve within a bound from the
     condition number; a path forced on a matrix far from its structure
-    declines; the prepared path of a banded or triangular system within its
-    condition bound solves; each floor is below the smallest eigenvalue of
-    the symmetric part. With a covariance and ``gamma = 0`` the variance
-    rate is positive but no variance term is added.
+    declines; the prepared path of a banded or triangular system, and the
+    shifted path of its reduced matrix, solve within their floor's condition
+    bound; each floor, with a variance term ``gamma v`` of up to 1e6
+    included, is below the smallest eigenvalue of the symmetric part. With a
+    covariance and ``gamma = 0`` the variance rate is positive but no
+    variance term is added.
     """
     steps = np.random.default_rng(seed).uniform(0.5, 1.5, n_steps) if jittered else np.ones(n_steps)
     spec = GameSpec(
@@ -712,16 +714,15 @@ def test_every_solve_path_is_backward_stable_or_declines(
     for system in systems.pairs[0]:
         matrix = system.dense().copy()
         shifted = matrix + shift * np.eye(len(matrix))
-        if system.floor is not None:
-            assert system.floor <= np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0]
+        assert system.floor <= np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0]
         ones = np.ones(len(matrix))
-        reduced = _linalg._PreparedSystem(matrix.copy())
+        # a structured path is the method named after it, on a system prepared for it
+        reduced = _linalg._PreparedSystem(matrix.copy(), None, system.floor)
         reduced.reduce()
         solutions = {
-            "shifted": kept(reduced, shift, reduced.shifted.solve(shift, ones)),
+            "shifted": kept(reduced, shift, reduced._shifted(shift, ones)),
             "dense": guarded_solve(shifted, ones),
         }
-        # a structured path is the method named after it, on a system prepared for it
         for path in ("triangular", "levinson"):
             forced = _linalg._PreparedSystem(matrix.copy(), path, system.floor)
             solutions[path] = kept(forced, shift, getattr(forced, "_" + path)(shift, ones))
@@ -729,11 +730,9 @@ def test_every_solve_path_is_backward_stable_or_declines(
                 assert solutions[path] is None, path
         if system.path == "banded":
             solutions["banded"] = kept(system, shift, system._banded(shift, ones))
-        bounded = system.floor is not None and _linalg._floor_bounded(
-            system.n, system.norm_1, system.floor, shift
-        )
-        if system.path in ("banded", "triangular") and bounded:
-            assert solutions[system.path] is not None, system.path
+        if _linalg._floor_bounded(system.n, system.norm_1, system.floor, shift):
+            for path in {"shifted", system.path} & {"banded", "triangular", "shifted"}:
+                assert solutions[path] is not None, path
         condition = np.linalg.cond(shifted, np.inf)
         reference = solutions["dense"]
         for path, x in solutions.items():
@@ -1056,13 +1055,13 @@ def test_one_factor_game_bisects_its_top_principal_asset_only():
 def count_reductions(monkeypatch):
     """Count the Hessenberg reductions of prepared systems."""
     reductions = []
+    hessenberg = _linalg.hessenberg
 
-    class Counted(_linalg._ShiftedSolver):
-        def __init__(self, matrix):
-            reductions.append(len(matrix))
-            super().__init__(matrix)
+    def counted(matrix, **kwargs):
+        reductions.append(len(matrix))
+        return hessenberg(matrix, **kwargs)
 
-    monkeypatch.setattr(_linalg, "_ShiftedSolver", Counted)
+    monkeypatch.setattr(_linalg, "hessenberg", counted)
     return reductions
 
 
@@ -1174,17 +1173,21 @@ def test_variance_term_of_rounding_noise_keeps_the_levinson_path(monkeypatch):
     systems = prepare_profile_systems(spec)
     assert 0.0 < systems.variance_terms[0] < 1e-14
     assert systems.pairs[0] is systems.pairs[1]
-    floors = [[system.floor for system in pair] for pair in systems.pairs]
-    assert None not in floors[0] and floors[2] == [None, None]
+    # every system has a floor; the noise leaves the top class its paths
+    assert all(isinstance(system.floor, float) for pair in systems.pairs for system in pair)
+    paths = [[system.path for system in pair] for pair in systems.pairs]
+    assert paths[0] == ["levinson", "levinson"] and paths[2] == [None, None]
     report = critical_theta(spec, bracket=(0.0, 4.0), tol=1e-4)
 
     prepare = stability_module.prepare_profile_systems
 
     def exact_zero_only(spec):
-        """The prepared systems with floors only where the variance term is exactly zero."""
+        """The prepared systems with paths only where the variance term is exactly zero."""
         systems = prepare(spec)
         pairs = tuple(
-            pair if term == 0.0 else tuple(_linalg._PreparedSystem(s.matrix, None) for s in pair)
+            pair
+            if term == 0.0
+            else tuple(_linalg._PreparedSystem(s.matrix, None, s.floor) for s in pair)
             for pair, term in zip(systems.pairs, systems.variance_terms)
         )
         return dataclasses.replace(systems, pairs=pairs)
@@ -1241,7 +1244,7 @@ def test_risk_averse_bisection_probes_the_reduced_top_group(monkeypatch):
 def risk_averse_system():
     spec = stability_game(n_agents=3, n_steps=40, gamma=5.0)
     system = prepare_profile_systems(spec).pairs[0][0]
-    assert system.floor is None
+    assert system.path is None and system.floor > 0.0
     system.reduce()
     return system
 
@@ -1294,7 +1297,7 @@ def prepared_for(path):
     """A prepared system whose solve at shift 0.4 takes ``path``, and the path's method."""
     if path == "shifted":
         system = risk_averse_system()
-        return system, system.shifted, "solve"
+        return system, system, "_shifted"
     kernel = KERNEL if path == "banded" else POWER_LAW
     spec = stability_game(n_agents=3, n_steps=40, kernel=kernel)
     mean, deviation = prepare_profile_systems(spec).pairs[0]
